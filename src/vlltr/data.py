@@ -190,8 +190,16 @@ class SqrtSampler:
 @dataclass
 class Sentence:
     id: int                # per-class index
-    tokens: list           # includes SOS/EOS markers
+    tokens: np.ndarray     # int64, read-only; includes SOS/EOS markers
     source: str            # "encyclopedia" | "prompt"
+
+
+def token_array(tokens) -> np.ndarray:
+    """A sentence's tokens as the read-only int64 array the corpus
+    stores once, so encoders never convert tokens one by one."""
+    arr = np.array(tokens, dtype=np.int64)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass
@@ -284,13 +292,15 @@ def gen_corpus(C: int, sentences_per_class: int, prompt_count: int,
         for sid, k in enumerate(order):
             tokens, is_noise = drafts[int(k)]
             corpus.sentences[c].append(
-                Sentence(id=sid, tokens=tokens, source=ENCYCLOPEDIA))
+                Sentence(id=sid, tokens=token_array(tokens),
+                         source=ENCYCLOPEDIA))
             if is_noise:
                 distractor_ids[c].add(sid)
         for j in range(prompt_count):
             tokens = [SOS] + templates[j] + [layout.class_token(c), EOS]
             corpus.sentences[c].append(
-                Sentence(id=n_clean + n_noise + j, tokens=tokens, source=PROMPT))
+                Sentence(id=n_clean + n_noise + j, tokens=token_array(tokens),
+                         source=PROMPT))
     return corpus, distractor_ids
 
 
@@ -367,16 +377,16 @@ def load_corpus(path, vocab_size: int = 0, max_tokens: int = 77) -> ClassCorpus:
             c, source = int(parts[0]), parts[1]
             if source not in (ENCYCLOPEDIA, PROMPT):
                 raise ValidationError(f"{path}:{lineno}: unknown source {source!r}")
-            tokens = [int(t) for t in parts[2].split()]
-            if not tokens:
+            tokens = token_array([int(t) for t in parts[2].split()])
+            if not tokens.size:
                 raise ValidationError(f"{path}:{lineno}: empty sentence")
             bucket = per_class.setdefault(c, [])
             bucket.append(Sentence(id=len(bucket), tokens=tokens, source=source))
     C = max(per_class) + 1 if per_class else 0
     if any(c not in per_class for c in range(C)):
         raise ValidationError(f"{path}: some classes have no sentences")
-    vocab = vocab_size or (1 + max(t for ss in per_class.values()
-                                   for s in ss for t in s.tokens))
+    vocab = vocab_size or (1 + max(int(s.tokens.max())
+                                   for ss in per_class.values() for s in ss))
     return ClassCorpus(C=C, vocab_size=vocab, max_tokens=max_tokens,
                        sentences=[per_class[c] for c in range(C)])
 

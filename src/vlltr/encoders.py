@@ -8,7 +8,8 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .errors import ShapeMismatch, ValidationError
-from .tensor import Tensor, as_tensor, cosine_sim_matrix, matmul, parameter
+from .tensor import (Tensor, as_tensor, cosine_sim_matrix, embedding_bag,
+                     matmul, parameter)
 
 TAU_MIN, TAU_MAX = 0.01, 1.0
 
@@ -55,23 +56,20 @@ class LinguisticEncoder:
                 prefix + "proj_b": self.proj_b}
 
     def __call__(self, sequences) -> Tensor:
-        flat = []
-        pool_rows = []
-        for i, seq in enumerate(sequences):
-            if len(seq) == 0:
+        seqs = [np.asarray(seq, dtype=np.int64) for seq in sequences]
+        lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
+        bad = np.flatnonzero((lengths == 0) | (lengths > self.max_tokens))
+        if bad.size:
+            i = int(bad[0])
+            if lengths[i] == 0:
                 raise ValidationError(f"LinguisticEncoder: empty sequence {i}")
-            if len(seq) > self.max_tokens:
-                raise ValidationError(
-                    f"LinguisticEncoder: sequence {i} has {len(seq)} tokens, "
-                    f"limit is {self.max_tokens}; truncate explicitly if intended"
-                )
-            pool_rows.append((len(flat), len(seq)))
-            flat.extend(int(t) for t in seq)
-        pool = np.zeros((len(sequences), len(flat)))
-        for i, (start, length) in enumerate(pool_rows):
-            pool[i, start:start + length] = 1.0 / length
-        gathered = self.tok[np.array(flat, dtype=np.int64)]
-        pooled = matmul(Tensor(pool), gathered)
+            raise ValidationError(
+                f"LinguisticEncoder: sequence {i} has {lengths[i]} tokens, "
+                f"limit is {self.max_tokens}; truncate explicitly if intended"
+            )
+        ids = np.concatenate(seqs) if seqs else np.zeros(0, dtype=np.int64)
+        offsets = np.cumsum(lengths) - lengths
+        pooled = embedding_bag(self.tok, ids, offsets)
         return matmul(pooled, self.proj_w) + self.proj_b
 
 

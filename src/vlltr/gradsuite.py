@@ -7,8 +7,8 @@ import numpy as np
 from .gradcheck import GradCheckReport, gradcheck
 from .head import LgrParams, lgr_forward, rec_loss
 from .pretrain import ccl_loss, distill_loss, pretrain_loss
-from .tensor import (Tensor, cosine_sim_matrix, cross_entropy, layer_norm,
-                     matmul, softmax)
+from .tensor import (Tensor, cosine_sim_matrix, cross_entropy, embedding_bag,
+                     layer_norm, matmul, softmax)
 
 LGR_PARAM_NAMES = ("q_w", "q_b", "q_ln_g", "q_ln_b",
                    "k_w", "k_b", "k_ln_g", "k_ln_b",
@@ -70,6 +70,16 @@ def default_suite(seed: int = 0, instances: int = 3):
     suite.append(("cross_entropy", lambda: gradcheck(
         lambda z: cross_entropy(softmax(z, 1), y_ce),
         [rng.normal(size=(2, 3))])))
+
+    def bag():
+        # bags of lengths 2, 1, 3; row 3 repeats within and across bags
+        ids, offsets = np.array([3, 0, 3, 1, 2, 3]), np.array([0, 2, 3])
+        w_bag = Tensor(rng.normal(size=(3, 2)))
+        return gradcheck(
+            lambda t: (embedding_bag(t, ids, offsets) * w_bag).sum(),
+            [rng.normal(size=(5, 2))])
+
+    suite.append(("embedding_bag", bag))
 
     for i in range(instances):
         n = int(rng.integers(2, 7))

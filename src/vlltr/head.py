@@ -11,7 +11,7 @@ import numpy as np
 
 from .anchors import AnchorSet
 from .data import ClassCorpus, LongTailDataset, SqrtSampler
-from .encoders import CvlpModel
+from .encoders import TAU_MAX, TAU_MIN, CvlpModel
 from .errors import (NumericError, ShapeMismatch, StaleArtifactError,
                      ValidationError)
 from .optim import AdamW, LrSchedule, cosine_lr
@@ -292,7 +292,8 @@ def run_finetune(dataset: LongTailDataset, anchors: AnchorSet,
             loss.backward()
             opt.step(lr=cosine_lr(sched, step))
             if cfg.head == "lgr":
-                head_params.tau.data = np.clip(head_params.tau.data, 0.01, 1.0)
+                head_params.tau.data = np.clip(head_params.tau.data,
+                                                TAU_MIN, TAU_MAX)
             model.clamp_tau()
             trace.append((epoch, step, float(loss.data)))
             step += 1

@@ -15,7 +15,7 @@ from .data import ClassCorpus, LongTailDataset, SqrtSampler
 from .encoders import CvlpModel, TeacherPair
 from .errors import NumericError, ShapeMismatch, ValidationError
 from .optim import AdamW, LrSchedule, cosine_lr
-from .tensor import Tensor, as_tensor, log_softmax
+from .tensor import Tensor, as_tensor
 
 
 @dataclass
@@ -32,14 +32,38 @@ class PretrainConfig:
             raise ValidationError(f"lam must be in [0, 1], got {self.lam}")
 
 
-def ccl_loss(S: Tensor, labels, tau):
-    """Class-wise contrastive loss over a similarity matrix.
+def _log_softmax(z: np.ndarray, axis: int) -> np.ndarray:
+    z = z - z.max(axis=axis, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
 
-    Returns (L_vis, L_lin, L_ccl): the row-softmax (image-anchored) term,
-    the column-softmax (text-anchored) term, and their sum. Each term is
-    averaged over its positive set and then over the batch.
-    """
-    S = as_tensor(S)
+
+class _Logits:
+    """The logits S / tau with their row and column softmaxes and
+    log-softmaxes, shared by every loss taken over them."""
+
+    def __init__(self, S: Tensor, tau: Tensor):
+        self.S, self.tau = S, tau
+        z = S.data / tau.data
+        self.log_p_row = _log_softmax(z, axis=1)
+        self.log_p_col = _log_softmax(z, axis=0)
+        self.p_row, self.p_col = np.exp(self.log_p_row), np.exp(self.log_p_col)
+
+    def loss(self, value, G: np.ndarray) -> Tensor:
+        """A scalar loss of these logits as one tape node, given G, its
+        gradient with respect to the logits: S receives G / tau and tau
+        receives -sum(G * S) / tau^2."""
+        S, tau = self.S, self.tau
+
+        def backward(g):
+            if S.requires_grad:
+                S._accumulate(g * G / tau.data)
+            if tau.requires_grad:
+                tau._accumulate(-g * (G * S.data).sum() / tau.data ** 2)
+
+        return Tensor(value, parents=(S, tau), backward=backward)
+
+
+def _ccl_labels(S: Tensor, labels) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     n = S.shape[0]
     if S.ndim != 2 or S.shape != (n, n) or labels.shape != (n,):
@@ -47,32 +71,40 @@ def ccl_loss(S: Tensor, labels, tau):
             f"ccl_loss: need square S and matching labels, "
             f"got S {S.shape}, labels {labels.shape}"
         )
+    return labels
+
+
+def _ccl_terms(logits: _Logits, labels: np.ndarray):
+    """(value, G) of L_vis and of L_lin. Per direction G is
+    (softmax - pos / |pos|) / n."""
     pos = (labels[:, None] == labels[None, :]).astype(np.float64)
     pos_sizes = pos.sum(axis=1)
     if (pos_sizes == 0).any():
         raise ValidationError("ccl_loss: empty positive set")
-    logits = S / as_tensor(tau)
-    pos_t = Tensor(pos)
-    inv_sizes = Tensor(1.0 / pos_sizes)
-    l_vis = -(((log_softmax(logits, axis=1) * pos_t).sum(axis=1)
-               * inv_sizes).mean())
-    l_lin = -(((log_softmax(logits, axis=0) * pos_t).sum(axis=0)
-               * inv_sizes).mean())
-    return l_vis, l_lin, l_vis + l_lin
+    n = len(labels)
+    # pos is symmetric, so row i and column i both have pos_sizes[i] members
+    target_vis = pos / pos_sizes[:, None]
+    target_lin = pos / pos_sizes[None, :]
+    return [(-(log_p * target).sum() / n, (p - target) / n)
+            for log_p, p, target in (
+                (logits.log_p_row, logits.p_row, target_vis),
+                (logits.log_p_col, logits.p_col, target_lin))]
 
 
-def distill_loss(S: Tensor, S_teacher, tau, tau_teacher: float, labels=None):
-    """Teacher's positive-pair probability weighting the student's
-    positive-pair log-probability, in both softmax directions,
-    batch-averaged. No gradient flows through the teacher matrix."""
-    S = as_tensor(S)
+def _teacher_matrix(S: Tensor, S_teacher) -> np.ndarray:
     St = np.asarray(S_teacher, dtype=np.float64)
     if S.shape != St.shape or S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ShapeMismatch(
             f"distill_loss: need matching square matrices, "
             f"got {S.shape} vs {St.shape}"
         )
-    n = S.shape[0]
+    return St
+
+
+def _distill_term(logits: _Logits, St: np.ndarray, tau_teacher: float):
+    """(value, G) of L_dis, with G =
+    (w_text * (row softmax - I) + w_img * (column softmax - I)) / n."""
+    n = St.shape[0]
     idx = np.arange(n)
 
     def diag_softmax(mat, t, axis):
@@ -81,27 +113,65 @@ def distill_loss(S: Tensor, S_teacher, tau, tau_teacher: float, labels=None):
         e = np.exp(z)
         return (e / e.sum(axis=axis, keepdims=True))[idx, idx]
 
-    w_text = Tensor(diag_softmax(St, tau_teacher, axis=1))
-    w_img = Tensor(diag_softmax(St, tau_teacher, axis=0))
-    logits = S / as_tensor(tau)
-    log_p_text = log_softmax(logits, axis=1)[idx, idx]
-    log_p_img = log_softmax(logits, axis=0)[idx, idx]
-    return -((w_text * log_p_text).mean()) - ((w_img * log_p_img).mean())
+    w_text = diag_softmax(St, tau_teacher, axis=1)
+    w_img = diag_softmax(St, tau_teacher, axis=0)
+    value = (-(w_text * logits.log_p_row[idx, idx]).mean()
+             - (w_img * logits.log_p_col[idx, idx]).mean())
+    G = w_text[:, None] * logits.p_row + w_img[None, :] * logits.p_col
+    G[idx, idx] -= w_text + w_img
+    return value, G / n
+
+
+def ccl_loss(S: Tensor, labels, tau):
+    """Class-wise contrastive loss over a similarity matrix.
+
+    Returns (L_vis, L_lin, L_ccl): the row-softmax (image-anchored) term,
+    the column-softmax (text-anchored) term, and their sum. Each term is
+    averaged over its positive set and then over the batch, and each is
+    one tape node.
+    """
+    S = as_tensor(S)
+    labels = _ccl_labels(S, labels)
+    logits = _Logits(S, as_tensor(tau))
+    (v_vis, g_vis), (v_lin, g_lin) = _ccl_terms(logits, labels)
+    return (logits.loss(v_vis, g_vis), logits.loss(v_lin, g_lin),
+            logits.loss(v_vis + v_lin, g_vis + g_lin))
+
+
+def distill_loss(S: Tensor, S_teacher, tau, tau_teacher: float):
+    """Teacher's positive-pair probability weighting the student's
+    positive-pair log-probability, in both softmax directions,
+    batch-averaged, as one tape node. No gradient flows through the
+    teacher matrix."""
+    S = as_tensor(S)
+    St = _teacher_matrix(S, S_teacher)
+    logits = _Logits(S, as_tensor(tau))
+    return logits.loss(*_distill_term(logits, St, tau_teacher))
 
 
 def pretrain_loss(S: Tensor, S_teacher, labels, tau, tau_teacher: float,
                   lam: float):
     """lam * L_ccl + (1 - lam) * L_dis; the teacher side is skipped
-    entirely at lam == 1. Returns (loss, l_ccl, l_dis) scalars."""
+    entirely at lam == 1. Returns (loss, l_ccl, l_dis) scalars, each one
+    tape node; both losses share one pass over the logits."""
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"pretrain_loss: lam must be in [0, 1], got {lam}")
-    _, _, l_ccl = ccl_loss(S, labels, tau)
+    S = as_tensor(S)
+    labels = _ccl_labels(S, labels)
+    logits = _Logits(S, as_tensor(tau))
+    (v_vis, g_vis), (v_lin, g_lin) = _ccl_terms(logits, labels)
+    v_ccl, g_ccl = v_vis + v_lin, g_vis + g_lin
+    l_ccl = logits.loss(v_ccl, g_ccl)
     if lam == 1.0:
         return l_ccl, l_ccl, None
-    l_dis = distill_loss(S, S_teacher, tau, tau_teacher, labels)
+    v_dis, g_dis = _distill_term(logits, _teacher_matrix(S, S_teacher),
+                                 tau_teacher)
+    l_dis = logits.loss(v_dis, g_dis)
     if lam == 0.0:
         return l_dis, l_ccl, l_dis
-    return lam * l_ccl + (1.0 - lam) * l_dis, l_ccl, l_dis
+    loss = logits.loss(lam * v_ccl + (1.0 - lam) * v_dis,
+                       lam * g_ccl + (1.0 - lam) * g_dis)
+    return loss, l_ccl, l_dis
 
 
 def sample_paired_batch(dataset: LongTailDataset, corpus: ClassCorpus,
@@ -111,10 +181,12 @@ def sample_paired_batch(dataset: LongTailDataset, corpus: ClassCorpus,
     idx = sampler.draw(batch_size)
     images = dataset.X[idx].astype(np.float64)
     labels = dataset.y[idx]
-    sequences = []
-    for c in labels:
-        options = corpus.for_class(int(c))
-        sequences.append(options[int(rng.integers(len(options)))].tokens)
+    # one draw per image, in batch order: the same stream as drawing
+    # rng.integers(len(options)) image by image
+    classes = labels.tolist()
+    picks = rng.integers([len(corpus.for_class(c)) for c in classes])
+    sequences = [corpus.for_class(c)[k].tokens
+                 for c, k in zip(classes, picks.tolist())]
     return images, sequences, labels
 
 

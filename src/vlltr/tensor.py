@@ -7,9 +7,32 @@ finite-difference checks can run at tight tolerances.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 from .errors import NumericError, ShapeMismatch, ValidationError
+
+# glibc's malloc hands freed heap back to the OS once the free top of the
+# heap exceeds a threshold it sizes from the largest block freed so far, a
+# few MB here. A forward pass allocates and frees the same large
+# temporaries every step, so each step would fault those pages back in
+# (about 2,500 minor faults per 256-image LGR batch). Fixed thresholds keep
+# up to 64 MiB of freed heap mapped for reuse. Other C libraries are left
+# as they are.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _retain_freed_heap():
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_retain_freed_heap()
 
 
 def _as_array(x) -> np.ndarray:
@@ -57,9 +80,14 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray):
+    def _grad_buffer(self) -> np.ndarray:
+        """The gradient array for in-place adds, zeros on first use."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+            self.grad = np.zeros(self.data.shape)
+        return self.grad
+
+    def _accumulate(self, g: np.ndarray):
+        self._grad_buffer()
         self.grad += g
 
     def backward(self):
@@ -67,18 +95,18 @@ class Tensor:
             raise ValidationError("backward() requires a scalar output")
         if not np.isfinite(self.data).all():
             raise NumericError("backward() called on a non-finite value")
-        order = []
-        seen = set()
-
-        def visit(node):
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            for p in node._parents:
-                visit(p)
-            order.append(node)
-
-        visit(self)
+        # Depth-first post-order, parents before children. Iterative: a
+        # recursive closure would refer to itself, a reference cycle that
+        # keeps the whole graph alive until the cyclic GC runs.
+        order, seen, stack = [], set(), [(self, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                order.append(node)
+            elif id(node) not in seen:
+                seen.add(id(node))
+                stack.append((node, True))
+                stack.extend((p, False) for p in reversed(node._parents))
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None and node.requires_grad:
@@ -150,12 +178,16 @@ class Tensor:
 
     # ---- elementwise functions --------------------------------------
 
+    # Closures capture output arrays, never the output Tensor: a closure
+    # holding `out` is a reference cycle that only the cyclic GC frees.
+
     def exp(self):
-        out = Tensor(np.exp(self.data), parents=(self,))
+        out_data = np.exp(self.data)
+        out = Tensor(out_data, parents=(self,))
 
         def backward(g):
             if self.requires_grad:
-                self._accumulate(g * out.data)
+                self._accumulate(g * out_data)
 
         out._backward = backward
         return out
@@ -174,11 +206,12 @@ class Tensor:
         return self ** 0.5
 
     def tanh(self):
-        out = Tensor(np.tanh(self.data), parents=(self,))
+        out_data = np.tanh(self.data)
+        out = Tensor(out_data, parents=(self,))
 
         def backward(g):
             if self.requires_grad:
-                self._accumulate(g * (1.0 - out.data ** 2))
+                self._accumulate(g * (1.0 - out_data ** 2))
 
         out._backward = backward
         return out
@@ -276,11 +309,8 @@ class Tensor:
         out = Tensor(self.data[index], parents=(self,))
 
         def backward(g):
-            if not self.requires_grad:
-                return
-            full = np.zeros_like(self.data)
-            np.add.at(full, index, g)
-            self._accumulate(full)
+            if self.requires_grad:
+                np.add.at(self._grad_buffer(), index, g)
 
         out._backward = backward
         return out
@@ -377,22 +407,67 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def cosine_sim_matrix(a: Tensor, b: Tensor) -> Tensor:
-    """Pairwise cosine similarities between rows of `a` and rows of `b`."""
+    """Pairwise cosine similarities between rows of `a` and rows of `b`.
+
+    One tape node. With unit rows na, nb and upstream G, the gradient of
+    `a` is (G nb - na * rowsum(na * G nb)) / |a|, and likewise for `b`
+    with G^T na.
+    """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeMismatch(
             f"cosine_sim_matrix: incompatible shapes {a.shape} vs {b.shape}"
         )
+    inv_norms = []
     for name, t in (("a", a), ("b", b)):
-        norms = np.linalg.norm(t.data, axis=1)
-        bad = np.where(norms == 0.0)[0]
+        sq = (t.data * t.data).sum(axis=1, keepdims=True)
+        bad = np.where(sq[:, 0] == 0.0)[0]
         if bad.size:
             raise ValidationError(
                 f"cosine_sim_matrix: zero-norm row {int(bad[0])} in operand {name}"
             )
-    na = a * ((a * a).sum(axis=1, keepdims=True) ** -0.5)
-    nb = b * ((b * b).sum(axis=1, keepdims=True) ** -0.5)
-    return matmul(na, nb.T)
+        inv_norms.append(sq ** -0.5)
+    inv_a, inv_b = inv_norms
+    na, nb = a.data * inv_a, b.data * inv_b
+
+    def unit_rows_backward(t, unit, inv, g_unit):
+        t._accumulate(
+            inv * (g_unit - unit * (g_unit * unit).sum(axis=1, keepdims=True)))
+
+    def backward(g):
+        if a.requires_grad:
+            unit_rows_backward(a, na, inv_a, g @ nb)
+        if b.requires_grad:
+            unit_rows_backward(b, nb, inv_b, g.T @ na)
+
+    return Tensor(na @ nb.T, parents=(a, b), backward=backward)
+
+
+def embedding_bag(table: Tensor, ids: np.ndarray, offsets: np.ndarray) -> Tensor:
+    """Mean of `table` rows over each bag of `ids`, as one tape node.
+
+    Bag i is ids[offsets[i]:offsets[i + 1]] (the last runs to the end);
+    every bag must be non-empty. The backward pass scatter-adds into the
+    table rows the bags touched, not the whole table.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    lengths = np.diff(offsets, append=len(ids))
+    inv_len = (1.0 / lengths)[:, None]
+    out_data = np.add.reduceat(table.data[ids], offsets, axis=0) * inv_len
+
+    def backward(g):
+        if not table.requires_grad:
+            return
+        # over element offsets in the flattened table: a 1-D np.add.at is
+        # several times faster than one over rows
+        width = table.shape[1]
+        flat_ids = (ids[:, None] * width + np.arange(width)).ravel()
+        table.grad = np.ascontiguousarray(table._grad_buffer())
+        np.add.at(table.grad.reshape(-1), flat_ids,
+                  np.repeat(g * inv_len, lengths, axis=0).ravel())
+
+    return Tensor(out_data, parents=(table,), backward=backward)
 
 
 def cross_entropy(p: Tensor, y) -> Tensor:

@@ -202,8 +202,8 @@ class TestCorpus:
         b, nb = gen_corpus(3, 8, 4, 96, 0.25, seed=2)
         assert na == nb
         for c in range(3):
-            assert [s.tokens for s in a.for_class(c)] == \
-                   [s.tokens for s in b.for_class(c)]
+            assert [s.tokens.tolist() for s in a.for_class(c)] == \
+                   [s.tokens.tolist() for s in b.for_class(c)]
 
     def test_vocab_too_small(self):
         with pytest.raises(ValidationError) as exc:
@@ -285,7 +285,8 @@ class TestSerialization:
             orig = corpus.for_class(c)
             got = back.for_class(c)
             assert [s.id for s in got] == [s.id for s in orig]
-            assert [s.tokens for s in got] == [s.tokens for s in orig]
+            assert [s.tokens.tolist() for s in got] == \
+                   [s.tokens.tolist() for s in orig]
             assert [s.source for s in got] == [s.source for s in orig]
 
     def test_corpus_rejects_bad_source(self, tmp_path):

@@ -67,7 +67,7 @@ class TestSuite:
         assert ok, "\n".join(l for l in lines if "FAIL" in l)
         names = {line.split(":")[0] for line in lines}
         for op in ("matmul", "softmax", "layer_norm", "cosine_sim_matrix",
-                   "cross_entropy"):
+                   "cross_entropy", "embedding_bag"):
             assert any(op in n for n in names)
         for loss in ("L_ccl", "L_dis", "L_pre", "L_rec"):
             assert any(loss in n for n in names)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from vlltr.data import gen_corpus, gen_synthetic
+from vlltr.data import SqrtSampler, gen_corpus, gen_synthetic
 from vlltr.encoders import CvlpModel, TeacherPair
 from vlltr.errors import NumericError, ShapeMismatch, ValidationError
 from vlltr.pretrain import (
@@ -14,6 +14,7 @@ from vlltr.pretrain import (
     distill_loss,
     pretrain_loss,
     run_pretrain,
+    sample_paired_batch,
     save_trace,
 )
 from vlltr.tensor import as_tensor
@@ -190,6 +191,25 @@ def tiny_setup(seed=0, C=4, sigma=0.25):
                            seed=seed)
     model = CvlpModel(6, 6, 64, seed=seed)
     return ds, corpus, model
+
+
+class TestSamplePairedBatch:
+    def test_same_draws_as_one_per_image(self):
+        """The sentence picks are the stream of one rng.integers call per
+        image, in batch order."""
+        ds, corpus, _ = tiny_setup(seed=4)
+        sampler, rng = SqrtSampler(ds.counts, seed=4), np.random.default_rng(9)
+        batches = [sample_paired_batch(ds, corpus, sampler, rng, 7)
+                   for _ in range(3)]
+        sampler = SqrtSampler(ds.counts, seed=4)
+        ref_rng = np.random.default_rng(9)
+        for _, sequences, labels in batches:
+            np.testing.assert_array_equal(labels, ds.y[sampler.draw(7)])
+            for c, seq in zip(labels, sequences):
+                options = corpus.for_class(int(c))
+                want = options[int(ref_rng.integers(len(options)))].tokens
+                assert seq.tolist() == want.tolist()
+        assert rng.random() == ref_rng.random()
 
 
 class TestRunPretrain:
