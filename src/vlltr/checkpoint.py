@@ -17,7 +17,7 @@ import struct
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ShapeMismatch, ValidationError
 
 CHECKPOINT_MAGIC = b"VLCK"
 CHECKPOINT_VERSION = 1
@@ -82,3 +82,22 @@ def read_checkpoint(path, names=None) -> dict[str, np.ndarray]:
             out[name] = arr.copy()
             section_load_log.append((str(path), name))
     return out
+
+
+def load_params(params: dict, sections: dict):
+    """Copy each checkpoint section into the parameter of the same name.
+
+    Every parameter needs a section of exactly its shape: a missing
+    section is a ValidationError, and a section of another shape (say, a
+    run loaded under a different class count or embedding width) is a
+    ShapeMismatch naming the section.
+    """
+    for name, p in params.items():
+        if name not in sections:
+            raise ValidationError(f"checkpoint missing section '{name}'")
+        if sections[name].shape != p.data.shape:
+            raise ShapeMismatch(
+                f"checkpoint section '{name}': shape {sections[name].shape} "
+                f"!= expected {p.data.shape}"
+            )
+        p.data = sections[name].copy()

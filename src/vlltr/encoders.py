@@ -103,15 +103,7 @@ class CvlpModel:
         return {k: v.data.copy() for k, v in self.params().items()}
 
     def load_state(self, sections: dict):
-        for k, v in self.params().items():
-            if k not in sections:
-                raise ValidationError(f"checkpoint missing section '{k}'")
-            if sections[k].shape != v.data.shape:
-                raise ShapeMismatch(
-                    f"checkpoint section '{k}': shape {sections[k].shape} "
-                    f"!= expected {v.data.shape}"
-                )
-            v.data = sections[k].copy()
+        ckpt.load_params(self.params(), sections)
 
     @classmethod
     def from_checkpoint(cls, path, d_img, D, vocab_size, max_tokens=77):

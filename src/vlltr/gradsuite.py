@@ -24,17 +24,24 @@ def random_lgr_arrays(rng, C, M, D):
     return e_i, anchors, labels, arrays
 
 
+def lgr_params_from(param_tensors, D, C) -> LgrParams:
+    """LgrParams holding the given tensors, in LGR_PARAM_NAMES order."""
+    params = LgrParams.__new__(LgrParams)
+    params.D, params.C = D, C
+    for name, t in zip(LGR_PARAM_NAMES, param_tensors):
+        setattr(params, name, t)
+    return params
+
+
 def lgr_loss_fn(anchors, labels, C, M, D):
     """Scalar L_rec through lgr_forward as a function of the image
     embedding plus every head parameter."""
     anchors = np.asarray(anchors)
 
     def f(e_i, *param_tensors):
-        params = LgrParams.__new__(LgrParams)
-        params.D, params.C = D, C
-        for name, t in zip(LGR_PARAM_NAMES, param_tensors):
-            setattr(params, name, t)
-        return rec_loss(lgr_forward(e_i, anchors, params), labels)
+        return rec_loss(lgr_forward(e_i, anchors,
+                                    lgr_params_from(param_tensors, D, C)),
+                        labels)
 
     return f
 
@@ -55,6 +62,10 @@ def default_suite(seed: int = 0, instances: int = 3):
     suite.append(("matmul", lambda: gradcheck(
         lambda a, b: matmul(a, b).sum(),
         [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))])))
+    w_bmm = Tensor(rng.normal(size=(2, 3, 2)))
+    suite.append(("matmul_batched", lambda: gradcheck(
+        lambda a, b: (matmul(a, b) * w_bmm).sum(),
+        [rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4, 2))])))
     w = rng.normal(size=5)
     suite.append(("softmax", lambda: gradcheck(
         lambda x: (softmax(x, 0) * Tensor(w)).sum(), [rng.normal(size=5)])))

@@ -9,14 +9,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import checkpoint as ckpt
 from .anchors import AnchorSet
 from .data import ClassCorpus, LongTailDataset, SqrtSampler
 from .encoders import TAU_MAX, TAU_MIN, CvlpModel
 from .errors import (NumericError, ShapeMismatch, StaleArtifactError,
                      ValidationError)
 from .optim import AdamW, LrSchedule, cosine_lr
-from .tensor import (Tensor, as_tensor, cross_entropy, einsum, layer_norm,
-                     matmul, parameter, softmax)
+from .tensor import (Tensor, as_tensor, cross_entropy, layer_norm, matmul,
+                     parameter, softmax)
 
 CACHE_MAGIC = b"VLAE"
 CACHE_VERSION = 1
@@ -54,10 +55,7 @@ class LgrParams:
         return named
 
     def load_state(self, sections: dict, prefix="lgr."):
-        for k, v in self.params(prefix).items():
-            if k not in sections:
-                raise ValidationError(f"checkpoint missing section '{k}'")
-            v.data = sections[k].reshape(v.data.shape).copy()
+        ckpt.load_params(self.params(prefix), sections)
 
 
 @dataclass
@@ -91,21 +89,23 @@ def lgr_forward(E_I, anchors, params: LgrParams) -> HeadOutput:
     if (np.linalg.norm(x.data, axis=1) == 0.0).any():
         raise ValidationError("lgr_forward: zero-norm image embedding")
 
+    N = x.shape[0]
     q = matmul(layer_norm(x, params.q_ln_g, params.q_ln_b), params.q_w) \
         + params.q_b                                       # (N, D)
-    k = einsum("cmd,de->cme",
-               layer_norm(anchors_t, params.k_ln_g, params.k_ln_b),
-               params.k_w) + params.k_b                    # (C, M, D)
-    scores = einsum("nd,cmd->ncm", q, k) * (1.0 / np.sqrt(D))
+    k = matmul(layer_norm(anchors_t.reshape(C * M, D),
+                          params.k_ln_g, params.k_ln_b),
+               params.k_w) + params.k_b                    # (C*M, D)
+    scores = matmul(q, k.T).reshape(N, C, M) * (1.0 / np.sqrt(D))
     attention = softmax(scores, axis=2)                    # (N, C, M)
-    g = einsum("ncm,cmd->ncd", attention, anchors_t)       # (N, C, D)
+    g = matmul(attention.transpose(1, 0, 2),
+               anchors_t).transpose(1, 0, 2)               # (N, C, D)
 
     g_norms = np.linalg.norm(g.data, axis=2)
     if (g_norms == 0.0).any():
         raise ValidationError("lgr_forward: zero-norm gather row")
     x_norm = ((x * x).sum(axis=1, keepdims=True)) ** 0.5   # (N, 1)
     g_norm = ((g * g).sum(axis=2)) ** 0.5                  # (N, C)
-    cos = einsum("nd,ncd->nc", x, g) / (x_norm * g_norm)
+    cos = (x.reshape(N, 1, D) * g).sum(axis=2) / (x_norm * g_norm)
     p_t = softmax(cos / params.tau, axis=1)
 
     h = matmul(x, params.mlp_w1) + params.mlp_b1
@@ -138,10 +138,7 @@ class FcParams:
         return {prefix + "w": self.w, prefix + "b": self.b}
 
     def load_state(self, sections: dict, prefix="fc."):
-        for k, v in self.params(prefix).items():
-            if k not in sections:
-                raise ValidationError(f"checkpoint missing section '{k}'")
-            v.data = sections[k].reshape(v.data.shape).copy()
+        ckpt.load_params(self.params(prefix), sections)
 
 
 def fc_forward(E_I, fc: FcParams) -> Tensor:
@@ -165,7 +162,7 @@ def knn_forward(E_I, anchors, tau) -> Tensor:
         )
     a_norm = ((anchors_t * anchors_t).sum(axis=2)) ** 0.5   # (C, M)
     x_norm = ((x * x).sum(axis=1, keepdims=True)) ** 0.5    # (N, 1)
-    cos = einsum("nd,cmd->ncm", x, anchors_t) \
+    cos = matmul(x, anchors_t.reshape(C * M, D).T).reshape(-1, C, M) \
         / (x_norm.reshape(-1, 1, 1) * a_norm.reshape(1, C, M))
     best = cos.max(axis=2)                                  # (N, C)
     return softmax(best / as_tensor(tau), axis=1)

@@ -27,6 +27,7 @@ from .head import (FcParams, FinetuneConfig, LgrParams,
                    load_anchor_embeddings, run_finetune,
                    save_anchor_embeddings)
 from .pretrain import PretrainConfig, run_pretrain, save_trace
+from .tensor import Tensor
 
 FILES = {
     "dataset": "dataset.bin",
@@ -213,8 +214,7 @@ def load_inference_head(cfg: RunConfig, out_dir):
         final_path, names=lambda n: not n.startswith(("lin.", "__")))
     vis = VisualEncoder(cfg.d_img, cfg.embed_dim,
                         np.random.default_rng(0))
-    for k, v in vis.params().items():
-        v.data = sections[k].copy()
+    ckpt.load_params(vis.params(), sections)
     tau = None
     head_params = None
     if cfg.head == "lgr":
@@ -226,8 +226,8 @@ def load_inference_head(cfg: RunConfig, out_dir):
                                np.random.default_rng(0))
         head_params.load_state(sections)
     else:
-        from .tensor import Tensor
-        tau = Tensor(sections["tau"].copy())
+        tau = Tensor(np.array(0.0))
+        ckpt.load_params({"tau": tau}, sections)
     return vis, head_params, tau
 
 

@@ -71,12 +71,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self):
         self.grad = None
 
@@ -328,8 +322,11 @@ def parameter(data) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of 2-D operands, or batched over the leading axis
+    of 3-D operands with equal batch extents."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.ndim not in (2, 3) or b.ndim != a.ndim \
+            or a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
         raise ShapeMismatch(
             f"matmul: incompatible shapes {a.shape} x {b.shape}"
         )
@@ -337,28 +334,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(g @ b.data.swapaxes(-1, -2))
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    out._backward = backward
-    return out
-
-
-def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
-    """Binary einsum with gradients; labels must be simple (no repeats,
-
-    every input label appears in the output or the other operand)."""
-    a, b = as_tensor(a), as_tensor(b)
-    inputs, out_spec = spec.split("->")
-    sa, sb = inputs.split(",")
-    out = Tensor(np.einsum(spec, a.data, b.data), parents=(a, b))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.einsum(f"{out_spec},{sb}->{sa}", g, b.data))
-        if b.requires_grad:
-            b._accumulate(np.einsum(f"{out_spec},{sa}->{sb}", g, a.data))
+            b._accumulate(a.data.swapaxes(-1, -2) @ g)
 
     out._backward = backward
     return out
@@ -368,15 +346,22 @@ def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
-    """Numerically stable softmax along `axis` (max-subtracted)."""
+    """Numerically stable softmax along `axis` (max-subtracted), as one
+    tape node: with output p and upstream g the input gradient is
+    p * (g - sum(g * p)) along `axis`."""
     x = as_tensor(x)
     if not -x.ndim <= axis < x.ndim:
         raise ValidationError(
             f"softmax: axis {axis} invalid for shape {x.shape}"
         )
-    shift = Tensor(x.data.max(axis=axis, keepdims=True))  # constant shift
-    e = (x - shift).exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
+    p = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(p * (g - (g * p).sum(axis=axis, keepdims=True)))
+
+    return Tensor(p, parents=(x,), backward=backward)
 
 
 def log_softmax(x: Tensor, axis: int) -> Tensor:

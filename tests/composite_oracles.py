@@ -1,14 +1,17 @@
 """Composite-op versions of the fused tape nodes, kept as oracles.
 
-These build the losses, the cosine similarity and the text pooling out
-of elementwise tape ops, one node per op, exactly as the package did
-before those paths became single nodes. Values and gradients of the
-fused nodes are checked against them in test_fused_ops.py.
+These build the losses, the cosine similarity, the text pooling and the
+softmax out of elementwise tape ops, one node per op, and the LGR and
+KNN heads out of einsum contractions, exactly as the package did before
+those paths became single nodes and BLAS matmuls. Values and gradients
+of the package versions are checked against them in test_fused_ops.py.
 """
 
 import numpy as np
 
-from vlltr.tensor import Tensor, as_tensor, log_softmax, matmul
+from vlltr.head import HeadOutput
+from vlltr.tensor import (Tensor, as_tensor, layer_norm, log_softmax,
+                          matmul)
 
 
 def ccl_loss(S, labels, tau):
@@ -73,3 +76,67 @@ def linguistic_encode(enc, sequences):
         pool[i, start:start + length] = 1.0 / length
     gathered = enc.tok[np.array(flat, dtype=np.int64)]
     return matmul(matmul(Tensor(pool), gathered), enc.proj_w) + enc.proj_b
+
+
+def softmax(x, axis):
+    x = as_tensor(x)
+    shift = Tensor(x.data.max(axis=axis, keepdims=True))  # constant shift
+    e = (x - shift).exp()
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def einsum(spec, a, b):
+    """Binary einsum with gradients; labels must be simple (no repeats,
+    every input label appears in the output or the other operand)."""
+    a, b = as_tensor(a), as_tensor(b)
+    inputs, out_spec = spec.split("->")
+    sa, sb = inputs.split(",")
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(np.einsum(f"{out_spec},{sb}->{sa}", g, b.data))
+        if b.requires_grad:
+            b._accumulate(np.einsum(f"{out_spec},{sa}->{sb}", g, a.data))
+
+    return Tensor(np.einsum(spec, a.data, b.data), parents=(a, b),
+                  backward=backward)
+
+
+def lgr_forward(E_I, anchors, params):
+    """`head.lgr_forward` over einsum contractions (no input checks)."""
+    x = as_tensor(E_I)
+    if x.ndim == 1:
+        x = x.reshape(1, -1)
+    anchors_t = as_tensor(anchors)
+    D = anchors_t.shape[2]
+    q = matmul(layer_norm(x, params.q_ln_g, params.q_ln_b), params.q_w) \
+        + params.q_b
+    k = einsum("cmd,de->cme",
+               layer_norm(anchors_t, params.k_ln_g, params.k_ln_b),
+               params.k_w) + params.k_b
+    scores = einsum("nd,cmd->ncm", q, k) * (1.0 / np.sqrt(D))
+    attention = softmax(scores, axis=2)
+    g = einsum("ncm,cmd->ncd", attention, anchors_t)
+    x_norm = ((x * x).sum(axis=1, keepdims=True)) ** 0.5
+    g_norm = ((g * g).sum(axis=2)) ** 0.5
+    cos = einsum("nd,ncd->nc", x, g) / (x_norm * g_norm)
+    p_t = softmax(cos / params.tau, axis=1)
+    h = matmul(x, params.mlp_w1) + params.mlp_b1
+    logits_i = matmul(h.relu(), params.mlp_w2) + params.mlp_b2
+    p_i = softmax(logits_i, axis=1)
+    return HeadOutput(P_I=p_i, P_T=p_t, attention=attention, G=g)
+
+
+def knn_forward(E_I, anchors, tau):
+    """`head.knn_forward` over an einsum contraction (no input checks)."""
+    x = as_tensor(E_I)
+    if x.ndim == 1:
+        x = x.reshape(1, -1)
+    anchors_t = as_tensor(anchors)
+    C, M, _ = anchors_t.shape
+    a_norm = ((anchors_t * anchors_t).sum(axis=2)) ** 0.5
+    x_norm = ((x * x).sum(axis=1, keepdims=True)) ** 0.5
+    cos = einsum("nd,cmd->ncm", x, anchors_t) \
+        / (x_norm.reshape(-1, 1, 1) * a_norm.reshape(1, C, M))
+    best = cos.max(axis=2)
+    return softmax(best / as_tensor(tau), axis=1)

@@ -117,6 +117,17 @@ class TestPipelineCommands:
         assert json.loads(printed)["overall"] == \
             json.loads(first.decode())["overall"]
 
+    @pytest.mark.parametrize("setting,section", [("classes=10", "lgr."),
+                                                 ("embed_dim=4", "vis.")])
+    def test_eval_under_other_shapes_is_validation_error(
+            self, cfg_file, cli_run, tmp_path, capsys, setting, section):
+        work = tmp_path / "copy"
+        shutil.copytree(cli_run, work)
+        assert cli.main(["eval", "--config", str(cfg_file),
+                         "--out", str(work), "--set", setting]) == 2
+        err = capsys.readouterr().err
+        assert f"section '{section}" in err and "shape" in err
+
     def test_cutoff_anchors_differ_from_anss(self, cfg_file, cli_run, tmp_path):
         work = tmp_path / "copy"
         shutil.copytree(cli_run, work)

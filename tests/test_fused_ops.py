@@ -1,5 +1,6 @@
-"""The single-node losses, cosine similarity and text pooling against
-their composite-op oracles (composite_oracles.py): the value and every
+"""The single-node losses, cosine similarity, text pooling and softmax,
+and the matmul forms of the LGR and KNN heads, against their
+composite-op oracles (composite_oracles.py): the value and every
 gradient must agree to 1e-10. Also checks that a forward and backward
 pass leaves no reference cycles behind, and that freeing its graph does
 not hand memory back to the OS only to fault it in again."""
@@ -14,8 +15,9 @@ import pytest
 import composite_oracles as oracle
 from vlltr import pretrain
 from vlltr.encoders import CvlpModel, LinguisticEncoder
-from vlltr.head import LgrParams, lgr_forward, rec_loss
-from vlltr.tensor import Tensor, cosine_sim_matrix, embedding_bag
+from vlltr.gradsuite import LGR_PARAM_NAMES, lgr_params_from
+from vlltr.head import LgrParams, knn_forward, lgr_forward, rec_loss
+from vlltr.tensor import Tensor, cosine_sim_matrix, embedding_bag, softmax
 
 TOL = 1e-10
 
@@ -135,6 +137,82 @@ class TestTextPooling:
         embedding_bag(table, [1, 4, 4], [0, 1]).sum().backward()
         np.testing.assert_array_equal(table.grad[:, 0],
                                       [0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+
+
+class TestSoftmax:
+    @pytest.mark.parametrize("shape,axis", [((5,), 0), ((3, 4), 0),
+                                            ((3, 4), 1), ((3, 4), -1),
+                                            ((2, 3, 4), 1), ((2, 3, 4), 2),
+                                            ((1, 1), 1)])
+    def test_matches_composite(self, shape, axis):
+        rng = np.random.default_rng(9)
+        w = Tensor(rng.normal(size=shape))
+        assert_same(lambda x: (softmax(x, axis) * w).sum(),
+                    lambda x: (oracle.softmax(x, axis) * w).sum(),
+                    [3.0 * rng.normal(size=shape)])
+
+    def test_large_logits(self):
+        w = Tensor(np.array([[0.5, -1.0, 2.0]]))
+        assert_same(lambda x: (softmax(x, 1) * w).sum(),
+                    lambda x: (oracle.softmax(x, 1) * w).sum(),
+                    [np.array([[1000.0, 999.0, -1000.0]])])
+
+    def test_is_one_node(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        assert softmax(x, 1)._parents == (x,)
+
+
+# (N, C, M, D): one image, one class, one anchor, and the reference shapes
+HEAD_SHAPES = [(1, 3, 4, 5), (6, 1, 4, 5), (6, 3, 1, 5), (256, 20, 64, 16)]
+
+
+def lgr_outputs_and_grads(forward, e_i, anchors, arrays, seed):
+    """Every HeadOutput field, and the gradient of a random weighting of
+    all of them with respect to the image embedding and each parameter."""
+    C, _, D = anchors.shape
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in [e_i] + arrays]
+    out = forward(leaves[0], anchors, lgr_params_from(leaves[1:], D, C))
+    parts = (out.P_I, out.P_T, out.attention, out.G)
+    rng = np.random.default_rng(seed)
+    total = sum((p * Tensor(rng.normal(size=p.shape))).sum() for p in parts)
+    total.backward()
+    return [p.data for p in parts], [leaf.grad for leaf in leaves]
+
+
+class TestLgrForward:
+    @pytest.mark.parametrize("shape", HEAD_SHAPES)
+    def test_matches_einsum_oracle(self, shape):
+        N, C, M, D = shape
+        rng = np.random.default_rng(10)
+        params = LgrParams(D, C, tau_init=0.3, rng=rng)
+        # move every parameter but the temperature off its initial value
+        arrays = [getattr(params, n).data
+                  + (0.0 if n == "tau" else 0.1) * rng.normal(
+                      size=getattr(params, n).shape)
+                  for n in LGR_PARAM_NAMES]
+        e_i, anchors = rng.normal(size=(N, D)), rng.normal(size=(C, M, D))
+        got, got_grads = lgr_outputs_and_grads(lgr_forward, e_i, anchors,
+                                               arrays, seed=11)
+        want, want_grads = lgr_outputs_and_grads(oracle.lgr_forward, e_i,
+                                                 anchors, arrays, seed=11)
+        for g, w in zip(got + got_grads, want + want_grads):
+            assert g.shape == w.shape
+            np.testing.assert_allclose(g, w, rtol=0, atol=TOL)
+
+
+class TestKnnForward:
+    @pytest.mark.parametrize("shape", HEAD_SHAPES)
+    def test_matches_einsum_oracle(self, shape):
+        N, C, M, D = shape
+        rng = np.random.default_rng(12)
+        e_i, anchors = rng.normal(size=(N, D)), rng.normal(size=(C, M, D))
+        np.testing.assert_allclose(knn_forward(e_i, anchors, 0.2).data,
+                                   oracle.knn_forward(e_i, anchors, 0.2).data,
+                                   rtol=0, atol=TOL)
+        w = Tensor(rng.normal(size=(N, C)))
+        assert_same(lambda x, t: (knn_forward(x, anchors, t) * w).sum(),
+                    lambda x, t: (oracle.knn_forward(x, anchors, t) * w).sum(),
+                    [e_i, np.array(0.2)])
 
 
 def _one_training_step_and_head_pass():

@@ -66,7 +66,7 @@ class TestSuite:
         ok, lines = run_suite(default_suite(seed=0, instances=1))
         assert ok, "\n".join(l for l in lines if "FAIL" in l)
         names = {line.split(":")[0] for line in lines}
-        for op in ("matmul", "softmax", "layer_norm", "cosine_sim_matrix",
+        for op in ("matmul", "matmul_batched", "softmax", "layer_norm", "cosine_sim_matrix",
                    "cross_entropy", "embedding_bag"):
             assert any(op in n for n in names)
         for loss in ("L_ccl", "L_dis", "L_pre", "L_rec"):

@@ -371,3 +371,25 @@ class TestFinetune:
                              batch=2)
         for x, y in zip(a, b):
             np.testing.assert_allclose(x, y, atol=1e-12)
+
+
+@pytest.mark.parametrize("head", ["lgr", "fc", "knn"])
+def test_classify_labels_independent_of_batch_size(head):
+    """BLAS picks its blocking by operand size, so one image can be
+    summed in another order at batch 256 than at 64 or 1; the labels
+    must not change with it. Reference shapes: C=20, M=64, D=16."""
+    from vlltr.encoders import VisualEncoder
+
+    rng = np.random.default_rng(13)
+    C, M, D = 20, 64, 16
+    vis = VisualEncoder(32, D, rng)
+    head_params = {"lgr": LgrParams(D, C, tau_init=0.3, rng=rng),
+                   "fc": FcParams(D, C, rng), "knn": None}[head]
+    anchors = rng.normal(size=(C, M, D))
+    images = rng.normal(size=(300, 32))
+    runs = [classify_dataset(images, vis, head, head_params, anchors,
+                             tau=0.3, batch=batch) for batch in (256, 64, 1)]
+    for labels, p_i, p_t in runs[1:]:
+        np.testing.assert_array_equal(labels, runs[0][0])
+        np.testing.assert_allclose(p_i, runs[0][1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p_t, runs[0][2], rtol=0, atol=1e-12)
