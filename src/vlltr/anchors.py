@@ -9,8 +9,6 @@ low. Selection is training-free: no parameter changes.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,8 +112,8 @@ def select_anchors(corpus: ClassCorpus, dataset: LongTailDataset,
     if mode not in (ANSS, CUTOFF):
         raise ValidationError(f"select_anchors: unknown mode {mode!r}")
     pool = build_probe_pool(dataset, model, cap=cap, seed=seed)
-
-    def score_class(c: int):
+    entries = []
+    for c in range(corpus.C):
         sentences = corpus.for_class(c)
         if not sentences:
             raise ValidationError(f"select_anchors: class {c} has no sentences")
@@ -124,15 +122,7 @@ def select_anchors(corpus: ClassCorpus, dataset: LongTailDataset,
         scored = [(s.id, float(scores[i])) for i, s in enumerate(sentences)]
         if mode == ANSS:
             scored.sort(key=lambda pair: (pair[1], pair[0]))
-        picked = scored[: min(M, len(scored))]
-        return _pad_cyclic(picked, M)
-
-    workers = max(1, int(os.environ.get("VLLTR_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            entries = list(ex.map(score_class, range(corpus.C)))
-    else:
-        entries = [score_class(c) for c in range(corpus.C)]
+        entries.append(_pad_cyclic(scored[: min(M, len(scored))], M))
     return AnchorSet(mode=mode, M=M, entries=entries,
                      checkpoint_hash=checkpoint_hash)
 
@@ -150,19 +140,31 @@ def save_anchors(path, anchors: AnchorSet):
 
 
 def load_anchors(path) -> AnchorSet:
+    """An anchor file; a malformed header or row is a ValidationError
+    naming path:line."""
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
         if not header.startswith("# "):
-            raise ValidationError(f"{path}: missing anchor header")
-        fields = dict(part.split("=", 1) for part in header[2:].split("\t"))
-        mode, M = fields["mode"], int(fields["M"])
-        ckpt_hash = bytes.fromhex(fields["checkpoint"])
+            raise ValidationError(f"{path}:1: missing anchor header")
+        try:
+            fields = dict(part.split("=", 1) for part in header[2:].split("\t"))
+            mode, M = fields["mode"], int(fields["M"])
+            ckpt_hash = bytes.fromhex(fields["checkpoint"])
+        except (KeyError, ValueError) as exc:
+            raise ValidationError(
+                f"{path}:1: anchor header needs mode, M and checkpoint "
+                f"({type(exc).__name__}: {exc})") from exc
         per_class: dict[int, list] = {}
-        for line in f:
-            c, rank, sid, score = line.rstrip("\n").split("\t")
-            per_class.setdefault(int(c), []).append((int(sid), float(score)))
+        for lineno, line in enumerate(f, 2):
+            try:
+                c, _, sid, score = line.rstrip("\n").split("\t")
+                per_class.setdefault(int(c), []).append((int(sid),
+                                                         float(score)))
+            except ValueError as exc:
+                raise ValidationError(
+                    f"{path}:{lineno}: bad anchor row ({exc})") from exc
     C = max(per_class) + 1 if per_class else 0
-    entries = [per_class[c] for c in range(C)]
+    entries = [per_class.get(c, []) for c in range(C)]
     if any(len(e) != M for e in entries):
         raise ValidationError(f"{path}: anchor rows do not match M={M}")
     return AnchorSet(mode=mode, M=M, entries=entries, checkpoint_hash=ckpt_hash)

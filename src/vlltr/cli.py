@@ -15,7 +15,6 @@ from .config import RunConfig, load_config
 from .errors import NumericError, ValidationError, VlltrError
 from .evaluation import ablation_report, concept_retrieval
 from .gradsuite import default_suite, run_suite
-from . import checkpoint as ckpt
 from . import pipeline
 
 
@@ -99,12 +98,8 @@ def _cmd_ablate(cfg: RunConfig, out_dir: Path):
 
 def _cmd_retrieve(cfg: RunConfig, out_dir: Path, query: str, k: int):
     from .data import load_dataset
-    from .encoders import CvlpModel
     dataset = load_dataset(pipeline.artifact(out_dir, "dataset"))
-    sections = ckpt.read_checkpoint(pipeline.artifact(out_dir, "student"))
-    model = CvlpModel(cfg.d_img, cfg.embed_dim, cfg.vocab_size, seed=0,
-                      max_tokens=cfg.max_tokens)
-    model.load_state(sections)
+    model = pipeline.load_model(cfg, out_dir, "student")
     tokens = [int(t) for t in query.split()]
     ids = concept_retrieval(tokens, dataset.test_X, model, k)
     for rank, sample_id in enumerate(ids):

@@ -12,6 +12,7 @@ import hashlib
 from dataclasses import dataclass, fields
 
 from .errors import ValidationError
+from .head import get_head
 
 
 @dataclass
@@ -25,7 +26,6 @@ class RunConfig:
     classes: int = 20
     n_max: int = 500
     n_min: int = 5
-    alpha: float = 6.0
     noise_sigma: float = 0.25
     test_per_class: int = 20
     # corpus
@@ -58,9 +58,7 @@ class RunConfig:
             raise ValidationError(
                 f"config: anchor_mode must be AnSS or CutOff, "
                 f"got {self.anchor_mode!r}")
-        if self.head not in ("lgr", "fc", "knn"):
-            raise ValidationError(
-                f"config: head must be lgr, fc, or knn, got {self.head!r}")
+        get_head(self.head)
         return self
 
     def canonical(self) -> str:

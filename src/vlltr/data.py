@@ -42,12 +42,9 @@ def class_attributes(C: int, seed: int) -> np.ndarray:
 # ---- long-tailed counts and samples --------------------------------------
 
 
-def gen_pareto_counts(C: int, n_max: int, n_min: int, alpha: float = 6.0):
-    """Per-class counts on a rank power law with endpoint-solved exponent.
-
-    `alpha` is carried as metadata; the decaying exponent is solved so the
-    last class lands exactly on n_min.
-    """
+def gen_pareto_counts(C: int, n_max: int, n_min: int):
+    """Per-class counts on a rank power law n_max * (c + 1) ** -p, its
+    exponent p solved so the last class lands exactly on n_min."""
     if C < 2:
         raise ValidationError(f"gen_pareto_counts: need C >= 2, got {C}")
     if not n_max > n_min >= 1:
@@ -68,7 +65,6 @@ class LongTailDataset:
     y: np.ndarray          # (sum(counts),) int64
     test_X: np.ndarray     # (C * test_per_class, d_img) float32, class-major
     test_y: np.ndarray
-    alpha: float | None = None
     prototypes: np.ndarray | None = None  # in-memory only, not serialized
 
     @property
@@ -85,8 +81,7 @@ class LongTailDataset:
 
 
 def gen_synthetic(C: int, counts, d_img: int, noise_sigma: float, seed: int,
-                  test_per_class: int = 20, alpha: float | None = None
-                  ) -> LongTailDataset:
+                  test_per_class: int = 20) -> LongTailDataset:
     """Unit-norm class prototypes plus Gaussian noise, with a balanced
     test split drawn from disjoint noise. Prototypes depend only on
     (C, d_img, seed) so balanced variants share them; each is composed
@@ -124,7 +119,7 @@ def gen_synthetic(C: int, counts, d_img: int, noise_sigma: float, seed: int,
         y=np.concatenate(labels),
         test_X=np.concatenate(test_rows).astype(np.float32),
         test_y=np.concatenate(test_labels),
-        alpha=alpha, prototypes=protos,
+        prototypes=protos,
     )
 
 

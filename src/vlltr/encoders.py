@@ -124,10 +124,5 @@ class TeacherPair:
             p.requires_grad = False
         self.tau = float(model.tau.data)
 
-    @classmethod
-    def from_checkpoint(cls, path, d_img, D, vocab_size, max_tokens=77):
-        return cls(CvlpModel.from_checkpoint(path, d_img, D, vocab_size,
-                                             max_tokens))
-
     def similarity(self, images, sequences) -> np.ndarray:
         return self._model.similarity(images, sequences).data.copy()

@@ -4,8 +4,11 @@ anchor-embedding cache."""
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
+from functools import reduce
+from typing import Callable
 
 import numpy as np
 
@@ -137,9 +140,6 @@ class FcParams:
     def params(self, prefix="fc.") -> dict:
         return {prefix + "w": self.w, prefix + "b": self.b}
 
-    def load_state(self, sections: dict, prefix="fc."):
-        ckpt.load_params(self.params(prefix), sections)
-
 
 def fc_forward(E_I, fc: FcParams) -> Tensor:
     x = as_tensor(E_I)
@@ -166,6 +166,54 @@ def knn_forward(E_I, anchors, tau) -> Tensor:
         / (x_norm.reshape(-1, 1, 1) * a_norm.reshape(1, C, M))
     best = cos.max(axis=2)                                  # (N, C)
     return softmax(best / as_tensor(tau), axis=1)
+
+
+class KnnParams:
+    """The KNN head's one trainable parameter: the model temperature."""
+
+    def __init__(self, tau: Tensor):
+        self.tau = tau
+
+    def params(self) -> dict:
+        return {"tau": self.tau}
+
+
+# ---- the head table ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Head:
+    """`params(D, C, tau, rng)` builds the head's parameters, where `tau`
+    is the model temperature tensor; `paths(emb, anchor_emb, params)`
+    returns the path probabilities (P_I, P_T), None for a path the head
+    lacks."""
+    params: Callable
+    paths: Callable
+
+
+def _lgr_paths(emb, anchor_emb, params):
+    out = lgr_forward(emb, anchor_emb, params)
+    return out.P_I, out.P_T
+
+
+# The forwards look the head functions up in this module at call time,
+# so wrapping `head.lgr_forward` and friends sees every call.
+HEADS = {
+    "lgr": Head(lambda D, C, tau, rng: LgrParams(D, C, float(tau.data), rng),
+                _lgr_paths),
+    "fc": Head(lambda D, C, tau, rng: FcParams(D, C, rng),
+               lambda emb, anchor_emb, p: (fc_forward(emb, p), None)),
+    "knn": Head(lambda D, C, tau, rng: KnnParams(tau),
+                lambda emb, anchor_emb, p:
+                (None, knn_forward(emb, anchor_emb, p.tau))),
+}
+
+
+def get_head(name: str) -> Head:
+    if name not in HEADS:
+        raise ValidationError(
+            f"head must be one of {', '.join(HEADS)}, got {name!r}")
+    return HEADS[name]
 
 
 def zero_shot_classify(E_I: np.ndarray, anchors: np.ndarray) -> np.ndarray:
@@ -225,17 +273,18 @@ class FinetuneConfig:
     base_lr: float
     weight_decay: float = 0.05
     seed: int = 0
-    head: str = "lgr"          # "lgr" | "fc" | "knn"
+    head: str = "lgr"          # a key of HEADS
 
 
 def run_finetune(dataset: LongTailDataset, anchors: AnchorSet,
                  corpus: ClassCorpus, model: CvlpModel, cfg: FinetuneConfig,
                  expected_checkpoint_hash: bytes | None = None):
     """Fine-tune the visual encoder plus the chosen head on the
-    recognition loss. The linguistic encoder stays frozen and anchor
-    embeddings are computed once up front. Returns (head_params,
-    anchor_embeddings, trace); head_params is None for the KNN head.
+    recognition loss, cross entropy summed over the head's paths. The
+    linguistic encoder stays frozen and anchor embeddings are computed
+    once up front. Returns (head_params, anchor_embeddings, trace).
     """
+    head = get_head(cfg.head)
     if expected_checkpoint_hash is not None \
             and anchors.checkpoint_hash != expected_checkpoint_hash:
         raise StaleArtifactError(
@@ -247,19 +296,9 @@ def run_finetune(dataset: LongTailDataset, anchors: AnchorSet,
     anchor_emb = compute_anchor_embeddings(anchors, corpus, model)
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF17E]))
-    trainable = dict(model.vis.params())
-    head_params = None
-    if cfg.head == "lgr":
-        head_params = LgrParams(model.D, dataset.C,
-                                float(model.tau.data), rng)
-        trainable.update(head_params.params())
-    elif cfg.head == "fc":
-        head_params = FcParams(model.D, dataset.C, rng)
-        trainable.update(head_params.params())
-    elif cfg.head == "knn":
-        trainable["tau"] = model.tau
-    else:
-        raise ValidationError(f"run_finetune: unknown head {cfg.head!r}")
+    head_params = head.params(model.D, dataset.C, model.tau, rng)
+    trainable = {**model.vis.params(), **head_params.params()}
+    taus = [p for name, p in trainable.items() if name.endswith("tau")]
 
     steps_per_epoch = max(1, int(np.ceil(len(dataset.y) / cfg.batch_size)))
     total_steps = max(1, cfg.epochs * steps_per_epoch)
@@ -273,58 +312,41 @@ def run_finetune(dataset: LongTailDataset, anchors: AnchorSet,
             idx = sampler.draw(cfg.batch_size)
             images = dataset.X[idx].astype(np.float64)
             labels = dataset.y[idx]
-            emb = model.vis(images)
-            if cfg.head == "lgr":
-                out = lgr_forward(emb, anchor_emb, head_params)
-                loss = rec_loss(out, labels)
-            elif cfg.head == "fc":
-                loss = cross_entropy(fc_forward(emb, head_params), labels)
-            else:
-                loss = cross_entropy(
-                    knn_forward(emb, anchor_emb, model.tau), labels)
+            paths = head.paths(model.vis(images), anchor_emb, head_params)
+            loss = reduce(operator.add, [cross_entropy(p, labels)
+                                         for p in paths if p is not None])
             if not np.isfinite(loss.data):
                 raise NumericError(
                     f"run_finetune: non-finite loss at step {step}")
             opt.zero_grad()
             loss.backward()
             opt.step(lr=cosine_lr(sched, step))
-            if cfg.head == "lgr":
-                head_params.tau.data = np.clip(head_params.tau.data,
-                                                TAU_MIN, TAU_MAX)
-            model.clamp_tau()
+            for tau in taus:
+                tau.data = np.clip(tau.data, TAU_MIN, TAU_MAX)
             trace.append((epoch, step, float(loss.data)))
             step += 1
     return head_params, anchor_emb, trace
 
 
 def classify_dataset(images: np.ndarray, vis, head: str, head_params,
-                     anchor_emb, tau=None, batch: int = 256):
-    """Predictions for an image matrix under any of the three heads.
+                     anchor_emb, batch: int = 256):
+    """Predictions for an image matrix under any head of HEADS: the
+    argmax of the summed path probabilities.
 
-    `vis` is the visual encoder; only the LGR/KNN paths use `anchor_emb`
-    and only KNN needs `tau`. Returns (labels, p_i_at_pred, p_t_at_pred)
-    so prediction dumps can log both path probabilities.
+    `vis` is the visual encoder. Returns (labels, p_i_at_pred,
+    p_t_at_pred) so prediction dumps can log both path probabilities; a
+    path the head lacks logs 0.
     """
+    paths_of = get_head(head).paths
     preds, p_i_all, p_t_all = [], [], []
     for start in range(0, len(images), batch):
         emb = vis(images[start:start + batch].astype(np.float64))
-        if head == "lgr":
-            out = lgr_forward(emb, anchor_emb, head_params)
-            lab = predict(out)
-            rows = np.arange(len(lab))
-            p_i, p_t = out.P_I.data[rows, lab], out.P_T.data[rows, lab]
-        elif head == "fc":
-            probs = fc_forward(emb, head_params).data
-            lab = np.argmax(probs, axis=1)
-            p_i = probs[np.arange(len(lab)), lab]
-            p_t = np.zeros_like(p_i)
-        elif head == "knn":
-            probs = knn_forward(emb, anchor_emb, tau).data
-            lab = np.argmax(probs, axis=1)
-            p_t = probs[np.arange(len(lab)), lab]
-            p_i = np.zeros_like(p_t)
-        else:
-            raise ValidationError(f"classify_dataset: unknown head {head!r}")
+        paths = [None if p is None else p.data
+                 for p in paths_of(emb, anchor_emb, head_params)]
+        lab = np.argmax(sum(p for p in paths if p is not None), axis=1)
+        rows = np.arange(len(lab))
+        p_i, p_t = (np.zeros(len(lab)) if p is None else p[rows, lab]
+                    for p in paths)
         preds.append(lab)
         p_i_all.append(p_i)
         p_t_all.append(p_t)

@@ -22,12 +22,11 @@ from .data import (corpus_stats, gen_corpus, gen_pareto_counts, gen_synthetic,
 from .encoders import CvlpModel, TeacherPair, VisualEncoder
 from .errors import StaleArtifactError, ValidationError
 from .evaluation import EvalReport, evaluate
-from .head import (FcParams, FinetuneConfig, LgrParams,
-                   compute_anchor_embeddings, classify_dataset,
-                   load_anchor_embeddings, run_finetune,
+from .head import (FinetuneConfig, classify_dataset, compute_anchor_embeddings,
+                   get_head, load_anchor_embeddings, run_finetune,
                    save_anchor_embeddings)
 from .pretrain import PretrainConfig, run_pretrain, save_trace
-from .tensor import Tensor
+from .tensor import parameter
 
 FILES = {
     "dataset": "dataset.bin",
@@ -78,9 +77,9 @@ def _check_data_hashes(sections: dict, cfg: RunConfig, out_dir):
 def cmd_gen_data(cfg: RunConfig, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    counts = gen_pareto_counts(cfg.classes, cfg.n_max, cfg.n_min, cfg.alpha)
+    counts = gen_pareto_counts(cfg.classes, cfg.n_max, cfg.n_min)
     dataset = gen_synthetic(cfg.classes, counts, cfg.d_img, cfg.noise_sigma,
-                            cfg.seed, cfg.test_per_class, alpha=cfg.alpha)
+                            cfg.seed, cfg.test_per_class)
     corpus, _ = gen_corpus(cfg.classes, cfg.sentences_per_class,
                            cfg.prompt_count, cfg.vocab_size,
                            cfg.noise_fraction, cfg.seed, cfg.max_tokens)
@@ -103,7 +102,7 @@ def cmd_make_teacher(cfg: RunConfig, out_dir):
     _, corpus = _load_data(cfg, out_dir)
     balanced = gen_synthetic(cfg.classes, [cfg.n_max] * cfg.classes,
                              cfg.d_img, cfg.noise_sigma, cfg.seed,
-                             cfg.test_per_class, alpha=cfg.alpha)
+                             cfg.test_per_class)
     model = CvlpModel(cfg.d_img, cfg.embed_dim, cfg.vocab_size,
                       seed=cfg.seed + 7, tau_init=cfg.tau_init,
                       max_tokens=cfg.max_tokens)
@@ -122,14 +121,11 @@ def cmd_pretrain(cfg: RunConfig, out_dir):
     dataset, corpus = _load_data(cfg, out_dir)
     teacher = None
     if cfg.lam < 1.0:
-        teacher_path = artifact(out_dir, "teacher")
-        if not teacher_path.exists():
+        if not artifact(out_dir, "teacher").exists():
             raise ValidationError(
                 "pretrain: lam < 1 needs a teacher checkpoint; "
                 "run make-teacher first")
-        teacher = TeacherPair.from_checkpoint(
-            teacher_path, cfg.d_img, cfg.embed_dim, cfg.vocab_size,
-            cfg.max_tokens)
+        teacher = TeacherPair(load_model(cfg, out_dir, "teacher"))
     model = CvlpModel(cfg.d_img, cfg.embed_dim, cfg.vocab_size,
                       seed=cfg.seed, tau_init=cfg.tau_init,
                       max_tokens=cfg.max_tokens)
@@ -144,9 +140,10 @@ def cmd_pretrain(cfg: RunConfig, out_dir):
     return trace
 
 
-def _load_student(cfg: RunConfig, out_dir) -> CvlpModel:
-    path = artifact(out_dir, "student")
-    sections = ckpt.read_checkpoint(path)
+def load_model(cfg: RunConfig, out_dir, name) -> CvlpModel:
+    """The encoder pair and temperature of checkpoint `name`, after
+    checking that it was trained on the run's current data files."""
+    sections = ckpt.read_checkpoint(artifact(out_dir, name))
     _check_data_hashes(sections, cfg, out_dir)
     model = CvlpModel(cfg.d_img, cfg.embed_dim, cfg.vocab_size, seed=0,
                       max_tokens=cfg.max_tokens)
@@ -156,7 +153,7 @@ def _load_student(cfg: RunConfig, out_dir) -> CvlpModel:
 
 def cmd_select_anchors(cfg: RunConfig, out_dir) -> AnchorSet:
     dataset, corpus = _load_data(cfg, out_dir)
-    model = _load_student(cfg, out_dir)
+    model = load_model(cfg, out_dir, "student")
     student_hash = ckpt.file_sha256(artifact(out_dir, "student"))
     anchors = select_anchors(corpus, dataset, model, cfg.anchor_m,
                              mode=cfg.anchor_mode, cap=cfg.probe_cap,
@@ -167,7 +164,7 @@ def cmd_select_anchors(cfg: RunConfig, out_dir) -> AnchorSet:
 
 def cmd_finetune(cfg: RunConfig, out_dir):
     dataset, corpus = _load_data(cfg, out_dir)
-    model = _load_student(cfg, out_dir)
+    model = load_model(cfg, out_dir, "student")
     anchors = load_anchors(artifact(out_dir, "anchors"))
     student_hash = ckpt.file_sha256(artifact(out_dir, "student"))
     fcfg = FinetuneConfig(epochs=cfg.finetune_epochs,
@@ -178,10 +175,8 @@ def cmd_finetune(cfg: RunConfig, out_dir):
     head_params, _, trace = run_finetune(
         dataset, anchors, corpus, model, fcfg,
         expected_checkpoint_hash=student_hash)
-    sections = {**model.state(), **_meta_sections(cfg, out_dir)}
-    if head_params is not None:
-        sections.update({k: v.data.copy()
-                         for k, v in head_params.params().items()})
+    sections = {**model.state(), **_meta_sections(cfg, out_dir),
+                **{k: v.data.copy() for k, v in head_params.params().items()}}
     ckpt.write_checkpoint(artifact(out_dir, "final"), sections)
     with open(artifact(out_dir, "finetune_trace"), "w", encoding="utf-8") as f:
         for epoch, step, loss in trace:
@@ -193,42 +188,30 @@ def cmd_precompute_cache(cfg: RunConfig, out_dir):
     """Write the offline anchor text-embedding cache, keyed by the final
     checkpoint's content hash."""
     _, corpus = _load_data(cfg, out_dir)
-    final_path = artifact(out_dir, "final")
-    sections = ckpt.read_checkpoint(final_path)
-    model = CvlpModel(cfg.d_img, cfg.embed_dim, cfg.vocab_size, seed=0,
-                      max_tokens=cfg.max_tokens)
-    model.load_state(sections)
+    model = load_model(cfg, out_dir, "final")
     anchors = load_anchors(artifact(out_dir, "anchors"))
     emb = compute_anchor_embeddings(anchors, corpus, model)
     save_anchor_embeddings(artifact(out_dir, "cache"), emb,
-                           ckpt.file_sha256(final_path))
+                           ckpt.file_sha256(artifact(out_dir, "final")))
     return emb
 
 
 def load_inference_head(cfg: RunConfig, out_dir):
     """Load only what cache-based inference needs from the final
-    checkpoint: the visual encoder, head parameters, and temperature.
-    Linguistic-encoder sections are never materialized."""
+    checkpoint, after checking its data hashes: the visual encoder and
+    the head parameters. Linguistic-encoder sections are never
+    materialized. Returns (vis, head_params, checkpoint SHA-256)."""
     final_path = artifact(out_dir, "final")
     sections = ckpt.read_checkpoint(
-        final_path, names=lambda n: not n.startswith(("lin.", "__")))
+        final_path, names=lambda n: not n.startswith("lin."))
+    _check_data_hashes(sections, cfg, out_dir)
     vis = VisualEncoder(cfg.d_img, cfg.embed_dim,
                         np.random.default_rng(0))
-    ckpt.load_params(vis.params(), sections)
-    tau = None
-    head_params = None
-    if cfg.head == "lgr":
-        head_params = LgrParams(cfg.embed_dim, cfg.classes, cfg.tau_init,
-                                np.random.default_rng(0))
-        head_params.load_state(sections)
-    elif cfg.head == "fc":
-        head_params = FcParams(cfg.embed_dim, cfg.classes,
-                               np.random.default_rng(0))
-        head_params.load_state(sections)
-    else:
-        tau = Tensor(np.array(0.0))
-        ckpt.load_params({"tau": tau}, sections)
-    return vis, head_params, tau
+    head_params = get_head(cfg.head).params(
+        cfg.embed_dim, cfg.classes, parameter(np.array(cfg.tau_init)),
+        np.random.default_rng(0))
+    ckpt.load_params({**vis.params(), **head_params.params()}, sections)
+    return vis, head_params, ckpt.file_sha256(final_path)
 
 
 def cmd_eval(cfg: RunConfig, out_dir) -> EvalReport:
@@ -237,13 +220,12 @@ def cmd_eval(cfg: RunConfig, out_dir) -> EvalReport:
     if not cache_path.exists():
         cmd_precompute_cache(cfg, out_dir)
     anchor_emb, cache_hash = load_anchor_embeddings(cache_path)
-    final_hash = ckpt.file_sha256(artifact(out_dir, "final"))
+    vis, head_params, final_hash = load_inference_head(cfg, out_dir)
     if cache_hash != final_hash:
         raise StaleArtifactError(
             "eval: anchor cache was built from a different checkpoint")
-    vis, head_params, tau = load_inference_head(cfg, out_dir)
     preds, p_i, p_t = classify_dataset(dataset.test_X, vis, cfg.head,
-                                       head_params, anchor_emb, tau=tau)
+                                       head_params, anchor_emb)
     bands = split_shots(dataset.counts)
     report = evaluate(preds, dataset.test_y, bands,
                       config_fingerprint=cfg.fingerprint().hex())

@@ -192,14 +192,6 @@ class TestSelection:
         b = select_anchors(corpus, ds, model, M=3, cap=5)
         assert a.entries == b.entries
 
-    def test_thread_count_does_not_change_result(self, monkeypatch):
-        ds, corpus, _, model = tiny_world(seed=6)
-        monkeypatch.setenv("VLLTR_THREADS", "1")
-        a = select_anchors(corpus, ds, model, M=3, cap=5)
-        monkeypatch.setenv("VLLTR_THREADS", "4")
-        b = select_anchors(corpus, ds, model, M=3, cap=5)
-        assert a.entries == b.entries
-
     def test_validation_errors(self):
         ds, corpus, _, model = tiny_world()
         with pytest.raises(ValidationError):
@@ -231,4 +223,21 @@ class TestAnchorFiles:
         path = tmp_path / "anchors.tsv"
         path.write_text("# mode=AnSS\tM=2\tcheckpoint=\n0\t0\t0\t1.0\n")
         with pytest.raises(ValidationError):
+            load_anchors(path)
+
+    @pytest.mark.parametrize("text,line", [
+        ("# mode=AnSS\tM=1\tcheckpoint=\n0\t0\t0\n", 2),
+        ("# mode=AnSS\tM=2\tcheckpoint=\n0\t0\t0\t1.0\n0\t1\tx\t1.0\n",
+         3),
+        ("# mode=AnSS\tM=1\tcheckpoint=\n0\t0\t0\tnan?\n", 2),
+        ("# mode=AnSS\tcheckpoint=\n0\t0\t0\t1.0\n", 1),
+        ("# mode=AnSS\tM=1\n0\t0\t0\t1.0\n", 1),
+        ("# M=1\tcheckpoint=\n0\t0\t0\t1.0\n", 1),
+        ("# mode=AnSS\tM=one\tcheckpoint=\n0\t0\t0\t1.0\n", 1),
+    ], ids=["short-row", "bad-id", "bad-score", "no-M", "no-checkpoint",
+            "no-mode", "bad-M"])
+    def test_malformed_file_names_path_and_line(self, tmp_path, text, line):
+        path = tmp_path / "anchors.tsv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=f"anchors.tsv:{line}:"):
             load_anchors(path)

@@ -150,6 +150,34 @@ class TestPipelineCommands:
         assert code == 2
         assert "checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,extra", [
+        ("eval", []), ("retrieve", ["--query", "0 7 1"]),
+        ("select-anchors", [])])
+    def test_checkpoints_of_other_data_rejected(self, cfg_file, cli_run,
+                                                tmp_path, capsys, command,
+                                                extra):
+        work = tmp_path / "copy"
+        shutil.copytree(cli_run, work)
+        # regenerate the data under another seed: every checkpoint of the
+        # run now records the hashes of data files that are gone
+        assert cli.main(["gen-data", "--config", str(cfg_file),
+                         "--out", str(work), "--seed", "5"]) == 0
+        assert cli.main([command, "--config", str(cfg_file),
+                         "--out", str(work)] + extra) == 2
+        assert "different dataset file" in capsys.readouterr().err
+
+    def test_malformed_anchor_row_is_validation_error(self, cfg_file, cli_run,
+                                                      tmp_path, capsys):
+        work = tmp_path / "copy"
+        shutil.copytree(cli_run, work)
+        path = work / "anchors.tsv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].rsplit("\t", 1)[0] + "\n"   # drop the score
+        path.write_text("".join(lines))
+        assert cli.main(["finetune", "--config", str(cfg_file),
+                         "--out", str(work)]) == 2
+        assert "anchors.tsv:4:" in capsys.readouterr().err
+
     def test_retrieve(self, cfg_file, cli_run, capsys):
         from vlltr.data import load_corpus
 

@@ -109,7 +109,7 @@ class TestTeacherPair:
         model = tiny_model(seed=3)
         path = tmp_path / "t.ck"
         write_checkpoint(path, model.state())
-        teacher = TeacherPair.from_checkpoint(path, 4, 4, 12)
+        teacher = TeacherPair(CvlpModel.from_checkpoint(path, 4, 4, 12))
         rng = np.random.default_rng(5)
         x = rng.normal(size=(3, 4))
         seqs = [[0, 2, 1], [0, 5, 1], [0, 9, 4, 1]]
@@ -122,7 +122,7 @@ class TestTeacherPair:
         model = tiny_model(seed=3)
         path = tmp_path / "t.ck"
         write_checkpoint(path, model.state())
-        teacher = TeacherPair.from_checkpoint(path, 4, 4, 12)
+        teacher = TeacherPair(CvlpModel.from_checkpoint(path, 4, 4, 12))
         for p in teacher._model.params().values():
             assert not p.requires_grad
 
@@ -132,7 +132,7 @@ class TestTeacherPair:
         model = tiny_model(seed=3)
         path = tmp_path / "t.ck"
         write_checkpoint(path, model.state())
-        teacher = TeacherPair.from_checkpoint(path, 4, 4, 12)
+        teacher = TeacherPair(CvlpModel.from_checkpoint(path, 4, 4, 12))
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 4))
         seqs = [[0, 2, 1], [0, 5, 1]]

@@ -10,6 +10,7 @@ from vlltr.data import gen_corpus, gen_synthetic
 from vlltr.encoders import CvlpModel
 from vlltr.errors import ShapeMismatch, StaleArtifactError, ValidationError
 from vlltr.head import (
+    HEADS,
     FcParams,
     FinetuneConfig,
     HeadOutput,
@@ -26,7 +27,7 @@ from vlltr.head import (
     save_anchor_embeddings,
     zero_shot_classify,
 )
-from vlltr.tensor import Tensor, as_tensor
+from vlltr.tensor import Tensor, as_tensor, parameter
 
 
 def make_params(D, C, seed=0, tau=0.3):
@@ -326,17 +327,16 @@ class TestFinetune:
             np.testing.assert_array_equal(v.data, lin_before[k])
             assert not v.requires_grad
 
-    @pytest.mark.parametrize("head", ["lgr", "fc", "knn"])
+    @pytest.mark.parametrize("head", list(HEADS))
     def test_all_heads_train_and_classify(self, head):
         ds, corpus, model, anchors = finetune_world(seed=4)
         head_params, emb, trace = run_finetune(
             ds, anchors, corpus, model,
             FinetuneConfig(epochs=1, batch_size=4, base_lr=0.01, head=head))
-        assert (head_params is None) == (head == "knn")
+        assert (head_params.params().get("tau") is model.tau) == (head == "knn")
         assert trace and all(np.isfinite(t[2]) for t in trace)
         preds, p_i, p_t = classify_dataset(
-            ds.test_X, model.vis, head, head_params, emb,
-            tau=float(model.tau.data))
+            ds.test_X, model.vis, head, head_params, emb)
         assert preds.shape == (len(ds.test_y),)
         assert np.all((0 <= preds) & (preds < ds.C))
         if head == "fc":
@@ -373,7 +373,7 @@ class TestFinetune:
             np.testing.assert_allclose(x, y, atol=1e-12)
 
 
-@pytest.mark.parametrize("head", ["lgr", "fc", "knn"])
+@pytest.mark.parametrize("head", list(HEADS))
 def test_classify_labels_independent_of_batch_size(head):
     """BLAS picks its blocking by operand size, so one image can be
     summed in another order at batch 256 than at 64 or 1; the labels
@@ -383,13 +383,52 @@ def test_classify_labels_independent_of_batch_size(head):
     rng = np.random.default_rng(13)
     C, M, D = 20, 64, 16
     vis = VisualEncoder(32, D, rng)
-    head_params = {"lgr": LgrParams(D, C, tau_init=0.3, rng=rng),
-                   "fc": FcParams(D, C, rng), "knn": None}[head]
+    head_params = HEADS[head].params(D, C, parameter(np.array(0.3)), rng)
     anchors = rng.normal(size=(C, M, D))
     images = rng.normal(size=(300, 32))
     runs = [classify_dataset(images, vis, head, head_params, anchors,
-                             tau=0.3, batch=batch) for batch in (256, 64, 1)]
+                             batch=batch) for batch in (256, 64, 1)]
     for labels, p_i, p_t in runs[1:]:
         np.testing.assert_array_equal(labels, runs[0][0])
         np.testing.assert_allclose(p_i, runs[0][1], rtol=0, atol=1e-12)
         np.testing.assert_allclose(p_t, runs[0][2], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("head", list(HEADS))
+def test_inference_head_reproduces_predictions(head, mini_cfg, mini_run,
+                                               tmp_path):
+    """The head and visual encoder that `load_inference_head` rebuilds
+    from the final checkpoint give back the labels and both logged path
+    probabilities of `predictions.tsv`, exactly, for every head."""
+    import dataclasses
+    import shutil
+
+    from vlltr import pipeline
+    from vlltr.data import load_dataset
+
+    _, run_dir, _ = mini_run
+    cfg = dataclasses.replace(mini_cfg, head=head)
+    work = tmp_path / "run"
+    work.mkdir()
+    for name in ("dataset", "corpus", "student", "anchors"):
+        shutil.copy(pipeline.artifact(run_dir, name),
+                    pipeline.artifact(work, name))
+    pipeline.cmd_finetune(cfg, work)
+    pipeline.cmd_eval(cfg, work)
+
+    rows = [line.split("\t") for line in
+            pipeline.artifact(work, "predictions").read_text().splitlines()]
+    # numpy 2 writes a float64 repr as "np.float64(x)"
+    logged = np.array([[float(v.removeprefix("np.float64(").rstrip(")"))
+                        for v in row[2:]] for row in rows])
+    dataset = load_dataset(pipeline.artifact(work, "dataset"))
+    vis, head_params, _ = pipeline.load_inference_head(cfg, work)
+    emb, _ = load_anchor_embeddings(pipeline.artifact(work, "cache"))
+    labels, p_i, p_t = classify_dataset(dataset.test_X, vis, head,
+                                        head_params, emb)
+    assert len(rows) == len(dataset.test_y)
+    np.testing.assert_array_equal(labels, logged[:, 0])
+    np.testing.assert_array_equal(p_i, logged[:, 1])
+    np.testing.assert_array_equal(p_t, logged[:, 2])
+    assert (head == "fc") == bool(np.all(p_t == 0.0))
+    assert (head == "knn") == bool(np.all(p_i == 0.0))
