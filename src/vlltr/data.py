@@ -165,12 +165,19 @@ class SqrtSampler:
         if len(counts) == 0:
             raise ValidationError("SqrtSampler: empty counts")
         self.counts = np.asarray(counts, dtype=np.int64)
+        if (self.counts < 0).any() or self.counts.sum() == 0:
+            raise ValidationError(
+                "SqrtSampler: counts must be non-negative, not all zero")
         self.weights = sqrt_class_weights(counts)
         self.offsets = np.concatenate([[0], np.cumsum(self.counts)])
         self.rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5A3]))
+        self._cdf = self.weights.cumsum()
+        self._cdf /= self._cdf[-1]
 
     def draw_classes(self, n: int) -> np.ndarray:
-        return self.rng.choice(len(self.counts), size=n, p=self.weights)
+        """The stream of `rng.choice(C, size=n, p=weights)`, without
+        re-validating and re-summing the weights on every call."""
+        return self._cdf.searchsorted(self.rng.random(n), side="right")
 
     def draw(self, n: int) -> np.ndarray:
         """Return `n` global sample indices (class-major layout)."""
@@ -206,6 +213,16 @@ class ClassCorpus:
 
     def for_class(self, c: int) -> list:
         return self.sentences[c]
+
+    def row_offsets(self) -> np.ndarray:
+        """Start of each class's sentences in the class-major row order of
+        `all_tokens`, plus the total: C + 1 int64 values."""
+        sizes = [len(s) for s in self.sentences]
+        return np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+
+    def all_tokens(self) -> list:
+        """Every sentence's tokens, class by class in id order."""
+        return [s.tokens for sentences in self.sentences for s in sentences]
 
 
 @dataclass

@@ -8,10 +8,11 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .errors import ShapeMismatch, ValidationError
-from .tensor import (Tensor, as_tensor, cosine_sim_matrix, embedding_bag,
-                     matmul, parameter)
+from .tensor import (Tensor, cosine_sim_matrix, embedding_bag, matmul,
+                     parameter, unit_rows)
 
 TAU_MIN, TAU_MAX = 0.01, 1.0
+TEXT_CHUNK = 256  # sentences per pass when the teacher embeds a corpus
 
 
 class VisualEncoder:
@@ -31,13 +32,32 @@ class VisualEncoder:
                 prefix + "w2": self.w2, prefix + "b2": self.b2}
 
     def __call__(self, x) -> Tensor:
-        x = as_tensor(np.asarray(x, dtype=np.float64))
+        """tanh(x @ w1 + b1) @ w2 + b2 as one tape node. With hidden
+        activations h and upstream g, b2 receives sum(g), w2 receives
+        h^T g, and through gh = (g w2^T)(1 - h^2), b1 receives sum(gh)
+        and w1 receives x^T gh."""
+        x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.d_img:
             raise ShapeMismatch(
                 f"VisualEncoder: expected (N, {self.d_img}), got {x.shape}"
             )
-        h = (matmul(x, self.w1) + self.b1).tanh()
-        return matmul(h, self.w2) + self.b2
+        w1, b1, w2, b2 = self.w1, self.b1, self.w2, self.b2
+        h = np.tanh(x @ w1.data + b1.data)
+
+        def backward(g):
+            if b2.requires_grad:
+                b2._accumulate(g.sum(axis=0))
+            if w2.requires_grad:
+                w2._accumulate(h.T @ g)
+            if w1.requires_grad or b1.requires_grad:
+                gh = (g @ w2.data.T) * (1.0 - h ** 2)
+                if b1.requires_grad:
+                    b1._accumulate(gh.sum(axis=0))
+                if w1.requires_grad:
+                    w1._accumulate(x.T @ gh)
+
+        return Tensor(h @ w2.data + b2.data, parents=(w1, b1, w2, b2),
+                      backward=backward)
 
 
 class LinguisticEncoder:
@@ -92,7 +112,7 @@ class CvlpModel:
         return {**self.vis.params(), **self.lin.params(), "tau": self.tau}
 
     def clamp_tau(self):
-        self.tau.data = np.clip(self.tau.data, TAU_MIN, TAU_MAX)
+        np.clip(self.tau.data, TAU_MIN, TAU_MAX, out=self.tau.data)
 
     def similarity(self, images, sequences) -> Tensor:
         return cosine_sim_matrix(self.vis(images), self.lin(sequences))
@@ -126,3 +146,21 @@ class TeacherPair:
 
     def similarity(self, images, sequences) -> np.ndarray:
         return self._model.similarity(images, sequences).data.copy()
+
+    def unit_embeddings(self, images, sequences):
+        """(image rows, sentence rows) of the frozen pair, each scaled to
+        unit length exactly as `cosine_sim_matrix` scales them, so that
+        `img[i] @ txt[j].T` equals `similarity` on any two or more of the
+        images and sentences, bit for bit.
+
+        Sentences are embedded TEXT_CHUNK at a time, which bounds the
+        (tokens, D) gather of the pooling; the last chunk takes over a
+        one-row remainder, because numpy multiplies a single row through
+        a matrix-vector kernel that rounds differently."""
+        img, _ = unit_rows(self._model.vis(images).data, "images")
+        stops = list(range(TEXT_CHUNK, len(sequences) - 1, TEXT_CHUNK))
+        txt, _ = unit_rows(np.concatenate(
+            [self._model.lin(sequences[a:b]).data
+             for a, b in zip([0] + stops, stops + [len(sequences)])]),
+            "sequences")
+        return img, txt

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .encoders import VisualEncoder
 from .gradcheck import GradCheckReport, gradcheck
 from .head import LgrParams, lgr_forward, rec_loss
 from .pretrain import ccl_loss, distill_loss, pretrain_loss
@@ -91,6 +92,20 @@ def default_suite(seed: int = 0, instances: int = 3):
             [rng.normal(size=(5, 2))])
 
     suite.append(("embedding_bag", bag))
+
+    def visual_encoder():
+        enc = VisualEncoder(4, 2, rng, hidden=3)
+        x, w_vis = rng.normal(size=(3, 4)), Tensor(rng.normal(size=(3, 2)))
+
+        def f(w1, b1, w2, b2):
+            enc.w1, enc.b1, enc.w2, enc.b2 = w1, b1, w2, b2
+            return (enc(x) * w_vis).sum()
+
+        # nonzero biases, so the tanh is not centred on the origin
+        return gradcheck(f, [enc.w1.data, rng.normal(size=3), enc.w2.data,
+                             rng.normal(size=2)])
+
+    suite.append(("visual_encoder", visual_encoder))
 
     for i in range(instances):
         n = int(rng.integers(2, 7))

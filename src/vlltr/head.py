@@ -68,10 +68,6 @@ class HeadOutput:
     attention: Tensor  # (N, C, M), rows over M sum to 1
     G: Tensor        # (N, C, D) per-class gathers
 
-    @property
-    def P(self) -> Tensor:
-        return self.P_I + self.P_T
-
 
 def lgr_forward(E_I, anchors, params: LgrParams) -> HeadOutput:
     """Attention of the image query over each class's M anchor embeddings
@@ -120,11 +116,6 @@ def lgr_forward(E_I, anchors, params: LgrParams) -> HeadOutput:
 def rec_loss(out: HeadOutput, y) -> Tensor:
     """Cross entropy on both probability paths, summed."""
     return cross_entropy(out.P_I, y) + cross_entropy(out.P_T, y)
-
-
-def predict(out: HeadOutput) -> np.ndarray:
-    """Argmax over P = P_I + P_T; ties go to the smaller class id."""
-    return np.argmax(out.P.data, axis=1)
 
 
 # ---- ablation heads ---------------------------------------------------------
@@ -322,7 +313,7 @@ def run_finetune(dataset: LongTailDataset, anchors: AnchorSet,
             loss.backward()
             opt.step(lr=cosine_lr(sched, step))
             for tau in taus:
-                tau.data = np.clip(tau.data, TAU_MIN, TAU_MAX)
+                np.clip(tau.data, TAU_MIN, TAU_MAX, out=tau.data)
             trace.append((epoch, step, float(loss.data)))
             step += 1
     return head_params, anchor_emb, trace

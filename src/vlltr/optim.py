@@ -31,18 +31,45 @@ def cosine_lr(sched: LrSchedule, step: int) -> float:
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over a name -> Tensor parameter dict."""
+    """Decoupled-weight-decay Adam over a name -> Tensor parameter dict.
+
+    All parameters live in one flat float64 buffer: at construction each
+    `p.data` is copied in and rebound to a view of it, so a step is a
+    fixed handful of in-place ufuncs over every parameter at once, with
+    the same per-element arithmetic as a step tensor by tensor. A
+    parameter whose `.data` was replaced since (a checkpoint load, say)
+    is copied back in and rebound at the next step.
+    """
 
     def __init__(self, params: dict[str, Tensor], base_lr: float,
                  weight_decay: float = 0.05, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.params = dict(params)
+        owner = {}
+        for name, p in self.params.items():
+            if id(p) in owner:
+                raise ValidationError(
+                    f"AdamW: '{owner[id(p)]}' and '{name}' are the same "
+                    f"tensor")
+            owner[id(p)] = name
         self.base_lr = base_lr
         self.weight_decay = weight_decay
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
-        self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        size = sum(p.data.size for p in self.params.values())
+        self._p, self._g, self._m, self._v, self._tmp = (
+            np.zeros(size) for _ in range(5))
+        # (name, tensor, parameter view, gradient view) per parameter
+        self._slots = []
+        start = 0
+        for name, p in self.params.items():
+            end = start + p.data.size
+            view = self._p[start:end].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            self._slots.append(
+                (name, p, view, self._g[start:end].reshape(view.shape)))
+            start = end
 
     def zero_grad(self):
         for p in self.params.values():
@@ -52,23 +79,45 @@ class AdamW:
         lr = self.base_lr if lr is None else lr
         if lr < 0:
             raise ValidationError(f"AdamW: negative learning rate {lr}")
+        for name, p, view, g_view in self._slots:
+            if p.data is not view:
+                if np.shape(p.data) != view.shape:
+                    raise ShapeMismatch(
+                        f"AdamW: parameter '{name}' was replaced by shape "
+                        f"{np.shape(p.data)}, expected {view.shape}")
+                view[...] = p.data
+                p.data = view
+            g = p.grad
+            if g is None:
+                g_view.fill(0.0)
+            elif g.shape != view.shape:
+                raise ShapeMismatch(
+                    f"AdamW: gradient shape {g.shape} != parameter "
+                    f"shape {view.shape} for '{name}'"
+                )
+            else:
+                g_view[...] = g
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for name, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if g.shape != p.data.shape:
-                raise ShapeMismatch(
-                    f"AdamW: gradient shape {g.shape} != parameter "
-                    f"shape {p.data.shape} for '{name}'"
-                )
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            if self.weight_decay:
-                p.data *= 1.0 - lr * self.weight_decay
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        p, g, m, v, tmp = self._p, self._g, self._m, self._v, self._tmp
+        # m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=tmp)
+        m += tmp
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=tmp)
+        tmp *= g
+        v += tmp
+        if self.weight_decay:
+            p *= 1.0 - lr * self.weight_decay
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), with the gradient
+        # copies, no longer needed, as scratch
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        np.divide(m, bc1, out=g)
+        g *= lr
+        g /= tmp
+        p -= g

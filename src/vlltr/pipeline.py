@@ -233,7 +233,8 @@ def cmd_eval(cfg: RunConfig, out_dir) -> EvalReport:
         f.write(report.to_json())
     with open(artifact(out_dir, "predictions"), "w", encoding="utf-8") as f:
         for i, (true, pred) in enumerate(zip(dataset.test_y, preds)):
-            f.write(f"{i}\t{true}\t{pred}\t{p_i[i]!r}\t{p_t[i]!r}\n")
+            f.write(f"{i}\t{true}\t{pred}\t{float(p_i[i])!r}\t"
+                    f"{float(p_t[i])!r}\n")
     return report
 
 

@@ -8,6 +8,7 @@ every iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,20 +175,28 @@ def pretrain_loss(S: Tensor, S_teacher, labels, tau, tau_teacher: float,
     return loss, l_ccl, l_dis
 
 
+class PairedBatch(NamedTuple):
+    images: np.ndarray     # (n, d_img) float64
+    sequences: list        # one same-class sentence's tokens per image
+    labels: np.ndarray
+    idx: np.ndarray        # the images' rows of the dataset
+    rows: np.ndarray       # the sentences' rows of `corpus.all_tokens()`
+
+
 def sample_paired_batch(dataset: LongTailDataset, corpus: ClassCorpus,
                         sampler: SqrtSampler, rng: np.random.Generator,
-                        batch_size: int):
+                        batch_size: int) -> PairedBatch:
     """Square-root sampled images plus one fresh same-class sentence each."""
     idx = sampler.draw(batch_size)
-    images = dataset.X[idx].astype(np.float64)
     labels = dataset.y[idx]
+    starts = corpus.row_offsets()
     # one draw per image, in batch order: the same stream as drawing
     # rng.integers(len(options)) image by image
-    classes = labels.tolist()
-    picks = rng.integers([len(corpus.for_class(c)) for c in classes])
+    picks = rng.integers(np.diff(starts)[labels])
     sequences = [corpus.for_class(c)[k].tokens
-                 for c, k in zip(classes, picks.tolist())]
-    return images, sequences, labels
+                 for c, k in zip(labels.tolist(), picks.tolist())]
+    return PairedBatch(dataset.X[idx].astype(np.float64), sequences, labels,
+                       idx, starts[labels] + picks)
 
 
 def run_pretrain(dataset: LongTailDataset, corpus: ClassCorpus,
@@ -197,6 +206,8 @@ def run_pretrain(dataset: LongTailDataset, corpus: ClassCorpus,
 
     Trace entries are (epoch, step, l_ccl, l_dis, l_pre, tau). At
     lam == 1 the teacher is never evaluated and l_dis is logged as 0.
+    Otherwise the frozen teacher embeds every image and sentence once,
+    and each step's teacher matrix is the product of the batch's rows.
     """
     if cfg.lam < 1.0 and teacher is None:
         raise ValidationError("run_pretrain: lam < 1 requires a teacher")
@@ -206,18 +217,22 @@ def run_pretrain(dataset: LongTailDataset, corpus: ClassCorpus,
     opt = AdamW(model.params(), cfg.base_lr, weight_decay=cfg.weight_decay)
     sampler = SqrtSampler(dataset.counts, seed=cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x9E7]))
+    distill = cfg.lam < 1.0
+    if distill:
+        teacher_img, teacher_txt = teacher.unit_embeddings(
+            dataset.X, corpus.all_tokens())
+    tau_teacher = teacher.tau if distill else 1.0
     trace = []
     step = 0
     for epoch in range(cfg.epochs):
         for _ in range(steps_per_epoch):
-            images, sequences, labels = sample_paired_batch(
-                dataset, corpus, sampler, rng, cfg.batch_size)
-            S = model.similarity(images, sequences)
-            S_teacher = (teacher.similarity(images, sequences)
-                         if cfg.lam < 1.0 else None)
-            tau_teacher = teacher.tau if cfg.lam < 1.0 else 1.0
+            batch = sample_paired_batch(dataset, corpus, sampler, rng,
+                                        cfg.batch_size)
+            S = model.similarity(batch.images, batch.sequences)
+            S_teacher = (teacher_img[batch.idx] @ teacher_txt[batch.rows].T
+                         if distill else None)
             loss, l_ccl, l_dis = pretrain_loss(
-                S, S_teacher, labels, model.tau, tau_teacher, cfg.lam)
+                S, S_teacher, batch.labels, model.tau, tau_teacher, cfg.lam)
             if not np.isfinite(loss.data):
                 raise NumericError(f"run_pretrain: non-finite loss at step {step}")
             opt.zero_grad()

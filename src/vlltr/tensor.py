@@ -391,6 +391,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return centered * inv * gain + bias
 
 
+def unit_rows(x: np.ndarray, operand: str):
+    """(x with each row scaled to unit length, the (N, 1) inverse row
+    norms); a zero row is a ValidationError naming `operand`."""
+    sq = (x * x).sum(axis=1, keepdims=True)
+    bad = np.where(sq[:, 0] == 0.0)[0]
+    if bad.size:
+        raise ValidationError(
+            f"cosine_sim_matrix: zero-norm row {int(bad[0])} in operand "
+            f"{operand}")
+    inv = sq ** -0.5
+    return x * inv, inv
+
+
 def cosine_sim_matrix(a: Tensor, b: Tensor) -> Tensor:
     """Pairwise cosine similarities between rows of `a` and rows of `b`.
 
@@ -403,17 +416,8 @@ def cosine_sim_matrix(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatch(
             f"cosine_sim_matrix: incompatible shapes {a.shape} vs {b.shape}"
         )
-    inv_norms = []
-    for name, t in (("a", a), ("b", b)):
-        sq = (t.data * t.data).sum(axis=1, keepdims=True)
-        bad = np.where(sq[:, 0] == 0.0)[0]
-        if bad.size:
-            raise ValidationError(
-                f"cosine_sim_matrix: zero-norm row {int(bad[0])} in operand {name}"
-            )
-        inv_norms.append(sq ** -0.5)
-    inv_a, inv_b = inv_norms
-    na, nb = a.data * inv_a, b.data * inv_b
+    na, inv_a = unit_rows(a.data, "a")
+    nb, inv_b = unit_rows(b.data, "b")
 
     def unit_rows_backward(t, unit, inv, g_unit):
         t._accumulate(

@@ -1,14 +1,17 @@
 """Composite-op versions of the fused tape nodes, kept as oracles.
 
-These build the losses, the cosine similarity, the text pooling and the
-softmax out of elementwise tape ops, one node per op, and the LGR and
-KNN heads out of einsum contractions, exactly as the package did before
-those paths became single nodes and BLAS matmuls. Values and gradients
-of the package versions are checked against them in test_fused_ops.py.
+These build the losses, the cosine similarity, the text pooling, the
+softmax and the visual encoder out of elementwise tape ops, one node per
+op, the LGR and KNN heads out of einsum contractions, and AdamW as one
+update per parameter tensor, exactly as the package did before those
+paths became single nodes, BLAS matmuls and one flat buffer. Values and
+gradients of the package versions are checked against them in
+test_fused_ops.py.
 """
 
 import numpy as np
 
+from vlltr.errors import ShapeMismatch
 from vlltr.head import HeadOutput
 from vlltr.tensor import (Tensor, as_tensor, layer_norm, log_softmax,
                           matmul)
@@ -140,3 +143,48 @@ def knn_forward(E_I, anchors, tau):
         / (x_norm.reshape(-1, 1, 1) * a_norm.reshape(1, C, M))
     best = cos.max(axis=2)
     return softmax(best / as_tensor(tau), axis=1)
+
+
+def visual_encode(enc, x):
+    """`VisualEncoder.__call__` as five tape nodes (no input checks)."""
+    x = as_tensor(np.asarray(x, dtype=np.float64))
+    h = (matmul(x, enc.w1) + enc.b1).tanh()
+    return matmul(h, enc.w2) + enc.b2
+
+
+class AdamW:
+    """`optim.AdamW` stepping each parameter tensor on its own."""
+
+    def __init__(self, params, base_lr, weight_decay=0.05, beta1=0.9,
+                 beta2=0.999, eps=1e-8):
+        self.params = dict(params)
+        self.base_lr = base_lr
+        self.weight_decay = weight_decay
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.step_count = 0
+        self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+
+    def zero_grad(self):
+        for p in self.params.values():
+            p.grad = None
+
+    def step(self, lr=None):
+        lr = self.base_lr if lr is None else lr
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - self.beta1 ** t
+        bc2 = 1.0 - self.beta2 ** t
+        for name, p in self.params.items():
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            if g.shape != p.data.shape:
+                raise ShapeMismatch(f"gradient shape mismatch for '{name}'")
+            m = self._m[name]
+            v = self._v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            if self.weight_decay:
+                p.data *= 1.0 - lr * self.weight_decay
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)

@@ -155,6 +155,25 @@ class TestSqrtSampler:
         with pytest.raises(ValidationError):
             SqrtSampler([], seed=0)
 
+    @pytest.mark.parametrize("counts", [[0, 0], [-1, 4]])
+    def test_degenerate_counts(self, counts):
+        with pytest.raises(ValidationError):
+            SqrtSampler(counts, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 1000])
+    def test_draw_classes_is_the_choice_stream(self, seed):
+        """Class draws equal `Generator.choice(C, size=n, p=weights)`
+        on the sampler's generator, call after call."""
+        counts = [500, 120, 31, 9, 5, 1]
+        sampler = SqrtSampler(counts, seed=seed)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5A3]))
+        for n in (1, 32, 0, 7, 1000):
+            got = sampler.draw_classes(n)
+            want = rng.choice(len(counts), size=n,
+                              p=sqrt_class_weights(counts))
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+
 
 class TestCorpus:
     def test_clean_sentences_contain_class_token(self):

@@ -105,6 +105,55 @@ class TestPairGradients:
 
 
 class TestTeacherPair:
+    @pytest.mark.parametrize("shapes", ["tiny", "reference"])
+    def test_unit_embeddings_give_the_similarity(self, shapes):
+        """Rows of the once-embedded teacher table multiply to exactly the
+        matrix `similarity` computes batch by batch."""
+        from vlltr.data import (SqrtSampler, gen_corpus, gen_pareto_counts,
+                                gen_synthetic)
+        from vlltr.pretrain import sample_paired_batch
+
+        if shapes == "tiny":
+            C, d_img, D, vocab, per_class, prompts, batch = 4, 6, 6, 64, 6, 4, 7
+            counts = [12, 9, 5, 3]
+        else:   # the default RunConfig
+            C, d_img, D, vocab, per_class, prompts, batch = (
+                20, 16, 16, 384, 100, 80, 32)
+            counts = gen_pareto_counts(C, 500, 5)
+        ds = gen_synthetic(C, counts, d_img, noise_sigma=0.25, seed=2,
+                           test_per_class=1)
+        corpus, _ = gen_corpus(C, per_class, prompts, vocab_size=vocab,
+                               noise_fraction=0.2, seed=2)
+        teacher = TeacherPair(CvlpModel(d_img, D, vocab, seed=11))
+        img, txt = teacher.unit_embeddings(ds.X.astype(np.float64),
+                                           corpus.all_tokens())
+        sampler, rng = SqrtSampler(ds.counts, seed=2), np.random.default_rng(3)
+        for _ in range(20):
+            b = sample_paired_batch(ds, corpus, sampler, rng, batch)
+            np.testing.assert_array_equal(
+                img[b.idx] @ txt[b.rows].T,
+                teacher.similarity(b.images, b.sequences))
+
+    @pytest.mark.parametrize("n", [2, 255, 256, 257, 512, 513, 600])
+    def test_unit_embeddings_match_one_pass(self, n):
+        """Embedding TEXT_CHUNK sentences at a time gives the rows of one
+        pass over all of them, including the one-row remainders of 257
+        and 513 sentences, which the last chunk takes over."""
+        from vlltr.data import gen_corpus
+        from vlltr.encoders import TEXT_CHUNK
+        from vlltr.tensor import unit_rows
+
+        assert TEXT_CHUNK == 256
+        corpus, _ = gen_corpus(4, 6, 4, vocab_size=64, noise_fraction=0.0,
+                               seed=1)
+        pool = corpus.all_tokens()
+        sentences = [pool[i % len(pool)] for i in range(n)]
+        teacher = TeacherPair(CvlpModel(6, 6, 64, seed=4))
+        images = np.random.default_rng(0).normal(size=(5, 6))
+        _, got = teacher.unit_embeddings(images, sentences)
+        want, _ = unit_rows(teacher._model.lin(sentences).data, "sentences")
+        np.testing.assert_array_equal(got, want)
+
     def test_snapshot_matches_student(self, tmp_path):
         model = tiny_model(seed=3)
         path = tmp_path / "t.ck"

@@ -1,9 +1,11 @@
 """The single-node losses, cosine similarity, text pooling and softmax,
 and the matmul forms of the LGR and KNN heads, against their
 composite-op oracles (composite_oracles.py): the value and every
-gradient must agree to 1e-10. Also checks that a forward and backward
-pass leaves no reference cycles behind, and that freeing its graph does
-not hand memory back to the OS only to fault it in again."""
+gradient must agree to 1e-10. The one-node visual encoder and the
+flat-buffer AdamW must agree with theirs bit for bit. Also checks that a
+forward and backward pass leaves no reference cycles behind, and that
+freeing its graph does not hand memory back to the OS only to fault it
+in again."""
 
 import gc
 import platform
@@ -14,10 +16,14 @@ import pytest
 
 import composite_oracles as oracle
 from vlltr import pretrain
-from vlltr.encoders import CvlpModel, LinguisticEncoder
+from vlltr.checkpoint import load_params
+from vlltr.data import SqrtSampler, gen_corpus, gen_synthetic
+from vlltr.encoders import CvlpModel, LinguisticEncoder, VisualEncoder
 from vlltr.gradsuite import LGR_PARAM_NAMES, lgr_params_from
 from vlltr.head import LgrParams, knn_forward, lgr_forward, rec_loss
-from vlltr.tensor import Tensor, cosine_sim_matrix, embedding_bag, softmax
+from vlltr.optim import AdamW, LrSchedule, cosine_lr
+from vlltr.tensor import (Tensor, cosine_sim_matrix, embedding_bag, matmul,
+                          parameter, softmax)
 
 TOL = 1e-10
 
@@ -160,6 +166,132 @@ class TestSoftmax:
     def test_is_one_node(self):
         x = Tensor(np.zeros((2, 3)), requires_grad=True)
         assert softmax(x, 1)._parents == (x,)
+
+
+class TestVisualEncoder:
+    @staticmethod
+    def value_and_grads(enc, encode, x, w):
+        for p in enc.params().values():
+            p.zero_grad()
+        out = encode(enc, x)
+        (out * w).sum().backward()
+        return [out.data] + [p.grad for p in enc.params().values()]
+
+    @pytest.mark.parametrize("n", [1, 32, 256])
+    def test_matches_composite_bitwise(self, n):
+        """Value and all four gradients, at the reference widths (16 in,
+        32 hidden, 16 out) and batch 1, 32 and 256."""
+        rng = np.random.default_rng(n)
+        enc = VisualEncoder(16, 16, rng)
+        enc.b1.data = rng.normal(size=enc.b1.shape)
+        enc.b2.data = rng.normal(size=enc.b2.shape)
+        x = rng.normal(size=(n, 16))
+        w = Tensor(rng.normal(size=(n, 16)))
+        got = self.value_and_grads(enc, VisualEncoder.__call__, x, w)
+        want = self.value_and_grads(enc, oracle.visual_encode, x, w)
+        for g, wanted in zip(got, want):
+            assert g.tobytes() == wanted.tobytes()
+
+    def test_is_one_node_over_the_weights(self):
+        enc = VisualEncoder(3, 2, np.random.default_rng(0))
+        assert enc(np.ones((4, 3)))._parents == (enc.w1, enc.b1, enc.w2,
+                                                 enc.b2)
+
+    def test_frozen_weights_get_no_gradient(self):
+        enc = VisualEncoder(3, 2, np.random.default_rng(0))
+        enc.b2.requires_grad = enc.w1.requires_grad = False
+        (enc(np.ones((4, 3))) * Tensor(np.ones((4, 2)))).sum().backward()
+        assert enc.w1.grad is None and enc.b2.grad is None
+        assert enc.b1.grad is not None and enc.w2.grad is not None
+
+
+class TestAdamW:
+    STEPS = 50
+
+    @staticmethod
+    def params(seed):
+        """Mixed shapes, a 0-d temperature and a parameter no loss uses,
+        whose gradient stays None."""
+        rng = np.random.default_rng(seed)
+        return {"w": parameter(rng.normal(size=(3, 4))),
+                "b": parameter(rng.normal(size=4)),
+                "tok": parameter(rng.normal(size=(5, 2))),
+                "tau": parameter(np.array(0.3)),
+                "idle": parameter(rng.normal(size=(2, 2)))}
+
+    @staticmethod
+    def loss(params, x, step):
+        """The token table is used on even steps only, so its gradient
+        is None on odd ones."""
+        h = (matmul(x, params["w"]) + params["b"]).tanh()
+        loss = (h * h).sum() / params["tau"]
+        if step % 2 == 0:
+            row = params["tok"][step % 5]
+            loss = loss + (row * row).sum() * params["tau"]
+        return loss
+
+    def trajectory(self, make_opt, clip, weight_decay):
+        params = self.params(0)
+        opt = make_opt(params, 0.05, weight_decay=weight_decay)
+        sched = LrSchedule(0.05, 0.0, self.STEPS)
+        rng = np.random.default_rng(1)
+        states = []
+        for step in range(self.STEPS):
+            if step == self.STEPS // 2:   # a checkpoint load mid-run
+                load_params(params, {k: p.data * 0.5 + 0.1
+                                     for k, p in params.items()})
+            opt.zero_grad()
+            self.loss(params, rng.normal(size=(6, 3)), step).backward()
+            opt.step(lr=cosine_lr(sched, step))
+            clip(params["tau"])
+            states.append({k: p.data.tobytes() for k, p in params.items()})
+        return states
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_trajectory_matches_per_tensor_oracle_bitwise(self,
+                                                          weight_decay):
+        def clip_in_place(tau):
+            np.clip(tau.data, 0.01, 1.0, out=tau.data)
+
+        def clip_rebind(tau):
+            tau.data = np.clip(tau.data, 0.01, 1.0)
+
+        got = self.trajectory(AdamW, clip_in_place, weight_decay)
+        want = self.trajectory(oracle.AdamW, clip_rebind, weight_decay)
+        for step, (g, w) in enumerate(zip(got, want)):
+            assert g == w, f"step {step}"
+
+    def test_parameters_are_views_of_one_buffer(self):
+        params = self.params(2)
+        before = {k: p.data.copy() for k, p in params.items()}
+        AdamW(params, 0.1)
+        bases = {id(p.data.base) for p in params.values()}
+        assert len(bases) == 1
+        for k, p in params.items():
+            np.testing.assert_array_equal(p.data, before[k])
+
+
+def test_lam_one_pretrain_graph_has_fourteen_nodes():
+    """Four visual weights and one encoder node, the text encoder's
+    table, bag, projection, product, bias and sum, the cosine matrix,
+    the temperature and the loss."""
+    ds = gen_synthetic(3, [5, 4, 3], d_img=6, noise_sigma=0.2, seed=0,
+                       test_per_class=1)
+    corpus, _ = gen_corpus(3, 4, 2, vocab_size=48, noise_fraction=0.0,
+                           seed=0)
+    model = CvlpModel(6, 6, 48, seed=0)
+    batch = pretrain.sample_paired_batch(ds, corpus, SqrtSampler(ds.counts, 0),
+                                         np.random.default_rng(0), 5)
+    loss, _, _ = pretrain.pretrain_loss(
+        model.similarity(batch.images, batch.sequences), None, batch.labels,
+        model.tau, 1.0, 1.0)
+    seen, todo = set(), [loss]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(node._parents)
+    assert len(seen) == 14
 
 
 # (N, C, M, D): one image, one class, one anchor, and the reference shapes

@@ -13,6 +13,7 @@ from vlltr.head import (
     HEADS,
     FcParams,
     FinetuneConfig,
+    Head,
     HeadOutput,
     LgrParams,
     classify_dataset,
@@ -21,7 +22,6 @@ from vlltr.head import (
     knn_forward,
     lgr_forward,
     load_anchor_embeddings,
-    predict,
     rec_loss,
     run_finetune,
     save_anchor_embeddings,
@@ -125,8 +125,9 @@ class TestLgrForward:
         full = lgr_forward(x, anchors, params)
         for i in range(3):
             solo = lgr_forward(x[i], anchors, params)
-            np.testing.assert_allclose(full.P.data[i], solo.P.data[0],
-                                       atol=1e-12)
+            np.testing.assert_allclose(
+                full.P_I.data[i] + full.P_T.data[i],
+                solo.P_I.data[0] + solo.P_T.data[0], atol=1e-12)
 
     def test_mlp_bias_shift_invariance(self):
         rng = np.random.default_rng(5)
@@ -176,20 +177,31 @@ class TestRecLossAndPredict:
         assert float(rec_loss(out, np.array([0, 3])).data) == \
             pytest.approx(2 * np.log(C), abs=1e-12)
 
-    def test_predict_sums_paths(self):
+    @staticmethod
+    def classify_fixed(monkeypatch, p_i, p_t):
+        """`classify_dataset` under a head whose paths are fixed rows:
+        the labels are the argmax of P_I + P_T."""
+        monkeypatch.setitem(HEADS, "fixed", Head(
+            params=None,
+            paths=lambda emb, anchor_emb, params: (as_tensor(p_i),
+                                                   as_tensor(p_t))))
+        labels, logged_i, logged_t = classify_dataset(
+            np.ones((1, 2)), as_tensor, "fixed", None, None)
+        np.testing.assert_array_equal(logged_i, p_i[0, labels])
+        np.testing.assert_array_equal(logged_t, p_t[0, labels])
+        return labels.tolist()
+
+    def test_predict_sums_paths(self, monkeypatch):
         p_i = np.array([[0.0, 0.0, 1.0]])
         p_t = np.array([[1 / 3, 1 / 3, 1 / 3]])
-        out = HeadOutput(P_I=as_tensor(p_i), P_T=as_tensor(p_t),
-                         attention=as_tensor(np.ones((1, 3, 1))),
-                         G=as_tensor(np.ones((1, 3, 2))))
-        assert predict(out).tolist() == [2]
+        assert self.classify_fixed(monkeypatch, p_i, p_t) == [2]
+        # the text path alone can outweigh the image path
+        assert self.classify_fixed(monkeypatch, np.array([[0.5, 0.4, 0.1]]),
+                                   np.array([[0.0, 0.3, 0.7]])) == [2]
 
-    def test_predict_tie_goes_to_smaller_id(self):
+    def test_predict_tie_goes_to_smaller_id(self, monkeypatch):
         p = np.array([[0.4, 0.4, 0.2]])
-        out = HeadOutput(P_I=as_tensor(p), P_T=as_tensor(p),
-                         attention=as_tensor(np.ones((1, 3, 1))),
-                         G=as_tensor(np.ones((1, 3, 2))))
-        assert predict(out).tolist() == [0]
+        assert self.classify_fixed(monkeypatch, p, p) == [0]
 
 
 class TestBaselineHeads:
@@ -418,9 +430,7 @@ def test_inference_head_reproduces_predictions(head, mini_cfg, mini_run,
 
     rows = [line.split("\t") for line in
             pipeline.artifact(work, "predictions").read_text().splitlines()]
-    # numpy 2 writes a float64 repr as "np.float64(x)"
-    logged = np.array([[float(v.removeprefix("np.float64(").rstrip(")"))
-                        for v in row[2:]] for row in rows])
+    logged = np.array([[float(v) for v in row[2:]] for row in rows])
     dataset = load_dataset(pipeline.artifact(work, "dataset"))
     vis, head_params, _ = pipeline.load_inference_head(cfg, work)
     emb, _ = load_anchor_embeddings(pipeline.artifact(work, "cache"))
@@ -432,3 +442,18 @@ def test_inference_head_reproduces_predictions(head, mini_cfg, mini_run,
     np.testing.assert_array_equal(p_t, logged[:, 2])
     assert (head == "fc") == bool(np.all(p_t == 0.0))
     assert (head == "knn") == bool(np.all(p_i == 0.0))
+
+
+def test_predictions_fields_parse(mini_run):
+    """Every row of `predictions.tsv` is index, true label and predicted
+    label as ints, then both path probabilities as floats in [0, 1]."""
+    from vlltr import pipeline
+
+    _, run_dir, report = mini_run
+    rows = [line.split("\t") for line in
+            pipeline.artifact(run_dir, "predictions").read_text().splitlines()]
+    assert len(rows) == report.total
+    for i, row in enumerate(rows):
+        assert len(row) == 5
+        assert int(row[0]) == i and int(row[1]) >= 0 and int(row[2]) >= 0
+        assert all(0.0 <= float(v) <= 1.0 for v in row[3:])

@@ -76,3 +76,27 @@ class TestAdamW:
         with pytest.raises(ShapeMismatch) as exc:
             opt.step()
         assert "w_bad" in str(exc.value)
+
+    def test_same_tensor_under_two_names_rejected(self):
+        p = parameter(np.ones(3))
+        with pytest.raises(ValidationError) as exc:
+            AdamW({"vis.w": p, "alias": p}, base_lr=0.1)
+        assert "vis.w" in str(exc.value) and "alias" in str(exc.value)
+
+    def test_replaced_data_is_stepped_and_rebound(self):
+        p = parameter(np.array([1.0, 2.0]))
+        opt = AdamW({"p": p}, base_lr=0.1, weight_decay=0.5)
+        p.data = np.array([4.0, 8.0])
+        opt.step()
+        np.testing.assert_array_equal(p.data, [4.0 * 0.95, 8.0 * 0.95])
+        view = p.data
+        opt.step()
+        assert p.data is view
+
+    def test_replaced_data_of_another_shape_names_param(self):
+        p = parameter(np.zeros((2, 2)))
+        opt = AdamW({"w_bad": p}, base_lr=0.1)
+        p.data = np.zeros(3)
+        with pytest.raises(ShapeMismatch) as exc:
+            opt.step()
+        assert "w_bad" in str(exc.value)

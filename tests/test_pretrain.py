@@ -203,13 +203,30 @@ class TestSamplePairedBatch:
                    for _ in range(3)]
         sampler = SqrtSampler(ds.counts, seed=4)
         ref_rng = np.random.default_rng(9)
-        for _, sequences, labels in batches:
-            np.testing.assert_array_equal(labels, ds.y[sampler.draw(7)])
-            for c, seq in zip(labels, sequences):
+        for batch in batches:
+            np.testing.assert_array_equal(batch.labels,
+                                          ds.y[sampler.draw(7)])
+            for c, seq in zip(batch.labels, batch.sequences):
                 options = corpus.for_class(int(c))
                 want = options[int(ref_rng.integers(len(options)))].tokens
                 assert seq.tolist() == want.tolist()
         assert rng.random() == ref_rng.random()
+
+    def test_rows_locate_the_batch(self):
+        """`idx` are the images' dataset rows and `rows` the sentences'
+        rows of `corpus.all_tokens()`."""
+        ds, corpus, _ = tiny_setup(seed=5)
+        sampler, rng = SqrtSampler(ds.counts, seed=5), np.random.default_rng(2)
+        everything = corpus.all_tokens()
+        starts = corpus.row_offsets()
+        for _ in range(4):
+            batch = sample_paired_batch(ds, corpus, sampler, rng, 9)
+            np.testing.assert_array_equal(batch.images,
+                                          ds.X[batch.idx].astype(np.float64))
+            np.testing.assert_array_equal(batch.labels, ds.y[batch.idx])
+            for c, r, seq in zip(batch.labels, batch.rows, batch.sequences):
+                assert starts[c] <= r < starts[c + 1]
+                assert everything[r] is seq
 
 
 class TestRunPretrain:
