@@ -8,11 +8,16 @@ value finite and the format uniform.
 `read_checkpoint` records every section name it materializes in
 `section_load_log` so tests can assert which parameters an inference
 path actually touched.
+
+`read_exact` and `unpack` bound every read of a binary artifact (this
+container, the dataset, the anchor cache) by the bytes left in the file.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import os
 import struct
 
 import numpy as np
@@ -42,6 +47,27 @@ def file_sha256(path) -> bytes:
     return h.digest()
 
 
+def _require(f, n: int, path, what: str):
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise ValidationError(
+            f"{path}: truncated file: {what} needs {n} bytes, {left} left")
+
+
+def read_exact(f, n: int, path, what: str) -> bytes:
+    """The next `n` bytes of binary file `f`, checked against the bytes
+    left before reading, so a corrupt count never sizes an allocation. A
+    short file is a ValidationError naming `path` and the field `what`."""
+    _require(f, n, path, what)
+    return f.read(n)
+
+
+def unpack(f, fmt: str, path, what: str) -> tuple:
+    """`struct.unpack(fmt, ...)` over the next bytes of `f`, read with
+    `read_exact`."""
+    return struct.unpack(fmt, read_exact(f, struct.calcsize(fmt), path, what))
+
+
 def write_checkpoint(path, sections: dict[str, np.ndarray]):
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
@@ -66,19 +92,25 @@ def read_checkpoint(path, names=None) -> dict[str, np.ndarray]:
     with open(path, "rb") as f:
         if f.read(4) != CHECKPOINT_MAGIC:
             raise ValidationError(f"{path}: not a checkpoint file (bad magic)")
-        version, count = struct.unpack("<II", f.read(8))
+        version, count = unpack(f, "<II", path, "header")
         if version != CHECKPOINT_VERSION:
             raise ValidationError(f"{path}: unsupported version {version}")
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", f.read(4))
-            name = f.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-            nbytes = int(np.prod(shape, dtype=np.int64)) * 8
+            (name_len,) = unpack(f, "<I", path, "section name length")
+            try:
+                name = read_exact(f, name_len, path, "section name").decode()
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"{path}: bad section name") from exc
+            (ndim,) = unpack(f, "<I", path, f"section '{name}' rank")
+            shape = unpack(f, f"<{ndim}I", path, f"section '{name}' shape")
+            nbytes = 8 * math.prod(shape)
             if names is not None and not names(name):
+                _require(f, nbytes, path, f"section '{name}'")
                 f.seek(nbytes, 1)
                 continue
-            arr = np.frombuffer(f.read(nbytes), dtype="<f8").reshape(shape)
+            arr = np.frombuffer(
+                read_exact(f, nbytes, path, f"section '{name}'"),
+                dtype="<f8").reshape(shape)
             out[name] = arr.copy()
             section_load_log.append((str(path), name))
     return out

@@ -11,9 +11,11 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from .checkpoint import read_exact, unpack
 from .errors import ValidationError
 
 DATASET_MAGIC = b"VLLT"
@@ -204,6 +206,65 @@ def token_array(tokens) -> np.ndarray:
     return arr
 
 
+class TokenTable(NamedTuple):
+    """Sentences as one flat int64 token array: row r is
+    ids[offsets[r]:offsets[r] + lengths[r]]. Rows are grouped by class,
+    class c owning the class_sizes[c] rows from class_starts[c]. Every
+    row is non-empty and at most `max_tokens` long."""
+    ids: np.ndarray
+    offsets: np.ndarray
+    lengths: np.ndarray
+    class_starts: np.ndarray
+    class_sizes: np.ndarray
+    max_tokens: int
+
+    def take(self, rows) -> TokenTable:
+        """Rows `rows` in that order, as a one-class table of their own."""
+        lengths = self.lengths[rows]
+        ends = np.cumsum(lengths)
+        offsets = ends - lengths
+        total = int(ends[-1]) if len(ends) else 0
+        # each output token's position in `ids`: its row's source offset
+        # plus its position within the output
+        src = np.repeat(self.offsets[rows] - offsets, lengths) \
+            + np.arange(total)
+        return TokenTable(self.ids[src], offsets, lengths,
+                          np.zeros(1, dtype=np.int64),
+                          np.array([len(lengths)]), self.max_tokens)
+
+    def sequences(self) -> list:
+        """One token array (a view of `ids`) per row."""
+        return [self.ids[o:o + n]
+                for o, n in zip(self.offsets.tolist(), self.lengths.tolist())]
+
+
+def token_table(sequences, max_tokens: int, class_sizes=None) -> TokenTable:
+    """The table of a list of token sequences, in order, under
+    `class_sizes` (default: all rows one class). An empty sequence or one
+    over `max_tokens` is a ValidationError naming its index. A TokenTable
+    already checked at `max_tokens` or below is returned as it is."""
+    if isinstance(sequences, TokenTable):
+        if sequences.max_tokens <= max_tokens:
+            return sequences
+        sequences = sequences.sequences()
+    seqs = [np.asarray(seq, dtype=np.int64) for seq in sequences]
+    lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
+    bad = np.flatnonzero((lengths == 0) | (lengths > max_tokens))
+    if bad.size:
+        i = int(bad[0])
+        if lengths[i] == 0:
+            raise ValidationError(f"LinguisticEncoder: empty sequence {i}")
+        raise ValidationError(
+            f"LinguisticEncoder: sequence {i} has {lengths[i]} tokens, "
+            f"limit is {max_tokens}; truncate explicitly if intended"
+        )
+    sizes = np.array([len(seqs)] if class_sizes is None else class_sizes,
+                     dtype=np.int64)
+    ids = np.concatenate(seqs) if seqs else np.zeros(0, dtype=np.int64)
+    return TokenTable(ids, np.cumsum(lengths) - lengths, lengths,
+                      np.cumsum(sizes) - sizes, sizes, max_tokens)
+
+
 @dataclass
 class ClassCorpus:
     C: int
@@ -223,6 +284,12 @@ class ClassCorpus:
     def all_tokens(self) -> list:
         """Every sentence's tokens, class by class in id order."""
         return [s.tokens for sentences in self.sentences for s in sentences]
+
+    def token_table(self) -> TokenTable:
+        """`all_tokens` as one table with the corpus's class rows, checked
+        against its `max_tokens`."""
+        return token_table(self.all_tokens(), self.max_tokens,
+                           [len(s) for s in self.sentences])
 
 
 @dataclass
@@ -347,21 +414,25 @@ def save_dataset(path, ds: LongTailDataset):
 
 
 def load_dataset(path) -> LongTailDataset:
+    """A dataset file; a short or truncated one is a ValidationError
+    naming `path`."""
     with open(path, "rb") as f:
         if f.read(4) != DATASET_MAGIC:
             raise ValidationError(f"{path}: not a dataset file (bad magic)")
-        version, C, d_img = struct.unpack("<III", f.read(12))
+        version, C, d_img = unpack(f, "<III", path, "header")
         if version != DATASET_VERSION:
             raise ValidationError(f"{path}: unsupported version {version}")
-        counts = list(struct.unpack(f"<{C}I", f.read(4 * C)))
+        counts = list(unpack(f, f"<{C}I", path, "class counts"))
         total = sum(counts)
-        X = np.frombuffer(f.read(total * d_img * 4), dtype="<f4")
-        X = X.reshape(total, d_img)
+        X = np.frombuffer(read_exact(f, total * d_img * 4, path, "images"),
+                          dtype="<f4").reshape(total, d_img)
         y = np.concatenate([np.full(n, c, dtype=np.int64)
                             for c, n in enumerate(counts)])
-        (test_per_class,) = struct.unpack("<I", f.read(4))
-        test_X = np.frombuffer(f.read(C * test_per_class * d_img * 4),
-                               dtype="<f4").reshape(C * test_per_class, d_img)
+        (test_per_class,) = unpack(f, "<I", path, "test header")
+        n_test = C * test_per_class
+        test_X = np.frombuffer(
+            read_exact(f, n_test * d_img * 4, path, "test images"),
+            dtype="<f4").reshape(n_test, d_img)
         test_y = np.concatenate([np.full(test_per_class, c, dtype=np.int64)
                                  for c in range(C)])
     return LongTailDataset(C=C, d_img=d_img, counts=counts, X=X, y=y,

@@ -7,9 +7,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import checkpoint as ckpt
-from .errors import ShapeMismatch, ValidationError
-from .tensor import (Tensor, cosine_sim_matrix, embedding_bag, matmul,
-                     parameter, unit_rows)
+from .data import token_table
+from .errors import ShapeMismatch
+from .tensor import Tensor, cosine_sim_matrix, parameter, unit_rows
 
 TAU_MIN, TAU_MAX = 0.01, 1.0
 TEXT_CHUNK = 256  # sentences per pass when the teacher embeds a corpus
@@ -76,21 +76,34 @@ class LinguisticEncoder:
                 prefix + "proj_b": self.proj_b}
 
     def __call__(self, sequences) -> Tensor:
-        seqs = [np.asarray(seq, dtype=np.int64) for seq in sequences]
-        lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
-        bad = np.flatnonzero((lengths == 0) | (lengths > self.max_tokens))
-        if bad.size:
-            i = int(bad[0])
-            if lengths[i] == 0:
-                raise ValidationError(f"LinguisticEncoder: empty sequence {i}")
-            raise ValidationError(
-                f"LinguisticEncoder: sequence {i} has {lengths[i]} tokens, "
-                f"limit is {self.max_tokens}; truncate explicitly if intended"
-            )
-        ids = np.concatenate(seqs) if seqs else np.zeros(0, dtype=np.int64)
-        offsets = np.cumsum(lengths) - lengths
-        pooled = embedding_bag(self.tok, ids, offsets)
-        return matmul(pooled, self.proj_w) + self.proj_b
+        """Mean-pool and project each sentence as one tape node.
+        `sequences` is a TokenTable or a list of token sequences, which is
+        built into one. With pooled rows p and upstream g, proj_b receives
+        sum(g), proj_w receives p^T g, and each token's row of tok
+        receives its sentence's row of (g proj_w^T) / length."""
+        bags = token_table(sequences, self.max_tokens)
+        ids, offsets, lengths = bags.ids, bags.offsets, bags.lengths
+        tok, proj_w, proj_b = self.tok, self.proj_w, self.proj_b
+        inv_len = (1.0 / lengths)[:, None]
+        pooled = np.add.reduceat(tok.data[ids], offsets, axis=0) * inv_len
+
+        def backward(g):
+            if proj_b.requires_grad:
+                proj_b._accumulate(g.sum(axis=0))
+            if proj_w.requires_grad:
+                proj_w._accumulate(pooled.T @ g)
+            if tok.requires_grad:
+                # over element offsets in the flattened table: a 1-D
+                # np.add.at is several times faster than one over rows
+                width = tok.shape[1]
+                flat_ids = (ids[:, None] * width + np.arange(width)).ravel()
+                tok.grad = np.ascontiguousarray(tok._grad_buffer())
+                np.add.at(tok.grad.reshape(-1), flat_ids,
+                          np.repeat((g @ proj_w.data.T) * inv_len, lengths,
+                                    axis=0).ravel())
+
+        return Tensor(pooled @ proj_w.data + proj_b.data,
+                      parents=(tok, proj_w, proj_b), backward=backward)
 
 
 class CvlpModel:
@@ -151,16 +164,19 @@ class TeacherPair:
         """(image rows, sentence rows) of the frozen pair, each scaled to
         unit length exactly as `cosine_sim_matrix` scales them, so that
         `img[i] @ txt[j].T` equals `similarity` on any two or more of the
-        images and sentences, bit for bit.
+        images and sentences, bit for bit. `sequences` is a TokenTable or
+        a list of token sequences.
 
         Sentences are embedded TEXT_CHUNK at a time, which bounds the
         (tokens, D) gather of the pooling; the last chunk takes over a
         one-row remainder, because numpy multiplies a single row through
         a matrix-vector kernel that rounds differently."""
+        lin = self._model.lin
         img, _ = unit_rows(self._model.vis(images).data, "images")
-        stops = list(range(TEXT_CHUNK, len(sequences) - 1, TEXT_CHUNK))
+        bags = token_table(sequences, lin.max_tokens)
+        n = len(bags.lengths)
+        stops = list(range(TEXT_CHUNK, n - 1, TEXT_CHUNK))
         txt, _ = unit_rows(np.concatenate(
-            [self._model.lin(sequences[a:b]).data
-             for a, b in zip([0] + stops, stops + [len(sequences)])]),
-            "sequences")
+            [lin(bags.take(np.arange(a, b))).data
+             for a, b in zip([0] + stops, stops + [n])]), "sequences")
         return img, txt

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .encoders import VisualEncoder
+from .encoders import LinguisticEncoder, VisualEncoder
 from .gradcheck import GradCheckReport, gradcheck
 from .head import LgrParams, lgr_forward, rec_loss
 from .pretrain import ccl_loss, distill_loss, pretrain_loss
-from .tensor import (Tensor, cosine_sim_matrix, cross_entropy, embedding_bag,
-                     layer_norm, matmul, softmax)
+from .tensor import (Tensor, cosine_sim_matrix, cross_entropy, layer_norm,
+                     matmul, softmax)
 
 LGR_PARAM_NAMES = ("q_w", "q_b", "q_ln_g", "q_ln_b",
                    "k_w", "k_b", "k_ln_g", "k_ln_b",
@@ -83,15 +83,21 @@ def default_suite(seed: int = 0, instances: int = 3):
         lambda z: cross_entropy(softmax(z, 1), y_ce),
         [rng.normal(size=(2, 3))])))
 
-    def bag():
-        # bags of lengths 2, 1, 3; row 3 repeats within and across bags
-        ids, offsets = np.array([3, 0, 3, 1, 2, 3]), np.array([0, 2, 3])
-        w_bag = Tensor(rng.normal(size=(3, 2)))
-        return gradcheck(
-            lambda t: (embedding_bag(t, ids, offsets) * w_bag).sum(),
-            [rng.normal(size=(5, 2))])
+    def linguistic_encoder():
+        # sentences of lengths 2, 1 and 3; token 3 repeats within and
+        # across sentences, token 4 is in none
+        enc = LinguisticEncoder(5, 2, rng)
+        seqs = [[3, 0], [3], [1, 2, 3]]
+        w_lin = Tensor(rng.normal(size=(3, 2)))
 
-    suite.append(("embedding_bag", bag))
+        def f(tok, proj_w, proj_b):
+            enc.tok, enc.proj_w, enc.proj_b = tok, proj_w, proj_b
+            return (enc(seqs) * w_lin).sum()
+
+        return gradcheck(f, [enc.tok.data, enc.proj_w.data,
+                             rng.normal(size=2)])
+
+    suite.append(("linguistic_encoder", linguistic_encoder))
 
     def visual_encoder():
         enc = VisualEncoder(4, 2, rng, hidden=3)

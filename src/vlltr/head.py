@@ -243,14 +243,17 @@ def save_anchor_embeddings(path, embeddings: np.ndarray,
 
 
 def load_anchor_embeddings(path):
+    """(the (C, M, D) block, the checkpoint hash it records); a short or
+    truncated file is a ValidationError naming `path`."""
     with open(path, "rb") as f:
         if f.read(4) != CACHE_MAGIC:
             raise ValidationError(f"{path}: not an anchor cache (bad magic)")
-        version, C, M, D = struct.unpack("<IIII", f.read(16))
+        version, C, M, D = ckpt.unpack(f, "<IIII", path, "header")
         if version != CACHE_VERSION:
             raise ValidationError(f"{path}: unsupported version {version}")
-        ckpt_hash = f.read(32)
-        emb = np.frombuffer(f.read(C * M * D * 8), dtype="<f8")
+        ckpt_hash = ckpt.read_exact(f, 32, path, "checkpoint hash")
+        emb = np.frombuffer(
+            ckpt.read_exact(f, C * M * D * 8, path, "embeddings"), dtype="<f8")
     return emb.reshape(C, M, D).copy(), ckpt_hash
 
 

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import ClassCorpus, LongTailDataset, SqrtSampler
+from .data import ClassCorpus, LongTailDataset, SqrtSampler, TokenTable
 from .encoders import CvlpModel, TeacherPair
 from .errors import NumericError, ShapeMismatch, ValidationError
 from .optim import AdamW, LrSchedule, cosine_lr
@@ -104,18 +104,18 @@ def _teacher_matrix(S: Tensor, S_teacher) -> np.ndarray:
 
 def _distill_term(logits: _Logits, St: np.ndarray, tau_teacher: float):
     """(value, G) of L_dis, with G =
-    (w_text * (row softmax - I) + w_img * (column softmax - I)) / n."""
+    (w_text * (row softmax - I) + w_img * (column softmax - I)) / n,
+    where w_text and w_img are the diagonals of the teacher's row and
+    column softmaxes."""
     n = St.shape[0]
     idx = np.arange(n)
+    z = St / tau_teacher
 
-    def diag_softmax(mat, t, axis):
-        z = mat / t
-        z = z - z.max(axis=axis, keepdims=True)
-        e = np.exp(z)
-        return (e / e.sum(axis=axis, keepdims=True))[idx, idx]
+    def diag_softmax(axis):
+        e = np.exp(z - z.max(axis=axis, keepdims=True))
+        return e[idx, idx] / e.sum(axis=axis)
 
-    w_text = diag_softmax(St, tau_teacher, axis=1)
-    w_img = diag_softmax(St, tau_teacher, axis=0)
+    w_text, w_img = diag_softmax(1), diag_softmax(0)
     value = (-(w_text * logits.log_p_row[idx, idx]).mean()
              - (w_img * logits.log_p_col[idx, idx]).mean())
     G = w_text[:, None] * logits.p_row + w_img[None, :] * logits.p_col
@@ -177,26 +177,30 @@ def pretrain_loss(S: Tensor, S_teacher, labels, tau, tau_teacher: float,
 
 class PairedBatch(NamedTuple):
     images: np.ndarray     # (n, d_img) float64
-    sequences: list        # one same-class sentence's tokens per image
+    bags: TokenTable       # one same-class sentence per image
     labels: np.ndarray
     idx: np.ndarray        # the images' rows of the dataset
-    rows: np.ndarray       # the sentences' rows of `corpus.all_tokens()`
+    rows: np.ndarray       # the sentences' rows of the corpus table
+
+    @property
+    def sequences(self) -> list:
+        """One token array per image."""
+        return self.bags.sequences()
 
 
-def sample_paired_batch(dataset: LongTailDataset, corpus: ClassCorpus,
+def sample_paired_batch(dataset: LongTailDataset, table: TokenTable,
                         sampler: SqrtSampler, rng: np.random.Generator,
                         batch_size: int) -> PairedBatch:
-    """Square-root sampled images plus one fresh same-class sentence each."""
+    """Square-root sampled images plus one fresh same-class sentence
+    each, drawn from `table`, a corpus's `token_table()`."""
     idx = sampler.draw(batch_size)
     labels = dataset.y[idx]
-    starts = corpus.row_offsets()
     # one draw per image, in batch order: the same stream as drawing
     # rng.integers(len(options)) image by image
-    picks = rng.integers(np.diff(starts)[labels])
-    sequences = [corpus.for_class(c)[k].tokens
-                 for c, k in zip(labels.tolist(), picks.tolist())]
-    return PairedBatch(dataset.X[idx].astype(np.float64), sequences, labels,
-                       idx, starts[labels] + picks)
+    rows = table.class_starts[labels] \
+        + rng.integers(table.class_sizes[labels])
+    return PairedBatch(dataset.X[idx].astype(np.float64), table.take(rows),
+                       labels, idx, rows)
 
 
 def run_pretrain(dataset: LongTailDataset, corpus: ClassCorpus,
@@ -217,18 +221,18 @@ def run_pretrain(dataset: LongTailDataset, corpus: ClassCorpus,
     opt = AdamW(model.params(), cfg.base_lr, weight_decay=cfg.weight_decay)
     sampler = SqrtSampler(dataset.counts, seed=cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x9E7]))
+    table = corpus.token_table()
     distill = cfg.lam < 1.0
     if distill:
-        teacher_img, teacher_txt = teacher.unit_embeddings(
-            dataset.X, corpus.all_tokens())
+        teacher_img, teacher_txt = teacher.unit_embeddings(dataset.X, table)
     tau_teacher = teacher.tau if distill else 1.0
     trace = []
     step = 0
     for epoch in range(cfg.epochs):
         for _ in range(steps_per_epoch):
-            batch = sample_paired_batch(dataset, corpus, sampler, rng,
+            batch = sample_paired_batch(dataset, table, sampler, rng,
                                         cfg.batch_size)
-            S = model.similarity(batch.images, batch.sequences)
+            S = model.similarity(batch.images, batch.bags)
             S_teacher = (teacher_img[batch.idx] @ teacher_txt[batch.rows].T
                          if distill else None)
             loss, l_ccl, l_dis = pretrain_loss(

@@ -196,9 +196,6 @@ class Tensor:
         out._backward = backward
         return out
 
-    def sqrt(self):
-        return self ** 0.5
-
     def tanh(self):
         out_data = np.tanh(self.data)
         out = Tensor(out_data, parents=(self,))
@@ -430,33 +427,6 @@ def cosine_sim_matrix(a: Tensor, b: Tensor) -> Tensor:
             unit_rows_backward(b, nb, inv_b, g.T @ na)
 
     return Tensor(na @ nb.T, parents=(a, b), backward=backward)
-
-
-def embedding_bag(table: Tensor, ids: np.ndarray, offsets: np.ndarray) -> Tensor:
-    """Mean of `table` rows over each bag of `ids`, as one tape node.
-
-    Bag i is ids[offsets[i]:offsets[i + 1]] (the last runs to the end);
-    every bag must be non-empty. The backward pass scatter-adds into the
-    table rows the bags touched, not the whole table.
-    """
-    ids = np.asarray(ids, dtype=np.int64)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    lengths = np.diff(offsets, append=len(ids))
-    inv_len = (1.0 / lengths)[:, None]
-    out_data = np.add.reduceat(table.data[ids], offsets, axis=0) * inv_len
-
-    def backward(g):
-        if not table.requires_grad:
-            return
-        # over element offsets in the flattened table: a 1-D np.add.at is
-        # several times faster than one over rows
-        width = table.shape[1]
-        flat_ids = (ids[:, None] * width + np.arange(width)).ravel()
-        table.grad = np.ascontiguousarray(table._grad_buffer())
-        np.add.at(table.grad.reshape(-1), flat_ids,
-                  np.repeat(g * inv_len, lengths, axis=0).ravel())
-
-    return Tensor(out_data, parents=(table,), backward=backward)
 
 
 def cross_entropy(p: Tensor, y) -> Tensor:

@@ -1,9 +1,9 @@
 """Composite-op versions of the fused tape nodes, kept as oracles.
 
 These build the losses, the cosine similarity, the text pooling, the
-softmax and the visual encoder out of elementwise tape ops, one node per
-op, the LGR and KNN heads out of einsum contractions, and AdamW as one
-update per parameter tensor, exactly as the package did before those
+softmax and the text and visual encoders out of elementwise tape ops and
+the bag pool, one node per op, the LGR and KNN heads out of einsum
+contractions, and AdamW as one update per parameter tensor, exactly as the package did before those
 paths became single nodes, BLAS matmuls and one flat buffer. Values and
 gradients of the package versions are checked against them in
 test_fused_ops.py.
@@ -79,6 +79,43 @@ def linguistic_encode(enc, sequences):
         pool[i, start:start + length] = 1.0 / length
     gathered = enc.tok[np.array(flat, dtype=np.int64)]
     return matmul(matmul(Tensor(pool), gathered), enc.proj_w) + enc.proj_b
+
+
+def embedding_bag(table, ids, offsets):
+    """Mean of `table` rows over each bag of `ids`, as one tape node.
+
+    Bag i is ids[offsets[i]:offsets[i + 1]] (the last runs to the end);
+    every bag must be non-empty. The backward pass scatter-adds into the
+    table rows the bags touched, not the whole table.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    lengths = np.diff(offsets, append=len(ids))
+    inv_len = (1.0 / lengths)[:, None]
+    out_data = np.add.reduceat(table.data[ids], offsets, axis=0) * inv_len
+
+    def backward(g):
+        if not table.requires_grad:
+            return
+        # over element offsets in the flattened table: a 1-D np.add.at is
+        # several times faster than one over rows
+        width = table.shape[1]
+        flat_ids = (ids[:, None] * width + np.arange(width)).ravel()
+        table.grad = np.ascontiguousarray(table._grad_buffer())
+        np.add.at(table.grad.reshape(-1), flat_ids,
+                  np.repeat(g * inv_len, lengths, axis=0).ravel())
+
+    return Tensor(out_data, parents=(table,), backward=backward)
+
+
+def bag_encode(enc, sequences):
+    """`LinguisticEncoder.__call__` as three tape nodes: the bag pool,
+    the projection product and the bias add (no input checks)."""
+    seqs = [np.asarray(seq, dtype=np.int64) for seq in sequences]
+    lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
+    pooled = embedding_bag(enc.tok, np.concatenate(seqs),
+                           np.cumsum(lengths) - lengths)
+    return matmul(pooled, enc.proj_w) + enc.proj_b
 
 
 def softmax(x, axis):

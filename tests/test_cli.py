@@ -178,6 +178,18 @@ class TestPipelineCommands:
                          "--out", str(work)]) == 2
         assert "anchors.tsv:4:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["dataset.bin", "anchor_cache.vlae",
+                                      "final.ck"])
+    def test_truncated_binary_exits_two(self, cfg_file, cli_run, tmp_path,
+                                        capsys, name):
+        work = tmp_path / "copy"
+        shutil.copytree(cli_run, work)
+        path = work / name
+        path.write_bytes(path.read_bytes()[:-1])
+        assert cli.main(["eval", "--config", str(cfg_file),
+                         "--out", str(work)]) == 2
+        assert f"{path}: truncated file" in capsys.readouterr().err
+
     def test_retrieve(self, cfg_file, cli_run, capsys):
         from vlltr.data import load_corpus
 

@@ -294,6 +294,26 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("cut", ["header", "counts", "payload",
+                                     "test_header", "one_short"])
+    def test_truncated_dataset_is_validation_error(self, tmp_path, cut):
+        """Cut inside the header, the class counts, the training images,
+        the test header, and one byte short of the end."""
+        ds = gen_synthetic(3, [5, 3, 2], d_img=4, noise_sigma=0.2, seed=0,
+                           test_per_class=2)
+        path = tmp_path / "d.bin"
+        save_dataset(path, ds)
+        data = path.read_bytes()
+        images_end = 16 + 4 * 3 + 10 * 4 * 4
+        keep = {"header": 10, "counts": 20, "payload": images_end - 60,
+                "test_header": images_end + 2,
+                "one_short": len(data) - 1}[cut]
+        path.write_bytes(data[:keep])
+        with pytest.raises(ValidationError) as exc:
+            load_dataset(path)
+        assert str(path) in str(exc.value)
+        assert "truncated" in str(exc.value)
+
     def test_corpus_round_trip(self, tmp_path):
         corpus, _ = gen_corpus(3, 6, 4, 96, 0.2, seed=0)
         path = tmp_path / "c.tsv"

@@ -125,11 +125,11 @@ class TestTeacherPair:
         corpus, _ = gen_corpus(C, per_class, prompts, vocab_size=vocab,
                                noise_fraction=0.2, seed=2)
         teacher = TeacherPair(CvlpModel(d_img, D, vocab, seed=11))
-        img, txt = teacher.unit_embeddings(ds.X.astype(np.float64),
-                                           corpus.all_tokens())
+        table = corpus.token_table()
+        img, txt = teacher.unit_embeddings(ds.X.astype(np.float64), table)
         sampler, rng = SqrtSampler(ds.counts, seed=2), np.random.default_rng(3)
         for _ in range(20):
-            b = sample_paired_batch(ds, corpus, sampler, rng, batch)
+            b = sample_paired_batch(ds, table, sampler, rng, batch)
             np.testing.assert_array_equal(
                 img[b.idx] @ txt[b.rows].T,
                 teacher.similarity(b.images, b.sequences))
@@ -236,6 +236,22 @@ class TestCheckpointing:
         path.write_bytes(b"XXXX" + b"\0" * 16)
         with pytest.raises(ValidationError):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize("keep", [6, 14, 20, 60, -1])
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_truncated_checkpoint_is_validation_error(self, tmp_path, keep,
+                                                      skip):
+        """Cut inside the header, the first section's name length, its
+        rank and its payload, and one byte short of the end, in a last
+        section that is read or skipped."""
+        path = tmp_path / "m.ck"
+        write_checkpoint(path, {"w": np.ones((2, 3)), "b": np.ones(4)})
+        path.write_bytes(path.read_bytes()[:keep])
+        names = (lambda n: n != "b") if skip else None
+        with pytest.raises(ValidationError) as exc:
+            read_checkpoint(path, names=names)
+        assert str(path) in str(exc.value)
+        assert "truncated" in str(exc.value)
 
     def test_section_filter_skips_names(self, tmp_path):
         path = tmp_path / "m.ck"

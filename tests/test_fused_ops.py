@@ -1,8 +1,8 @@
 """The single-node losses, cosine similarity, text pooling and softmax,
 and the matmul forms of the LGR and KNN heads, against their
 composite-op oracles (composite_oracles.py): the value and every
-gradient must agree to 1e-10. The one-node visual encoder and the
-flat-buffer AdamW must agree with theirs bit for bit. Also checks that a
+gradient must agree to 1e-10. The one-node text and visual encoders and
+the flat-buffer AdamW must agree with theirs bit for bit. Also checks that a
 forward and backward pass leaves no reference cycles behind, and that
 freeing its graph does not hand memory back to the OS only to fault it
 in again."""
@@ -17,13 +17,15 @@ import pytest
 import composite_oracles as oracle
 from vlltr import pretrain
 from vlltr.checkpoint import load_params
-from vlltr.data import SqrtSampler, gen_corpus, gen_synthetic
+from vlltr.data import (ClassCorpus, Sentence, SqrtSampler, gen_corpus,
+                        gen_synthetic, token_array, token_table)
 from vlltr.encoders import CvlpModel, LinguisticEncoder, VisualEncoder
+from vlltr.errors import ValidationError
 from vlltr.gradsuite import LGR_PARAM_NAMES, lgr_params_from
 from vlltr.head import LgrParams, knn_forward, lgr_forward, rec_loss
 from vlltr.optim import AdamW, LrSchedule, cosine_lr
-from vlltr.tensor import (Tensor, cosine_sim_matrix, embedding_bag, matmul,
-                          parameter, softmax)
+from vlltr.tensor import (Tensor, cosine_sim_matrix, matmul, parameter,
+                          softmax)
 
 TOL = 1e-10
 
@@ -52,6 +54,16 @@ def assert_same(fused, composite, arrays):
     assert abs(got - want) <= TOL
     for g, w in zip(got_grads, want_grads):
         np.testing.assert_allclose(g, w, rtol=0, atol=TOL)
+
+
+def encoder_value_and_grads(enc, encode, x, w):
+    """An encoder's output on `x` and each parameter's gradient of the
+    `w`-weighted sum of it."""
+    for p in enc.params().values():
+        p.zero_grad()
+    out = encode(enc, x)
+    (out * w).sum().backward()
+    return [out.data] + [p.grad for p in enc.params().values()]
 
 
 def loss_inputs(labels, seed=0):
@@ -139,10 +151,75 @@ class TestTextPooling:
                                        rtol=0, atol=TOL)
 
     def test_untouched_rows_get_zero_gradient(self):
-        table = Tensor(np.ones((6, 2)), requires_grad=True)
-        embedding_bag(table, [1, 4, 4], [0, 1]).sum().backward()
-        np.testing.assert_array_equal(table.grad[:, 0],
-                                      [0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+        enc = LinguisticEncoder(6, 2, np.random.default_rng(0))
+        enc([[1], [4, 4]]).sum().backward()
+        np.testing.assert_array_equal(
+            enc.tok.grad.any(axis=1), [False, True, False, False, True, False])
+
+    @pytest.mark.parametrize("case", ["one_row", "one_token_rows",
+                                      "max_tokens_rows", "rows32",
+                                      "rows256"])
+    def test_matches_bag_matmul_bias_bitwise(self, case):
+        """Value and all three gradients against the bag pool, product and
+        bias add of composite_oracles.bag_encode, at the reference widths
+        (vocab 384, D 16)."""
+        rng = np.random.default_rng(len(case))
+        enc = LinguisticEncoder(384, 16, rng, max_tokens=77)
+        enc.proj_b.data = rng.normal(size=16)
+        n, lengths = {"one_row": (1, [5]), "one_token_rows": (32, [1]),
+                      "max_tokens_rows": (4, [77]), "rows32": (32, None),
+                      "rows256": (256, None)}[case]
+        if lengths is None:
+            lengths = rng.integers(1, 12, size=n)
+        sequences = [rng.integers(384, size=int(lengths[i % len(lengths)]))
+                     for i in range(n)]
+        w = Tensor(rng.normal(size=(n, 16)))
+        got = encoder_value_and_grads(enc, LinguisticEncoder.__call__,
+                                      sequences, w)
+        want = encoder_value_and_grads(enc, oracle.bag_encode, sequences, w)
+        for g, wanted in zip(got, want):
+            assert g.tobytes() == wanted.tobytes()
+
+    def test_table_rows_encode_as_their_list(self):
+        """A corpus table and rows gathered from it give the bits of the
+        same sentences passed as a list."""
+        corpus, _ = gen_corpus(3, 5, 2, vocab_size=48, noise_fraction=0.2,
+                               seed=3)
+        enc = LinguisticEncoder(48, 6, np.random.default_rng(2))
+        table = corpus.token_table()
+        rows = np.array([7, 0, 20, 7, 3])
+        pool = corpus.all_tokens()
+        assert enc(table).data.tobytes() == enc(pool).data.tobytes()
+        assert enc(table.take(rows)).data.tobytes() == \
+            enc([pool[r] for r in rows]).data.tobytes()
+
+    @pytest.mark.parametrize("source", ["list", "corpus", "wider_table"])
+    def test_length_errors_keep_their_messages(self, source):
+        """From a list, from a corpus table, and from a table checked at a
+        larger limit than the encoder's."""
+        enc = LinguisticEncoder(10, 2, np.random.default_rng(0), max_tokens=4)
+        for bad, message in (
+                ([], "LinguisticEncoder: empty sequence 1"),
+                ([0, 2, 3, 4, 1], "LinguisticEncoder: sequence 1 has 5 "
+                 "tokens, limit is 4; truncate explicitly if intended")):
+            sequences = [[0, 1], bad, [0, 3, 1]]
+            with pytest.raises(ValidationError) as exc:
+                if source == "list":
+                    enc(sequences)
+                elif source == "corpus":
+                    ClassCorpus(C=1, vocab_size=10, max_tokens=4,
+                                sentences=[[Sentence(i, token_array(seq),
+                                                     "prompt")
+                                            for i, seq in enumerate(
+                                                sequences)]]).token_table()
+                else:
+                    enc(token_table(sequences, 77))
+            assert str(exc.value) == message
+
+    def test_is_one_node_over_the_weights(self):
+        enc = LinguisticEncoder(6, 2, np.random.default_rng(0))
+        assert enc([[1, 2], [3]])._parents == (enc.tok, enc.proj_w,
+                                                enc.proj_b)
 
 
 class TestSoftmax:
@@ -169,14 +246,6 @@ class TestSoftmax:
 
 
 class TestVisualEncoder:
-    @staticmethod
-    def value_and_grads(enc, encode, x, w):
-        for p in enc.params().values():
-            p.zero_grad()
-        out = encode(enc, x)
-        (out * w).sum().backward()
-        return [out.data] + [p.grad for p in enc.params().values()]
-
     @pytest.mark.parametrize("n", [1, 32, 256])
     def test_matches_composite_bitwise(self, n):
         """Value and all four gradients, at the reference widths (16 in,
@@ -187,8 +256,8 @@ class TestVisualEncoder:
         enc.b2.data = rng.normal(size=enc.b2.shape)
         x = rng.normal(size=(n, 16))
         w = Tensor(rng.normal(size=(n, 16)))
-        got = self.value_and_grads(enc, VisualEncoder.__call__, x, w)
-        want = self.value_and_grads(enc, oracle.visual_encode, x, w)
+        got = encoder_value_and_grads(enc, VisualEncoder.__call__, x, w)
+        want = encoder_value_and_grads(enc, oracle.visual_encode, x, w)
         for g, wanted in zip(got, want):
             assert g.tobytes() == wanted.tobytes()
 
@@ -271,19 +340,19 @@ class TestAdamW:
             np.testing.assert_array_equal(p.data, before[k])
 
 
-def test_lam_one_pretrain_graph_has_fourteen_nodes():
-    """Four visual weights and one encoder node, the text encoder's
-    table, bag, projection, product, bias and sum, the cosine matrix,
-    the temperature and the loss."""
+def test_lam_one_pretrain_graph_has_twelve_nodes():
+    """Four visual weights and one encoder node, three text weights and
+    one encoder node, the cosine matrix, the temperature and the loss."""
     ds = gen_synthetic(3, [5, 4, 3], d_img=6, noise_sigma=0.2, seed=0,
                        test_per_class=1)
     corpus, _ = gen_corpus(3, 4, 2, vocab_size=48, noise_fraction=0.0,
                            seed=0)
     model = CvlpModel(6, 6, 48, seed=0)
-    batch = pretrain.sample_paired_batch(ds, corpus, SqrtSampler(ds.counts, 0),
+    batch = pretrain.sample_paired_batch(ds, corpus.token_table(),
+                                         SqrtSampler(ds.counts, 0),
                                          np.random.default_rng(0), 5)
     loss, _, _ = pretrain.pretrain_loss(
-        model.similarity(batch.images, batch.sequences), None, batch.labels,
+        model.similarity(batch.images, batch.bags), None, batch.labels,
         model.tau, 1.0, 1.0)
     seen, todo = set(), [loss]
     while todo:
@@ -291,7 +360,7 @@ def test_lam_one_pretrain_graph_has_fourteen_nodes():
         if id(node) not in seen:
             seen.add(id(node))
             todo.extend(node._parents)
-    assert len(seen) == 14
+    assert len(seen) == 12
 
 
 # (N, C, M, D): one image, one class, one anchor, and the reference shapes

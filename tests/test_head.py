@@ -282,6 +282,19 @@ class TestAnchorEmbeddingCache:
             save_anchor_embeddings(tmp_path / "c.vlae", np.zeros((1, 1, 1)),
                                    b"short")
 
+    @pytest.mark.parametrize("keep", [10, 30, 4 + 16 + 32 + 100, -1])
+    def test_truncated_cache_is_validation_error(self, tmp_path, keep):
+        """Cut inside the header, inside the checkpoint hash, mid-payload,
+        and one byte short of the end."""
+        path = tmp_path / "cache.vlae"
+        save_anchor_embeddings(path, np.ones((3, 2, 5)),
+                               hashlib.sha256(b"model").digest())
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValidationError) as exc:
+            load_anchor_embeddings(path)
+        assert str(path) in str(exc.value)
+        assert "truncated" in str(exc.value)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.vlae"
         path.write_bytes(b"WRNG" + b"\0" * 60)

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from vlltr.data import SqrtSampler, gen_corpus, gen_synthetic
+from vlltr.data import ClassCorpus, SqrtSampler, gen_corpus, gen_synthetic
 from vlltr.encoders import CvlpModel, TeacherPair
 from vlltr.errors import NumericError, ShapeMismatch, ValidationError
+from vlltr.optim import AdamW, LrSchedule, cosine_lr
 from vlltr.pretrain import (
     PretrainConfig,
     ccl_loss,
@@ -199,7 +200,8 @@ class TestSamplePairedBatch:
         image, in batch order."""
         ds, corpus, _ = tiny_setup(seed=4)
         sampler, rng = SqrtSampler(ds.counts, seed=4), np.random.default_rng(9)
-        batches = [sample_paired_batch(ds, corpus, sampler, rng, 7)
+        table = corpus.token_table()
+        batches = [sample_paired_batch(ds, table, sampler, rng, 7)
                    for _ in range(3)]
         sampler = SqrtSampler(ds.counts, seed=4)
         ref_rng = np.random.default_rng(9)
@@ -214,22 +216,105 @@ class TestSamplePairedBatch:
 
     def test_rows_locate_the_batch(self):
         """`idx` are the images' dataset rows and `rows` the sentences'
-        rows of `corpus.all_tokens()`."""
+        rows of `corpus.all_tokens()`, and the batch's bags hold exactly
+        those sentences."""
         ds, corpus, _ = tiny_setup(seed=5)
         sampler, rng = SqrtSampler(ds.counts, seed=5), np.random.default_rng(2)
         everything = corpus.all_tokens()
         starts = corpus.row_offsets()
+        table = corpus.token_table()
         for _ in range(4):
-            batch = sample_paired_batch(ds, corpus, sampler, rng, 9)
+            batch = sample_paired_batch(ds, table, sampler, rng, 9)
             np.testing.assert_array_equal(batch.images,
                                           ds.X[batch.idx].astype(np.float64))
             np.testing.assert_array_equal(batch.labels, ds.y[batch.idx])
+            assert len(batch.sequences) == len(batch.rows) == 9
+            np.testing.assert_array_equal(
+                batch.bags.ids, np.concatenate([everything[r]
+                                                for r in batch.rows]))
             for c, r, seq in zip(batch.labels, batch.rows, batch.sequences):
                 assert starts[c] <= r < starts[c + 1]
-                assert everything[r] is seq
+                np.testing.assert_array_equal(seq, everything[r])
+
+
+def oracle_pretrain(dataset, corpus, model, teacher, cfg):
+    """`run_pretrain` fed a list of token arrays per batch, one sentence
+    drawn per image from `corpus.for_class`, with the teacher matrix
+    from `TeacherPair.similarity` on the same lists."""
+    steps_per_epoch = max(1, int(np.ceil(len(dataset.y) / cfg.batch_size)))
+    sched = LrSchedule(cfg.base_lr, 0.0, cfg.epochs * steps_per_epoch)
+    opt = AdamW(model.params(), cfg.base_lr, weight_decay=cfg.weight_decay)
+    sampler = SqrtSampler(dataset.counts, seed=cfg.seed)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x9E7]))
+    distill = cfg.lam < 1.0
+    tau_teacher = teacher.tau if distill else 1.0
+    trace, step = [], 0
+    for epoch in range(cfg.epochs):
+        for _ in range(steps_per_epoch):
+            idx = sampler.draw(cfg.batch_size)
+            images, labels = dataset.X[idx].astype(np.float64), dataset.y[idx]
+            sequences = []
+            for c in labels.tolist():
+                options = corpus.for_class(c)
+                sequences.append(options[int(rng.integers(len(options)))]
+                                 .tokens)
+            S = model.similarity(images, sequences)
+            S_teacher = (teacher.similarity(images, sequences)
+                         if distill else None)
+            loss, l_ccl, l_dis = pretrain_loss(
+                S, S_teacher, labels, model.tau, tau_teacher, cfg.lam)
+            opt.zero_grad()
+            loss.backward()
+            opt.step(lr=cosine_lr(sched, step))
+            model.clamp_tau()
+            trace.append((epoch, step, float(l_ccl.data),
+                          float(l_dis.data) if l_dis is not None else 0.0,
+                          float(loss.data), float(model.tau.data)))
+            step += 1
+    return trace
 
 
 class TestRunPretrain:
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    def test_matches_list_fed_oracle_loop(self, lam):
+        """24 steps: the trace and the final parameters, bit for bit."""
+        cfg = PretrainConfig(epochs=2, batch_size=4, base_lr=0.01, lam=lam,
+                             seed=6)
+        runs = []
+        for loop in (run_pretrain, oracle_pretrain):
+            ds, corpus, model = tiny_setup(seed=6)
+            teacher = TeacherPair(CvlpModel(6, 6, 64, seed=13))
+            runs.append((loop(ds, corpus, model, teacher, cfg),
+                         model.state()))
+        (trace, state), (want_trace, want_state) = runs
+        assert len(trace) == 24
+        np.testing.assert_array_equal(np.array(trace), np.array(want_trace))
+        for name, value in want_state.items():
+            np.testing.assert_array_equal(state[name], value)
+
+    def test_corpus_reads_do_not_grow_with_steps(self, monkeypatch):
+        """The corpus is read once per run into its token table, never
+        per step."""
+        calls = []
+        for name in ("row_offsets", "all_tokens", "for_class"):
+            method = getattr(ClassCorpus, name)
+
+            def counted(self, *args, _method=method, _name=name):
+                calls.append(_name)
+                return _method(self, *args)
+
+            monkeypatch.setattr(ClassCorpus, name, counted)
+        counts = []
+        for epochs in (1, 3):
+            ds, corpus, model = tiny_setup(seed=7)
+            teacher = TeacherPair(CvlpModel(6, 6, 64, seed=14))
+            calls.clear()
+            run_pretrain(ds, corpus, model, teacher,
+                         PretrainConfig(epochs=epochs, batch_size=4,
+                                        base_lr=0.01, lam=0.5, seed=7))
+            counts.append(sorted(calls))
+        assert counts[0] == counts[1]
+
     def test_zero_epochs_leaves_model(self):
         ds, corpus, model = tiny_setup()
         before = {k: v.copy() for k, v in model.state().items()}
