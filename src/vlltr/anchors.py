@@ -70,14 +70,6 @@ def _score_columns(pool: ProbePool, cls: int, text_emb: np.ndarray
     return -log_p[sl].mean(axis=0)
 
 
-def score_sentence(sentence_tokens, cls: int, pool: ProbePool,
-                   model: CvlpModel) -> float:
-    """Score one sentence against the probe pool (lower = more
-    discriminative for its class)."""
-    emb = model.lin([sentence_tokens]).data
-    return float(_score_columns(pool, cls, emb)[0])
-
-
 @dataclass
 class AnchorSet:
     mode: str

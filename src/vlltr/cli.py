@@ -97,10 +97,10 @@ def _cmd_ablate(cfg: RunConfig, out_dir: Path):
 
 
 def _cmd_retrieve(cfg: RunConfig, out_dir: Path, query: str, k: int):
-    from .data import load_dataset
+    from .data import load_dataset, parse_tokens
     dataset = load_dataset(pipeline.artifact(out_dir, "dataset"))
     model = pipeline.load_model(cfg, out_dir, "student")
-    tokens = [int(t) for t in query.split()]
+    tokens = parse_tokens(query, model.lin.vocab_size, "--query")
     ids = concept_retrieval(tokens, dataset.test_X, model, k)
     for rank, sample_id in enumerate(ids):
         print(f"{rank}\t{sample_id}\t{dataset.test_y[sample_id]}")

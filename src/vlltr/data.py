@@ -69,14 +69,6 @@ class LongTailDataset:
     test_y: np.ndarray
     prototypes: np.ndarray | None = None  # in-memory only, not serialized
 
-    @property
-    def n_max(self):
-        return max(self.counts)
-
-    @property
-    def n_min(self):
-        return min(self.counts)
-
     def class_slice(self, c: int) -> slice:
         start = int(np.sum(self.counts[:c]))
         return slice(start, start + self.counts[c])
@@ -206,6 +198,18 @@ def token_array(tokens) -> np.ndarray:
     return arr
 
 
+def parse_tokens(text: str, vocab_size: int, where: str) -> np.ndarray:
+    """Space-separated token ids as a token array. Anything but integers
+    in [0, vocab_size), or in [0, 2**63) when `vocab_size` is 0, is a
+    ValidationError naming `where`."""
+    limit, fields = vocab_size or 2 ** 63, text.split()
+    ids = [int(f) for f in fields] if all(map(str.isdecimal, fields)) else []
+    if len(ids) != len(fields) or ids and max(ids) >= limit:
+        raise ValidationError(
+            f"{where}: token ids must be integers in [0, {limit}), got {text!r}")
+    return token_array(ids)
+
+
 class TokenTable(NamedTuple):
     """Sentences as one flat int64 token array: row r is
     ids[offsets[r]:offsets[r] + lengths[r]]. Rows are grouped by class,
@@ -274,12 +278,6 @@ class ClassCorpus:
 
     def for_class(self, c: int) -> list:
         return self.sentences[c]
-
-    def row_offsets(self) -> np.ndarray:
-        """Start of each class's sentences in the class-major row order of
-        `all_tokens`, plus the total: C + 1 int64 values."""
-        sizes = [len(s) for s in self.sentences]
-        return np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
 
     def all_tokens(self) -> list:
         """Every sentence's tokens, class by class in id order."""
@@ -457,10 +455,13 @@ def load_corpus(path, vocab_size: int = 0, max_tokens: int = 77) -> ClassCorpus:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ValidationError(f"{path}:{lineno}: malformed record")
+            if not parts[0].isdecimal():
+                raise ValidationError(f"{path}:{lineno}: class must be an "
+                                      f"integer >= 0, got {parts[0]!r}")
             c, source = int(parts[0]), parts[1]
             if source not in (ENCYCLOPEDIA, PROMPT):
                 raise ValidationError(f"{path}:{lineno}: unknown source {source!r}")
-            tokens = token_array([int(t) for t in parts[2].split()])
+            tokens = parse_tokens(parts[2], vocab_size, f"{path}:{lineno}")
             if not tokens.size:
                 raise ValidationError(f"{path}:{lineno}: empty sentence")
             bucket = per_class.setdefault(c, [])

@@ -1,6 +1,5 @@
 """Stage 2: the language-guided recognition head, its ablation heads
-(FC, KNN), zero-shot classification, fine-tuning, and the precomputed
-anchor-embedding cache."""
+(FC, KNN), fine-tuning, and the precomputed anchor-embedding cache."""
 
 from __future__ import annotations
 
@@ -19,8 +18,8 @@ from .encoders import TAU_MAX, TAU_MIN, CvlpModel
 from .errors import (NumericError, ShapeMismatch, StaleArtifactError,
                      ValidationError)
 from .optim import AdamW, LrSchedule, cosine_lr
-from .tensor import (Tensor, as_tensor, cross_entropy, layer_norm, matmul,
-                     parameter, softmax)
+from .tensor import (Tensor, as_tensor, cosine_sim_matrix, cross_entropy,
+                     layer_norm, matmul, parameter, softmax)
 
 CACHE_MAGIC = b"VLAE"
 CACHE_VERSION = 1
@@ -69,6 +68,75 @@ class HeadOutput:
     G: Tensor        # (N, C, D) per-class gathers
 
 
+# The three nodes below keep the image axis last, in (C, M, N) and
+# (C, D, N) buffers behind (N, C, M) and (N, C, D) views, so that every
+# reduction over M or D runs across whole rows of N images.
+
+
+def _class_attention(q: Tensor, k: Tensor, C: int) -> Tensor:
+    """softmax(q k^T / sqrt(D)) over each class's M keys, (N, C, M), as
+    one node max-shifted, exponentiated and normalized in one buffer.
+    With output p and upstream g the scores receive p * (g - sum_M(g p))."""
+    N, D = q.shape
+    q_scaled = q.data / np.sqrt(D)
+    p = (k.data @ q_scaled.T).reshape(C, -1, N)            # (C, M, N)
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+
+    def backward(g):
+        s = p * g.transpose(1, 2, 0)
+        s = (s - p * s.sum(axis=1, keepdims=True)).reshape(-1, N)
+        if q.requires_grad:
+            q._accumulate(s.T @ k.data / np.sqrt(D))
+        if k.requires_grad:
+            k._accumulate(s @ q_scaled)
+
+    return Tensor(p.transpose(2, 0, 1), parents=(q, k), backward=backward)
+
+
+def _class_gather(attention: Tensor, anchors: Tensor) -> Tensor:
+    """G[n, c] = attention[n, c] @ anchors[c], (N, C, D), as one node of
+    C batched matmuls."""
+    weights, a = attention.data.transpose(1, 2, 0), anchors.data
+
+    def backward(g):
+        g_c = g.transpose(1, 2, 0)                         # (C, D, N)
+        if attention.requires_grad:
+            attention._accumulate((a @ g_c).transpose(2, 0, 1))
+        if anchors.requires_grad:
+            anchors._accumulate(weights @ g_c.transpose(0, 2, 1))
+
+    return Tensor((a.transpose(0, 2, 1) @ weights).transpose(2, 0, 1),
+                  parents=(attention, anchors), backward=backward)
+
+
+def _gather_cosine(x: Tensor, G: Tensor) -> Tensor:
+    """cos[n, c] between x[n] and G[n, c], (N, C), as one node; a zero
+    image or gather row is a ValidationError. With inverse norms rx, rg,
+    unit rows ux and upstream g, through w = g rg, x receives
+    rx (sum_c w G - ux sum_c g cos) and G[n, c] w (ux - cos rg G[n, c])."""
+    x_t, g_t = x.data.T, G.data.transpose(1, 2, 0)         # (D, N), (C, D, N)
+    x_sq, g_sq = (x_t * x_t).sum(axis=0), (g_t * g_t).sum(axis=1)
+    if (x_sq == 0.0).any():
+        raise ValidationError("lgr_forward: zero-norm image embedding")
+    if (g_sq == 0.0).any():
+        raise ValidationError("lgr_forward: zero-norm gather row")
+    inv_x, inv_g = x_sq ** -0.5, g_sq ** -0.5
+    cos = (g_t * x_t).sum(axis=1) * inv_x * inv_g          # (C, N)
+
+    def backward(g):
+        w, ux = g.T * inv_g, x_t * inv_x
+        if x.requires_grad:
+            x._accumulate((inv_x * ((w[:, None] * g_t).sum(axis=0)
+                                    - ux * (g.T * cos).sum(axis=0))).T)
+        if G.requires_grad:
+            G._accumulate((w[:, None] * ux - (w * cos * inv_g)[:, None] * g_t)
+                          .transpose(2, 0, 1))
+
+    return Tensor(cos.T, parents=(x, G), backward=backward)
+
+
 def lgr_forward(E_I, anchors, params: LgrParams) -> HeadOutput:
     """Attention of the image query over each class's M anchor embeddings
     (softmax within the class), then the additive two-path probability.
@@ -85,27 +153,15 @@ def lgr_forward(E_I, anchors, params: LgrParams) -> HeadOutput:
             f"lgr_forward: embeddings {x.shape}, anchors {anchors_t.shape}, "
             f"params (D={params.D}, C={params.C}) disagree"
         )
-    if (np.linalg.norm(x.data, axis=1) == 0.0).any():
-        raise ValidationError("lgr_forward: zero-norm image embedding")
 
-    N = x.shape[0]
     q = matmul(layer_norm(x, params.q_ln_g, params.q_ln_b), params.q_w) \
         + params.q_b                                       # (N, D)
     k = matmul(layer_norm(anchors_t.reshape(C * M, D),
                           params.k_ln_g, params.k_ln_b),
                params.k_w) + params.k_b                    # (C*M, D)
-    scores = matmul(q, k.T).reshape(N, C, M) * (1.0 / np.sqrt(D))
-    attention = softmax(scores, axis=2)                    # (N, C, M)
-    g = matmul(attention.transpose(1, 0, 2),
-               anchors_t).transpose(1, 0, 2)               # (N, C, D)
-
-    g_norms = np.linalg.norm(g.data, axis=2)
-    if (g_norms == 0.0).any():
-        raise ValidationError("lgr_forward: zero-norm gather row")
-    x_norm = ((x * x).sum(axis=1, keepdims=True)) ** 0.5   # (N, 1)
-    g_norm = ((g * g).sum(axis=2)) ** 0.5                  # (N, C)
-    cos = (x.reshape(N, 1, D) * g).sum(axis=2) / (x_norm * g_norm)
-    p_t = softmax(cos / params.tau, axis=1)
+    attention = _class_attention(q, k, C)                  # (N, C, M)
+    g = _class_gather(attention, anchors_t)                # (N, C, D)
+    p_t = softmax(_gather_cosine(x, g) / params.tau, axis=1)
 
     h = matmul(x, params.mlp_w1) + params.mlp_b1
     logits_i = matmul(h.relu(), params.mlp_w2) + params.mlp_b2
@@ -151,11 +207,8 @@ def knn_forward(E_I, anchors, tau) -> Tensor:
         raise ShapeMismatch(
             f"knn_forward: embeddings {x.shape} vs anchors {anchors_t.shape}"
         )
-    a_norm = ((anchors_t * anchors_t).sum(axis=2)) ** 0.5   # (C, M)
-    x_norm = ((x * x).sum(axis=1, keepdims=True)) ** 0.5    # (N, 1)
-    cos = matmul(x, anchors_t.reshape(C * M, D).T).reshape(-1, C, M) \
-        / (x_norm.reshape(-1, 1, 1) * a_norm.reshape(1, C, M))
-    best = cos.max(axis=2)                                  # (N, C)
+    cos = cosine_sim_matrix(x, anchors_t.reshape(C * M, D))
+    best = cos.reshape(-1, C, M).max(axis=2)                # (N, C)
     return softmax(best / as_tensor(tau), axis=1)
 
 
@@ -205,15 +258,6 @@ def get_head(name: str) -> Head:
         raise ValidationError(
             f"head must be one of {', '.join(HEADS)}, got {name!r}")
     return HEADS[name]
-
-
-def zero_shot_classify(E_I: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """Cosine to each class's mean anchor embedding; no trained head."""
-    x = np.atleast_2d(np.asarray(E_I, dtype=np.float64))
-    mean = np.asarray(anchors, dtype=np.float64).mean(axis=1)   # (C, D)
-    mean = mean / np.linalg.norm(mean, axis=1, keepdims=True)
-    xn = x / np.linalg.norm(x, axis=1, keepdims=True)
-    return np.argmax(xn @ mean.T, axis=1)
 
 
 # ---- anchor embeddings ------------------------------------------------------

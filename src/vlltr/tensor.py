@@ -136,9 +136,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-as_tensor(other))
 
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
-
     def __mul__(self, other):
         other = as_tensor(other)
         out = Tensor(self.data * other.data, parents=(self, other))
@@ -157,9 +154,6 @@ class Tensor:
     def __truediv__(self, other):
         return self * as_tensor(other) ** -1.0
 
-    def __rtruediv__(self, other):
-        return as_tensor(other) * self ** -1.0
-
     def __pow__(self, exponent: float):
         out = Tensor(self.data ** exponent, parents=(self,))
 
@@ -175,34 +169,12 @@ class Tensor:
     # Closures capture output arrays, never the output Tensor: a closure
     # holding `out` is a reference cycle that only the cyclic GC frees.
 
-    def exp(self):
-        out_data = np.exp(self.data)
-        out = Tensor(out_data, parents=(self,))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * out_data)
-
-        out._backward = backward
-        return out
-
     def log(self):
         out = Tensor(np.log(self.data), parents=(self,))
 
         def backward(g):
             if self.requires_grad:
                 self._accumulate(g / self.data)
-
-        out._backward = backward
-        return out
-
-    def tanh(self):
-        out_data = np.tanh(self.data)
-        out = Tensor(out_data, parents=(self,))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * (1.0 - out_data ** 2))
 
         out._backward = backward
         return out
@@ -279,23 +251,6 @@ class Tensor:
         out._backward = backward
         return out
 
-    def transpose(self, *axes):
-        axes = axes or None
-        out = Tensor(self.data.transpose(axes), parents=(self,))
-
-        def backward(g):
-            if not self.requires_grad:
-                return
-            inv = np.argsort(axes) if axes else None
-            self._accumulate(g.transpose(inv))
-
-        out._backward = backward
-        return out
-
-    @property
-    def T(self):
-        return self.transpose()
-
     def __getitem__(self, index):
         out = Tensor(self.data[index], parents=(self,))
 
@@ -361,19 +316,12 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     return Tensor(p, parents=(x,), backward=backward)
 
 
-def log_softmax(x: Tensor, axis: int) -> Tensor:
-    x = as_tensor(x)
-    if not -x.ndim <= axis < x.ndim:
-        raise ValidationError(
-            f"log_softmax: axis {axis} invalid for shape {x.shape}"
-        )
-    shift = Tensor(x.data.max(axis=axis, keepdims=True))
-    z = x - shift
-    return z - z.exp().sum(axis=axis, keepdims=True).log()
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine,
+    as one tape node; the rows are normalized in place in one buffer.
+    With normalized rows xh, inverse deviations r and upstream g, bias
+    receives sum(g), gain receives sum(g * xh), and through gx = g * gain
+    the input receives r * (gx - mean(gx) - xh * mean(gx * xh)) per row."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
@@ -381,11 +329,26 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             f"layer_norm: gain {gain.shape} / bias {bias.shape} "
             f"must match last axis ({d},)"
         )
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = (var + eps) ** -0.5
-    return centered * inv * gain + bias
+    xh = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / d)
+    inv = ((xh * xh).sum(axis=-1, keepdims=True) * (1.0 / d) + eps) ** -0.5
+    xh *= inv
+
+    def backward(g):
+        if bias.requires_grad:
+            bias._accumulate(g.reshape(-1, d).sum(axis=0))
+        if gain.requires_grad:
+            gain._accumulate((g * xh).reshape(-1, d).sum(axis=0))
+        if x.requires_grad:
+            gx = g * gain.data
+            along_xh = (gx * xh).sum(axis=-1, keepdims=True) * (1.0 / d)
+            gx -= gx.sum(axis=-1, keepdims=True) * (1.0 / d)
+            gx -= xh * along_xh
+            gx *= inv
+            x._accumulate(gx)
+
+    out = xh * gain.data
+    out += bias.data
+    return Tensor(out, parents=(x, gain, bias), backward=backward)
 
 
 def unit_rows(x: np.ndarray, operand: str):

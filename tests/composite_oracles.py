@@ -1,20 +1,61 @@
 """Composite-op versions of the fused tape nodes, kept as oracles.
 
 These build the losses, the cosine similarity, the text pooling, the
-softmax and the text and visual encoders out of elementwise tape ops and
-the bag pool, one node per op, the LGR and KNN heads out of einsum
-contractions, and AdamW as one update per parameter tensor, exactly as the package did before those
+softmax, the layer norm and the text and visual encoders out of
+elementwise tape ops and the bag pool, one node per op, the LGR and KNN
+heads out of composite layer norms and einsum contractions, and AdamW as
+one update per parameter tensor, exactly as the package did before those
 paths became single nodes, BLAS matmuls and one flat buffer. Values and
 gradients of the package versions are checked against them in
-test_fused_ops.py.
+test_fused_ops.py. The elementwise exp and tanh nodes and log_softmax
+live only here.
 """
 
 import numpy as np
 
-from vlltr.errors import ShapeMismatch
+from vlltr.errors import ShapeMismatch, ValidationError
 from vlltr.head import HeadOutput
-from vlltr.tensor import (Tensor, as_tensor, layer_norm, log_softmax,
-                          matmul)
+from vlltr.tensor import Tensor, as_tensor, matmul
+
+
+def exp(x):
+    out_data = np.exp(x.data)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g * out_data)
+
+    return Tensor(out_data, parents=(x,), backward=backward)
+
+
+def tanh(x):
+    out_data = np.tanh(x.data)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g * (1.0 - out_data ** 2))
+
+    return Tensor(out_data, parents=(x,), backward=backward)
+
+
+def log_softmax(x, axis):
+    x = as_tensor(x)
+    if not -x.ndim <= axis < x.ndim:
+        raise ValidationError(
+            f"log_softmax: axis {axis} invalid for shape {x.shape}"
+        )
+    shift = Tensor(x.data.max(axis=axis, keepdims=True))
+    z = x - shift
+    return z - exp(z).sum(axis=axis, keepdims=True).log()
+
+
+def layer_norm(x, gain, bias, eps=1e-5):
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = (var + eps) ** -0.5
+    return centered * inv * gain + bias
 
 
 def ccl_loss(S, labels, tau):
@@ -64,7 +105,7 @@ def cosine_sim_matrix(a, b):
     a, b = as_tensor(a), as_tensor(b)
     na = a * ((a * a).sum(axis=1, keepdims=True) ** -0.5)
     nb = b * ((b * b).sum(axis=1, keepdims=True) ** -0.5)
-    return matmul(na, nb.T)
+    return einsum("ik,jk->ij", na, nb)
 
 
 def linguistic_encode(enc, sequences):
@@ -121,7 +162,7 @@ def bag_encode(enc, sequences):
 def softmax(x, axis):
     x = as_tensor(x)
     shift = Tensor(x.data.max(axis=axis, keepdims=True))  # constant shift
-    e = (x - shift).exp()
+    e = exp(x - shift)
     return e / e.sum(axis=axis, keepdims=True)
 
 
@@ -185,7 +226,7 @@ def knn_forward(E_I, anchors, tau):
 def visual_encode(enc, x):
     """`VisualEncoder.__call__` as five tape nodes (no input checks)."""
     x = as_tensor(np.asarray(x, dtype=np.float64))
-    h = (matmul(x, enc.w1) + enc.b1).tanh()
+    h = tanh(matmul(x, enc.w1) + enc.b1)
     return matmul(h, enc.w2) + enc.b2
 
 

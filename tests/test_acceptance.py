@@ -16,7 +16,7 @@ from test_head import make_params, naive_lgr
 
 from vlltr import checkpoint as ckpt
 from vlltr import pipeline
-from vlltr.anchors import build_probe_pool, score_sentence, select_anchors
+from vlltr.anchors import build_probe_pool, select_anchors
 from vlltr.config import RunConfig
 from vlltr.data import SqrtSampler, ShotBands, gen_corpus, gen_synthetic
 from vlltr.encoders import CvlpModel, VisualEncoder

@@ -13,7 +13,6 @@ from vlltr.anchors import (
     build_probe_pool,
     load_anchors,
     save_anchors,
-    score_sentence,
     select_anchors,
 )
 from vlltr.data import gen_corpus, gen_synthetic
@@ -76,16 +75,6 @@ class TestScoring:
                          class_slices=[slice(0, 1), slice(1, 2)], tau=0.01)
         score = _score_columns(pool, 0, np.array([[0.0, 1.0]]))
         assert score[0] > 10.0
-
-    def test_score_sentence_matches_batched_columns(self):
-        ds, corpus, _, model = tiny_world()
-        pool = build_probe_pool(ds, model, cap=5)
-        sentences = corpus.for_class(1)
-        emb = model.lin([s.tokens for s in sentences]).data
-        batched = _score_columns(pool, 1, emb)
-        for i, s in enumerate(sentences):
-            assert score_sentence(s.tokens, 1, pool, model) == \
-                pytest.approx(batched[i], abs=1e-12)
 
     def test_distractors_score_worse_after_training(self, mini_run, mini_model,
                                                     mini_data, mini_cfg):

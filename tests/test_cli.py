@@ -205,6 +205,33 @@ class TestPipelineCommands:
             assert int(fields[0]) == rank
             assert len(fields) == 3
 
+    @pytest.mark.parametrize("query", ["0 seven 1", "0 96 1", "0 -2 1"])
+    def test_retrieve_rejects_bad_query(self, cfg_file, cli_run, capsys,
+                                        query):
+        """A non-integer token, an id past the vocabulary of 96 and a
+        negative id: exit 2 with one line, no traceback."""
+        assert cli.main(["retrieve", "--config", str(cfg_file),
+                         "--out", str(cli_run), "--query", query]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --query: token ids must be integers in [0, 96), "
+            f"got {query!r}"]
+
+    def test_corpus_token_past_vocabulary_exits_two(self, cfg_file, cli_run,
+                                                    tmp_path, capsys):
+        work = tmp_path / "copy"
+        work.mkdir()
+        for name in ("dataset.bin", "corpus.tsv"):
+            shutil.copy(cli_run / name, work / name)
+        with open(work / "corpus.tsv", "a") as f:
+            f.write("0\tencyclopedia\t0 500 1\n")
+        lines = (work / "corpus.tsv").read_text().count("\n")
+        assert cli.main(["make-teacher", "--config", str(cfg_file),
+                         "--out", str(work)]) == 2
+        assert f"corpus.tsv:{lines}: token ids must be integers in [0, 96)" \
+            in capsys.readouterr().err
+
     def test_ablate(self, cfg_file, tmp_path, capsys):
         assert cli.main(["ablate", "--config", str(cfg_file),
                          "--out", str(tmp_path)]) == 0

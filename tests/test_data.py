@@ -340,6 +340,45 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             load_corpus(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("x\tencyclopedia\t0 5 1", "class must be an integer"),
+        ("0\tencyclopedia\t0 five 1", "token ids must be integers in"),
+    ])
+    def test_corpus_rejects_non_integer_field(self, tmp_path, line, message):
+        path = tmp_path / "c.tsv"
+        path.write_text(f"0\tencyclopedia\t0 5 1\n{line}\n")
+        with pytest.raises(ValidationError) as exc:
+            load_corpus(path)
+        assert f"{path}:2" in str(exc.value)
+        assert message in str(exc.value)
+
+    def test_corpus_rejects_negative_class(self, tmp_path):
+        """A -1 row in a two-class file is an error, not a dropped row."""
+        path = tmp_path / "c.tsv"
+        path.write_text("0\tencyclopedia\t0 5 1\n1\tencyclopedia\t0 6 1\n"
+                        "-1\tencyclopedia\t0 7 1\n")
+        with pytest.raises(ValidationError) as exc:
+            load_corpus(path)
+        assert f"{path}:3" in str(exc.value)
+
+    @pytest.mark.parametrize("token, vocab_size", [(-3, 96), (-3, 0),
+                                                   (500, 96), (96, 96)])
+    def test_corpus_rejects_token_outside_vocabulary(self, tmp_path, token,
+                                                     vocab_size):
+        """A negative id would pool another row of the embedding table,
+        and one at or past `vocab_size` would fail in its gather."""
+        path = tmp_path / "c.tsv"
+        path.write_text(f"0\tencyclopedia\t0 {token} 1\n")
+        with pytest.raises(ValidationError) as exc:
+            load_corpus(path, vocab_size=vocab_size)
+        assert f"{path}:1: token ids must be integers in [0, " \
+            in str(exc.value)
+
+    def test_corpus_accepts_last_vocabulary_id(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text("0\tencyclopedia\t0 95 1\n")
+        assert load_corpus(path, vocab_size=96).vocab_size == 96
+
     def test_stats_round_trip(self, tmp_path):
         stats = {"m_min": 1, "m_max": 7, "m_mean": 3.5, "m_med": 3.0,
                  "l_avg": 4.25}

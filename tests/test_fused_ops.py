@@ -1,5 +1,5 @@
-"""The single-node losses, cosine similarity, text pooling and softmax,
-and the matmul forms of the LGR and KNN heads, against their
+"""The single-node losses, cosine similarity, text pooling, softmax and
+layer norm, and the fused LGR and matmul KNN heads, against their
 composite-op oracles (composite_oracles.py): the value and every
 gradient must agree to 1e-10. The one-node text and visual encoders and
 the flat-buffer AdamW must agree with theirs bit for bit. Also checks that a
@@ -24,8 +24,8 @@ from vlltr.errors import ValidationError
 from vlltr.gradsuite import LGR_PARAM_NAMES, lgr_params_from
 from vlltr.head import LgrParams, knn_forward, lgr_forward, rec_loss
 from vlltr.optim import AdamW, LrSchedule, cosine_lr
-from vlltr.tensor import (Tensor, cosine_sim_matrix, matmul, parameter,
-                          softmax)
+from vlltr.tensor import (Tensor, cosine_sim_matrix, layer_norm, matmul,
+                          parameter, softmax)
 
 TOL = 1e-10
 
@@ -245,6 +245,28 @@ class TestSoftmax:
         assert softmax(x, 1)._parents == (x,)
 
 
+class TestLayerNorm:
+    @pytest.mark.parametrize("shape,spread", [((1, 1), 3.0), ((3, 5), 3.0),
+                                              ((2, 3, 4), 3.0),
+                                              ((1280, 16), 3.0),
+                                              ((2, 3), 0.0)])
+    def test_matches_composite(self, shape, spread):
+        """Spread 0 gives constant rows: zero variance, so the rows map
+        to the bias and the input gradient is scaled by 1/sqrt(eps)."""
+        rng = np.random.default_rng(14)
+        d = shape[-1]
+        w = Tensor(rng.normal(size=shape))
+        assert_same(lambda x, g, b: (layer_norm(x, g, b) * w).sum(),
+                    lambda x, g, b: (oracle.layer_norm(x, g, b) * w).sum(),
+                    [spread * rng.normal(size=shape) + 1.0,
+                     rng.normal(size=d), rng.normal(size=d)])
+
+    def test_is_one_node_over_its_operands(self):
+        x, g, b = (Tensor(np.ones(s), requires_grad=True)
+                   for s in ((2, 3), 3, 3))
+        assert layer_norm(x, g, b)._parents == (x, g, b)
+
+
 class TestVisualEncoder:
     @pytest.mark.parametrize("n", [1, 32, 256])
     def test_matches_composite_bitwise(self, n):
@@ -292,7 +314,7 @@ class TestAdamW:
     def loss(params, x, step):
         """The token table is used on even steps only, so its gradient
         is None on odd ones."""
-        h = (matmul(x, params["w"]) + params["b"]).tanh()
+        h = oracle.tanh(matmul(x, params["w"]) + params["b"])
         loss = (h * h).sum() / params["tau"]
         if step % 2 == 0:
             row = params["tok"][step % 5]
@@ -340,6 +362,17 @@ class TestAdamW:
             np.testing.assert_array_equal(p.data, before[k])
 
 
+def graph_size(root):
+    """The number of tape nodes reachable from `root`."""
+    seen, todo = set(), [root]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(node._parents)
+    return len(seen)
+
+
 def test_lam_one_pretrain_graph_has_twelve_nodes():
     """Four visual weights and one encoder node, three text weights and
     one encoder node, the cosine matrix, the temperature and the loss."""
@@ -354,13 +387,22 @@ def test_lam_one_pretrain_graph_has_twelve_nodes():
     loss, _, _ = pretrain.pretrain_loss(
         model.similarity(batch.images, batch.bags), None, batch.labels,
         model.tau, 1.0, 1.0)
-    seen, todo = set(), [loss]
-    while todo:
-        node = todo.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            todo.extend(node._parents)
-    assert len(seen) == 12
+    assert graph_size(loss) == 12
+
+
+def test_lgr_finetune_graph_has_fifty_three_nodes():
+    """One LGR fine-tune loss: four visual weights and the encoder node,
+    the frozen anchors and thirteen head parameters (19); the query's
+    layer norm, matmul and bias add, the keys' reshape, layer norm,
+    matmul and bias add (7); the attention, gather and cosine nodes,
+    the temperature's inverse, the product and the P_T softmax (6);
+    five perceptron nodes and the P_I softmax (6); seven cross-entropy
+    nodes per path and their sum (15). As composite ops it was 99."""
+    rng = np.random.default_rng(0)
+    vis = VisualEncoder(6, 4, rng)
+    out = lgr_forward(vis(rng.normal(size=(5, 6))),
+                      rng.normal(size=(3, 2, 4)), LgrParams(4, 3, 0.3, rng))
+    assert graph_size(rec_loss(out, np.array([0, 1, 2, 0, 1]))) == 53
 
 
 # (N, C, M, D): one image, one class, one anchor, and the reference shapes
@@ -399,6 +441,26 @@ class TestLgrForward:
         for g, w in zip(got + got_grads, want + want_grads):
             assert g.shape == w.shape
             np.testing.assert_allclose(g, w, rtol=0, atol=TOL)
+
+    def test_anchor_gradient_matches_einsum_oracle(self):
+        """The anchors are frozen in the pipeline, but a trainable anchor
+        block gets the gradient of both its key and its gather paths."""
+        rng = np.random.default_rng(15)
+        N, C, M, D = 4, 3, 5, 6
+        params = LgrParams(D, C, tau_init=0.3, rng=rng)
+        e_i = rng.normal(size=(N, D))
+        weights = [Tensor(rng.normal(size=shape))
+                   for shape in ((N, C), (N, C), (N, C, M), (N, C, D))]
+
+        def weighted(forward):
+            def f(anchors):
+                out = forward(e_i, anchors, params)
+                return sum((p * w).sum() for p, w in zip(
+                    (out.P_I, out.P_T, out.attention, out.G), weights))
+            return f
+
+        assert_same(weighted(lgr_forward), weighted(oracle.lgr_forward),
+                    [rng.normal(size=(C, M, D))])
 
 
 class TestKnnForward:

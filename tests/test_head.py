@@ -1,4 +1,4 @@
-"""Tests for the recognition heads, zero-shot path, cache file, and fine-tuning."""
+"""Tests for the recognition heads, cache file, and fine-tuning."""
 
 import hashlib
 
@@ -25,7 +25,6 @@ from vlltr.head import (
     rec_loss,
     run_finetune,
     save_anchor_embeddings,
-    zero_shot_classify,
 )
 from vlltr.tensor import Tensor, as_tensor, parameter
 
@@ -238,31 +237,6 @@ class TestBaselineHeads:
         e = np.exp(best / tau - (best / tau).max(axis=1, keepdims=True))
         np.testing.assert_allclose(got, e / e.sum(axis=1, keepdims=True),
                                    atol=1e-12)
-
-    def test_zero_shot_single_class(self):
-        rng = np.random.default_rng(3)
-        preds = zero_shot_classify(rng.normal(size=(5, 4)),
-                                   rng.normal(size=(1, 3, 4)))
-        assert preds.tolist() == [0] * 5
-
-    def test_zero_shot_mean_anchor_oracle(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(6, 5))
-        anchors = rng.normal(size=(4, 3, 5))
-        got = zero_shot_classify(x, anchors)
-        mean = anchors.mean(axis=1)
-        sims = np.array([[x[i] @ mean[c] / (np.linalg.norm(x[i])
-                                            * np.linalg.norm(mean[c]))
-                          for c in range(4)] for i in range(6)])
-        np.testing.assert_array_equal(got, sims.argmax(axis=1))
-
-    def test_zero_shot_image_on_mean_direction(self):
-        anchors = np.zeros((3, 2, 4))
-        anchors[0, :, 0] = 1.0
-        anchors[1, :, 1] = 1.0
-        anchors[2, :, 2] = 1.0
-        assert zero_shot_classify(np.array([0.0, 0.0, 3.0, 0.0]),
-                                  anchors).tolist() == [2]
 
 
 class TestAnchorEmbeddingCache:

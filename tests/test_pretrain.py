@@ -221,8 +221,8 @@ class TestSamplePairedBatch:
         ds, corpus, _ = tiny_setup(seed=5)
         sampler, rng = SqrtSampler(ds.counts, seed=5), np.random.default_rng(2)
         everything = corpus.all_tokens()
-        starts = corpus.row_offsets()
         table = corpus.token_table()
+        starts = table.class_starts
         for _ in range(4):
             batch = sample_paired_batch(ds, table, sampler, rng, 9)
             np.testing.assert_array_equal(batch.images,
@@ -233,7 +233,7 @@ class TestSamplePairedBatch:
                 batch.bags.ids, np.concatenate([everything[r]
                                                 for r in batch.rows]))
             for c, r, seq in zip(batch.labels, batch.rows, batch.sequences):
-                assert starts[c] <= r < starts[c + 1]
+                assert starts[c] <= r < starts[c] + len(corpus.for_class(c))
                 np.testing.assert_array_equal(seq, everything[r])
 
 
@@ -296,7 +296,7 @@ class TestRunPretrain:
         """The corpus is read once per run into its token table, never
         per step."""
         calls = []
-        for name in ("row_offsets", "all_tokens", "for_class"):
+        for name in ("all_tokens", "for_class"):
             method = getattr(ClassCorpus, name)
 
             def counted(self, *args, _method=method, _name=name):
