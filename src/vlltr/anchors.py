@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .data import ClassCorpus, LongTailDataset
 from .encoders import CvlpModel
 from .errors import ValidationError
@@ -123,7 +124,7 @@ def select_anchors(corpus: ClassCorpus, dataset: LongTailDataset,
 
 
 def save_anchors(path, anchors: AnchorSet):
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         f.write(f"# mode={anchors.mode}\tM={anchors.M}"
                 f"\tcheckpoint={anchors.checkpoint_hash.hex()}\n")
         for c, per_class in enumerate(anchors.entries):

@@ -10,14 +10,17 @@ value finite and the format uniform.
 path actually touched.
 
 `read_exact` and `unpack` bound every read of a binary artifact (this
-container, the dataset, the anchor cache) by the bytes left in the file.
+container, the dataset, the anchor cache) by the bytes left in the file,
+and every artifact is written through `atomic_write`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
+import secrets
 import struct
 
 import numpy as np
@@ -68,8 +71,27 @@ def unpack(f, fmt: str, path, what: str) -> tuple:
     return struct.unpack(fmt, read_exact(f, struct.calcsize(fmt), path, what))
 
 
+@contextlib.contextmanager
+def atomic_write(path, binary: bool = False):
+    """A file opened for writing (UTF-8 text unless `binary`) that
+    replaces `path` only when the block completes: it is a temporary file
+    in the same directory, renamed over `path` at the end. If the block
+    raises, the temporary file is removed and `path` keeps its bytes."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
+    try:
+        with (open(tmp, "xb") if binary
+              else open(tmp, "x", encoding="utf-8")) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_checkpoint(path, sections: dict[str, np.ndarray]):
-    with open(path, "wb") as f:
+    with atomic_write(path, binary=True) as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(sections)))
         for name, arr in sections.items():

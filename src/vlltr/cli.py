@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 
+from .checkpoint import atomic_write
 from .config import RunConfig, load_config
 from .errors import NumericError, ValidationError, VlltrError
 from .evaluation import ablation_report, concept_retrieval
@@ -92,7 +93,8 @@ def _cmd_ablate(cfg: RunConfig, out_dir: Path):
         sub_dir = out_dir / label.replace(" ", "_").replace("+", "and")
         entries.append((label, pipeline.run_all(sub_cfg, sub_dir)))
     table = ablation_report(entries)
-    (out_dir / "ablation.txt").write_text(table, encoding="utf-8")
+    with atomic_write(out_dir / "ablation.txt") as f:
+        f.write(table)
     print(table, end="")
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checkpoint import read_exact, unpack
+from .checkpoint import atomic_write, read_exact, unpack
 from .errors import ValidationError
 
 DATASET_MAGIC = b"VLLT"
@@ -173,11 +173,20 @@ class SqrtSampler:
         re-validating and re-summing the weights on every call."""
         return self._cdf.searchsorted(self.rng.random(n), side="right")
 
+    def draw_epoch(self, steps: int, n: int) -> np.ndarray:
+        """`steps` batches of `n` global sample indices (class-major
+        layout), (steps, n), from one uniform draw: per batch, `n`
+        uniforms pick the classes and the next `n` the samples inside
+        them, so the indices do not depend on how many batches are
+        drawn at once."""
+        u = self.rng.random((steps, 2, n))
+        classes = self._cdf.searchsorted(u[:, 0], side="right")
+        within = (u[:, 1] * self.counts[classes]).astype(np.int64)
+        return self.offsets[classes] + within
+
     def draw(self, n: int) -> np.ndarray:
         """Return `n` global sample indices (class-major layout)."""
-        classes = self.draw_classes(n)
-        within = (self.rng.random(n) * self.counts[classes]).astype(np.int64)
-        return self.offsets[classes] + within
+        return self.draw_epoch(1, n)[0]
 
 
 # ---- class corpus ----------------------------------------------------------
@@ -235,6 +244,18 @@ class TokenTable(NamedTuple):
         return TokenTable(self.ids[src], offsets, lengths,
                           np.zeros(1, dtype=np.int64),
                           np.array([len(lengths)]), self.max_tokens)
+
+    def split(self, n: int) -> list:
+        """Each run of `n` consecutive rows as a one-class table of its
+        own, over views of `ids` and `lengths` with rebased offsets."""
+        bounds = np.append(self.offsets[::n], len(self.ids)).tolist()
+        starts, parts = np.zeros(1, dtype=np.int64), []
+        for k, r in enumerate(range(0, len(self.lengths), n)):
+            lengths, a = self.lengths[r:r + n], bounds[k]
+            parts.append(TokenTable(
+                self.ids[a:bounds[k + 1]], self.offsets[r:r + n] - a,
+                lengths, starts, np.array([len(lengths)]), self.max_tokens))
+        return parts
 
     def sequences(self) -> list:
         """One token array (a view of `ids`) per row."""
@@ -401,7 +422,7 @@ def corpus_stats(corpus: ClassCorpus) -> dict:
 
 
 def save_dataset(path, ds: LongTailDataset):
-    with open(path, "wb") as f:
+    with atomic_write(path, binary=True) as f:
         f.write(DATASET_MAGIC)
         f.write(struct.pack("<III", DATASET_VERSION, ds.C, ds.d_img))
         f.write(struct.pack(f"<{ds.C}I", *ds.counts))
@@ -438,7 +459,7 @@ def load_dataset(path) -> LongTailDataset:
 
 
 def save_corpus(path, corpus: ClassCorpus):
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         for c in range(corpus.C):
             for s in corpus.sentences[c]:
                 tokens = " ".join(str(t) for t in s.tokens)
@@ -476,6 +497,6 @@ def load_corpus(path, vocab_size: int = 0, max_tokens: int = 77) -> ClassCorpus:
 
 
 def save_stats(path, stats: dict):
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         json.dump(stats, f, indent=2, sort_keys=True)
         f.write("\n")

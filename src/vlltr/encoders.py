@@ -15,6 +15,14 @@ TAU_MIN, TAU_MAX = 0.01, 1.0
 TEXT_CHUNK = 256  # sentences per pass when the teacher embeds a corpus
 
 
+def clamp_tau(tau: Tensor):
+    """Clip a 0-d temperature into [TAU_MIN, TAU_MAX] in place, writing
+    only when it is out of range (a NaN is written back unchanged)."""
+    t = float(tau.data)
+    if not TAU_MIN <= t <= TAU_MAX:
+        tau.data[...] = min(max(t, TAU_MIN), TAU_MAX)
+
+
 class VisualEncoder:
     """Two-layer perceptron d_img -> hidden -> D with tanh in the middle."""
 
@@ -125,7 +133,7 @@ class CvlpModel:
         return {**self.vis.params(), **self.lin.params(), "tau": self.tau}
 
     def clamp_tau(self):
-        np.clip(self.tau.data, TAU_MIN, TAU_MAX, out=self.tau.data)
+        clamp_tau(self.tau)
 
     def similarity(self, images, sequences) -> Tensor:
         return cosine_sim_matrix(self.vis(images), self.lin(sequences))

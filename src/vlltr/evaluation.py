@@ -50,27 +50,25 @@ def evaluate(predictions, labels, bands: ShotBands,
             f"evaluate: {len(predictions)} predictions vs {len(labels)} labels"
         )
     C = len(bands.bands)
-    if labels.size and labels.max() >= C:
-        raise ValidationError(
-            f"evaluate: label {int(labels.max())} has no shot band"
-        )
+    if labels.size and (labels.min() < 0 or labels.max() >= C):
+        bad = labels.max() if labels.max() >= C else labels.min()
+        raise ValidationError(f"evaluate: label {int(bad)} has no shot band")
     correct = predictions == labels
+    # per-class counts as Python ints, so every ratio is int / int
+    class_n = np.bincount(labels, minlength=C).tolist()
+    class_h = np.bincount(labels[correct], minlength=C).tolist()
     band_hits = {b: [0, 0] for b in BAND_ORDER}
-    class_hits = [[0, 0] for _ in range(C)]
-    for ok, lab in zip(correct, labels):
-        band = bands[int(lab)]
-        band_hits[band][0] += int(ok)
-        band_hits[band][1] += 1
-        class_hits[lab][0] += int(ok)
-        class_hits[lab][1] += 1
+    for band, h, n in zip(bands.bands, class_h, class_n):
+        band_hits[band][0] += h
+        band_hits[band][1] += n
     band_acc = {b: h / n for b, (h, n) in band_hits.items() if n}
     band_counts = {b: n for b, (h, n) in band_hits.items() if n}
-    per_class = [h / n if n else None for h, n in class_hits]
-    total = int(labels.size)
+    per_class = [h / n if n else None for h, n in zip(class_h, class_n)]
+    total, hits = int(labels.size), sum(class_h)
     return EvalReport(
-        overall=int(correct.sum()) / total if total else 0.0,
+        overall=hits / total if total else 0.0,
         bands=band_acc, band_counts=band_counts, per_class=per_class,
-        total=total, correct=int(correct.sum()),
+        total=total, correct=hits,
         config_fingerprint=config_fingerprint,
     )
 

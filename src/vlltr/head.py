@@ -14,7 +14,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .anchors import AnchorSet
 from .data import ClassCorpus, LongTailDataset, SqrtSampler
-from .encoders import TAU_MAX, TAU_MIN, CvlpModel
+from .encoders import CvlpModel, clamp_tau
 from .errors import (NumericError, ShapeMismatch, StaleArtifactError,
                      ValidationError)
 from .optim import AdamW, LrSchedule, cosine_lr
@@ -279,7 +279,7 @@ def save_anchor_embeddings(path, embeddings: np.ndarray,
     if len(checkpoint_hash) != 32:
         raise ValidationError("save_anchor_embeddings: need a 32-byte hash")
     C, M, D = embeddings.shape
-    with open(path, "wb") as f:
+    with ckpt.atomic_write(path, binary=True) as f:
         f.write(CACHE_MAGIC)
         f.write(struct.pack("<IIII", CACHE_VERSION, C, M, D))
         f.write(checkpoint_hash)
@@ -346,10 +346,9 @@ def run_finetune(dataset: LongTailDataset, anchors: AnchorSet,
     trace = []
     step = 0
     for epoch in range(cfg.epochs):
-        for _ in range(steps_per_epoch):
-            idx = sampler.draw(cfg.batch_size)
-            images = dataset.X[idx].astype(np.float64)
-            labels = dataset.y[idx]
+        idx = sampler.draw_epoch(steps_per_epoch, cfg.batch_size)
+        for images, labels in zip(dataset.X[idx].astype(np.float64),
+                                  dataset.y[idx]):
             paths = head.paths(model.vis(images), anchor_emb, head_params)
             loss = reduce(operator.add, [cross_entropy(p, labels)
                                          for p in paths if p is not None])
@@ -360,7 +359,7 @@ def run_finetune(dataset: LongTailDataset, anchors: AnchorSet,
             loss.backward()
             opt.step(lr=cosine_lr(sched, step))
             for tau in taus:
-                np.clip(tau.data, TAU_MIN, TAU_MAX, out=tau.data)
+                clamp_tau(tau)
             trace.append((epoch, step, float(loss.data)))
             step += 1
     return head_params, anchor_emb, trace

@@ -39,6 +39,11 @@ class AdamW:
     the same per-element arithmetic as a step tensor by tensor. A
     parameter whose `.data` was replaced since (a checkpoint load, say)
     is copied back in and rebound at the next step.
+
+    The gradients live in a second flat buffer: `zero_grad` zeroes it and
+    binds each `p.grad` to its view, so backward passes add straight
+    into it. A gradient that is None or another array at `step` is
+    zero-filled or copied in.
     """
 
     def __init__(self, params: dict[str, Tensor], base_lr: float,
@@ -57,8 +62,8 @@ class AdamW:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         size = sum(p.data.size for p in self.params.values())
-        self._p, self._g, self._m, self._v, self._tmp = (
-            np.zeros(size) for _ in range(5))
+        self._p, self._g, self._m, self._v, self._tmp, self._upd = (
+            np.zeros(size) for _ in range(6))
         # (name, tensor, parameter view, gradient view) per parameter
         self._slots = []
         start = 0
@@ -72,8 +77,9 @@ class AdamW:
             start = end
 
     def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
+        self._g.fill(0.0)
+        for _, p, _, g_view in self._slots:
+            p.grad = g_view
 
     def step(self, lr: float | None = None):
         lr = self.base_lr if lr is None else lr
@@ -88,6 +94,8 @@ class AdamW:
                 view[...] = p.data
                 p.data = view
             g = p.grad
+            if g is g_view:
+                continue
             if g is None:
                 g_view.fill(0.0)
             elif g.shape != view.shape:
@@ -101,7 +109,8 @@ class AdamW:
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        p, g, m, v, tmp = self._p, self._g, self._m, self._v, self._tmp
+        p, g, m, v = self._p, self._g, self._m, self._v
+        tmp, upd = self._tmp, self._upd
         # m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g
         m *= self.beta1
         np.multiply(g, 1.0 - self.beta1, out=tmp)
@@ -112,12 +121,11 @@ class AdamW:
         v += tmp
         if self.weight_decay:
             p *= 1.0 - lr * self.weight_decay
-        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), with the gradient
-        # copies, no longer needed, as scratch
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += self.eps
-        np.divide(m, bc1, out=g)
-        g *= lr
-        g /= tmp
-        p -= g
+        np.divide(m, bc1, out=upd)
+        upd *= lr
+        upd /= tmp
+        p -= upd

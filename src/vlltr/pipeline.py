@@ -178,7 +178,7 @@ def cmd_finetune(cfg: RunConfig, out_dir):
     sections = {**model.state(), **_meta_sections(cfg, out_dir),
                 **{k: v.data.copy() for k, v in head_params.params().items()}}
     ckpt.write_checkpoint(artifact(out_dir, "final"), sections)
-    with open(artifact(out_dir, "finetune_trace"), "w", encoding="utf-8") as f:
+    with ckpt.atomic_write(artifact(out_dir, "finetune_trace")) as f:
         for epoch, step, loss in trace:
             f.write(f"{epoch}\t{step}\t{loss!r}\n")
     return trace
@@ -215,7 +215,11 @@ def load_inference_head(cfg: RunConfig, out_dir):
 
 
 def cmd_eval(cfg: RunConfig, out_dir) -> EvalReport:
-    dataset, _ = _load_data(cfg, out_dir)
+    """Classify the test split from the anchor cache (built first if it
+    is missing) and write the report and predictions. The corpus is
+    read only to build a missing cache; the final checkpoint's recorded
+    hash of it is still checked."""
+    dataset = load_dataset(artifact(out_dir, "dataset"))
     cache_path = artifact(out_dir, "cache")
     if not cache_path.exists():
         cmd_precompute_cache(cfg, out_dir)
@@ -229,9 +233,9 @@ def cmd_eval(cfg: RunConfig, out_dir) -> EvalReport:
     bands = split_shots(dataset.counts)
     report = evaluate(preds, dataset.test_y, bands,
                       config_fingerprint=cfg.fingerprint().hex())
-    with open(artifact(out_dir, "report"), "w", encoding="utf-8") as f:
+    with ckpt.atomic_write(artifact(out_dir, "report")) as f:
         f.write(report.to_json())
-    with open(artifact(out_dir, "predictions"), "w", encoding="utf-8") as f:
+    with ckpt.atomic_write(artifact(out_dir, "predictions")) as f:
         for i, (true, pred) in enumerate(zip(dataset.test_y, preds)):
             f.write(f"{i}\t{true}\t{pred}\t{float(p_i[i])!r}\t"
                     f"{float(p_t[i])!r}\n")

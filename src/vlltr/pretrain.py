@@ -12,11 +12,18 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .data import ClassCorpus, LongTailDataset, SqrtSampler, TokenTable
 from .encoders import CvlpModel, TeacherPair
 from .errors import NumericError, ShapeMismatch, ValidationError
 from .optim import AdamW, LrSchedule, cosine_lr
 from .tensor import Tensor, as_tensor
+
+
+# An epoch's batches are drawn at most this many steps at a time, which
+# bounds the sampled images and token rows held at once (a balanced
+# reference epoch is 313 steps); the draws do not depend on it.
+DRAW_STEPS = 64
 
 
 @dataclass
@@ -108,18 +115,17 @@ def _distill_term(logits: _Logits, St: np.ndarray, tau_teacher: float):
     where w_text and w_img are the diagonals of the teacher's row and
     column softmaxes."""
     n = St.shape[0]
-    idx = np.arange(n)
     z = St / tau_teacher
 
     def diag_softmax(axis):
         e = np.exp(z - z.max(axis=axis, keepdims=True))
-        return e[idx, idx] / e.sum(axis=axis)
+        return e.diagonal() / e.sum(axis=axis)
 
     w_text, w_img = diag_softmax(1), diag_softmax(0)
-    value = (-(w_text * logits.log_p_row[idx, idx]).mean()
-             - (w_img * logits.log_p_col[idx, idx]).mean())
+    value = (-(w_text * logits.log_p_row.diagonal()).mean()
+             - (w_img * logits.log_p_col.diagonal()).mean())
     G = w_text[:, None] * logits.p_row + w_img[None, :] * logits.p_col
-    G[idx, idx] -= w_text + w_img
+    G.flat[::n + 1] -= w_text + w_img
     return value, G / n
 
 
@@ -153,8 +159,9 @@ def distill_loss(S: Tensor, S_teacher, tau, tau_teacher: float):
 def pretrain_loss(S: Tensor, S_teacher, labels, tau, tau_teacher: float,
                   lam: float):
     """lam * L_ccl + (1 - lam) * L_dis; the teacher side is skipped
-    entirely at lam == 1. Returns (loss, l_ccl, l_dis) scalars, each one
-    tape node; both losses share one pass over the logits."""
+    entirely at lam == 1. Returns (loss, l_ccl, l_dis): `loss` is the one
+    tape node, and l_ccl and l_dis are the two losses' values as floats
+    (l_dis is None at lam == 1); both share one pass over the logits."""
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"pretrain_loss: lam must be in [0, 1], got {lam}")
     S = as_tensor(S)
@@ -162,17 +169,15 @@ def pretrain_loss(S: Tensor, S_teacher, labels, tau, tau_teacher: float,
     logits = _Logits(S, as_tensor(tau))
     (v_vis, g_vis), (v_lin, g_lin) = _ccl_terms(logits, labels)
     v_ccl, g_ccl = v_vis + v_lin, g_vis + g_lin
-    l_ccl = logits.loss(v_ccl, g_ccl)
     if lam == 1.0:
-        return l_ccl, l_ccl, None
+        return logits.loss(v_ccl, g_ccl), float(v_ccl), None
     v_dis, g_dis = _distill_term(logits, _teacher_matrix(S, S_teacher),
                                  tau_teacher)
-    l_dis = logits.loss(v_dis, g_dis)
     if lam == 0.0:
-        return l_dis, l_ccl, l_dis
+        return logits.loss(v_dis, g_dis), float(v_ccl), float(v_dis)
     loss = logits.loss(lam * v_ccl + (1.0 - lam) * v_dis,
                        lam * g_ccl + (1.0 - lam) * g_dis)
-    return loss, l_ccl, l_dis
+    return loss, float(v_ccl), float(v_dis)
 
 
 class PairedBatch(NamedTuple):
@@ -188,19 +193,32 @@ class PairedBatch(NamedTuple):
         return self.bags.sequences()
 
 
-def sample_paired_batch(dataset: LongTailDataset, table: TokenTable,
-                        sampler: SqrtSampler, rng: np.random.Generator,
-                        batch_size: int) -> PairedBatch:
-    """Square-root sampled images plus one fresh same-class sentence
-    each, drawn from `table`, a corpus's `token_table()`."""
-    idx = sampler.draw(batch_size)
+def sample_epoch(dataset: LongTailDataset, table: TokenTable,
+                 sampler: SqrtSampler, rng: np.random.Generator,
+                 batch_size: int, steps: int) -> list:
+    """`steps` batches of square-root sampled images plus one fresh
+    same-class sentence each, drawn from `table`, a corpus's
+    `token_table()`, with one draw, one gather and one table take for
+    them all. Both generators' streams are the same whether the batches
+    are drawn at once or one by one; each batch's arrays and bags are
+    views of the epoch's."""
+    idx = sampler.draw_epoch(steps, batch_size)
     labels = dataset.y[idx]
     # one draw per image, in batch order: the same stream as drawing
     # rng.integers(len(options)) image by image
     rows = table.class_starts[labels] \
         + rng.integers(table.class_sizes[labels])
-    return PairedBatch(dataset.X[idx].astype(np.float64), table.take(rows),
-                       labels, idx, rows)
+    images = dataset.X[idx].astype(np.float64)
+    bags = table.take(rows.reshape(-1)).split(batch_size)
+    return [PairedBatch(images[s], bags[s], labels[s], idx[s], rows[s])
+            for s in range(steps)]
+
+
+def sample_paired_batch(dataset: LongTailDataset, table: TokenTable,
+                        sampler: SqrtSampler, rng: np.random.Generator,
+                        batch_size: int) -> PairedBatch:
+    """One batch of `sample_epoch`."""
+    return sample_epoch(dataset, table, sampler, rng, batch_size, 1)[0]
 
 
 def run_pretrain(dataset: LongTailDataset, corpus: ClassCorpus,
@@ -228,10 +246,13 @@ def run_pretrain(dataset: LongTailDataset, corpus: ClassCorpus,
     tau_teacher = teacher.tau if distill else 1.0
     trace = []
     step = 0
-    for epoch in range(cfg.epochs):
-        for _ in range(steps_per_epoch):
-            batch = sample_paired_batch(dataset, table, sampler, rng,
-                                        cfg.batch_size)
+    # (epoch, steps) of each draw: an epoch in runs of at most DRAW_STEPS
+    draws = [(epoch, min(DRAW_STEPS, steps_per_epoch - start))
+             for epoch in range(cfg.epochs)
+             for start in range(0, steps_per_epoch, DRAW_STEPS)]
+    for epoch, steps in draws:
+        for batch in sample_epoch(dataset, table, sampler, rng,
+                                  cfg.batch_size, steps):
             S = model.similarity(batch.images, batch.bags)
             S_teacher = (teacher_img[batch.idx] @ teacher_txt[batch.rows].T
                          if distill else None)
@@ -243,14 +264,14 @@ def run_pretrain(dataset: LongTailDataset, corpus: ClassCorpus,
             loss.backward()
             opt.step(lr=cosine_lr(sched, step))
             model.clamp_tau()
-            trace.append((epoch, step, float(l_ccl.data),
-                          float(l_dis.data) if l_dis is not None else 0.0,
+            trace.append((epoch, step, l_ccl,
+                          0.0 if l_dis is None else l_dis,
                           float(loss.data), float(model.tau.data)))
             step += 1
     return trace
 
 
 def save_trace(path, trace):
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         for epoch, step, l_ccl, l_dis, l_pre, tau in trace:
             f.write(f"{epoch}\t{step}\t{l_ccl!r}\t{l_dis!r}\t{l_pre!r}\t{tau!r}\n")

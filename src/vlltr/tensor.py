@@ -355,11 +355,10 @@ def unit_rows(x: np.ndarray, operand: str):
     """(x with each row scaled to unit length, the (N, 1) inverse row
     norms); a zero row is a ValidationError naming `operand`."""
     sq = (x * x).sum(axis=1, keepdims=True)
-    bad = np.where(sq[:, 0] == 0.0)[0]
-    if bad.size:
+    if not sq.all():
         raise ValidationError(
-            f"cosine_sim_matrix: zero-norm row {int(bad[0])} in operand "
-            f"{operand}")
+            f"cosine_sim_matrix: zero-norm row "
+            f"{int(np.flatnonzero(sq == 0.0)[0])} in operand {operand}")
     inv = sq ** -0.5
     return x * inv, inv
 

@@ -3,9 +3,10 @@
 These build the losses, the cosine similarity, the text pooling, the
 softmax, the layer norm and the text and visual encoders out of
 elementwise tape ops and the bag pool, one node per op, the LGR and KNN
-heads out of composite layer norms and einsum contractions, and AdamW as
-one update per parameter tensor, exactly as the package did before those
-paths became single nodes, BLAS matmuls and one flat buffer. Values and
+heads out of composite layer norms and einsum contractions, AdamW as one
+update per parameter tensor, and the accuracy report as one loop over
+the predictions, exactly as the package did before those paths became
+single nodes, BLAS matmuls, one flat buffer and bin counts. Values and
 gradients of the package versions are checked against them in
 test_fused_ops.py. The elementwise exp and tanh nodes and log_softmax
 live only here.
@@ -14,6 +15,7 @@ live only here.
 import numpy as np
 
 from vlltr.errors import ShapeMismatch, ValidationError
+from vlltr.evaluation import BAND_ORDER, EvalReport
 from vlltr.head import HeadOutput
 from vlltr.tensor import Tensor, as_tensor, matmul
 
@@ -266,3 +268,27 @@ class AdamW:
             if self.weight_decay:
                 p.data *= 1.0 - lr * self.weight_decay
             p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def evaluate(predictions, labels, bands, config_fingerprint=""):
+    """`evaluation.evaluate` counting hits prediction by prediction (no
+    input checks)."""
+    predictions = np.asarray(predictions, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    correct = predictions == labels
+    band_hits = {b: [0, 0] for b in BAND_ORDER}
+    class_hits = [[0, 0] for _ in range(len(bands.bands))]
+    for ok, lab in zip(correct, labels):
+        band = bands[int(lab)]
+        band_hits[band][0] += int(ok)
+        band_hits[band][1] += 1
+        class_hits[lab][0] += int(ok)
+        class_hits[lab][1] += 1
+    total = int(labels.size)
+    return EvalReport(
+        overall=int(correct.sum()) / total if total else 0.0,
+        bands={b: h / n for b, (h, n) in band_hits.items() if n},
+        band_counts={b: n for b, (h, n) in band_hits.items() if n},
+        per_class=[h / n if n else None for h, n in class_hits],
+        total=total, correct=int(correct.sum()),
+        config_fingerprint=config_fingerprint)

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from vlltr import checkpoint as ckpt
-from vlltr import cli
+from vlltr import cli, pipeline
+from vlltr.config import load_config
 from vlltr.encoders import CvlpModel
+from vlltr.errors import StaleArtifactError
 
 CFG_TEXT = """\
 seed = 0
@@ -116,6 +118,33 @@ class TestPipelineCommands:
         assert (work / "predictions.tsv").read_bytes() == first_preds
         assert json.loads(printed)["overall"] == \
             json.loads(first.decode())["overall"]
+
+    def test_eval_does_not_parse_the_corpus(self, cfg_file, cli_run, tmp_path,
+                                            monkeypatch):
+        work = tmp_path / "copy"
+        shutil.copytree(cli_run, work)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eval parsed corpus.tsv")
+
+        monkeypatch.setattr(pipeline, "load_corpus", refuse)
+        report = pipeline.cmd_eval(load_config(cfg_file), work)
+        assert report.to_json() == (cli_run / "report.json").read_text()
+        assert (work / "report.json").read_bytes() == \
+            (cli_run / "report.json").read_bytes()
+
+    def test_eval_rejects_an_edited_corpus(self, cfg_file, cli_run, tmp_path,
+                                           capsys):
+        work = tmp_path / "copy"
+        shutil.copytree(cli_run, work)
+        with open(work / "corpus.tsv", "a", encoding="utf-8") as f:
+            f.write("0\tprompt\t0 1\n")
+        with pytest.raises(StaleArtifactError) as exc:
+            pipeline.cmd_eval(load_config(cfg_file), work)
+        assert "different corpus file" in str(exc.value)
+        assert cli.main(["eval", "--config", str(cfg_file),
+                         "--out", str(work)]) == 2
+        assert "different corpus file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting,section", [("classes=10", "lgr."),
                                                  ("embed_dim=4", "vis.")])

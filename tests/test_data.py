@@ -24,6 +24,7 @@ from vlltr.data import (
     save_stats,
     split_shots,
     sqrt_class_weights,
+    token_table,
 )
 from vlltr.errors import ValidationError
 
@@ -173,6 +174,47 @@ class TestSqrtSampler:
                               p=sqrt_class_weights(counts))
             np.testing.assert_array_equal(got, want)
             assert got.dtype == want.dtype
+
+
+    @pytest.mark.parametrize("seed", [0, 3, 1000])
+    def test_draw_epoch_is_the_stream_of_draws(self, seed):
+        """An epoch of `steps` batches equals `steps` calls of `draw`, and
+        each batch equals a class draw then a draw inside the classes."""
+        counts = [500, 120, 31, 9, 5, 1]
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        for steps, n in ((1, 1), (3, 5), (7, 32), (2, 1000)):
+            epoch = SqrtSampler(counts, seed=seed).draw_epoch(steps, n)
+            by_draw = SqrtSampler(counts, seed=seed)
+            by_hand = SqrtSampler(counts, seed=seed)
+            assert epoch.shape == (steps, n) and epoch.dtype == np.int64
+            for batch in epoch:
+                np.testing.assert_array_equal(batch, by_draw.draw(n))
+                classes = by_hand.draw_classes(n)
+                within = (by_hand.rng.random(n)
+                          * np.asarray(counts)[classes]).astype(np.int64)
+                np.testing.assert_array_equal(batch,
+                                              offsets[classes] + within)
+
+    def test_draw_epoch_continues_the_stream(self):
+        a = SqrtSampler([9, 4, 2], seed=2)
+        b = SqrtSampler([9, 4, 2], seed=2)
+        got = np.concatenate([a.draw_epoch(3, 4), a.draw_epoch(2, 4)])
+        np.testing.assert_array_equal(got, [b.draw(4) for _ in range(5)])
+
+
+class TestTokenTableSplit:
+    def test_runs_of_rows_as_tables(self):
+        seqs = [[0, 5, 1], [0, 1], [0, 7, 7, 7, 1], [2], [0, 3, 1]]
+        table = token_table(seqs, 77)
+        for n in (1, 2, 5, 6):
+            parts = table.split(n)
+            assert len(parts) == -(-len(seqs) // n)
+            got = [s.tolist() for part in parts for s in part.sequences()]
+            assert got == seqs
+            for part in parts:
+                assert part.offsets[0] == 0
+                assert part.class_sizes.tolist() == [len(part.lengths)]
+                assert part.ids.base is not None
 
 
 class TestCorpus:

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from vlltr.checkpoint import read_checkpoint, write_checkpoint
+from vlltr.anchors import AnchorSet, save_anchors
+from vlltr.checkpoint import atomic_write, read_checkpoint, write_checkpoint
+from vlltr.data import (ClassCorpus, LongTailDataset, Sentence, save_corpus,
+                        save_dataset, save_stats)
 from vlltr.encoders import (
     TAU_MAX,
     TAU_MIN,
@@ -14,6 +17,8 @@ from vlltr.encoders import (
 )
 from vlltr.errors import ShapeMismatch, ValidationError
 from vlltr.gradcheck import gradcheck
+from vlltr.head import save_anchor_embeddings
+from vlltr.pretrain import save_trace
 from vlltr.tensor import Tensor, cosine_sim_matrix
 
 
@@ -204,6 +209,91 @@ class TestTauClamp:
         model.tau.data = np.array(1e-6)
         model.clamp_tau()
         assert float(model.tau.data) == TAU_MIN
+
+    @pytest.mark.parametrize("value,want", [(5.0, TAU_MAX), (0.0, TAU_MIN),
+                                            (0.3, 0.3), (TAU_MIN, TAU_MIN)])
+    def test_clamps_in_place(self, value, want):
+        model = tiny_model()
+        view = model.tau.data
+        view[...] = value
+        model.clamp_tau()
+        assert model.tau.data is view and float(view) == want
+
+    def test_nan_stays_nan(self):
+        model = tiny_model()
+        model.tau.data = np.array(np.nan)
+        model.clamp_tau()
+        assert np.isnan(model.tau.data)
+
+
+class Poison:
+    """Raises wherever a writer reads it: as an array, by attribute,
+    when iterated or when encoded."""
+
+    def __array__(self, *args, **kwargs):
+        raise RuntimeError("poisoned payload")
+
+    def __getattr__(self, name):
+        raise RuntimeError("poisoned payload")
+
+    def __iter__(self):
+        raise RuntimeError("poisoned payload")
+
+
+def _corpus_with_poison():
+    ok = Sentence(id=0, tokens=np.array([0, 5, 1]), source="prompt")
+    return ClassCorpus(C=2, vocab_size=8, max_tokens=77,
+                       sentences=[[ok], [Sentence(1, Poison(), "prompt")]])
+
+
+# each writer with a payload that raises after some bytes are written
+POISONED_WRITES = {
+    "write_checkpoint": lambda p: write_checkpoint(
+        p, {"a": np.ones(3), "b": Poison()}),
+    "save_dataset": lambda p: save_dataset(p, LongTailDataset(
+        C=1, d_img=2, counts=[1], X=np.ones((1, 2), np.float32),
+        y=np.zeros(1, np.int64), test_X=Poison(), test_y=np.zeros(1))),
+    "save_corpus": lambda p: save_corpus(p, _corpus_with_poison()),
+    "save_stats": lambda p: save_stats(p, {"a": 1, "b": Poison()}),
+    "save_trace": lambda p: save_trace(p, [(0, 0, 1.0, 0.0, 1.0, 0.1),
+                                           Poison()]),
+    "save_anchors": lambda p: save_anchors(p, AnchorSet(
+        "AnSS", 1, [[(0, 0.5)], Poison()], b"\1" * 32)),
+    "save_anchor_embeddings": lambda p: save_anchor_embeddings(
+        p, type("Block", (Poison,), {"shape": (1, 1, 2)})(), b"\1" * 32),
+}
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", sorted(POISONED_WRITES))
+    def test_failed_write_keeps_the_old_file(self, tmp_path, writer):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"previous bytes")
+        with pytest.raises((RuntimeError, TypeError), match="[Pp]oison"):
+            POISONED_WRITES[writer](path)
+        assert path.read_bytes() == b"previous bytes"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    def test_helper_replaces_only_on_success(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with atomic_write(path) as f:
+            f.write("first\n")
+        with pytest.raises(KeyError):
+            with atomic_write(path) as f:
+                f.write("half")
+                f.flush()
+                raise KeyError("stop")
+        assert path.read_text() == "first\n"
+        with atomic_write(path, binary=True) as f:
+            f.write(b"\0second")
+        assert path.read_bytes() == b"\0second"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_missing_directory_leaves_nothing(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            with atomic_write(tmp_path / "absent" / "out.txt") as f:
+                f.write("x")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCheckpointing:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import composite_oracles as oracle
 from vlltr.data import ShotBands
 from vlltr.encoders import CvlpModel
 from vlltr.errors import ValidationError
@@ -69,6 +70,38 @@ class TestEvaluate:
             evaluate([0, 0], [0], bands)
         with pytest.raises(ValidationError):
             evaluate([0], [3], bands)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_loop_oracle(self, seed):
+        """Random bands and predictions, with a class that has no test
+        images and a band with no classes (seed 0: no few-shot class),
+        give the loop's report field for field and byte for byte."""
+        rng = np.random.default_rng(seed)
+        C = int(rng.integers(3, 12))
+        names = ("many", "medium") if seed == 0 else ("many", "medium", "few")
+        bands = ShotBands([names[int(k)]
+                           for k in rng.integers(len(names), size=C)])
+        n = int(rng.integers(0, 300)) if seed else 250
+        labels = rng.integers(0, C - 1, size=n)   # class C - 1 unseen
+        preds = np.where(rng.random(n) < 0.5, labels,
+                         rng.integers(0, C, size=n))
+        got = evaluate(preds, labels, bands, config_fingerprint="f")
+        want = oracle.evaluate(preds, labels, bands, config_fingerprint="f")
+        assert got == want
+        assert got.to_json() == want.to_json()
+        assert got.per_class[C - 1] is None
+        if seed == 0:
+            assert "few" not in got.bands and "few" not in got.band_counts
+
+    def test_empty_input(self):
+        report = evaluate([], [], ShotBands(["many", "few"]))
+        assert report == oracle.evaluate([], [], ShotBands(["many", "few"]))
+        assert report.total == 0 and report.per_class == [None, None]
+
+    def test_negative_label_is_validation_error(self):
+        with pytest.raises(ValidationError) as exc:
+            evaluate([0, 0], [0, -1], ShotBands(["many"]))
+        assert "label -1" in str(exc.value)
 
     def test_json_is_stable(self):
         bands = ShotBands(["many", "few"])

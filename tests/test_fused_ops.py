@@ -110,6 +110,31 @@ class TestPretrainLoss:
             lambda s, t: oracle.pretrain_loss(s, St, labels, t, 0.6, lam),
             [S, tau])
 
+    @pytest.mark.parametrize("case", sorted(LABEL_CASES))
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_logged_losses_are_floats_of_the_oracles(self, case, lam):
+        """l_ccl and l_dis come back as floats equal to the composite
+        losses, and to the fused ones bit for bit; only `loss` is a tape
+        node, and its one node reads S and tau."""
+        labels = LABEL_CASES[case]
+        S, St, tau = (Tensor(a, requires_grad=True)
+                      for a in loss_inputs(labels, seed=2))
+        loss, l_ccl, l_dis = pretrain.pretrain_loss(S, St.data, labels, tau,
+                                                    0.6, lam)
+        assert loss._parents == (S, tau)
+        assert type(l_ccl) is float
+        assert l_ccl == float(pretrain.ccl_loss(S, labels, tau)[2].data)
+        assert abs(l_ccl - float(
+            oracle.ccl_loss(S, labels, tau)[2].data)) <= TOL
+        if lam == 1.0:
+            assert l_dis is None
+            return
+        assert type(l_dis) is float
+        assert l_dis == float(
+            pretrain.distill_loss(S, St.data, tau, 0.6).data)
+        assert abs(l_dis - float(
+            oracle.distill_loss(S, St.data, tau, 0.6).data)) <= TOL
+
 
 class TestCosineSimMatrix:
     @pytest.mark.parametrize("shapes", [((3, 4), (2, 4)), ((1, 3), (1, 3)),

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+import composite_oracles as oracle
 from vlltr.errors import ShapeMismatch, ValidationError
 from vlltr.optim import AdamW, LrSchedule, cosine_lr
-from vlltr.tensor import parameter
+from vlltr.tensor import Tensor, matmul, parameter
 
 
 class TestCosineLr:
@@ -92,6 +93,63 @@ class TestAdamW:
         view = p.data
         opt.step()
         assert p.data is view
+
+    def test_owned_gradients_match_the_per_tensor_oracle(self):
+        """20 steps against `composite_oracles.AdamW`, bit for bit, with a
+        parameter outside the graph, a 0-d parameter, and on some steps a
+        gradient set to None, a gradient replaced by another array and
+        replaced parameter data. Gradients stay readable after `step`."""
+        rng = np.random.default_rng(3)
+        init = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3),
+                "t": np.array(0.7), "idle": rng.normal(size=2)}
+        x = Tensor(rng.normal(size=(5, 4)))
+        runs = []
+        for make_opt in (AdamW, oracle.AdamW):
+            params = {k: parameter(v.copy()) for k, v in init.items()}
+            runs.append((params, make_opt(params, 0.05, weight_decay=0.1)))
+        for step in range(20):
+            for params, opt in runs:
+                opt.zero_grad()
+                ((matmul(x, params["w"]) + params["b"]) * params["t"]) \
+                    .relu().sum().backward()
+                if step % 5 == 1:
+                    params["b"].grad = None
+                elif step % 5 == 2:
+                    params["w"].grad = params["w"].grad * 2.0
+                elif step % 5 == 3:
+                    params["t"].data = params["t"].data + 0.01
+                grads = {k: None if p.grad is None else p.grad.copy()
+                         for k, p in params.items()}
+                opt.step(lr=0.05 * (1.0 - step / 20))
+                for k, p in params.items():
+                    if grads[k] is not None:
+                        np.testing.assert_array_equal(p.grad, grads[k])
+            (mine, _), (theirs, _) = runs
+            for k in init:
+                np.testing.assert_array_equal(mine[k].data, theirs[k].data)
+                assert mine[k].data.shape == init[k].shape
+                np.testing.assert_array_equal(
+                    np.zeros(init[k].shape) if mine[k].grad is None
+                    else mine[k].grad,
+                    np.zeros(init[k].shape) if theirs[k].grad is None
+                    else theirs[k].grad)
+
+    def test_backward_adds_into_the_bound_gradients(self):
+        """After `zero_grad` a backward pass fills the arrays `zero_grad`
+        bound, and a second pass without it adds to them."""
+        w = parameter(np.array([1.0, -2.0]))
+        opt = AdamW({"w": w}, base_lr=0.1)
+        opt.zero_grad()
+        bound = w.grad
+        np.testing.assert_array_equal(bound, [0.0, 0.0])
+        (w * w).sum().backward()
+        assert w.grad is bound
+        np.testing.assert_array_equal(bound, [2.0, -4.0])
+        (w * w).sum().backward()
+        np.testing.assert_array_equal(w.grad, [4.0, -8.0])
+        opt.zero_grad()
+        assert w.grad is bound
+        np.testing.assert_array_equal(bound, [0.0, 0.0])
 
     def test_replaced_data_of_another_shape_names_param(self):
         p = parameter(np.zeros((2, 2)))

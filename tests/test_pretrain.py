@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from vlltr import pretrain as pretrain_module
 from vlltr.data import ClassCorpus, SqrtSampler, gen_corpus, gen_synthetic
 from vlltr.encoders import CvlpModel, TeacherPair
 from vlltr.errors import NumericError, ShapeMismatch, ValidationError
@@ -15,6 +16,7 @@ from vlltr.pretrain import (
     distill_loss,
     pretrain_loss,
     run_pretrain,
+    sample_epoch,
     sample_paired_batch,
     save_trace,
 )
@@ -167,7 +169,7 @@ class TestPretrainLoss:
         labels = np.array([0, 1, 2])
         loss, _, l_dis = pretrain_loss(S, St, labels, 0.4, 0.9, lam=0.0)
         assert float(loss.data) == float(distill_loss(S, St, 0.4, 0.9).data)
-        assert float(loss.data) == float(l_dis.data)
+        assert float(loss.data) == l_dis
 
     def test_half_lam_is_mean(self):
         rng = np.random.default_rng(8)
@@ -175,7 +177,7 @@ class TestPretrainLoss:
         St = rng.normal(size=(4, 4))
         labels = np.array([0, 0, 1, 2])
         loss, l_ccl, l_dis = pretrain_loss(S, St, labels, 0.3, 0.5, lam=0.5)
-        expect = 0.5 * float(l_ccl.data) + 0.5 * float(l_dis.data)
+        expect = 0.5 * l_ccl + 0.5 * l_dis
         assert float(loss.data) == pytest.approx(expect, abs=1e-15)
 
     def test_lam_out_of_range(self):
@@ -237,6 +239,77 @@ class TestSamplePairedBatch:
                 np.testing.assert_array_equal(seq, everything[r])
 
 
+def per_step_batches(ds, table, sampler, rng, batch_size, steps):
+    """(images, labels, idx, rows, sentences) per step, drawn one batch
+    at a time: a class draw, a draw inside the classes, and one
+    rng.integers call over the batch's class sizes."""
+    counts = np.asarray(ds.counts)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    out = []
+    for _ in range(steps):
+        classes = sampler.draw_classes(batch_size)
+        within = (sampler.rng.random(batch_size)
+                  * counts[classes]).astype(np.int64)
+        idx = offsets[classes] + within
+        labels = ds.y[idx]
+        rows = table.class_starts[labels] \
+            + rng.integers(table.class_sizes[labels])
+        sentences = table.sequences()
+        out.append((ds.X[idx].astype(np.float64), labels, idx, rows,
+                    [sentences[r] for r in rows]))
+    return out
+
+
+class TestSampleEpoch:
+    @pytest.mark.parametrize("seed", [0, 5, 1000])
+    @pytest.mark.parametrize("batch_size", [1, 5, 32])
+    @pytest.mark.parametrize("counts", [[12, 12, 12, 12], [2, 1]])
+    def test_equals_batches_drawn_one_by_one(self, seed, batch_size,
+                                             counts):
+        """`sample_epoch` gives the batches that `steps` calls of
+        `sample_paired_batch` and a per-step oracle give, and leaves both
+        generators in the same state; [2, 1] is a dataset smaller than
+        one batch."""
+        ds = gen_synthetic(len(counts), counts, d_img=6, noise_sigma=0.25,
+                           seed=seed, test_per_class=2)
+        corpus, _ = gen_corpus(len(counts), 6, 4, vocab_size=64,
+                               noise_fraction=0.0, seed=seed)
+        table, steps = corpus.token_table(), 4
+
+        def streams():
+            return (SqrtSampler(ds.counts, seed=seed),
+                    np.random.default_rng(seed + 1))
+
+        sampler, rng = streams()
+        epoch = sample_epoch(ds, table, sampler, rng, batch_size, steps)
+        one_sampler, one_rng = streams()
+        one_by_one = [sample_paired_batch(ds, table, one_sampler, one_rng,
+                                          batch_size) for _ in range(steps)]
+        oracle_sampler, oracle_rng = streams()
+        oracle = per_step_batches(ds, table, oracle_sampler, oracle_rng,
+                                  batch_size, steps)
+        assert len(epoch) == steps
+        for batch, single, (images, labels, idx, rows, sentences) in zip(
+                epoch, one_by_one, oracle):
+            for got in (batch, single):
+                np.testing.assert_array_equal(got.images, images)
+                assert got.images.dtype == np.float64
+                np.testing.assert_array_equal(got.labels, labels)
+                np.testing.assert_array_equal(got.idx, idx)
+                np.testing.assert_array_equal(got.rows, rows)
+                assert [s.tolist() for s in got.sequences] == \
+                    [s.tolist() for s in sentences]
+                np.testing.assert_array_equal(got.bags.ids,
+                                              np.concatenate(sentences))
+                assert got.bags.offsets[0] == 0
+                assert got.bags.class_sizes.tolist() == [batch_size]
+        for group in ((sampler, one_sampler, oracle_sampler),
+                      (rng, one_rng, oracle_rng)):
+            draws = [g.rng.random() if isinstance(g, SqrtSampler)
+                     else g.random() for g in group]
+            assert draws[0] == draws[1] == draws[2]
+
+
 def oracle_pretrain(dataset, corpus, model, teacher, cfg):
     """`run_pretrain` fed a list of token arrays per batch, one sentence
     drawn per image from `corpus.for_class`, with the teacher matrix
@@ -267,8 +340,8 @@ def oracle_pretrain(dataset, corpus, model, teacher, cfg):
             loss.backward()
             opt.step(lr=cosine_lr(sched, step))
             model.clamp_tau()
-            trace.append((epoch, step, float(l_ccl.data),
-                          float(l_dis.data) if l_dis is not None else 0.0,
+            trace.append((epoch, step, l_ccl,
+                          l_dis if l_dis is not None else 0.0,
                           float(loss.data), float(model.tau.data)))
             step += 1
     return trace
@@ -284,6 +357,26 @@ class TestRunPretrain:
         for loop in (run_pretrain, oracle_pretrain):
             ds, corpus, model = tiny_setup(seed=6)
             teacher = TeacherPair(CvlpModel(6, 6, 64, seed=13))
+            runs.append((loop(ds, corpus, model, teacher, cfg),
+                         model.state()))
+        (trace, state), (want_trace, want_state) = runs
+        assert len(trace) == 24
+        np.testing.assert_array_equal(np.array(trace), np.array(want_trace))
+        for name, value in want_state.items():
+            np.testing.assert_array_equal(state[name], value)
+
+    @pytest.mark.parametrize("draw_steps", [1, 5, 12])
+    def test_draws_in_runs_match_the_oracle_loop(self, monkeypatch,
+                                                 draw_steps):
+        """Epochs of 12 steps drawn 1, 5 (5 + 5 + 2) or 12 steps at a
+        time give the oracle loop's trace and parameters, bit for bit."""
+        monkeypatch.setattr(pretrain_module, "DRAW_STEPS", draw_steps)
+        cfg = PretrainConfig(epochs=2, batch_size=4, base_lr=0.01, lam=0.5,
+                             seed=8)
+        runs = []
+        for loop in (run_pretrain, oracle_pretrain):
+            ds, corpus, model = tiny_setup(seed=8)
+            teacher = TeacherPair(CvlpModel(6, 6, 64, seed=15))
             runs.append((loop(ds, corpus, model, teacher, cfg),
                          model.state()))
         (trace, state), (want_trace, want_state) = runs
