@@ -1,7 +1,7 @@
 """Command-line entry point wiring the two-stage pipeline.
 
 Exit codes: 0 success, 1 usage error, 2 validation error, 3 numeric
-failure.
+failure, 4 internal error (an unexpected exception).
 """
 
 from __future__ import annotations
@@ -87,11 +87,11 @@ def _cmd_ablate(cfg: RunConfig, out_dir: Path):
             ("FC head", {"head": "fc"}),
             ("KNN head", {"head": "knn"}),
             ("LGR + CutOff + distill", {"anchor_mode": "CutOff"}))
-    entries = []
+    entries, memo = [], {}
     for label, changes in rows:
         sub_cfg = replace(cfg, **changes).validate()
         sub_dir = out_dir / label.replace(" ", "_").replace("+", "and")
-        entries.append((label, pipeline.run_all(sub_cfg, sub_dir)))
+        entries.append((label, pipeline.run_all(sub_cfg, sub_dir, memo)))
     table = ablation_report(entries)
     with atomic_write(out_dir / "ablation.txt") as f:
         f.write(table)
@@ -147,6 +147,11 @@ def main(argv=None) -> int:
     except (ValidationError, VlltrError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

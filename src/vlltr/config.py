@@ -61,13 +61,15 @@ class RunConfig:
         get_head(self.head)
         return self
 
-    def canonical(self) -> str:
-        lines = [f"{f.name} = {getattr(self, f.name)}"
-                 for f in sorted(fields(self), key=lambda f: f.name)]
-        return "\n".join(lines) + "\n"
+    def canonical(self, names=None) -> str:
+        """`key = value` lines in key order, of every field or of the
+        fields in `names`."""
+        if names is None:
+            names = [f.name for f in fields(self)]
+        return "".join(f"{n} = {getattr(self, n)}\n" for n in sorted(names))
 
-    def fingerprint(self) -> bytes:
-        return hashlib.sha256(self.canonical().encode("utf-8")).digest()
+    def fingerprint(self, names=None) -> bytes:
+        return hashlib.sha256(self.canonical(names).encode("utf-8")).digest()
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

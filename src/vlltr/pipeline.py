@@ -5,16 +5,23 @@ SHA-256 of the data files it was trained on, anchor files record the
 checkpoint they were scored under, and the embedding cache records the
 checkpoint its text embeddings came from. A stage refuses inputs whose
 hashes disagree.
+
+The stages in `STAGES` write bytes that depend only on the config fields
+they read and on the bytes of their upstream artifacts. Given a memo,
+such a stage runs once per distinct (fields, upstream bytes) and writes
+the remembered bytes on every later call.
 """
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import checkpoint as ckpt
-from .anchors import AnchorSet, load_anchors, save_anchors, select_anchors
+from .anchors import load_anchors, save_anchors, select_anchors
 from .config import RunConfig
 from .data import (corpus_stats, gen_corpus, gen_pareto_counts, gen_synthetic,
                    load_corpus, load_dataset, save_corpus, save_dataset,
@@ -49,8 +56,88 @@ def artifact(out_dir, name) -> Path:
     return Path(out_dir) / FILES[name]
 
 
-def _meta_sections(cfg: RunConfig, out_dir) -> dict:
-    sections = {"__fingerprint__": ckpt.hash_to_floats(cfg.fingerprint())}
+@dataclass(frozen=True)
+class Stage:
+    fields: tuple     # the RunConfig fields the stage reads
+    upstream: tuple   # the artifacts whose bytes its outputs depend on
+    outputs: tuple    # the artifacts it writes
+
+    def inputs(self, cfg: RunConfig) -> tuple:
+        """The upstream artifacts a run under `cfg` reads: the teacher
+        only when it distills (lam < 1)."""
+        return tuple(a for a in self.upstream
+                     if a != "teacher" or cfg.lam < 1.0)
+
+
+STAGES = {
+    "gen_data": Stage(
+        fields=("seed", "classes", "n_max", "n_min", "d_img", "noise_sigma",
+                "test_per_class", "sentences_per_class", "prompt_count",
+                "vocab_size", "noise_fraction", "max_tokens"),
+        upstream=(), outputs=("dataset", "corpus", "stats")),
+    "make_teacher": Stage(
+        fields=("seed", "classes", "n_max", "d_img", "noise_sigma",
+                "test_per_class", "embed_dim", "vocab_size", "tau_init",
+                "max_tokens", "teacher_epochs", "pretrain_batch",
+                "pretrain_lr", "weight_decay"),
+        upstream=("dataset", "corpus"), outputs=("teacher", "teacher_trace")),
+    "pretrain": Stage(
+        fields=("seed", "d_img", "embed_dim", "vocab_size", "tau_init",
+                "max_tokens", "pretrain_epochs", "pretrain_batch",
+                "pretrain_lr", "lam", "weight_decay"),
+        upstream=("dataset", "corpus", "teacher"),
+        outputs=("student", "pretrain_trace")),
+    "select_anchors": Stage(
+        fields=("seed", "d_img", "embed_dim", "vocab_size", "max_tokens",
+                "anchor_m", "anchor_mode", "probe_cap"),
+        upstream=("dataset", "corpus", "student"), outputs=("anchors",)),
+}
+
+
+def stage_fingerprint(name: str, cfg: RunConfig) -> bytes:
+    """SHA-256 of the config fields stage `name` reads."""
+    return cfg.fingerprint(STAGES[name].fields)
+
+
+def _memo_key(name: str, cfg: RunConfig, out_dir):
+    """The stage's own fingerprint and the SHA-256 of each upstream file
+    in `out_dir`; None when one is missing, so the stage runs and
+    reports it."""
+    key = [stage_fingerprint(name, cfg)]
+    for up in STAGES[name].inputs(cfg):
+        path = artifact(out_dir, up)
+        if not path.exists():
+            return None
+        key.append(ckpt.file_sha256(path))
+    return tuple(key)
+
+
+def _memoized(name: str):
+    """Make stage `name` take an optional memo (key -> {artifact: bytes}).
+    On a hit the stage writes the remembered bytes and returns; on a miss
+    it runs and remembers what it wrote. Bytes, not paths, so a row
+    directory edited later cannot leak into the next caller."""
+    def wrap(run):
+        @functools.wraps(run)
+        def stage(cfg: RunConfig, out_dir, memo: dict | None = None):
+            key = None if memo is None else _memo_key(name, cfg, out_dir)
+            if key is not None and key in memo:
+                Path(out_dir).mkdir(parents=True, exist_ok=True)
+                for art, data in memo[key].items():
+                    with ckpt.atomic_write(artifact(out_dir, art),
+                                           binary=True) as f:
+                        f.write(data)
+                return
+            run(cfg, out_dir)
+            if key is not None:
+                memo[key] = {art: artifact(out_dir, art).read_bytes()
+                             for art in STAGES[name].outputs}
+        return stage
+    return wrap
+
+
+def _meta_sections(fingerprint: bytes, out_dir) -> dict:
+    sections = {"__fingerprint__": ckpt.hash_to_floats(fingerprint)}
     for name, key in (("dataset", "__dataset_hash__"),
                       ("corpus", "__corpus_hash__")):
         path = artifact(out_dir, name)
@@ -74,6 +161,7 @@ def _check_data_hashes(sections: dict, cfg: RunConfig, out_dir):
 # ---- stages -----------------------------------------------------------------
 
 
+@_memoized("gen_data")
 def cmd_gen_data(cfg: RunConfig, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -86,7 +174,6 @@ def cmd_gen_data(cfg: RunConfig, out_dir):
     save_dataset(artifact(out_dir, "dataset"), dataset)
     save_corpus(artifact(out_dir, "corpus"), corpus)
     save_stats(artifact(out_dir, "stats"), corpus_stats(corpus))
-    return dataset, corpus
 
 
 def _load_data(cfg: RunConfig, out_dir):
@@ -96,6 +183,7 @@ def _load_data(cfg: RunConfig, out_dir):
     return dataset, corpus
 
 
+@_memoized("make_teacher")
 def cmd_make_teacher(cfg: RunConfig, out_dir):
     """Pre-train a frozen teacher pair on the balanced variant of the
     synthetic task (every class at n_max, same prototypes)."""
@@ -111,12 +199,13 @@ def cmd_make_teacher(cfg: RunConfig, out_dir):
                           base_lr=cfg.pretrain_lr, lam=1.0,
                           weight_decay=cfg.weight_decay, seed=cfg.seed + 7)
     trace = run_pretrain(balanced, corpus, model, None, pcfg)
-    ckpt.write_checkpoint(artifact(out_dir, "teacher"),
-                          {**model.state(), **_meta_sections(cfg, out_dir)})
+    ckpt.write_checkpoint(artifact(out_dir, "teacher"), {
+        **model.state(),
+        **_meta_sections(stage_fingerprint("make_teacher", cfg), out_dir)})
     save_trace(artifact(out_dir, "teacher_trace"), trace)
-    return trace
 
 
+@_memoized("pretrain")
 def cmd_pretrain(cfg: RunConfig, out_dir):
     dataset, corpus = _load_data(cfg, out_dir)
     teacher = None
@@ -134,10 +223,10 @@ def cmd_pretrain(cfg: RunConfig, out_dir):
                           base_lr=cfg.pretrain_lr, lam=cfg.lam,
                           weight_decay=cfg.weight_decay, seed=cfg.seed)
     trace = run_pretrain(dataset, corpus, model, teacher, pcfg)
-    ckpt.write_checkpoint(artifact(out_dir, "student"),
-                          {**model.state(), **_meta_sections(cfg, out_dir)})
+    ckpt.write_checkpoint(artifact(out_dir, "student"), {
+        **model.state(),
+        **_meta_sections(stage_fingerprint("pretrain", cfg), out_dir)})
     save_trace(artifact(out_dir, "pretrain_trace"), trace)
-    return trace
 
 
 def load_model(cfg: RunConfig, out_dir, name) -> CvlpModel:
@@ -151,7 +240,8 @@ def load_model(cfg: RunConfig, out_dir, name) -> CvlpModel:
     return model
 
 
-def cmd_select_anchors(cfg: RunConfig, out_dir) -> AnchorSet:
+@_memoized("select_anchors")
+def cmd_select_anchors(cfg: RunConfig, out_dir):
     dataset, corpus = _load_data(cfg, out_dir)
     model = load_model(cfg, out_dir, "student")
     student_hash = ckpt.file_sha256(artifact(out_dir, "student"))
@@ -159,7 +249,6 @@ def cmd_select_anchors(cfg: RunConfig, out_dir) -> AnchorSet:
                              mode=cfg.anchor_mode, cap=cfg.probe_cap,
                              seed=cfg.seed, checkpoint_hash=student_hash)
     save_anchors(artifact(out_dir, "anchors"), anchors)
-    return anchors
 
 
 def cmd_finetune(cfg: RunConfig, out_dir):
@@ -175,7 +264,8 @@ def cmd_finetune(cfg: RunConfig, out_dir):
     head_params, _, trace = run_finetune(
         dataset, anchors, corpus, model, fcfg,
         expected_checkpoint_hash=student_hash)
-    sections = {**model.state(), **_meta_sections(cfg, out_dir),
+    sections = {**model.state(),
+                **_meta_sections(cfg.fingerprint(), out_dir),
                 **{k: v.data.copy() for k, v in head_params.params().items()}}
     ckpt.write_checkpoint(artifact(out_dir, "final"), sections)
     with ckpt.atomic_write(artifact(out_dir, "finetune_trace")) as f:
@@ -242,12 +332,13 @@ def cmd_eval(cfg: RunConfig, out_dir) -> EvalReport:
     return report
 
 
-def run_all(cfg: RunConfig, out_dir) -> EvalReport:
-    """The full two-stage pipeline in one call."""
-    cmd_gen_data(cfg, out_dir)
+def run_all(cfg: RunConfig, out_dir, memo: dict | None = None) -> EvalReport:
+    """The full two-stage pipeline in one call. Runs that pass one
+    `memo` run each distinct stage of `STAGES` once."""
+    cmd_gen_data(cfg, out_dir, memo)
     if cfg.lam < 1.0:
-        cmd_make_teacher(cfg, out_dir)
-    cmd_pretrain(cfg, out_dir)
-    cmd_select_anchors(cfg, out_dir)
+        cmd_make_teacher(cfg, out_dir, memo)
+    cmd_pretrain(cfg, out_dir, memo)
+    cmd_select_anchors(cfg, out_dir, memo)
     cmd_finetune(cfg, out_dir)
     return cmd_eval(cfg, out_dir)

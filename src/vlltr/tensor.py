@@ -392,12 +392,15 @@ def cosine_sim_matrix(a: Tensor, b: Tensor) -> Tensor:
 
 
 def cross_entropy(p: Tensor, y) -> Tensor:
-    """-log p[y] on probability rows, floored at 1e-12.
+    """-log p[y] on probability rows, floored at 1e-12, as one tape node.
 
-    `p` may be a single row or a batch; a batch is averaged.
+    `p` may be a single row or a batch; a batch is averaged. With the
+    picked probabilities q = p[i, y_i], floored to q', and upstream g,
+    p[i, y_i] receives (-g / n) / q' where q is above the floor and every
+    other entry nothing.
     """
     p = as_tensor(p)
-    rows = p.reshape(1, -1) if p.ndim == 1 else p
+    rows = p.data.reshape(1, -1) if p.ndim == 1 else p.data
     labels = np.atleast_1d(np.asarray(y, dtype=np.int64))
     n, c = rows.shape
     if labels.shape != (n,):
@@ -408,10 +411,20 @@ def cross_entropy(p: Tensor, y) -> Tensor:
         raise ValidationError(
             f"cross_entropy: label out of range [0, {c}): {labels.tolist()}"
         )
-    sums = rows.data.sum(axis=1)
+    sums = rows.sum(axis=1)
     if np.abs(sums - 1.0).max() > 1e-6:
         raise ValidationError(
             "cross_entropy: input rows are not probability vectors"
         )
-    picked = rows[np.arange(n), labels]
-    return -(picked.clip_min(1e-12).log().mean())
+    index = (np.arange(n), labels)
+    picked = rows[index]
+    floored = np.maximum(picked, 1e-12)
+
+    def backward(g):
+        if p.requires_grad:
+            grad = np.zeros(rows.shape)
+            grad[index] = (-g * (1.0 / n)) / floored * (picked > 1e-12)
+            p._accumulate(grad.reshape(p.shape))
+
+    return Tensor(-(np.log(floored).sum() * (1.0 / n)), parents=(p,),
+                  backward=backward)

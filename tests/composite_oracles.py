@@ -1,7 +1,8 @@
 """Composite-op versions of the fused tape nodes, kept as oracles.
 
 These build the losses, the cosine similarity, the text pooling, the
-softmax, the layer norm and the text and visual encoders out of
+softmax, the layer norm, the cross-entropy and the text and visual
+encoders out of
 elementwise tape ops and the bag pool, one node per op, the LGR and KNN
 heads out of composite layer norms and einsum contractions, AdamW as one
 update per parameter tensor, and the accuracy report as one loop over
@@ -223,6 +224,16 @@ def knn_forward(E_I, anchors, tau):
         / (x_norm.reshape(-1, 1, 1) * a_norm.reshape(1, C, M))
     best = cos.max(axis=2)
     return softmax(best / as_tensor(tau), axis=1)
+
+
+def cross_entropy(p, y):
+    """`tensor.cross_entropy` as seven tape nodes for a batch, eight for
+    a single row (no input checks)."""
+    p = as_tensor(p)
+    rows = p.reshape(1, -1) if p.ndim == 1 else p
+    labels = np.atleast_1d(np.asarray(y, dtype=np.int64))
+    picked = rows[np.arange(rows.shape[0]), labels]
+    return -(picked.clip_min(1e-12).log().mean())
 
 
 def visual_encode(enc, x):

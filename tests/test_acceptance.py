@@ -199,38 +199,16 @@ def test_criterion_6_protocol_exactness():
 
 
 def _grid_for_seed(seed, root):
-    """All five reference-config runs for one seed, sharing the generated
-    data, teacher, and pre-trained encoder where the configs agree."""
+    """All five reference-config runs for one seed, as `vlltr ablate`
+    runs them: one memo shares the generated data, teacher, pre-trained
+    encoder and anchors where the configs agree."""
     cfg = RunConfig(seed=seed).validate()
-    base = root / f"seed{seed}-base"
-    pipeline.cmd_gen_data(cfg, base)
-    pipeline.cmd_make_teacher(cfg, base)
-    pipeline.cmd_pretrain(cfg, base)
-    pipeline.cmd_select_anchors(cfg, base)
-
-    results = {}
-    for head in ("lgr", "fc", "knn"):
-        sub_cfg = dataclasses.replace(cfg, head=head)
-        sub = root / f"seed{seed}-{head}"
-        shutil.copytree(base, sub)
-        pipeline.cmd_finetune(sub_cfg, sub)
-        results[head] = pipeline.cmd_eval(sub_cfg, sub)
-
-    cut_cfg = dataclasses.replace(cfg, anchor_mode="CutOff")
-    sub = root / f"seed{seed}-cutoff"
-    shutil.copytree(base, sub)
-    pipeline.cmd_select_anchors(cut_cfg, sub)
-    pipeline.cmd_finetune(cut_cfg, sub)
-    results["cutoff"] = pipeline.cmd_eval(cut_cfg, sub)
-
-    lam_cfg = dataclasses.replace(cfg, lam=1.0)
-    sub = root / f"seed{seed}-lam1"
-    shutil.copytree(base, sub)
-    pipeline.cmd_pretrain(lam_cfg, sub)
-    pipeline.cmd_select_anchors(lam_cfg, sub)
-    pipeline.cmd_finetune(lam_cfg, sub)
-    results["lam1"] = pipeline.cmd_eval(lam_cfg, sub)
-    return results
+    rows = {"lgr": {}, "fc": {"head": "fc"}, "knn": {"head": "knn"},
+            "cutoff": {"anchor_mode": "CutOff"}, "lam1": {"lam": 1.0}}
+    memo = {}
+    return {name: pipeline.run_all(dataclasses.replace(cfg, **changes),
+                                   root / f"seed{seed}-{name}", memo)
+            for name, changes in rows.items()}
 
 
 def test_criterion_7_directional_grid(tmp_path):

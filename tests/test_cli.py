@@ -314,6 +314,17 @@ class TestUsageAndErrors:
         assert cli.main(["select-anchors", "--config", str(cfg_file),
                          "--out", str(tmp_path)]) == 2
 
+    def test_unexpected_exception_exits_four_in_one_line(
+            self, tmp_path, capsys, monkeypatch):
+        def broken(cfg, out_dir, memo=None):
+            raise RuntimeError("stage broke\non two lines")
+
+        monkeypatch.setattr(pipeline, "cmd_gen_data", broken)
+        assert cli.main(["gen-data", "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err == ("internal error: RuntimeError: "
+                       "stage broke on two lines\n")
+
     def test_help_lists_config_keys(self, capsys):
         import dataclasses
 

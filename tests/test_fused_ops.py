@@ -24,8 +24,8 @@ from vlltr.errors import ValidationError
 from vlltr.gradsuite import LGR_PARAM_NAMES, lgr_params_from
 from vlltr.head import LgrParams, knn_forward, lgr_forward, rec_loss
 from vlltr.optim import AdamW, LrSchedule, cosine_lr
-from vlltr.tensor import (Tensor, cosine_sim_matrix, layer_norm, matmul,
-                          parameter, softmax)
+from vlltr.tensor import (Tensor, cosine_sim_matrix, cross_entropy,
+                          layer_norm, matmul, parameter, softmax)
 
 TOL = 1e-10
 
@@ -292,6 +292,46 @@ class TestLayerNorm:
         assert layer_norm(x, g, b)._parents == (x, g, b)
 
 
+class TestCrossEntropy:
+    CASES = {
+        "batch": (np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3],
+                            [0.25, 0.25, 0.5], [0.1, 0.8, 0.1]]),
+                  np.array([1, 0, 2, 2])),
+        "one_row": (np.array([0.2, 0.7, 0.1]), 1),
+        "batch_of_one": (np.array([[0.3, 0.3, 0.4]]), np.array([2])),
+        "below_floor": (np.array([[1e-15, 1.0 - 1e-15], [0.5, 0.5]]),
+                        np.array([0, 1])),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_composite_bitwise(self, case):
+        """Value and gradient, with an upstream gradient other than 1
+        and a second use of the input accumulating into its gradient."""
+        p, y = self.CASES[case]
+
+        def loss(ce):
+            return lambda t: ce(t, y) * 0.37 + ce(t, y)
+
+        got, (got_grad,) = value_and_grads(loss(cross_entropy), [p])
+        want, (want_grad,) = value_and_grads(loss(oracle.cross_entropy), [p])
+        assert got == want
+        assert got_grad.tobytes() == want_grad.tobytes()
+
+    def test_matches_composite_bitwise_through_softmax(self):
+        z = np.random.default_rng(4).normal(size=(5, 3))
+        y = np.array([0, 2, 1, 1, 0])
+        got, (got_grad,) = value_and_grads(
+            lambda t: cross_entropy(softmax(t, 1), y), [z])
+        want, (want_grad,) = value_and_grads(
+            lambda t: oracle.cross_entropy(softmax(t, 1), y), [z])
+        assert got == want
+        assert got_grad.tobytes() == want_grad.tobytes()
+
+    def test_is_one_node(self):
+        p = Tensor(np.full((2, 2), 0.5), requires_grad=True)
+        assert cross_entropy(p, np.array([0, 1]))._parents == (p,)
+
+
 class TestVisualEncoder:
     @pytest.mark.parametrize("n", [1, 32, 256])
     def test_matches_composite_bitwise(self, n):
@@ -415,19 +455,19 @@ def test_lam_one_pretrain_graph_has_twelve_nodes():
     assert graph_size(loss) == 12
 
 
-def test_lgr_finetune_graph_has_fifty_three_nodes():
+def test_lgr_finetune_graph_has_forty_one_nodes():
     """One LGR fine-tune loss: four visual weights and the encoder node,
     the frozen anchors and thirteen head parameters (19); the query's
     layer norm, matmul and bias add, the keys' reshape, layer norm,
     matmul and bias add (7); the attention, gather and cosine nodes,
     the temperature's inverse, the product and the P_T softmax (6);
-    five perceptron nodes and the P_I softmax (6); seven cross-entropy
-    nodes per path and their sum (15). As composite ops it was 99."""
+    five perceptron nodes and the P_I softmax (6); one cross-entropy
+    node per path and their sum (3). As composite ops it was 99."""
     rng = np.random.default_rng(0)
     vis = VisualEncoder(6, 4, rng)
     out = lgr_forward(vis(rng.normal(size=(5, 6))),
                       rng.normal(size=(3, 2, 4)), LgrParams(4, 3, 0.3, rng))
-    assert graph_size(rec_loss(out, np.array([0, 1, 2, 0, 1]))) == 53
+    assert graph_size(rec_loss(out, np.array([0, 1, 2, 0, 1]))) == 41
 
 
 # (N, C, M, D): one image, one class, one anchor, and the reference shapes
