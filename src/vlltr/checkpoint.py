@@ -38,10 +38,6 @@ def hash_to_floats(digest: bytes) -> np.ndarray:
     return np.array(list(digest), dtype=np.float64)
 
 
-def floats_to_hash(arr: np.ndarray) -> bytes:
-    return bytes(int(b) for b in arr)
-
-
 def file_sha256(path) -> bytes:
     h = hashlib.sha256()
     with open(path, "rb") as f:

@@ -34,6 +34,16 @@ def _config_help() -> str:
     return "\n".join(lines)
 
 
+#: Commands that run `pipeline.cmd_<name>` and print nothing.
+STAGE_COMMANDS = {
+    "gen-data": "generate the dataset, corpus, and stats files",
+    "make-teacher": "pre-train the frozen teacher on the balanced variant",
+    "pretrain": "stage 1: class-wise visual-linguistic pre-training",
+    "select-anchors": "score and select anchor sentences",
+    "finetune": "stage 2: fine-tune the visual encoder and head",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vlltr",
                      description="Two-stage visual-linguistic long-tailed "
@@ -51,14 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--set", action="append", default=[],
                         metavar="KEY=VALUE", help="override one config key")
 
-    for name, help_text in (
-            ("gen-data", "generate the dataset, corpus, and stats files"),
-            ("make-teacher", "pre-train the frozen teacher on the balanced variant"),
-            ("pretrain", "stage 1: class-wise visual-linguistic pre-training"),
-            ("select-anchors", "score and select anchor sentences"),
-            ("finetune", "stage 2: fine-tune the visual encoder and head"),
-            ("eval", "evaluate on the balanced test split"),
-            ("ablate", "run the ablation grid and print the table")):
+    for name, help_text in {
+            **STAGE_COMMANDS,
+            "eval": "evaluate on the balanced test split",
+            "ablate": "run the ablation grid and print the table"}.items():
         sub.add_parser(name, parents=[common], help=help_text)
 
     p = sub.add_parser("retrieve", parents=[common],
@@ -101,7 +107,8 @@ def _cmd_ablate(cfg: RunConfig, out_dir: Path):
 def _cmd_retrieve(cfg: RunConfig, out_dir: Path, query: str, k: int):
     from .data import load_dataset, parse_tokens
     dataset = load_dataset(pipeline.artifact(out_dir, "dataset"))
-    model = pipeline.load_model(cfg, out_dir, "student")
+    hashes = pipeline.hash_inputs(out_dir, ("dataset", "corpus"))
+    model = pipeline.load_model(cfg, out_dir, "student", hashes)
     tokens = parse_tokens(query, model.lin.vocab_size, "--query")
     ids = concept_retrieval(tokens, dataset.test_X, model, k)
     for rank, sample_id in enumerate(ids):
@@ -123,16 +130,9 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         if args.command == "gradcheck":
             return _cmd_gradcheck(args.instances, cfg.seed)
-        if args.command == "gen-data":
-            pipeline.cmd_gen_data(cfg, out_dir)
-        elif args.command == "make-teacher":
-            pipeline.cmd_make_teacher(cfg, out_dir)
-        elif args.command == "pretrain":
-            pipeline.cmd_pretrain(cfg, out_dir)
-        elif args.command == "select-anchors":
-            pipeline.cmd_select_anchors(cfg, out_dir)
-        elif args.command == "finetune":
-            pipeline.cmd_finetune(cfg, out_dir)
+        if args.command in STAGE_COMMANDS:
+            stage = getattr(pipeline, "cmd_" + args.command.replace("-", "_"))
+            stage(cfg, out_dir)
         elif args.command == "eval":
             report = pipeline.cmd_eval(cfg, out_dir)
             print(report.to_json(), end="")

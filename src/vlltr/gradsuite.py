@@ -6,14 +6,10 @@ import numpy as np
 
 from .encoders import LinguisticEncoder, VisualEncoder
 from .gradcheck import GradCheckReport, gradcheck
-from .head import LgrParams, lgr_forward, rec_loss
+from .head import LGR_PARAM_NAMES, LgrParams, lgr_forward, rec_loss
 from .pretrain import ccl_loss, distill_loss, pretrain_loss
 from .tensor import (Tensor, cosine_sim_matrix, cross_entropy, layer_norm,
                      matmul, softmax)
-
-LGR_PARAM_NAMES = ("q_w", "q_b", "q_ln_g", "q_ln_b",
-                   "k_w", "k_b", "k_ln_g", "k_ln_b",
-                   "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2", "tau")
 
 
 def random_lgr_arrays(rng, C, M, D):

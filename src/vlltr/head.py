@@ -15,14 +15,18 @@ from . import checkpoint as ckpt
 from .anchors import AnchorSet
 from .data import ClassCorpus, LongTailDataset, SqrtSampler
 from .encoders import CvlpModel, clamp_tau
-from .errors import (NumericError, ShapeMismatch, StaleArtifactError,
-                     ValidationError)
+from .errors import NumericError, ShapeMismatch, ValidationError
 from .optim import AdamW, LrSchedule, cosine_lr
 from .tensor import (Tensor, as_tensor, cosine_sim_matrix, cross_entropy,
                      layer_norm, matmul, parameter, softmax)
 
 CACHE_MAGIC = b"VLAE"
 CACHE_VERSION = 1
+
+#: The LGR head's parameter names, in checkpoint order.
+LGR_PARAM_NAMES = ("q_w", "q_b", "q_ln_g", "q_ln_b",
+                   "k_w", "k_b", "k_ln_g", "k_ln_b",
+                   "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2", "tau")
 
 
 class LgrParams:
@@ -49,12 +53,7 @@ class LgrParams:
         self.tau = parameter(np.array(tau_init))
 
     def params(self, prefix="lgr.") -> dict:
-        named = {prefix + name: getattr(self, name) for name in (
-            "q_w", "q_b", "q_ln_g", "q_ln_b",
-            "k_w", "k_b", "k_ln_g", "k_ln_b",
-            "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2")}
-        named[prefix + "tau"] = self.tau
-        return named
+        return {prefix + name: getattr(self, name) for name in LGR_PARAM_NAMES}
 
     def load_state(self, sections: dict, prefix="lgr."):
         ckpt.load_params(self.params(prefix), sections)
@@ -315,20 +314,13 @@ class FinetuneConfig:
 
 
 def run_finetune(dataset: LongTailDataset, anchors: AnchorSet,
-                 corpus: ClassCorpus, model: CvlpModel, cfg: FinetuneConfig,
-                 expected_checkpoint_hash: bytes | None = None):
+                 corpus: ClassCorpus, model: CvlpModel, cfg: FinetuneConfig):
     """Fine-tune the visual encoder plus the chosen head on the
     recognition loss, cross entropy summed over the head's paths. The
     linguistic encoder stays frozen and anchor embeddings are computed
     once up front. Returns (head_params, anchor_embeddings, trace).
     """
     head = get_head(cfg.head)
-    if expected_checkpoint_hash is not None \
-            and anchors.checkpoint_hash != expected_checkpoint_hash:
-        raise StaleArtifactError(
-            "run_finetune: anchor file was selected under a different "
-            "pre-training checkpoint"
-        )
     for p in model.lin.params().values():
         p.requires_grad = False
     anchor_emb = compute_anchor_embeddings(anchors, corpus, model)

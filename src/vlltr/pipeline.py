@@ -3,8 +3,10 @@
 Stages couple through content hashes: each checkpoint records the
 SHA-256 of the data files it was trained on, anchor files record the
 checkpoint they were scored under, and the embedding cache records the
-checkpoint its text embeddings came from. A stage refuses inputs whose
-hashes disagree.
+checkpoint its text embeddings came from. Each stage call hashes each
+file it reads once, into one {artifact: SHA-256} table that its memo
+key, its records and its checks all read, and refuses inputs whose
+hashes disagree. `head` holds no hash policy.
 
 The stages in `STAGES` write bytes that depend only on the config fields
 they read and on the bytes of their upstream artifacts. Given a memo,
@@ -99,28 +101,33 @@ def stage_fingerprint(name: str, cfg: RunConfig) -> bytes:
     return cfg.fingerprint(STAGES[name].fields)
 
 
-def _memo_key(name: str, cfg: RunConfig, out_dir):
-    """The stage's own fingerprint and the SHA-256 of each upstream file
-    in `out_dir`; None when one is missing, so the stage runs and
-    reports it."""
-    key = [stage_fingerprint(name, cfg)]
-    for up in STAGES[name].inputs(cfg):
-        path = artifact(out_dir, up)
-        if not path.exists():
-            return None
-        key.append(ckpt.file_sha256(path))
-    return tuple(key)
+def hash_inputs(out_dir, names) -> dict:
+    """{artifact: SHA-256} of each named file in `out_dir`."""
+    return {name: ckpt.file_sha256(artifact(out_dir, name)) for name in names}
 
 
 def _memoized(name: str):
-    """Make stage `name` take an optional memo (key -> {artifact: bytes}).
-    On a hit the stage writes the remembered bytes and returns; on a miss
-    it runs and remembers what it wrote. Bytes, not paths, so a row
-    directory edited later cannot leak into the next caller."""
+    """Make stage `name` hash its inputs once and take an optional memo
+    (key -> {artifact: bytes}). A missing input is a ValidationError
+    naming the file and the command that writes it. The body gets the
+    hash table; on a memo hit the stage writes the remembered bytes
+    instead and returns. Bytes, not paths, so a row directory edited
+    later cannot leak into the next caller."""
     def wrap(run):
         @functools.wraps(run)
         def stage(cfg: RunConfig, out_dir, memo: dict | None = None):
-            key = None if memo is None else _memo_key(name, cfg, out_dir)
+            inputs = STAGES[name].inputs(cfg)
+            for up in inputs:
+                path = artifact(out_dir, up)
+                if not path.exists():
+                    writer = next(s for s, st in STAGES.items()
+                                  if up in st.outputs)
+                    raise ValidationError(
+                        f"{name.replace('_', '-')}: {path} is missing; run "
+                        f"`vlltr {writer.replace('_', '-')}` first")
+            hashes = hash_inputs(out_dir, inputs)
+            key = None if memo is None else (stage_fingerprint(name, cfg),
+                                             *hashes.values())
             if key is not None and key in memo:
                 Path(out_dir).mkdir(parents=True, exist_ok=True)
                 for art, data in memo[key].items():
@@ -128,7 +135,7 @@ def _memoized(name: str):
                                            binary=True) as f:
                         f.write(data)
                 return
-            run(cfg, out_dir)
+            run(cfg, out_dir, hashes)
             if key is not None:
                 memo[key] = {art: artifact(out_dir, art).read_bytes()
                              for art in STAGES[name].outputs}
@@ -136,33 +143,33 @@ def _memoized(name: str):
     return wrap
 
 
-def _meta_sections(fingerprint: bytes, out_dir) -> dict:
-    sections = {"__fingerprint__": ckpt.hash_to_floats(fingerprint)}
-    for name, key in (("dataset", "__dataset_hash__"),
-                      ("corpus", "__corpus_hash__")):
-        path = artifact(out_dir, name)
-        if path.exists():
-            sections[key] = ckpt.hash_to_floats(ckpt.file_sha256(path))
-    return sections
+_DATA_RECORDS = (("dataset", "__dataset_hash__"),
+                 ("corpus", "__corpus_hash__"))
 
 
-def _check_data_hashes(sections: dict, cfg: RunConfig, out_dir):
-    for name, key in (("dataset", "__dataset_hash__"),
-                      ("corpus", "__corpus_hash__")):
+def _meta_sections(fingerprint: bytes, hashes: dict) -> dict:
+    return {"__fingerprint__": ckpt.hash_to_floats(fingerprint),
+            **{key: ckpt.hash_to_floats(hashes[name])
+               for name, key in _DATA_RECORDS}}
+
+
+def _check_data_hashes(path, sections: dict, hashes: dict):
+    """Both data records of checkpoint `path` must equal `hashes`."""
+    for name, key in _DATA_RECORDS:
         if key not in sections:
-            continue
-        actual = ckpt.file_sha256(artifact(out_dir, name))
-        if ckpt.floats_to_hash(sections[key]) != actual:
             raise StaleArtifactError(
-                f"checkpoint was trained on a different {name} file"
-            )
+                f"{path}: checkpoint records no {name} hash ('{key}')")
+        if not np.array_equal(sections[key],
+                              ckpt.hash_to_floats(hashes[name])):
+            raise StaleArtifactError(
+                f"{path}: checkpoint was trained on a different {name} file")
 
 
 # ---- stages -----------------------------------------------------------------
 
 
 @_memoized("gen_data")
-def cmd_gen_data(cfg: RunConfig, out_dir):
+def cmd_gen_data(cfg: RunConfig, out_dir, hashes: dict):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = gen_pareto_counts(cfg.classes, cfg.n_max, cfg.n_min)
@@ -176,18 +183,16 @@ def cmd_gen_data(cfg: RunConfig, out_dir):
     save_stats(artifact(out_dir, "stats"), corpus_stats(corpus))
 
 
-def _load_data(cfg: RunConfig, out_dir):
-    dataset = load_dataset(artifact(out_dir, "dataset"))
-    corpus = load_corpus(artifact(out_dir, "corpus"), cfg.vocab_size,
-                         cfg.max_tokens)
-    return dataset, corpus
+def _load_corpus(cfg: RunConfig, out_dir):
+    return load_corpus(artifact(out_dir, "corpus"), cfg.vocab_size,
+                       cfg.max_tokens)
 
 
 @_memoized("make_teacher")
-def cmd_make_teacher(cfg: RunConfig, out_dir):
+def cmd_make_teacher(cfg: RunConfig, out_dir, hashes: dict):
     """Pre-train a frozen teacher pair on the balanced variant of the
     synthetic task (every class at n_max, same prototypes)."""
-    _, corpus = _load_data(cfg, out_dir)
+    corpus = _load_corpus(cfg, out_dir)
     balanced = gen_synthetic(cfg.classes, [cfg.n_max] * cfg.classes,
                              cfg.d_img, cfg.noise_sigma, cfg.seed,
                              cfg.test_per_class)
@@ -201,20 +206,17 @@ def cmd_make_teacher(cfg: RunConfig, out_dir):
     trace = run_pretrain(balanced, corpus, model, None, pcfg)
     ckpt.write_checkpoint(artifact(out_dir, "teacher"), {
         **model.state(),
-        **_meta_sections(stage_fingerprint("make_teacher", cfg), out_dir)})
+        **_meta_sections(stage_fingerprint("make_teacher", cfg), hashes)})
     save_trace(artifact(out_dir, "teacher_trace"), trace)
 
 
 @_memoized("pretrain")
-def cmd_pretrain(cfg: RunConfig, out_dir):
-    dataset, corpus = _load_data(cfg, out_dir)
+def cmd_pretrain(cfg: RunConfig, out_dir, hashes: dict):
+    dataset = load_dataset(artifact(out_dir, "dataset"))
+    corpus = _load_corpus(cfg, out_dir)
     teacher = None
     if cfg.lam < 1.0:
-        if not artifact(out_dir, "teacher").exists():
-            raise ValidationError(
-                "pretrain: lam < 1 needs a teacher checkpoint; "
-                "run make-teacher first")
-        teacher = TeacherPair(load_model(cfg, out_dir, "teacher"))
+        teacher = TeacherPair(load_model(cfg, out_dir, "teacher", hashes))
     model = CvlpModel(cfg.d_img, cfg.embed_dim, cfg.vocab_size,
                       seed=cfg.seed, tau_init=cfg.tau_init,
                       max_tokens=cfg.max_tokens)
@@ -225,15 +227,16 @@ def cmd_pretrain(cfg: RunConfig, out_dir):
     trace = run_pretrain(dataset, corpus, model, teacher, pcfg)
     ckpt.write_checkpoint(artifact(out_dir, "student"), {
         **model.state(),
-        **_meta_sections(stage_fingerprint("pretrain", cfg), out_dir)})
+        **_meta_sections(stage_fingerprint("pretrain", cfg), hashes)})
     save_trace(artifact(out_dir, "pretrain_trace"), trace)
 
 
-def load_model(cfg: RunConfig, out_dir, name) -> CvlpModel:
+def load_model(cfg: RunConfig, out_dir, name, hashes: dict) -> CvlpModel:
     """The encoder pair and temperature of checkpoint `name`, after
-    checking that it was trained on the run's current data files."""
-    sections = ckpt.read_checkpoint(artifact(out_dir, name))
-    _check_data_hashes(sections, cfg, out_dir)
+    checking that it was trained on the data files hashed in `hashes`."""
+    path = artifact(out_dir, name)
+    sections = ckpt.read_checkpoint(path)
+    _check_data_hashes(path, sections, hashes)
     model = CvlpModel(cfg.d_img, cfg.embed_dim, cfg.vocab_size, seed=0,
                       max_tokens=cfg.max_tokens)
     model.load_state(sections)
@@ -241,31 +244,33 @@ def load_model(cfg: RunConfig, out_dir, name) -> CvlpModel:
 
 
 @_memoized("select_anchors")
-def cmd_select_anchors(cfg: RunConfig, out_dir):
-    dataset, corpus = _load_data(cfg, out_dir)
-    model = load_model(cfg, out_dir, "student")
-    student_hash = ckpt.file_sha256(artifact(out_dir, "student"))
+def cmd_select_anchors(cfg: RunConfig, out_dir, hashes: dict):
+    dataset = load_dataset(artifact(out_dir, "dataset"))
+    corpus = _load_corpus(cfg, out_dir)
+    model = load_model(cfg, out_dir, "student", hashes)
     anchors = select_anchors(corpus, dataset, model, cfg.anchor_m,
                              mode=cfg.anchor_mode, cap=cfg.probe_cap,
-                             seed=cfg.seed, checkpoint_hash=student_hash)
+                             seed=cfg.seed, checkpoint_hash=hashes["student"])
     save_anchors(artifact(out_dir, "anchors"), anchors)
 
 
 def cmd_finetune(cfg: RunConfig, out_dir):
-    dataset, corpus = _load_data(cfg, out_dir)
-    model = load_model(cfg, out_dir, "student")
+    hashes = hash_inputs(out_dir, ("dataset", "corpus", "student"))
+    dataset = load_dataset(artifact(out_dir, "dataset"))
+    corpus = _load_corpus(cfg, out_dir)
+    model = load_model(cfg, out_dir, "student", hashes)
     anchors = load_anchors(artifact(out_dir, "anchors"))
-    student_hash = ckpt.file_sha256(artifact(out_dir, "student"))
+    if anchors.checkpoint_hash != hashes["student"]:
+        raise StaleArtifactError(f"{artifact(out_dir, 'anchors')}: selected "
+                                 "under a different pre-training checkpoint")
     fcfg = FinetuneConfig(epochs=cfg.finetune_epochs,
                           batch_size=cfg.finetune_batch,
                           base_lr=cfg.finetune_lr,
                           weight_decay=cfg.weight_decay, seed=cfg.seed,
                           head=cfg.head)
-    head_params, _, trace = run_finetune(
-        dataset, anchors, corpus, model, fcfg,
-        expected_checkpoint_hash=student_hash)
+    head_params, _, trace = run_finetune(dataset, anchors, corpus, model, fcfg)
     sections = {**model.state(),
-                **_meta_sections(cfg.fingerprint(), out_dir),
+                **_meta_sections(cfg.fingerprint(), hashes),
                 **{k: v.data.copy() for k, v in head_params.params().items()}}
     ckpt.write_checkpoint(artifact(out_dir, "final"), sections)
     with ckpt.atomic_write(artifact(out_dir, "finetune_trace")) as f:
@@ -274,34 +279,38 @@ def cmd_finetune(cfg: RunConfig, out_dir):
     return trace
 
 
-def cmd_precompute_cache(cfg: RunConfig, out_dir):
+_EVAL_INPUTS = ("dataset", "corpus", "final")
+
+
+def cmd_precompute_cache(cfg: RunConfig, out_dir, hashes: dict):
     """Write the offline anchor text-embedding cache, keyed by the final
-    checkpoint's content hash."""
-    _, corpus = _load_data(cfg, out_dir)
-    model = load_model(cfg, out_dir, "final")
+    checkpoint's content hash in `hashes`."""
+    model = load_model(cfg, out_dir, "final", hashes)
     anchors = load_anchors(artifact(out_dir, "anchors"))
-    emb = compute_anchor_embeddings(anchors, corpus, model)
-    save_anchor_embeddings(artifact(out_dir, "cache"), emb,
-                           ckpt.file_sha256(artifact(out_dir, "final")))
+    emb = compute_anchor_embeddings(anchors, _load_corpus(cfg, out_dir), model)
+    save_anchor_embeddings(artifact(out_dir, "cache"), emb, hashes["final"])
     return emb
 
 
-def load_inference_head(cfg: RunConfig, out_dir):
+def load_inference_head(cfg: RunConfig, out_dir, hashes: dict | None = None):
     """Load only what cache-based inference needs from the final
     checkpoint, after checking its data hashes: the visual encoder and
     the head parameters. Linguistic-encoder sections are never
-    materialized. Returns (vis, head_params, checkpoint SHA-256)."""
+    materialized. Hashes dataset, corpus and final unless given their
+    table. Returns (vis, head_params, checkpoint SHA-256)."""
+    if hashes is None:
+        hashes = hash_inputs(out_dir, _EVAL_INPUTS)
     final_path = artifact(out_dir, "final")
     sections = ckpt.read_checkpoint(
         final_path, names=lambda n: not n.startswith("lin."))
-    _check_data_hashes(sections, cfg, out_dir)
+    _check_data_hashes(final_path, sections, hashes)
     vis = VisualEncoder(cfg.d_img, cfg.embed_dim,
                         np.random.default_rng(0))
     head_params = get_head(cfg.head).params(
         cfg.embed_dim, cfg.classes, parameter(np.array(cfg.tau_init)),
         np.random.default_rng(0))
     ckpt.load_params({**vis.params(), **head_params.params()}, sections)
-    return vis, head_params, ckpt.file_sha256(final_path)
+    return vis, head_params, hashes["final"]
 
 
 def cmd_eval(cfg: RunConfig, out_dir) -> EvalReport:
@@ -309,12 +318,13 @@ def cmd_eval(cfg: RunConfig, out_dir) -> EvalReport:
     is missing) and write the report and predictions. The corpus is
     read only to build a missing cache; the final checkpoint's recorded
     hash of it is still checked."""
+    hashes = hash_inputs(out_dir, _EVAL_INPUTS)
     dataset = load_dataset(artifact(out_dir, "dataset"))
     cache_path = artifact(out_dir, "cache")
     if not cache_path.exists():
-        cmd_precompute_cache(cfg, out_dir)
+        cmd_precompute_cache(cfg, out_dir, hashes)
     anchor_emb, cache_hash = load_anchor_embeddings(cache_path)
-    vis, head_params, final_hash = load_inference_head(cfg, out_dir)
+    vis, head_params, final_hash = load_inference_head(cfg, out_dir, hashes)
     if cache_hash != final_hash:
         raise StaleArtifactError(
             "eval: anchor cache was built from a different checkpoint")

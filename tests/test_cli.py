@@ -195,6 +195,43 @@ class TestPipelineCommands:
                          "--out", str(work)] + extra) == 2
         assert "different dataset file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,record", [
+        ("dataset.bin", "__dataset_hash__"),
+        ("corpus.tsv", "__corpus_hash__")])
+    def test_checkpoint_without_a_data_record_rejected(
+            self, cfg_file, cli_run, tmp_path, capsys, name, record):
+        """A student checkpoint that lost one data record cannot vouch for
+        that file: with another seed's file in its place, select-anchors
+        exits 2 and names the checkpoint, not 0 on the wrong data."""
+        work = tmp_path / "copy"
+        shutil.copytree(cli_run, work)
+        assert cli.main(["gen-data", "--config", str(cfg_file), "--seed", "5",
+                         "--out", str(tmp_path / "other")]) == 0
+        shutil.copy(tmp_path / "other" / name, work / name)
+        student = work / "student.ck"
+        data = student.read_bytes()
+        assert data.count(record.encode()) == 1
+        student.write_bytes(data.replace(record.encode(),
+                                         record[:-3].encode() + b"X__"))
+        assert cli.main(["select-anchors", "--config", str(cfg_file),
+                         "--out", str(work)]) == 2
+        kind = name.split(".")[0]
+        assert f"{student}: checkpoint records no {kind} hash" in \
+            capsys.readouterr().err
+
+    def test_malformed_data_record_rejected(self, cfg_file, cli_run,
+                                            tmp_path, capsys):
+        """A data record that is not 32 byte values is stale, not an
+        internal error."""
+        work = tmp_path / "copy"
+        shutil.copytree(cli_run, work)
+        sections = ckpt.read_checkpoint(work / "student.ck")
+        sections["__dataset_hash__"] = np.full(32, 300.0)
+        ckpt.write_checkpoint(work / "student.ck", sections)
+        assert cli.main(["select-anchors", "--config", str(cfg_file),
+                         "--out", str(work)]) == 2
+        assert "different dataset file" in capsys.readouterr().err
+
     def test_malformed_anchor_row_is_validation_error(self, cfg_file, cli_run,
                                                       tmp_path, capsys):
         work = tmp_path / "copy"

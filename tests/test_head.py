@@ -8,7 +8,7 @@ import pytest
 from vlltr.anchors import AnchorSet, select_anchors
 from vlltr.data import gen_corpus, gen_synthetic
 from vlltr.encoders import CvlpModel
-from vlltr.errors import ShapeMismatch, StaleArtifactError, ValidationError
+from vlltr.errors import ShapeMismatch, ValidationError
 from vlltr.head import (
     HEADS,
     FcParams,
@@ -342,13 +342,6 @@ class TestFinetune:
             assert np.all(p_t == 0.0)
         if head == "knn":
             assert np.all(p_i == 0.0)
-
-    def test_stale_anchor_hash_rejected(self):
-        ds, corpus, model, anchors = finetune_world(seed=5)
-        with pytest.raises(StaleArtifactError):
-            run_finetune(ds, anchors, corpus, model,
-                         FinetuneConfig(epochs=1, batch_size=4, base_lr=0.01),
-                         expected_checkpoint_hash=b"\x02" * 32)
 
     def test_unknown_head_rejected(self):
         ds, corpus, model, anchors = finetune_world(seed=6)

@@ -8,6 +8,7 @@ import shutil
 
 import pytest
 
+from vlltr import checkpoint as ckpt
 from vlltr import cli, pipeline
 from vlltr.config import RunConfig
 from vlltr.errors import ValidationError
@@ -34,10 +35,42 @@ def counting(monkeypatch, name, calls):
     monkeypatch.setattr(pipeline, name, wrapper)
 
 
+def hashing(monkeypatch):
+    """Log the paths `ckpt.file_sha256` hashes within each outermost call
+    of a `pipeline.cmd_*` stage (eval's cache build is part of eval), as
+    a list of (stage, [paths]) entries."""
+    log, depth = [], [0]
+
+    def stage_wrapper(name, original):
+        def wrapper(*args, **kwargs):
+            if depth[0] == 0:
+                log.append((name, []))
+            depth[0] += 1
+            try:
+                return original(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for name in [n for n in vars(pipeline) if n.startswith("cmd_")]:
+        monkeypatch.setattr(pipeline, name,
+                            stage_wrapper(name, getattr(pipeline, name)))
+    original_hash = ckpt.file_sha256
+
+    def hashed(path):
+        assert depth[0] > 0, f"{path} hashed outside a stage call"
+        log[-1][1].append(str(path))
+        return original_hash(path)
+
+    monkeypatch.setattr(ckpt, "file_sha256", hashed)
+    return log
+
+
 @pytest.fixture(scope="module")
 def ablated(mini_cfg, tmp_path_factory):
     """`vlltr ablate` on the small config, with the number of calls of
-    each stage and of the training and selection work inside them."""
+    each stage and of the training and selection work inside them, and
+    the files each stage call hashed."""
     out = tmp_path_factory.mktemp("ablate")
     calls = {}
     with pytest.MonkeyPatch.context() as mp:
@@ -45,15 +78,16 @@ def ablated(mini_cfg, tmp_path_factory):
                 "cmd_finetune", "cmd_eval", "gen_corpus", "run_pretrain",
                 "select_anchors"]:
             counting(mp, name, calls)
+        hashed = hashing(mp)
         cli._cmd_ablate(mini_cfg, out)
-    return out, calls
+    return out, calls, hashed
 
 
 def test_ablate_runs_each_distinct_stage_once(ablated):
     """29 stage calls, as without a memo; of the 19 calls of the four
     shared stages, 7 run (one data set, one teacher, the lam=0.5 and the
     lam=1 student, AnSS on each and CutOff) and 12 are hits."""
-    out, calls = ablated
+    out, calls, _ = ablated
     assert calls == {"cmd_gen_data": 5, "cmd_make_teacher": 4,
                      "cmd_pretrain": 5, "cmd_select_anchors": 5,
                      "cmd_finetune": 5, "cmd_eval": 5,
@@ -64,7 +98,7 @@ def test_ablate_runs_each_distinct_stage_once(ablated):
 
 @pytest.mark.parametrize("row", sorted(ABLATE_ROWS))
 def test_ablate_row_matches_a_memo_free_run(ablated, mini_cfg, row, tmp_path):
-    out, _ = ablated
+    out, _, _ = ablated
     cfg = dataclasses.replace(mini_cfg, **ABLATE_ROWS[row])
     pipeline.run_all(cfg, tmp_path)
     want = files(tmp_path)
@@ -90,11 +124,59 @@ def test_memo_keeps_bytes_not_paths(mini_cfg, tmp_path):
     assert len(memo) == 7   # 4 stages of `first`, 3 more of `third`
 
 
+def check_hashed_once(log, total):
+    """Each stage call hashes each file at most once; `total` hashes in
+    all: one per input of each stage that reads files."""
+    for stage, paths in log:
+        assert len(paths) == len(set(paths)), (stage, paths)
+    assert sum(len(paths) for _, paths in log) == total
+
+
+def test_no_stage_call_of_a_run_hashes_a_file_twice(mini_cfg, tmp_path,
+                                                    monkeypatch):
+    """make-teacher hashes the two data files; pretrain, select-anchors,
+    finetune and eval each hash them and the checkpoint they read."""
+    log = hashing(monkeypatch)
+    pipeline.run_all(mini_cfg, tmp_path)
+    assert [stage for stage, _ in log] == [
+        "cmd_gen_data", "cmd_make_teacher", "cmd_pretrain",
+        "cmd_select_anchors", "cmd_finetune", "cmd_eval"]
+    check_hashed_once(log, 14)
+
+
+def test_no_stage_call_of_ablate_hashes_a_file_twice(ablated):
+    """A memo hit hashes the stage's inputs and nothing else: 4 teacher
+    calls of 2, 4 distilled and 1 lam=1 pretrain call of 3 and 2, and 5
+    each of select-anchors, finetune and eval of 3."""
+    _, _, log = ablated
+    assert len(log) == 29
+    check_hashed_once(log, 67)
+
+
 def test_missing_teacher_is_an_error_with_a_memo(mini_cfg, tmp_path):
     cfg, memo = mini_cfg, {}
     pipeline.cmd_gen_data(cfg, tmp_path, memo)
     with pytest.raises(ValidationError, match="teacher"):
         pipeline.cmd_pretrain(cfg, tmp_path, memo)
+
+
+@pytest.mark.parametrize("stage,missing,writer", [
+    ("pretrain", "teacher.ck", "make-teacher"),
+    ("select_anchors", "student.ck", "pretrain"),
+    ("make_teacher", "dataset.bin", "gen-data")])
+def test_missing_input_names_the_file_and_its_command(mini_cfg, mini_run,
+                                                      tmp_path, stage,
+                                                      missing, writer):
+    _, run_dir, _ = mini_run
+    for name in pipeline.STAGES[stage].inputs(mini_cfg):
+        path = pipeline.artifact(run_dir, name)
+        if path.name != missing:
+            shutil.copy(path, tmp_path / path.name)
+    with pytest.raises(ValidationError) as exc:
+        getattr(pipeline, f"cmd_{stage}")(mini_cfg, tmp_path)
+    assert str(exc.value) == (
+        f"{stage.replace('_', '-')}: {tmp_path / missing} is missing; "
+        f"run `vlltr {writer}` first")
 
 
 # ---- the stage table ----------------------------------------------------
