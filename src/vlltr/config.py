@@ -9,10 +9,20 @@ epochs, learning rates) default to the desk-scale reference task.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
+from .encoders import TAU_MIN, TAU_MAX
 from .errors import ValidationError
 from .head import get_head
+
+
+def _check_bounds(key: str, value, low, high=math.inf):
+    """A ValidationError naming `key` unless low <= value <= high; NaN is
+    out of every bound."""
+    if not low <= value <= high:
+        raise ValidationError(
+            f"config: {key} must be in [{low}, {high}], got {value}")
 
 
 @dataclass
@@ -52,8 +62,10 @@ class RunConfig:
     head: str = "lgr"
 
     def validate(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValidationError(f"config: lam must be in [0, 1], got {self.lam}")
+        _check_bounds("lam", self.lam, 0.0, 1.0)
+        _check_bounds("tau_init", self.tau_init, TAU_MIN, TAU_MAX)
+        _check_bounds("pretrain_batch", self.pretrain_batch, 1)
+        _check_bounds("finetune_batch", self.finetune_batch, 1)
         if self.anchor_mode not in ("AnSS", "CutOff"):
             raise ValidationError(
                 f"config: anchor_mode must be AnSS or CutOff, "

@@ -9,7 +9,8 @@ import numpy as np
 from . import checkpoint as ckpt
 from .data import token_table
 from .errors import ShapeMismatch
-from .tensor import Tensor, cosine_sim_matrix, parameter, unit_rows
+from .tensor import (Tensor, cosine_sim_matrix, grad_node, parameter,
+                     unit_rows)
 
 TAU_MIN, TAU_MAX = 0.01, 1.0
 TEXT_CHUNK = 256  # sentences per pass when the teacher embeds a corpus
@@ -39,33 +40,43 @@ class VisualEncoder:
         return {prefix + "w1": self.w1, prefix + "b1": self.b1,
                 prefix + "w2": self.w2, prefix + "b2": self.b2}
 
-    def __call__(self, x) -> Tensor:
-        """tanh(x @ w1 + b1) @ w2 + b2 as one tape node. With hidden
-        activations h and upstream g, b2 receives sum(g), w2 receives
-        h^T g, and through gh = (g w2^T)(1 - h^2), b1 receives sum(gh)
-        and w1 receives x^T gh."""
+    def forward(self, x):
+        """(tanh(x @ w1 + b1) @ w2 + b2, the cache `backward` reads) on
+        arrays."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.d_img:
             raise ShapeMismatch(
                 f"VisualEncoder: expected (N, {self.d_img}), got {x.shape}"
             )
-        w1, b1, w2, b2 = self.w1, self.b1, self.w2, self.b2
-        h = np.tanh(x @ w1.data + b1.data)
+        w2 = self.w2.data
+        h = np.tanh(x @ self.w1.data + self.b1.data)
+        return h @ w2 + self.b2.data, (x, h, w2)
 
-        def backward(g):
-            if b2.requires_grad:
-                b2._accumulate(g.sum(axis=0))
-            if w2.requires_grad:
-                w2._accumulate(h.T @ g)
-            if w1.requires_grad or b1.requires_grad:
-                gh = (g @ w2.data.T) * (1.0 - h ** 2)
-                if b1.requires_grad:
-                    b1._accumulate(gh.sum(axis=0))
-                if w1.requires_grad:
-                    w1._accumulate(x.T @ gh)
+    @staticmethod
+    def backward(cache, g: np.ndarray, out):
+        """Write the gradients of (w1, b1, w2, b2) for upstream g over the
+        arrays in `out`, skipping a None. With hidden activations h, b2
+        receives sum(g), w2 receives h^T g, and through
+        gh = (g w2^T)(1 - h^2), b1 receives sum(gh) and w1 receives
+        x^T gh."""
+        x, h, w2 = cache
+        gw1, gb1, gw2, gb2 = out
+        if gb2 is not None:
+            g.sum(axis=0, out=gb2)
+        if gw2 is not None:
+            np.matmul(h.T, g, out=gw2)
+        if gw1 is not None or gb1 is not None:
+            gh = (g @ w2.T) * (1.0 - h ** 2)
+            if gb1 is not None:
+                gh.sum(axis=0, out=gb1)
+            if gw1 is not None:
+                np.matmul(x.T, gh, out=gw1)
 
-        return Tensor(h @ w2.data + b2.data, parents=(w1, b1, w2, b2),
-                      backward=backward)
+    def __call__(self, x) -> Tensor:
+        """`forward` as one tape node over the weights."""
+        y, cache = self.forward(x)
+        return grad_node(y, (self.w1, self.b1, self.w2, self.b2),
+                         lambda g, out: self.backward(cache, g, out))
 
 
 class LinguisticEncoder:
@@ -83,35 +94,45 @@ class LinguisticEncoder:
         return {prefix + "tok": self.tok, prefix + "proj_w": self.proj_w,
                 prefix + "proj_b": self.proj_b}
 
-    def __call__(self, sequences) -> Tensor:
-        """Mean-pool and project each sentence as one tape node.
-        `sequences` is a TokenTable or a list of token sequences, which is
-        built into one. With pooled rows p and upstream g, proj_b receives
-        sum(g), proj_w receives p^T g, and each token's row of tok
-        receives its sentence's row of (g proj_w^T) / length."""
+    def forward(self, sequences):
+        """(each sentence mean-pooled and projected, the cache `backward`
+        reads) on arrays. `sequences` is a TokenTable or a list of token
+        sequences, which is built into one."""
         bags = token_table(sequences, self.max_tokens)
-        ids, offsets, lengths = bags.ids, bags.offsets, bags.lengths
-        tok, proj_w, proj_b = self.tok, self.proj_w, self.proj_b
-        inv_len = (1.0 / lengths)[:, None]
-        pooled = np.add.reduceat(tok.data[ids], offsets, axis=0) * inv_len
+        inv_len = (1.0 / bags.lengths)[:, None]
+        pooled = np.add.reduceat(self.tok.data[bags.ids], bags.offsets,
+                                 axis=0) * inv_len
+        proj_w = self.proj_w.data
+        return (pooled @ proj_w + self.proj_b.data,
+                (bags, inv_len, pooled, proj_w))
 
-        def backward(g):
-            if proj_b.requires_grad:
-                proj_b._accumulate(g.sum(axis=0))
-            if proj_w.requires_grad:
-                proj_w._accumulate(pooled.T @ g)
-            if tok.requires_grad:
-                # over element offsets in the flattened table: a 1-D
-                # np.add.at is several times faster than one over rows
-                width = tok.shape[1]
-                flat_ids = (ids[:, None] * width + np.arange(width)).ravel()
-                tok.grad = np.ascontiguousarray(tok._grad_buffer())
-                np.add.at(tok.grad.reshape(-1), flat_ids,
-                          np.repeat((g @ proj_w.data.T) * inv_len, lengths,
-                                    axis=0).ravel())
+    @staticmethod
+    def backward(cache, g: np.ndarray, out):
+        """Write the gradients of (tok, proj_w, proj_b) for upstream g over
+        the contiguous arrays in `out`, skipping a None. With pooled rows
+        p, proj_b receives sum(g), proj_w receives p^T g, and each token's
+        row of tok receives its sentence's row of (g proj_w^T) / length."""
+        bags, inv_len, pooled, proj_w = cache
+        gtok, gproj_w, gproj_b = out
+        if gproj_b is not None:
+            g.sum(axis=0, out=gproj_b)
+        if gproj_w is not None:
+            np.matmul(pooled.T, g, out=gproj_w)
+        if gtok is not None:
+            # over element offsets in the flattened table: a 1-D
+            # np.add.at is several times faster than one over rows
+            width = gtok.shape[1]
+            flat_ids = (bags.ids[:, None] * width + np.arange(width)).ravel()
+            gtok.fill(0.0)
+            np.add.at(gtok.reshape(-1), flat_ids,
+                      np.repeat((g @ proj_w.T) * inv_len, bags.lengths,
+                                axis=0).ravel())
 
-        return Tensor(pooled @ proj_w.data + proj_b.data,
-                      parents=(tok, proj_w, proj_b), backward=backward)
+    def __call__(self, sequences) -> Tensor:
+        """`forward` as one tape node over the weights."""
+        y, cache = self.forward(sequences)
+        return grad_node(y, (self.tok, self.proj_w, self.proj_b),
+                         lambda g, out: self.backward(cache, g, out))
 
 
 class CvlpModel:

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .encoders import LinguisticEncoder, VisualEncoder
-from .gradcheck import GradCheckReport, gradcheck
+from .encoders import CvlpModel, LinguisticEncoder, VisualEncoder
+from .gradcheck import GradCheckReport, check_gradients, gradcheck
 from .head import LGR_PARAM_NAMES, LgrParams, lgr_forward, rec_loss
-from .pretrain import ccl_loss, distill_loss, pretrain_loss
+from .pretrain import ccl_loss, distill_loss, pretrain_loss, pretrain_step
 from .tensor import (Tensor, cosine_sim_matrix, cross_entropy, layer_norm,
                      matmul, softmax)
 
@@ -139,6 +139,29 @@ def default_suite(seed: int = 0, instances: int = 3):
                              [e_i] + arrays)
 
         suite.append((f"L_rec∘lgr_forward[{i}]", rec))
+
+        # the production pre-training step, on a model with d_img 3, D 2
+        # and 5 tokens, its weights and biases all off their init
+        model = CvlpModel(3, 2, 5, seed=i, tau_init=tau)
+        for name, p in model.params().items():
+            if name != "tau":
+                p.data = p.data + rng.normal(size=p.shape)
+        images = rng.normal(size=(n, 3))
+        seqs = [rng.integers(0, 5, size=int(rng.integers(1, 4)))
+                for _ in range(n)]
+
+        def step(model=model, images=images, seqs=seqs, labels=labels,
+                 St=S_teacher):
+            def loss():
+                return pretrain_step(model, images, seqs, labels, St,
+                                     0.5, 0.5)[0]
+
+            loss()
+            params = list(model.params().values())
+            return check_gradients(loss, [p.data for p in params],
+                                   [p.grad.copy() for p in params])
+
+        suite.append((f"pretrain_step[{i}]", step))
     return suite
 
 

@@ -42,8 +42,8 @@ class AdamW:
 
     The gradients live in a second flat buffer: `zero_grad` zeroes it and
     binds each `p.grad` to its view, so backward passes add straight
-    into it. A gradient that is None or another array at `step` is
-    zero-filled or copied in.
+    into it (and `pretrain.pretrain_step` writes over it). A gradient
+    that is None or another array at `step` is zero-filled or copied in.
     """
 
     def __init__(self, params: dict[str, Tensor], base_lr: float,

@@ -17,7 +17,8 @@ from .data import ClassCorpus, LongTailDataset, SqrtSampler, TokenTable
 from .encoders import CvlpModel, TeacherPair
 from .errors import NumericError, ShapeMismatch, ValidationError
 from .optim import AdamW, LrSchedule, cosine_lr
-from .tensor import Tensor, as_tensor
+from .tensor import (Tensor, as_tensor, cosine_sim_backward,
+                     cosine_sim_forward, grad_node)
 
 
 # An epoch's batches are drawn at most this many steps at a time, which
@@ -46,29 +47,31 @@ def _log_softmax(z: np.ndarray, axis: int) -> np.ndarray:
 
 
 class _Logits:
-    """The logits S / tau with their row and column softmaxes and
-    log-softmaxes, shared by every loss taken over them."""
+    """The logits S / tau of a similarity array and a temperature, with
+    their row and column softmaxes and log-softmaxes, shared by every loss
+    taken over them."""
 
-    def __init__(self, S: Tensor, tau: Tensor):
+    def __init__(self, S: np.ndarray, tau: np.ndarray):
         self.S, self.tau = S, tau
-        z = S.data / tau.data
+        z = S / tau
         self.log_p_row = _log_softmax(z, axis=1)
         self.log_p_col = _log_softmax(z, axis=0)
         self.p_row, self.p_col = np.exp(self.log_p_row), np.exp(self.log_p_col)
 
-    def loss(self, value, G: np.ndarray) -> Tensor:
-        """A scalar loss of these logits as one tape node, given G, its
-        gradient with respect to the logits: S receives G / tau and tau
-        receives -sum(G * S) / tau^2."""
-        S, tau = self.S, self.tau
+    def backward(self, G: np.ndarray, out):
+        """Write the gradients of (S, tau) of a loss whose gradient with
+        respect to the logits is G over the arrays in `out`, skipping a
+        None: G / tau and -sum(G * S) / tau^2."""
+        if out[0] is not None:
+            np.divide(G, self.tau, out=out[0])
+        if out[1] is not None:
+            out[1][...] = -(G * self.S).sum() / self.tau ** 2
 
-        def backward(g):
-            if S.requires_grad:
-                S._accumulate(g * G / tau.data)
-            if tau.requires_grad:
-                tau._accumulate(-g * (G * S.data).sum() / tau.data ** 2)
-
-        return Tensor(value, parents=(S, tau), backward=backward)
+    def loss(self, S: Tensor, tau: Tensor, value, G: np.ndarray) -> Tensor:
+        """The loss of value `value` and logit gradient G as one tape node
+        over S and tau, the tensors of this object's arrays."""
+        return grad_node(value, (S, tau),
+                         lambda g, out: self.backward(g * G, out))
 
 
 def _ccl_labels(S: Tensor, labels) -> np.ndarray:
@@ -136,12 +139,13 @@ def ccl_loss(S: Tensor, labels, tau):
     averaged over its positive set and then over the batch, and each is
     one tape node.
     """
-    S = as_tensor(S)
+    S, tau = as_tensor(S), as_tensor(tau)
     labels = _ccl_labels(S, labels)
-    logits = _Logits(S, as_tensor(tau))
+    logits = _Logits(S.data, tau.data)
     (v_vis, g_vis), (v_lin, g_lin) = _ccl_terms(logits, labels)
-    return (logits.loss(v_vis, g_vis), logits.loss(v_lin, g_lin),
-            logits.loss(v_vis + v_lin, g_vis + g_lin))
+    return (logits.loss(S, tau, v_vis, g_vis),
+            logits.loss(S, tau, v_lin, g_lin),
+            logits.loss(S, tau, v_vis + v_lin, g_vis + g_lin))
 
 
 def distill_loss(S: Tensor, S_teacher, tau, tau_teacher: float):
@@ -149,10 +153,32 @@ def distill_loss(S: Tensor, S_teacher, tau, tau_teacher: float):
     positive-pair log-probability, in both softmax directions,
     batch-averaged, as one tape node. No gradient flows through the
     teacher matrix."""
-    S = as_tensor(S)
+    S, tau = as_tensor(S), as_tensor(tau)
     St = _teacher_matrix(S, S_teacher)
-    logits = _Logits(S, as_tensor(tau))
-    return logits.loss(*_distill_term(logits, St, tau_teacher))
+    logits = _Logits(S.data, tau.data)
+    return logits.loss(S, tau, *_distill_term(logits, St, tau_teacher))
+
+
+def _pretrain_terms(S: np.ndarray, tau: np.ndarray, labels, S_teacher,
+                    tau_teacher: float, lam: float):
+    """(logits, value, G, l_ccl, l_dis) of lam * L_ccl + (1 - lam) * L_dis
+    over the arrays S and tau, G its gradient with respect to the logits;
+    l_ccl and l_dis are floats, and the teacher side is skipped entirely
+    at lam == 1 (l_dis is None)."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValidationError(f"pretrain_loss: lam must be in [0, 1], got {lam}")
+    labels = _ccl_labels(S, labels)
+    logits = _Logits(S, tau)
+    (v_vis, g_vis), (v_lin, g_lin) = _ccl_terms(logits, labels)
+    v_ccl, g_ccl = v_vis + v_lin, g_vis + g_lin
+    if lam == 1.0:
+        return logits, v_ccl, g_ccl, float(v_ccl), None
+    v_dis, g_dis = _distill_term(logits, _teacher_matrix(S, S_teacher),
+                                 tau_teacher)
+    if lam == 0.0:
+        return logits, v_dis, g_dis, float(v_ccl), float(v_dis)
+    return (logits, lam * v_ccl + (1.0 - lam) * v_dis,
+            lam * g_ccl + (1.0 - lam) * g_dis, float(v_ccl), float(v_dis))
 
 
 def pretrain_loss(S: Tensor, S_teacher, labels, tau, tau_teacher: float,
@@ -161,22 +187,40 @@ def pretrain_loss(S: Tensor, S_teacher, labels, tau, tau_teacher: float,
     entirely at lam == 1. Returns (loss, l_ccl, l_dis): `loss` is the one
     tape node, and l_ccl and l_dis are the two losses' values as floats
     (l_dis is None at lam == 1); both share one pass over the logits."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"pretrain_loss: lam must be in [0, 1], got {lam}")
-    S = as_tensor(S)
-    labels = _ccl_labels(S, labels)
-    logits = _Logits(S, as_tensor(tau))
-    (v_vis, g_vis), (v_lin, g_lin) = _ccl_terms(logits, labels)
-    v_ccl, g_ccl = v_vis + v_lin, g_vis + g_lin
-    if lam == 1.0:
-        return logits.loss(v_ccl, g_ccl), float(v_ccl), None
-    v_dis, g_dis = _distill_term(logits, _teacher_matrix(S, S_teacher),
-                                 tau_teacher)
-    if lam == 0.0:
-        return logits.loss(v_dis, g_dis), float(v_ccl), float(v_dis)
-    loss = logits.loss(lam * v_ccl + (1.0 - lam) * v_dis,
-                       lam * g_ccl + (1.0 - lam) * g_dis)
-    return loss, float(v_ccl), float(v_dis)
+    S, tau = as_tensor(S), as_tensor(tau)
+    logits, value, G, l_ccl, l_dis = _pretrain_terms(
+        S.data, tau.data, labels, S_teacher, tau_teacher, lam)
+    return logits.loss(S, tau, value, G), l_ccl, l_dis
+
+
+def pretrain_step(model: CvlpModel, images, bags, labels, S_teacher,
+                  tau_teacher: float, lam: float):
+    """`pretrain_loss(model.similarity(images, bags), ...)` and its
+    backward pass without the tape, through the same array functions.
+
+    Each parameter's gradient is written over its `.grad`, allocated where
+    it is None; `AdamW.zero_grad` binds it to a view of the optimizer's
+    gradient buffer. A non-finite loss raises NumericError before any
+    backward work. Returns (loss, l_ccl, l_dis) as floats, l_dis None at
+    lam == 1.
+    """
+    vis, lin, tau = model.vis, model.lin, model.tau
+    a, vis_cache = vis.forward(images)
+    b, lin_cache = lin.forward(bags)
+    S, cos_cache = cosine_sim_forward(a, b)
+    logits, value, G, l_ccl, l_dis = _pretrain_terms(
+        S, tau.data, labels, S_teacher, tau_teacher, lam)
+    if not np.isfinite(value):
+        raise NumericError("pretrain_step: non-finite loss")
+    for p in model.params().values():
+        if p.grad is None:
+            p.grad = np.empty(p.shape)
+    gS, ga, gb = np.empty(S.shape), np.empty(a.shape), np.empty(b.shape)
+    logits.backward(G, (gS, tau.grad))
+    cosine_sim_backward(cos_cache, gS, (ga, gb))
+    vis.backward(vis_cache, ga, [p.grad for p in vis.params().values()])
+    lin.backward(lin_cache, gb, [p.grad for p in lin.params().values()])
+    return float(value), l_ccl, l_dis
 
 
 class PairedBatch(NamedTuple):
@@ -245,6 +289,8 @@ def run_pretrain(dataset: LongTailDataset, corpus: ClassCorpus,
     tau_teacher = teacher.tau if distill else 1.0
     trace = []
     step = 0
+    # each step writes every gradient over the views bound here
+    opt.zero_grad()
     # (epoch, steps) of each draw: an epoch in runs of at most DRAW_STEPS
     draws = [(epoch, min(DRAW_STEPS, steps_per_epoch - start))
              for epoch in range(cfg.epochs)
@@ -252,20 +298,20 @@ def run_pretrain(dataset: LongTailDataset, corpus: ClassCorpus,
     for epoch, steps in draws:
         for batch in sample_epoch(dataset, table, sampler, rng,
                                   cfg.batch_size, steps):
-            S = model.similarity(batch.images, batch.bags)
             S_teacher = (teacher_img[batch.idx] @ teacher_txt[batch.rows].T
                          if distill else None)
-            loss, l_ccl, l_dis = pretrain_loss(
-                S, S_teacher, batch.labels, model.tau, tau_teacher, cfg.lam)
-            if not np.isfinite(loss.data):
-                raise NumericError(f"run_pretrain: non-finite loss at step {step}")
-            opt.zero_grad()
-            loss.backward()
+            try:
+                loss, l_ccl, l_dis = pretrain_step(
+                    model, batch.images, batch.bags, batch.labels, S_teacher,
+                    tau_teacher, cfg.lam)
+            except NumericError as exc:
+                raise NumericError(
+                    f"run_pretrain: non-finite loss at step {step}") from exc
             opt.step(lr=cosine_lr(sched, step))
             model.clamp_tau()
             trace.append((epoch, step, l_ccl,
                           0.0 if l_dis is None else l_dis,
-                          float(loss.data), float(model.tau.data)))
+                          loss, float(model.tau.data)))
             step += 1
     return trace
 

@@ -270,6 +270,22 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
+def grad_node(data, parents: tuple, write_grads) -> Tensor:
+    """A tape node whose backward calls write_grads(g, out), `out` holding
+    a fresh array per parent that requires a gradient (None for the
+    others), and adds each array into its parent's gradient."""
+
+    def backward(g):
+        out = [np.empty(p.shape) if p.requires_grad else None
+               for p in parents]
+        write_grads(g, out)
+        for p, grad in zip(parents, out):
+            if grad is not None:
+                p._accumulate(grad)
+
+    return Tensor(data, parents=parents, backward=backward)
+
+
 # ---- linear algebra ----------------------------------------------------
 
 
@@ -363,32 +379,40 @@ def unit_rows(x: np.ndarray, operand: str):
     return x * inv, inv
 
 
-def cosine_sim_matrix(a: Tensor, b: Tensor) -> Tensor:
-    """Pairwise cosine similarities between rows of `a` and rows of `b`.
+def cosine_sim_forward(a: np.ndarray, b: np.ndarray):
+    """(the pairwise cosine similarities of the rows of `a` and `b`, the
+    cache `cosine_sim_backward` reads) on arrays."""
+    na, inv_a = unit_rows(a, "a")
+    nb, inv_b = unit_rows(b, "b")
+    return na @ nb.T, (na, inv_a, nb, inv_b)
 
-    One tape node. With unit rows na, nb and upstream G, the gradient of
-    `a` is (G nb - na * rowsum(na * G nb)) / |a|, and likewise for `b`
-    with G^T na.
+
+def cosine_sim_backward(cache, g: np.ndarray, out):
+    """Write the gradients of (a, b) for upstream G over the arrays in
+    `out`, skipping a None. With unit rows na, nb the gradient of `a` is
+    (G nb - na * rowsum(na * G nb)) / |a|, and likewise for `b` with
+    G^T na."""
+    na, inv_a, nb, inv_b = cache
+    for unit, inv, g_unit, o in ((na, inv_a, lambda: g @ nb, out[0]),
+                                 (nb, inv_b, lambda: g.T @ na, out[1])):
+        if o is not None:
+            g_unit = g_unit()
+            np.multiply(inv, g_unit - unit * (g_unit * unit).sum(
+                axis=1, keepdims=True), out=o)
+
+
+def cosine_sim_matrix(a: Tensor, b: Tensor) -> Tensor:
+    """Pairwise cosine similarities between rows of `a` and rows of `b`,
+    as one tape node over `cosine_sim_forward` and `cosine_sim_backward`.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeMismatch(
             f"cosine_sim_matrix: incompatible shapes {a.shape} vs {b.shape}"
         )
-    na, inv_a = unit_rows(a.data, "a")
-    nb, inv_b = unit_rows(b.data, "b")
-
-    def unit_rows_backward(t, unit, inv, g_unit):
-        t._accumulate(
-            inv * (g_unit - unit * (g_unit * unit).sum(axis=1, keepdims=True)))
-
-    def backward(g):
-        if a.requires_grad:
-            unit_rows_backward(a, na, inv_a, g @ nb)
-        if b.requires_grad:
-            unit_rows_backward(b, nb, inv_b, g.T @ na)
-
-    return Tensor(na @ nb.T, parents=(a, b), backward=backward)
+    S, cache = cosine_sim_forward(a.data, b.data)
+    return grad_node(S, (a, b),
+                     lambda g, out: cosine_sim_backward(cache, g, out))
 
 
 def cross_entropy(p: Tensor, y) -> Tensor:

@@ -347,6 +347,18 @@ class TestUsageAndErrors:
         assert cli.main(["gen-data", "--out", str(tmp_path),
                          "--set", "lam=1.5"]) == 2
 
+    @pytest.mark.parametrize("setting", [
+        "pretrain_batch=0", "finetune_batch=0", "tau_init=0",
+        "tau_init=-1", "tau_init=nan", "tau_init=1.5"])
+    def test_out_of_bounds_value_is_validation_error(self, tmp_path, capsys,
+                                                     setting):
+        """A batch size below 1 or a tau_init outside [0.01, 1] exits 2
+        with one stderr line naming the key."""
+        assert cli.main(["make-teacher", "--out", str(tmp_path),
+                         "--set", setting]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and setting.split("=")[0] in err
+
     def test_missing_checkpoint_is_validation_error(self, cfg_file, tmp_path):
         assert cli.main(["select-anchors", "--config", str(cfg_file),
                          "--out", str(tmp_path)]) == 2

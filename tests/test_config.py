@@ -23,6 +23,15 @@ class TestDefaults:
         with pytest.raises(ValidationError):
             dataclasses.replace(RunConfig(), head="resnet").validate()
 
+    @pytest.mark.parametrize("key,inside,outside", [
+        ("pretrain_batch", 1, 0), ("finetune_batch", 1, 0),
+        ("tau_init", 0.01, 0.0099), ("tau_init", 1.0, 1.01),
+        ("tau_init", 0.5, float("inf"))])
+    def test_bounds_are_inclusive(self, key, inside, outside):
+        dataclasses.replace(RunConfig(), **{key: inside}).validate()
+        with pytest.raises(ValidationError, match=key):
+            dataclasses.replace(RunConfig(), **{key: outside}).validate()
+
 
 class TestLoadConfig:
     def test_file_with_comments(self, tmp_path):

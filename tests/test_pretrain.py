@@ -15,12 +15,13 @@ from vlltr.pretrain import (
     ccl_loss,
     distill_loss,
     pretrain_loss,
+    pretrain_step,
     run_pretrain,
     sample_epoch,
     sample_paired_batch,
     save_trace,
 )
-from vlltr.tensor import as_tensor
+from vlltr.tensor import Tensor, as_tensor
 
 # frozen by hand: 2 * ln(1 + e^-1) for the N=2 identity-matrix, tau=1 case
 TWO_POINT_IDENTITY_LOSS = 0.6265233750364456
@@ -478,6 +479,26 @@ class TestRunPretrain:
         separation = diag.mean() - S[mask].mean()
         assert separation >= 0.2
 
+    def test_never_calls_the_tape(self, monkeypatch):
+        """Teacher and student steps run without `Tensor.backward`."""
+        calls = []
+        backward = Tensor.backward
+
+        def counted(self):
+            calls.append(self)
+            return backward(self)
+
+        monkeypatch.setattr(Tensor, "backward", counted)
+        for lam, teacher_seed in ((1.0, None), (0.5, 12)):
+            ds, corpus, model = tiny_setup(seed=5)
+            teacher = (None if teacher_seed is None else
+                       TeacherPair(CvlpModel(6, 6, 64, seed=teacher_seed)))
+            trace = run_pretrain(ds, corpus, model, teacher,
+                                 PretrainConfig(epochs=1, batch_size=4,
+                                                base_lr=0.01, lam=lam))
+            assert len(trace) == 12
+        assert calls == []
+
     def test_non_finite_loss_aborts(self):
         ds, corpus, model = tiny_setup()
         model.tau.data = np.array(0.0)
@@ -487,3 +508,65 @@ class TestRunPretrain:
                              PretrainConfig(epochs=1, batch_size=4,
                                             base_lr=0.01, lam=1.0))
         assert "step 0" in str(exc.value)
+
+
+class TestPretrainStep:
+    # lengths 3, 1, 4, 2 and 3: token 7 repeats within the first and
+    # third sentences and across three of them, token 2 in two
+    SEQS = [[7, 3, 7], [7], [1, 2, 7, 7], [5, 2], [9, 9, 4]]
+    LABELS = np.array([0, 1, 0, 2, 1])
+
+    def batch(self, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(5, 6)), rng.normal(size=(5, 5))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    def test_matches_the_tape_bit_for_bit(self, lam):
+        """The loss, both logged losses and all 8 gradients equal those of
+        `pretrain_loss(model.similarity(...)).backward()`, bit for bit,
+        and the step's gradients land in AdamW's buffer."""
+        images, S_teacher = self.batch()
+        got, want = [], []
+        for out in (got, want):
+            model = CvlpModel(6, 4, 12, seed=2, tau_init=0.3)
+            opt = AdamW(model.params(), 0.01)
+            opt.zero_grad()
+            if out is got:
+                losses = pretrain_step(model, images, self.SEQS, self.LABELS,
+                                       S_teacher, 0.4, lam)
+            else:
+                loss, l_ccl, l_dis = pretrain_loss(
+                    model.similarity(images, self.SEQS), S_teacher,
+                    self.LABELS, model.tau, 0.4, lam)
+                loss.backward()
+                losses = (float(loss.data), l_ccl, l_dis)
+            out.extend([losses, {k: p.grad for k, p in
+                                 model.params().items()}, opt])
+        assert got[0] == want[0]
+        assert (got[0][2] is None) == (lam == 1.0)
+        assert sorted(got[1]) == sorted(want[1]) and len(got[1]) == 8
+        for name, grad in want[1].items():
+            np.testing.assert_array_equal(got[1][name], grad, err_msg=name)
+            assert np.shares_memory(got[1][name], got[2]._g)
+        assert np.any(got[1]["lin.tok"][7] != 0.0)
+
+    def test_non_finite_loss_writes_no_gradient(self):
+        images, _ = self.batch()
+        model = CvlpModel(6, 4, 12, seed=2)
+        model.tau.data = np.array(0.0)
+        for p in model.params().values():
+            p.grad = np.full(p.shape, 7.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(NumericError):
+                pretrain_step(model, images, self.SEQS, self.LABELS, None,
+                              1.0, 1.0)
+        for p in model.params().values():
+            assert (p.grad == 7.0).all()
+
+    def test_allocates_missing_gradients(self):
+        images, S_teacher = self.batch()
+        model = CvlpModel(6, 4, 12, seed=2)
+        pretrain_step(model, images, self.SEQS, self.LABELS, S_teacher,
+                      0.4, 0.5)
+        for name, p in model.params().items():
+            assert p.grad.shape == p.shape, name
