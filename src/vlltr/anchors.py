@@ -9,11 +9,12 @@ low. Selection is training-free: no parameter changes.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import atomic_write
+from .checkpoint import atomic_write, read_text
 from .data import ClassCorpus, LongTailDataset
 from .encoders import CvlpModel
 from .errors import ValidationError
@@ -105,14 +106,14 @@ def select_anchors(corpus: ClassCorpus, dataset: LongTailDataset,
     if mode not in (ANSS, CUTOFF):
         raise ValidationError(f"select_anchors: unknown mode {mode!r}")
     pool = build_probe_pool(dataset, model, cap=cap, seed=seed)
+    table = corpus.token_table()
     entries = []
     for c in range(corpus.C):
-        sentences = corpus.for_class(c)
-        if not sentences:
+        rows = table.class_rows(c)
+        if not rows.size:
             raise ValidationError(f"select_anchors: class {c} has no sentences")
-        emb = model.lin([s.tokens for s in sentences]).data
-        scores = _score_columns(pool, c, emb)
-        scored = [(s.id, float(scores[i])) for i, s in enumerate(sentences)]
+        scores = _score_columns(pool, c, model.lin(table.take(rows)).data)
+        scored = list(enumerate(scores.tolist()))
         if mode == ANSS:
             scored.sort(key=lambda pair: (pair[1], pair[0]))
         entries.append(_pad_cyclic(scored[: min(M, len(scored))], M))
@@ -133,9 +134,9 @@ def save_anchors(path, anchors: AnchorSet):
 
 
 def load_anchors(path) -> AnchorSet:
-    """An anchor file; a malformed header or row is a ValidationError
-    naming path:line."""
-    with open(path, "r", encoding="utf-8") as f:
+    """An anchor file; a malformed header or row, or an undecodable
+    byte, is a ValidationError naming path:line."""
+    with io.StringIO(read_text(path)) as f:
         header = f.readline().strip()
         if not header.startswith("# "):
             raise ValidationError(f"{path}:1: missing anchor header")

@@ -11,7 +11,9 @@ path actually touched.
 
 `read_exact` and `unpack` bound every read of a binary artifact (this
 container, the dataset, the anchor cache) by the bytes left in the file,
-and every artifact is written through `atomic_write`.
+`read_lf` and `read_text` read text artifacts as text mode does, the
+latter naming the line of an undecodable byte, and every artifact is
+written through `atomic_write`.
 """
 
 from __future__ import annotations
@@ -65,6 +67,28 @@ def unpack(f, fmt: str, path, what: str) -> tuple:
     """`struct.unpack(fmt, ...)` over the next bytes of `f`, read with
     `read_exact`."""
     return struct.unpack(fmt, read_exact(f, struct.calcsize(fmt), path, what))
+
+
+def read_lf(path) -> bytes:
+    """A file's bytes with its line ends read as text mode reads them:
+    CR LF and lone CR become LF."""
+    with open(path, "rb") as f:
+        data = f.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
+
+
+def read_text(path) -> str:
+    """`read_lf` decoded as UTF-8; an undecodable byte is a
+    ValidationError naming path:line."""
+    data = read_lf(path)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(
+            f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
 
 
 @contextlib.contextmanager

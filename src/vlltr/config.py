@@ -12,6 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
+from .checkpoint import read_text
 from .encoders import TAU_MIN, TAU_MAX
 from .errors import ValidationError
 from .head import get_head
@@ -62,9 +63,14 @@ class RunConfig:
     head: str = "lgr"
 
     def validate(self):
+        _check_bounds("seed", self.seed, 0)
+        _check_bounds("noise_sigma", self.noise_sigma, 0.0)
+        _check_bounds("test_per_class", self.test_per_class, 1)
+        _check_bounds("noise_fraction", self.noise_fraction, 0.0, 1.0)
         _check_bounds("lam", self.lam, 0.0, 1.0)
         _check_bounds("tau_init", self.tau_init, TAU_MIN, TAU_MAX)
         _check_bounds("pretrain_batch", self.pretrain_batch, 1)
+        _check_bounds("probe_cap", self.probe_cap, 1)
         _check_bounds("finetune_batch", self.finetune_batch, 1)
         if self.anchor_mode not in ("AnSS", "CutOff"):
             raise ValidationError(
@@ -113,16 +119,15 @@ def apply_overrides(cfg: RunConfig, pairs) -> RunConfig:
 def load_config(path=None, overrides=()) -> RunConfig:
     cfg = RunConfig()
     if path is not None:
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValidationError(f"{path}:{lineno}: expected key = value")
-                key, raw = (part.strip() for part in line.split("=", 1))
-                if key not in _FIELD_TYPES:
-                    raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
-                setattr(cfg, key, _coerce(key, raw))
+        for lineno, line in enumerate(read_text(path).split("\n"), 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValidationError(f"{path}:{lineno}: expected key = value")
+            key, raw = (part.strip() for part in line.split("=", 1))
+            if key not in _FIELD_TYPES:
+                raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
+            setattr(cfg, key, _coerce(key, raw))
     apply_overrides(cfg, overrides)
     return cfg.validate()

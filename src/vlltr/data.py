@@ -10,12 +10,12 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .checkpoint import atomic_write, read_exact, unpack
+from .checkpoint import atomic_write, read_exact, read_lf, unpack
 from .errors import ValidationError
 
 DATASET_MAGIC = b"VLLT"
@@ -191,32 +191,71 @@ class SqrtSampler:
 
 # ---- class corpus ----------------------------------------------------------
 
+#: A corpus row's source, by its code in `ClassCorpus.sources`.
+SOURCES = (ENCYCLOPEDIA, PROMPT)
+_SOURCE_CODES = {s.encode(): code for code, s in enumerate(SOURCES)}
+_UNKNOWN = len(SOURCES)
 
-@dataclass
-class Sentence:
-    id: int                # per-class index
-    tokens: np.ndarray     # int64, read-only; includes SOS/EOS markers
-    source: str            # "encyclopedia" | "prompt"
+# The bytes that separate token ids: the ASCII characters str.split()
+# takes for whitespace, less the tab and line breaks that end a field.
+# Newline is kept, because `_token_ids` joins fields with it.
+_SEPARATORS = b" \n\x0b\x0c\x1c\x1d\x1e\x1f"
+_SHORT_ID = 18   # digits that always fit an int64
+# a --query may hold the tab and line breaks a corpus field cannot
+_BREAKS = bytes.maketrans(b"\t\n\r", b"   ")
 
 
-def token_array(tokens) -> np.ndarray:
-    """A sentence's tokens as the read-only int64 array the corpus
-    stores once, so encoders never convert tokens one by one."""
-    arr = np.array(tokens, dtype=np.int64)
-    arr.flags.writeable = False
-    return arr
+def _token_ids(fields, limit: int):
+    """Token fields (bytes) parsed in one pass: (ids, per-field counts,
+    per-field bad flags). A field is bad if it holds a byte that is
+    neither an ASCII digit nor a separator, or an id >= `limit`. Per byte
+    of text it allocates only bool and uint8 arrays, never an int64 one
+    (which fancy indexing by a byte array would make)."""
+    text = b"\n".join([b"", *fields, b""])
+    buf = np.frombuffer(text, dtype=np.uint8)
+    newlines = np.flatnonzero(buf == 10)        # field i ends at newlines[i + 1]
+    digit = (buf - np.uint8(48)) < 10
+    stray = ~digit
+    for byte in _SEPARATORS:
+        stray &= buf != byte
+    stray_at = np.flatnonzero(stray)
+    del stray
+    # the text starts and ends in a separator, so the digit/non-digit
+    # edges alternate: an id's first byte, then the byte after its last
+    edges = np.flatnonzero(digit[1:] != digit[:-1])
+    edges += 1
+    edges[1::2] -= edges[0::2]                  # (first byte, length) pairs
+    starts, lengths = edges[0::2], edges[1::2]
+    del digit
+    counts = np.diff(np.searchsorted(starts, newlines))
+    ids = (buf[starts] - np.uint8(48)).astype(np.int64)
+    for k in range(1, min(int(lengths.max(initial=0)), _SHORT_ID)):
+        more = lengths > k                      # Horner's rule, digit k
+        np.multiply(ids, 10, out=ids, where=more)
+        np.add(ids, buf.take(starts + k, mode="clip") - np.uint8(48),
+               out=ids, where=more)
+    over = ids >= limit if limit < 2 ** 63 else np.zeros(len(ids), bool)
+    for t in np.flatnonzero(lengths > _SHORT_ID).tolist():
+        value = int(text[starts[t]:starts[t] + lengths[t]])
+        over[t] = value >= limit
+        ids[t] = 0 if over[t] else value
+    bad = np.zeros(len(fields), dtype=bool)
+    bad_at = np.concatenate([stray_at, starts[over]])
+    bad[np.searchsorted(newlines, bad_at) - 1] = True
+    return ids, counts, bad
 
 
 def parse_tokens(text: str, vocab_size: int, where: str) -> np.ndarray:
-    """Space-separated token ids as a token array. Anything but integers
-    in [0, vocab_size), or in [0, 2**63) when `vocab_size` is 0, is a
-    ValidationError naming `where`."""
-    limit, fields = vocab_size or 2 ** 63, text.split()
-    ids = [int(f) for f in fields] if all(map(str.isdecimal, fields)) else []
-    if len(ids) != len(fields) or ids and max(ids) >= limit:
+    """Token ids separated by ASCII whitespace as an int64 array. Anything
+    but ASCII-digit integers in [0, vocab_size), or in [0, 2**63) when
+    `vocab_size` is 0, is a ValidationError naming `where`."""
+    limit = vocab_size or 2 ** 63
+    field = text.encode("utf-8", "backslashreplace").translate(_BREAKS)
+    ids, _, bad = _token_ids([field], limit)
+    if bad[0]:
         raise ValidationError(
             f"{where}: token ids must be integers in [0, {limit}), got {text!r}")
-    return token_array(ids)
+    return ids
 
 
 class TokenTable(NamedTuple):
@@ -245,6 +284,11 @@ class TokenTable(NamedTuple):
                           np.zeros(1, dtype=np.int64),
                           np.array([len(lengths)]), self.max_tokens)
 
+    def class_rows(self, c: int) -> np.ndarray:
+        """The rows of class c, in order."""
+        start = self.class_starts[c]
+        return np.arange(start, start + self.class_sizes[c])
+
     def split(self, n: int) -> list:
         """Each run of `n` consecutive rows as a one-class table of its
         own, over views of `ids` and `lengths` with rebased offsets."""
@@ -263,17 +307,12 @@ class TokenTable(NamedTuple):
                 for o, n in zip(self.offsets.tolist(), self.lengths.tolist())]
 
 
-def token_table(sequences, max_tokens: int, class_sizes=None) -> TokenTable:
-    """The table of a list of token sequences, in order, under
-    `class_sizes` (default: all rows one class). An empty sequence or one
-    over `max_tokens` is a ValidationError naming its index. A TokenTable
-    already checked at `max_tokens` or below is returned as it is."""
-    if isinstance(sequences, TokenTable):
-        if sequences.max_tokens <= max_tokens:
-            return sequences
-        sequences = sequences.sequences()
-    seqs = [np.asarray(seq, dtype=np.int64) for seq in sequences]
-    lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
+def flat_table(ids: np.ndarray, lengths, max_tokens: int,
+               class_sizes=None) -> TokenTable:
+    """The table of int64 `ids` cut into rows of `lengths`, under
+    `class_sizes` (default: all rows one class). An empty row or one over
+    `max_tokens` is a ValidationError naming its index."""
+    lengths = np.asarray(lengths, dtype=np.int64)
     bad = np.flatnonzero((lengths == 0) | (lengths > max_tokens))
     if bad.size:
         i = int(bad[0])
@@ -283,32 +322,40 @@ def token_table(sequences, max_tokens: int, class_sizes=None) -> TokenTable:
             f"LinguisticEncoder: sequence {i} has {lengths[i]} tokens, "
             f"limit is {max_tokens}; truncate explicitly if intended"
         )
-    sizes = np.array([len(seqs)] if class_sizes is None else class_sizes,
+    sizes = np.array([len(lengths)] if class_sizes is None else class_sizes,
                      dtype=np.int64)
-    ids = np.concatenate(seqs) if seqs else np.zeros(0, dtype=np.int64)
     return TokenTable(ids, np.cumsum(lengths) - lengths, lengths,
                       np.cumsum(sizes) - sizes, sizes, max_tokens)
 
 
+def token_table(sequences, max_tokens: int, class_sizes=None) -> TokenTable:
+    """`flat_table` of a list of token sequences, in order. A TokenTable
+    already checked at `max_tokens` or below is returned as it is."""
+    if isinstance(sequences, TokenTable):
+        if sequences.max_tokens <= max_tokens:
+            return sequences
+        sequences = sequences.sequences()
+    seqs = [np.asarray(seq, dtype=np.int64) for seq in sequences]
+    ids = np.concatenate(seqs) if seqs else np.zeros(0, dtype=np.int64)
+    return flat_table(ids, [len(seq) for seq in seqs], max_tokens,
+                      class_sizes)
+
+
 @dataclass
 class ClassCorpus:
-    C: int
+    """Every class's sentences as one token table: class c's sentence
+    `sid` (its per-class id) is row class_starts[c] + sid, and row r's
+    source is SOURCES[sources[r]]."""
     vocab_size: int
-    max_tokens: int
-    sentences: list = field(default_factory=list)  # per class: list[Sentence]
+    table: TokenTable
+    sources: np.ndarray   # uint8 per row
 
-    def for_class(self, c: int) -> list:
-        return self.sentences[c]
-
-    def all_tokens(self) -> list:
-        """Every sentence's tokens, class by class in id order."""
-        return [s.tokens for sentences in self.sentences for s in sentences]
+    @property
+    def C(self) -> int:
+        return len(self.table.class_sizes)
 
     def token_table(self) -> TokenTable:
-        """`all_tokens` as one table with the corpus's class rows, checked
-        against its `max_tokens`."""
-        return token_table(self.all_tokens(), self.max_tokens,
-                           [len(s) for s in self.sentences])
+        return self.table
 
 
 @dataclass
@@ -355,7 +402,7 @@ def gen_corpus(C: int, sentences_per_class: int, prompt_count: int,
             f"need >= {layout.required_size()}"
         )
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xC0B9]))
-    filler = list(layout.filler_pool(vocab_size))
+    filler = np.array(layout.filler_pool(vocab_size))
     attrs = class_attributes(C, seed)
     # each prompt is a template of a few prompt-pool tokens plus the class
     # token ("a photo of a {label}"); templates are shared across classes
@@ -377,8 +424,7 @@ def gen_corpus(C: int, sentences_per_class: int, prompt_count: int,
         rng.shuffle(body)
         return [SOS] + [int(t) for t in body[: max_tokens - 2]] + [EOS]
 
-    corpus = ClassCorpus(C=C, vocab_size=vocab_size, max_tokens=max_tokens,
-                         sentences=[[] for _ in range(C)])
+    rows, sizes, sources = [], [], []
     distractor_ids = [set() for _ in range(C)]
     for c in range(C):
         drafts = [(descriptive(c), False) for _ in range(n_clean)]
@@ -389,26 +435,27 @@ def gen_corpus(C: int, sentences_per_class: int, prompt_count: int,
         order = rng.permutation(len(drafts))
         for sid, k in enumerate(order):
             tokens, is_noise = drafts[int(k)]
-            corpus.sentences[c].append(
-                Sentence(id=sid, tokens=token_array(tokens),
-                         source=ENCYCLOPEDIA))
+            rows.append(tokens)
             if is_noise:
                 distractor_ids[c].add(sid)
-        for j in range(prompt_count):
-            tokens = [SOS] + templates[j] + [layout.class_token(c), EOS]
-            corpus.sentences[c].append(
-                Sentence(id=n_clean + n_noise + j, tokens=token_array(tokens),
-                         source=PROMPT))
+        rows += [[SOS] + templates[j] + [layout.class_token(c), EOS]
+                 for j in range(prompt_count)]
+        sizes.append(len(drafts) + prompt_count)
+        sources += [0] * len(drafts) + [1] * prompt_count   # SOURCES codes
+    ids = np.array([t for tokens in rows for t in tokens], dtype=np.int64)
+    table = flat_table(ids, [len(tokens) for tokens in rows], max_tokens,
+                       sizes)
+    corpus = ClassCorpus(vocab_size=vocab_size, table=table,
+                         sources=np.array(sources, dtype=np.uint8))
     return corpus, distractor_ids
 
 
 def corpus_stats(corpus: ClassCorpus) -> dict:
     """Min/max/mean/median per-class sentence counts, plus average tokens
     per sentence (markers excluded)."""
-    counts = np.array([len(s) for s in corpus.sentences], dtype=np.int64)
-    total_tokens = sum(len(s.tokens) - 2
-                       for per_class in corpus.sentences for s in per_class)
+    counts = corpus.table.class_sizes
     total_sentences = int(counts.sum())
+    total_tokens = int(corpus.table.lengths.sum()) - 2 * total_sentences
     return {
         "m_min": int(counts.min()),
         "m_max": int(counts.max()),
@@ -459,41 +506,70 @@ def load_dataset(path) -> LongTailDataset:
 
 
 def save_corpus(path, corpus: ClassCorpus):
+    """One `class<TAB>source<TAB>ids` line per row, in row order."""
+    table = corpus.table
+    classes = np.repeat(np.arange(corpus.C), table.class_sizes).tolist()
     with atomic_write(path) as f:
-        for c in range(corpus.C):
-            for s in corpus.sentences[c]:
-                tokens = " ".join(str(t) for t in s.tokens)
-                f.write(f"{c}\t{s.source}\t{tokens}\n")
+        for c, code, tokens in zip(classes, corpus.sources, table.sequences()):
+            f.write(f"{c}\t{SOURCES[code]}\t"
+                    f"{' '.join(map(str, tokens.tolist()))}\n")
+
+
+def _shown(field: bytes) -> str:
+    return repr(field.decode("utf-8", "backslashreplace"))
 
 
 def load_corpus(path, vocab_size: int = 0, max_tokens: int = 77) -> ClassCorpus:
-    per_class: dict[int, list] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValidationError(f"{path}:{lineno}: malformed record")
-            if not parts[0].isdecimal():
-                raise ValidationError(f"{path}:{lineno}: class must be an "
-                                      f"integer >= 0, got {parts[0]!r}")
-            c, source = int(parts[0]), parts[1]
-            if source not in (ENCYCLOPEDIA, PROMPT):
-                raise ValidationError(f"{path}:{lineno}: unknown source {source!r}")
-            tokens = parse_tokens(parts[2], vocab_size, f"{path}:{lineno}")
-            if not tokens.size:
-                raise ValidationError(f"{path}:{lineno}: empty sentence")
-            bucket = per_class.setdefault(c, [])
-            bucket.append(Sentence(id=len(bucket), tokens=tokens, source=source))
-    C = max(per_class) + 1 if per_class else 0
-    if any(c not in per_class for c in range(C)):
+    """`corpus.tsv` in one bulk pass (grammar in README.md). The first bad
+    line is a ValidationError naming path:line and the first check it
+    fails, in order: three tab-separated fields, an ASCII-digit class, a
+    known source, token ids in [0, vocab_size) (any int64 >= 0 when
+    `vocab_size` is 0), at least one token, at most `max_tokens`. Blank
+    lines are skipped, and CR LF and lone CR end lines as LF does."""
+    data = read_lf(path)
+    records = [line.split(b"\t") for line in data.split(b"\n") if line]
+    if not records:
+        raise ValidationError(f"{path}: no sentences")
+    malformed = np.array([len(r) != 3 for r in records], dtype=bool)
+    if malformed.any():   # checked first; later checks see a good stand-in
+        records = [r if len(r) == 3 else (b"0", b"prompt", b"0")
+                   for r in records]
+    cls, src, tok = zip(*records)
+    del records
+    limit = vocab_size or 2 ** 63
+    ids, counts, bad_tokens = _token_ids(tok, limit)
+    codes = np.array([_SOURCE_CODES.get(s, _UNKNOWN) for s in src],
+                     dtype=np.uint8)
+    checks = (
+        (malformed, lambda i: "malformed record"),
+        (~np.array(list(map(bytes.isdigit, cls)), dtype=bool),
+         lambda i: f"class must be an integer >= 0, got {_shown(cls[i])}"),
+        (codes == _UNKNOWN, lambda i: f"unknown source {_shown(src[i])}"),
+        (bad_tokens, lambda i: f"token ids must be integers in [0, {limit}), "
+                               f"got {_shown(tok[i])}"),
+        (counts == 0, lambda i: "empty sentence"),
+        (counts > max_tokens, lambda i: f"sentence has {counts[i]} tokens, "
+                                        f"limit is {max_tokens}"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        i = int(bad.argmax())
+        message = next(say(i) for mask, say in checks if mask[i])
+        lineno = [n for n, line in enumerate(data.split(b"\n"), 1) if line][i]
+        raise ValidationError(f"{path}:{lineno}: {message}")
+    classes = list(map(int, cls))
+    # n rows cannot fill more than n classes
+    sizes = np.bincount(classes) if max(classes) < len(classes) else [0]
+    if not np.all(sizes):
         raise ValidationError(f"{path}: some classes have no sentences")
-    vocab = vocab_size or (1 + max(int(s.tokens.max())
-                                   for ss in per_class.values() for s in ss))
-    return ClassCorpus(C=C, vocab_size=vocab, max_tokens=max_tokens,
-                       sentences=[per_class[c] for c in range(C)])
+    table = flat_table(ids, counts, max_tokens, sizes)
+    if (np.diff(classes) < 0).any():   # group rows by class, in file order
+        order = np.argsort(classes, kind="stable")
+        table = table.take(order)._replace(class_starts=table.class_starts,
+                                           class_sizes=table.class_sizes)
+        codes = codes[order]
+    return ClassCorpus(vocab_size=vocab_size or int(ids.max()) + 1,
+                       table=table, sources=codes)
 
 
 def save_stats(path, stats: dict):

@@ -264,13 +264,18 @@ def get_head(name: str) -> Head:
 
 def compute_anchor_embeddings(anchors: AnchorSet, corpus: ClassCorpus,
                               model: CvlpModel) -> np.ndarray:
-    """The frozen (C, M, D) anchor text embedding block."""
-    rows = []
-    for c in range(corpus.C):
-        sentences = corpus.for_class(c)
-        tokens = [sentences[sid].tokens for sid in anchors.ids(c)]
-        rows.append(model.lin(tokens).data)
-    return np.stack(rows)
+    """The frozen (C, M, D) anchor text embedding block, each class's
+    anchors embedded together. Anchors that do not fit the corpus's
+    classes and per-class ids are a ValidationError."""
+    table = corpus.token_table()
+    sids = np.array([anchors.ids(c) for c in range(len(anchors.entries))],
+                    dtype=np.int64)
+    if len(sids) != corpus.C or not (
+            (sids >= 0) & (sids < table.class_sizes[:, None])).all():
+        raise ValidationError("compute_anchor_embeddings: anchors do not "
+                              "fit the corpus's classes and sentence ids")
+    rows = table.class_starts[:, None] + sids
+    return np.stack([model.lin(table.take(r)).data for r in rows])
 
 
 def save_anchor_embeddings(path, embeddings: np.ndarray,

@@ -145,24 +145,29 @@ def _memoized(name: str):
 
 _DATA_RECORDS = (("dataset", "__dataset_hash__"),
                  ("corpus", "__corpus_hash__"))
+# final.ck also records the anchors it was fine-tuned on
+_FINAL_RECORDS = _DATA_RECORDS + (("anchors", "__anchors_hash__"),)
 
 
-def _meta_sections(fingerprint: bytes, hashes: dict) -> dict:
+def _meta_sections(fingerprint: bytes, hashes: dict,
+                   records=_DATA_RECORDS) -> dict:
     return {"__fingerprint__": ckpt.hash_to_floats(fingerprint),
             **{key: ckpt.hash_to_floats(hashes[name])
-               for name, key in _DATA_RECORDS}}
+               for name, key in records}}
 
 
-def _check_data_hashes(path, sections: dict, hashes: dict):
-    """Both data records of checkpoint `path` must equal `hashes`."""
-    for name, key in _DATA_RECORDS:
+def _check_data_hashes(path, sections: dict, hashes: dict,
+                       records=_DATA_RECORDS):
+    """Each of the `records` of checkpoint `path` must equal `hashes`."""
+    for name, key in records:
         if key not in sections:
             raise StaleArtifactError(
                 f"{path}: checkpoint records no {name} hash ('{key}')")
         if not np.array_equal(sections[key],
                               ckpt.hash_to_floats(hashes[name])):
             raise StaleArtifactError(
-                f"{path}: checkpoint was trained on a different {name} file")
+                f"{path}: checkpoint was trained on a different {name} "
+                f"file than {FILES[name]}")
 
 
 # ---- stages -----------------------------------------------------------------
@@ -231,12 +236,14 @@ def cmd_pretrain(cfg: RunConfig, out_dir, hashes: dict):
     save_trace(artifact(out_dir, "pretrain_trace"), trace)
 
 
-def load_model(cfg: RunConfig, out_dir, name, hashes: dict) -> CvlpModel:
+def load_model(cfg: RunConfig, out_dir, name, hashes: dict,
+               records=_DATA_RECORDS) -> CvlpModel:
     """The encoder pair and temperature of checkpoint `name`, after
-    checking that it was trained on the data files hashed in `hashes`."""
+    checking that its `records` (default: the data files) match the
+    files hashed in `hashes`."""
     path = artifact(out_dir, name)
     sections = ckpt.read_checkpoint(path)
-    _check_data_hashes(path, sections, hashes)
+    _check_data_hashes(path, sections, hashes, records)
     model = CvlpModel(cfg.d_img, cfg.embed_dim, cfg.vocab_size, seed=0,
                       max_tokens=cfg.max_tokens)
     model.load_state(sections)
@@ -255,7 +262,7 @@ def cmd_select_anchors(cfg: RunConfig, out_dir, hashes: dict):
 
 
 def cmd_finetune(cfg: RunConfig, out_dir):
-    hashes = hash_inputs(out_dir, ("dataset", "corpus", "student"))
+    hashes = hash_inputs(out_dir, ("dataset", "corpus", "student", "anchors"))
     dataset = load_dataset(artifact(out_dir, "dataset"))
     corpus = _load_corpus(cfg, out_dir)
     model = load_model(cfg, out_dir, "student", hashes)
@@ -270,7 +277,7 @@ def cmd_finetune(cfg: RunConfig, out_dir):
                           head=cfg.head)
     head_params, _, trace = run_finetune(dataset, anchors, corpus, model, fcfg)
     sections = {**model.state(),
-                **_meta_sections(cfg.fingerprint(), hashes),
+                **_meta_sections(cfg.fingerprint(), hashes, _FINAL_RECORDS),
                 **{k: v.data.copy() for k, v in head_params.params().items()}}
     ckpt.write_checkpoint(artifact(out_dir, "final"), sections)
     with ckpt.atomic_write(artifact(out_dir, "finetune_trace")) as f:
@@ -284,8 +291,11 @@ _EVAL_INPUTS = ("dataset", "corpus", "final")
 
 def cmd_precompute_cache(cfg: RunConfig, out_dir, hashes: dict):
     """Write the offline anchor text-embedding cache, keyed by the final
-    checkpoint's content hash in `hashes`."""
-    model = load_model(cfg, out_dir, "final", hashes)
+    checkpoint's content hash in `hashes`, from the anchors that
+    checkpoint was fine-tuned on."""
+    model = load_model(cfg, out_dir, "final",
+                       {**hashes, **hash_inputs(out_dir, ("anchors",))},
+                       _FINAL_RECORDS)
     anchors = load_anchors(artifact(out_dir, "anchors"))
     emb = compute_anchor_embeddings(anchors, _load_corpus(cfg, out_dir), model)
     save_anchor_embeddings(artifact(out_dir, "cache"), emb, hashes["final"])

@@ -11,10 +11,14 @@ single nodes, BLAS matmuls, one flat buffer and bin counts. Values and
 gradients of the package versions are checked against them in
 test_fused_ops.py. The elementwise exp and tanh nodes and log_softmax
 live only here.
+
+`load_corpus_per_line` is the line-by-line corpus reader that the bulk
+`data.load_corpus` replaced, checked against it in test_data.py.
 """
 
 import numpy as np
 
+from vlltr.data import ENCYCLOPEDIA, PROMPT, SOURCES, token_table
 from vlltr.errors import ShapeMismatch, ValidationError
 from vlltr.evaluation import BAND_ORDER, EvalReport
 from vlltr.head import HeadOutput
@@ -303,3 +307,66 @@ def evaluate(predictions, labels, bands, config_fingerprint=""):
         per_class=[h / n if n else None for h, n in class_hits],
         total=total, correct=int(correct.sum()),
         config_fingerprint=config_fingerprint)
+
+
+def _parse_tokens(text, vocab_size, where):
+    limit, fields = vocab_size or 2 ** 63, text.split()
+    ids = [int(f) for f in fields] if all(map(str.isdecimal, fields)) else []
+    if len(ids) != len(fields) or ids and max(ids) >= limit:
+        raise ValidationError(
+            f"{where}: token ids must be integers in [0, {limit}), got {text!r}")
+    return np.array(ids, dtype=np.int64)
+
+
+def load_corpus_per_line(path, vocab_size=0, max_tokens=77):
+    """(the corpus token table, per-row source codes, vocab size) of a
+    corpus file, read line by line in text mode with one int() per token
+    id. It checks a sentence's length against `max_tokens` as the last
+    check of its line, as the bulk reader does."""
+    per_class = {}
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ValidationError(f"{path}:{lineno}: malformed record")
+            if not parts[0].isdecimal():
+                raise ValidationError(f"{path}:{lineno}: class must be an "
+                                      f"integer >= 0, got {parts[0]!r}")
+            c, source = int(parts[0]), parts[1]
+            if source not in (ENCYCLOPEDIA, PROMPT):
+                raise ValidationError(
+                    f"{path}:{lineno}: unknown source {source!r}")
+            tokens = _parse_tokens(parts[2], vocab_size, f"{path}:{lineno}")
+            if not tokens.size:
+                raise ValidationError(f"{path}:{lineno}: empty sentence")
+            if tokens.size > max_tokens:
+                raise ValidationError(
+                    f"{path}:{lineno}: sentence has {tokens.size} tokens, "
+                    f"limit is {max_tokens}")
+            per_class.setdefault(c, []).append(
+                (tokens, SOURCES.index(source)))
+    if not per_class:
+        raise ValidationError(f"{path}: no sentences")
+    C = max(per_class) + 1
+    if any(c not in per_class for c in range(C)):
+        raise ValidationError(f"{path}: some classes have no sentences")
+    rows = [row for c in range(C) for row in per_class[c]]
+    table = token_table([tokens for tokens, _ in rows], max_tokens,
+                        [len(per_class[c]) for c in range(C)])
+    vocab = vocab_size or 1 + max(int(tokens.max()) for tokens, _ in rows)
+    return table, np.array([code for _, code in rows], dtype=np.uint8), vocab
+
+
+def class_sentences(corpus, c):
+    """Class c's sentences (token arrays), in per-class id order."""
+    table = corpus.token_table()
+    return table.take(table.class_rows(c)).sequences()
+
+
+def class_sources(corpus, c):
+    """Class c's sentence sources, in per-class id order."""
+    return [SOURCES[code] for code in corpus.sources[
+        corpus.token_table().class_rows(c)]]

@@ -1,10 +1,12 @@
 """Tests for probe batches, sentence scoring, and anchor selection."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+from composite_oracles import class_sentences, class_sources
 from vlltr.anchors import (
     AnchorSet,
     ProbePool,
@@ -89,13 +91,13 @@ class TestScoring:
                                 seed=mini_cfg.seed)
         clean_scores, noise_scores = [], []
         for c in range(corpus.C):
-            sentences = corpus.for_class(c)
-            emb = mini_model.lin([s.tokens for s in sentences]).data
+            emb = mini_model.lin(class_sentences(corpus, c)).data
             scores = _score_columns(pool, c, emb)
-            for s, score in zip(sentences, scores):
-                if s.source != "encyclopedia":
+            for sid, (source, score) in enumerate(
+                    zip(class_sources(corpus, c), scores)):
+                if source != "encyclopedia":
                     continue
-                (noise_scores if s.id in noise[c] else clean_scores).append(score)
+                (noise_scores if sid in noise[c] else clean_scores).append(score)
         assert np.mean(noise_scores) > np.mean(clean_scores)
 
 
@@ -108,14 +110,14 @@ class TestSelection:
         anchors = select_anchors(corpus, ds, model, M=3, cap=5)
         pool = build_probe_pool(ds, model, cap=5)
         for c in range(corpus.C):
-            sentences = corpus.for_class(c)
-            emb = model.lin([s.tokens for s in sentences]).data
+            sentences = class_sentences(corpus, c)
+            emb = model.lin(sentences).data
             emb = emb / np.linalg.norm(emb, axis=1, keepdims=True)
             logits = (pool.embeddings @ emb.T) / pool.tau
             logits -= logits.max(axis=0, keepdims=True)
             log_p = logits - np.log(np.exp(logits).sum(axis=0, keepdims=True))
             scores = -log_p[pool.class_slices[c]].mean(axis=0)
-            scored = sorted((scores[i], s.id) for i, s in enumerate(sentences))
+            scored = sorted((scores[i], i) for i in range(len(sentences)))
             expect = [sid for _, sid in scored[:3]]
             assert anchors.ids(c) == expect
             worst_kept = scored[2][0]
@@ -124,7 +126,7 @@ class TestSelection:
 
     def test_modes_agree_when_class_exactly_m(self):
         ds, corpus, _, model = tiny_world(spc=4, prompts=0)
-        n = len(corpus.for_class(0))
+        n = len(class_sentences(corpus, 0))
         a = select_anchors(corpus, ds, model, M=n, mode="AnSS", cap=5)
         b = select_anchors(corpus, ds, model, M=n, mode="CutOff", cap=5)
         for c in range(corpus.C):
@@ -138,7 +140,7 @@ class TestSelection:
 
     def test_cyclic_padding(self):
         ds, corpus, _, model = tiny_world(spc=3, prompts=0)
-        n = len(corpus.for_class(0))
+        n = len(class_sentences(corpus, 0))
         anchors = select_anchors(corpus, ds, model, M=n + 2, cap=5)
         for c in range(corpus.C):
             ids = anchors.ids(c)
@@ -151,18 +153,18 @@ class TestSelection:
         # permute sentence storage order; ids are reassigned positionally,
         # so compare the selected token multisets instead of ids
         rng = np.random.default_rng(0)
-        shuffled = gen_corpus(3, 5, 2, 64, 0.2, seed=4)[0]
-        for c in range(3):
-            order = rng.permutation(len(shuffled.sentences[c]))
-            sentences = [shuffled.sentences[c][int(i)] for i in order]
-            for new_id, s in enumerate(sentences):
-                s.id = new_id
-            shuffled.sentences[c] = sentences
+        table = corpus.token_table()
+        rows = np.concatenate([rng.permutation(table.class_rows(c))
+                               for c in range(3)])
+        shuffled = dataclasses.replace(
+            corpus, sources=corpus.sources[rows],
+            table=table.take(rows)._replace(class_starts=table.class_starts,
+                                            class_sizes=table.class_sizes))
         perm = select_anchors(shuffled, ds, model, M=3, cap=5)
         for c in range(3):
-            base_tokens = sorted(tuple(corpus.for_class(c)[sid].tokens)
+            base_tokens = sorted(tuple(class_sentences(corpus, c)[sid])
                                  for sid in base.ids(c))
-            perm_tokens = sorted(tuple(shuffled.for_class(c)[sid].tokens)
+            perm_tokens = sorted(tuple(class_sentences(shuffled, c)[sid])
                                  for sid in perm.ids(c))
             assert base_tokens == perm_tokens
 

@@ -232,6 +232,44 @@ class TestPipelineCommands:
                          "--out", str(work)]) == 2
         assert "different dataset file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,command", [("corpus.tsv", "make-teacher"),
+                                              ("anchors.tsv", "finetune")])
+    def test_undecodable_text_artifact_exits_two(self, cfg_file, cli_run,
+                                                 tmp_path, capsys, name,
+                                                 command):
+        """One byte that is not UTF-8, on line 3, names the file and line
+        (was an internal error, exit 4)."""
+        work = tmp_path / "copy"
+        shutil.copytree(cli_run, work)
+        path = work / name
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2][:3] + b"\xff" + lines[2][3:]
+        path.write_bytes(b"\n".join(lines))
+        assert cli.main([command, "--config", str(cfg_file),
+                         "--out", str(work)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{path}:3: " in err
+
+    def test_anchors_reselected_after_finetune_are_stale(self, cfg_file,
+                                                        cli_run, tmp_path,
+                                                        capsys):
+        """final.ck records the anchors it was fine-tuned on, so building
+        the cache from CutOff anchors selected after an AnSS fine-tune is
+        a stale artifact (it used to score 0.325 without complaint)."""
+        work = tmp_path / "copy"
+        shutil.copytree(cli_run, work)
+        (work / "anchor_cache.vlae").unlink()
+        assert cli.main(["select-anchors", "--config", str(cfg_file),
+                         "--out", str(work),
+                         "--set", "anchor_mode=CutOff"]) == 0
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", str(cfg_file),
+                         "--out", str(work)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {work / 'final.ck'}: checkpoint was trained on a "
+            "different anchors file than anchors.tsv\n")
+        assert not (work / "anchor_cache.vlae").exists()
+
     def test_malformed_anchor_row_is_validation_error(self, cfg_file, cli_run,
                                                       tmp_path, capsys):
         work = tmp_path / "copy"
@@ -257,10 +295,11 @@ class TestPipelineCommands:
         assert f"{path}: truncated file" in capsys.readouterr().err
 
     def test_retrieve(self, cfg_file, cli_run, capsys):
+        from composite_oracles import class_sentences
         from vlltr.data import load_corpus
 
         corpus = load_corpus(cli_run / "corpus.tsv")
-        query = " ".join(str(t) for t in corpus.for_class(0)[0].tokens)
+        query = " ".join(str(t) for t in class_sentences(corpus, 0)[0])
         assert cli.main(["retrieve", "--config", str(cfg_file),
                          "--out", str(cli_run), "--query", query,
                          "-k", "4"]) == 0
@@ -349,11 +388,15 @@ class TestUsageAndErrors:
 
     @pytest.mark.parametrize("setting", [
         "pretrain_batch=0", "finetune_batch=0", "tau_init=0",
-        "tau_init=-1", "tau_init=nan", "tau_init=1.5"])
+        "tau_init=-1", "tau_init=nan", "tau_init=1.5", "seed=-1",
+        "probe_cap=0", "test_per_class=0", "noise_fraction=2",
+        "noise_sigma=-1"])
     def test_out_of_bounds_value_is_validation_error(self, tmp_path, capsys,
                                                      setting):
-        """A batch size below 1 or a tau_init outside [0.01, 1] exits 2
-        with one stderr line naming the key."""
+        """A batch size, probe cap or test split below 1, a tau_init
+        outside [0.01, 1], a negative seed or noise sigma, or a noise
+        fraction outside [0, 1] exits 2 with one stderr line naming the
+        key."""
         assert cli.main(["make-teacher", "--out", str(tmp_path),
                          "--set", setting]) == 2
         err = capsys.readouterr().err

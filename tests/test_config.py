@@ -26,7 +26,10 @@ class TestDefaults:
     @pytest.mark.parametrize("key,inside,outside", [
         ("pretrain_batch", 1, 0), ("finetune_batch", 1, 0),
         ("tau_init", 0.01, 0.0099), ("tau_init", 1.0, 1.01),
-        ("tau_init", 0.5, float("inf"))])
+        ("tau_init", 0.5, float("inf")), ("seed", 0, -1),
+        ("probe_cap", 1, 0), ("test_per_class", 1, 0),
+        ("noise_fraction", 0.0, -0.01), ("noise_fraction", 1.0, 2.0),
+        ("noise_fraction", 0.5, float("nan")), ("noise_sigma", 0.0, -1.0)])
     def test_bounds_are_inclusive(self, key, inside, outside):
         dataclasses.replace(RunConfig(), **{key: inside}).validate()
         with pytest.raises(ValidationError, match=key):

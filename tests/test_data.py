@@ -4,12 +4,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import composite_oracles as oracle
+from composite_oracles import class_sentences, class_sources
 from vlltr.data import (
     ATTR_POOL,
     ATTRS_PER_CLASS,
+    SOURCES,
     ClassCorpus,
-    Sentence,
     SqrtSampler,
     VocabLayout,
     class_attributes,
@@ -226,9 +230,9 @@ class TestCorpus:
         layout = VocabLayout(4, 0)
         for c in range(4):
             assert noise[c] == set()
-            for s in corpus.for_class(c):
-                assert s.tokens[0] == SOS and s.tokens[-1] == EOS
-                assert layout.class_token(c) in s.tokens
+            for tokens in class_sentences(corpus, c):
+                assert tokens[0] == SOS and tokens[-1] == EOS
+                assert layout.class_token(c) in tokens
 
     def test_prompt_count(self):
         corpus, _ = gen_corpus(
@@ -236,11 +240,13 @@ class TestCorpus:
             noise_fraction=0.0, seed=0,
         )
         for c in range(3):
-            prompts = [s for s in corpus.for_class(c) if s.source == "prompt"]
+            prompts = [tokens for tokens, source in zip(
+                class_sentences(corpus, c), class_sources(corpus, c))
+                if source == "prompt"]
             assert len(prompts) == 80
             layout = VocabLayout(3, 80)
-            for s in prompts:
-                assert s.tokens[-2] == layout.class_token(c)
+            for tokens in prompts:
+                assert tokens[-2] == layout.class_token(c)
 
     def test_distractor_fraction_and_content(self):
         C, spc = 5, 20
@@ -252,7 +258,7 @@ class TestCorpus:
         for c in range(C):
             assert len(noise[c]) == round(0.2 * spc)
             for sid in noise[c]:
-                tokens = corpus.for_class(c)[sid].tokens
+                tokens = class_sentences(corpus, c)[sid]
                 assert layout.class_token(c) not in tokens
                 donors = [d for d in range(C)
                           if d != c and layout.class_token(d) in tokens]
@@ -263,8 +269,8 @@ class TestCorpus:
         b, nb = gen_corpus(3, 8, 4, 96, 0.25, seed=2)
         assert na == nb
         for c in range(3):
-            assert [s.tokens.tolist() for s in a.for_class(c)] == \
-                   [s.tokens.tolist() for s in b.for_class(c)]
+            assert [s.tolist() for s in class_sentences(a, c)] == \
+                   [s.tolist() for s in class_sentences(b, c)]
 
     def test_vocab_too_small(self):
         with pytest.raises(ValidationError) as exc:
@@ -274,19 +280,16 @@ class TestCorpus:
     def test_sentence_length_within_budget(self):
         corpus, _ = gen_corpus(4, 15, 6, 96, 0.2, seed=3, max_tokens=12)
         for c in range(4):
-            for s in corpus.for_class(c):
-                assert len(s.tokens) <= 12
+            for tokens in class_sentences(corpus, c):
+                assert len(tokens) <= 12
 
 
 class TestCorpusStats:
     def test_small_fixture(self):
         corpus = ClassCorpus(
-            C=1, vocab_size=10, max_tokens=8,
-            sentences=[[
-                Sentence(0, [0, 3, 4, 1], "encyclopedia"),
-                Sentence(1, [0, 3, 1], "encyclopedia"),
-                Sentence(2, [0, 3, 4, 5, 1], "prompt"),
-            ]],
+            vocab_size=10,
+            table=token_table([[0, 3, 4, 1], [0, 3, 1], [0, 3, 4, 5, 1]], 8),
+            sources=np.array([0, 0, 1], dtype=np.uint8),
         )
         stats = corpus_stats(corpus)
         assert stats["m_min"] == 3 and stats["m_max"] == 3
@@ -294,12 +297,9 @@ class TestCorpusStats:
         assert stats["l_avg"] == pytest.approx(2.0, abs=1e-12)
 
     def test_min_max_spread(self):
-        sentences = [
-            [Sentence(0, [0, 2, 1], "encyclopedia")],
-            [Sentence(i, [0, 3, 1], "encyclopedia") for i in range(721)],
-        ]
-        stats = corpus_stats(ClassCorpus(C=2, vocab_size=10, max_tokens=8,
-                                         sentences=sentences))
+        table = token_table([[0, 2, 1]] + [[0, 3, 1]] * 721, 8, [1, 721])
+        stats = corpus_stats(ClassCorpus(
+            vocab_size=10, table=table, sources=np.zeros(722, np.uint8)))
         assert stats["m_min"] == 1
         assert stats["m_max"] == 721
         assert stats["m_mean"] == pytest.approx(361.0)
@@ -308,8 +308,9 @@ class TestCorpusStats:
     def test_recount_oracle(self):
         corpus, _ = gen_corpus(4, 9, 5, 96, 0.2, seed=1)
         stats = corpus_stats(corpus)
-        counts = [len(corpus.for_class(c)) for c in range(4)]
-        lengths = [len(s.tokens) - 2 for c in range(4) for s in corpus.for_class(c)]
+        counts = [len(class_sentences(corpus, c)) for c in range(4)]
+        lengths = [len(s) - 2 for c in range(4)
+                   for s in class_sentences(corpus, c)]
         assert stats["m_min"] == min(counts)
         assert stats["m_max"] == max(counts)
         assert stats["m_mean"] == pytest.approx(sum(counts) / 4)
@@ -363,12 +364,11 @@ class TestSerialization:
         back = load_corpus(path, vocab_size=96)
         assert back.C == corpus.C
         for c in range(3):
-            orig = corpus.for_class(c)
-            got = back.for_class(c)
-            assert [s.id for s in got] == [s.id for s in orig]
-            assert [s.tokens.tolist() for s in got] == \
-                   [s.tokens.tolist() for s in orig]
-            assert [s.source for s in got] == [s.source for s in orig]
+            assert [s.tolist() for s in class_sentences(back, c)] == \
+                   [s.tolist() for s in class_sentences(corpus, c)]
+            assert class_sources(back, c) == class_sources(corpus, c)
+        for got, want in zip(back.table, corpus.table):
+            np.testing.assert_array_equal(got, want)
 
     def test_corpus_rejects_bad_source(self, tmp_path):
         path = tmp_path / "c.tsv"
@@ -427,3 +427,150 @@ class TestSerialization:
         path = tmp_path / "stats.json"
         save_stats(path, stats)
         assert json.loads(path.read_text()) == stats
+
+
+# ---- the bulk corpus reader against the per-line one -----------------------
+
+ORACLE_VOCAB, ORACLE_MAX_TOKENS = 40, 6
+
+
+MUTATIONS = ("none", "blank", "crlf", "extra_tab", "missing_tab",
+             "separators", "bad_source", "empty_tokens", "over_long",
+             "class_gap", "vocab_id", "long_id", "zeros_id",
+             "non_ascii_digit", "non_ascii_class")
+
+
+def _mutate(draw, line: str, kind: str) -> list:
+    """`line` (three fields) mutated by `kind`, as the lines it becomes."""
+    cls, source, tokens = line.split("\t")
+    words = tokens.split(" ")
+    k = draw(st.integers(0, len(words) - 1))
+    if kind == "blank":
+        return ["", line]
+    if kind == "crlf":
+        return [line + "\r"]
+    if kind == "extra_tab":
+        at = draw(st.integers(0, len(line)))
+        return [line[:at] + "\t" + line[at:]]
+    if kind == "missing_tab":
+        return [draw(st.sampled_from([cls + source,
+                                      f"{cls}\t{source}" + tokens]))]
+    if kind == "separators":
+        runs = [draw(st.text(" \x0b\x1c", min_size=1, max_size=3))
+                for _ in range(len(words) + 1)]
+        return [f"{cls}\t{source}\t" + "".join(
+            run + word for run, word in zip(runs, words + [""]))]
+    if kind == "bad_source":
+        return [f"{cls}\t{source[1:]}\t{tokens}"]
+    if kind == "empty_tokens":
+        return [f"{cls}\t{source}\t" + draw(st.sampled_from(["", " "]))]
+    if kind == "over_long":
+        return [line + " 1" * (ORACLE_MAX_TOKENS + 1 - len(words))]
+    if kind == "class_gap":
+        return [f"{int(cls) + draw(st.integers(1, 3))}\t{source}\t{tokens}"]
+    words[k] = {"vocab_id": str(ORACLE_VOCAB),
+                "long_id": "12345678901234567890",
+                "zeros_id": "0" * 20 + words[k],
+                "non_ascii_digit": "٣" + words[k]}.get(kind, words[k])
+    cls = "٣" + cls if kind == "non_ascii_class" else cls
+    return [f"{cls}\t{source}\t{' '.join(words)}"]
+
+
+@st.composite
+def corpus_lines(draw, kind):
+    """The lines of a corpus file, in shuffled class order, with one line
+    mutated by `kind` and then, where a line still has three fields,
+    one line by a drawn kind, so that checks also meet on one line and
+    faults on two."""
+    lines = []
+    for c in range(draw(st.integers(1, 3))):
+        for _ in range(draw(st.integers(1, 3))):
+            ids = draw(st.lists(st.integers(0, ORACLE_VOCAB - 1), min_size=1,
+                                max_size=ORACLE_MAX_TOKENS))
+            source = draw(st.sampled_from(SOURCES))
+            lines.append(f"{c}\t{source}\t{' '.join(map(str, ids))}")
+    lines = draw(st.permutations(lines))
+    for kind in (kind, draw(st.sampled_from(MUTATIONS))):
+        whole = [i for i, line in enumerate(lines) if line.count("\t") == 2]
+        if whole:
+            i = draw(st.sampled_from(whole))
+            lines[i:i + 1] = _mutate(draw, lines[i], kind)
+    return lines
+
+
+def _read(load, path, vocab_size):
+    """The loader's (table fields, sources, vocab size), or its message."""
+    try:
+        got = load(path, vocab_size, ORACLE_MAX_TOKENS)
+    except ValidationError as exc:
+        return str(exc)
+    if isinstance(got, ClassCorpus):
+        got = got.table, got.sources, got.vocab_size
+    table, sources, vocab = got
+    return [a.tolist() if isinstance(a, np.ndarray) else a
+            for a in (*table, sources, vocab)]
+
+
+@pytest.mark.parametrize("kind", MUTATIONS)
+@settings(max_examples=12, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), vocab_size=st.sampled_from([0, ORACLE_VOCAB]),
+       end=st.sampled_from(["\n", ""]))
+def test_bulk_reader_matches_the_per_line_reader(tmp_path, kind, data,
+                                                 vocab_size, end):
+    """The same table, sources and vocabulary, or the same message, on
+    generated files with lines mutated: a blank line, a CR LF end, an
+    extra or missing tab, runs of space, VT or FS between ids, an unknown
+    source, an empty token field, a sentence over max_tokens, a gap in
+    the class numbers, an id equal to vocab_size, a 20-digit id, leading
+    zeros. A non-ASCII digit, which int() takes, is rejected exactly as a
+    letter in its place is."""
+    lines = data.draw(corpus_lines(kind))
+    path = tmp_path / "c.tsv"
+    path.write_bytes(("\n".join(lines) + end).encode("utf-8"))
+    got = _read(load_corpus, path, vocab_size)
+    if "٣" in "".join(lines):
+        path.write_bytes(path.read_bytes().replace("٣".encode(), b"x"))
+        assert isinstance(got, str)
+        got = got.replace("٣", "x")
+        assert got == _read(load_corpus, path, vocab_size)
+    assert got == _read(oracle.load_corpus_per_line, path, vocab_size)
+
+
+class TestCorpusGrammar:
+    def test_first_bad_line_wins_over_an_undecodable_one(self, tmp_path):
+        """A bad line before an undecodable byte is the one reported, and
+        the undecodable byte alone names its line."""
+        path = tmp_path / "c.tsv"
+        good = b"0\tprompt\t0 5 1\n"
+        path.write_bytes(good + b"0\tprompt\t\n" + good + b"0\tpr\xffompt\t1\n")
+        with pytest.raises(ValidationError, match=f"{path}:2: empty sentence"):
+            load_corpus(path)
+        path.write_bytes(good * 3 + b"0\tprompt\t0 5\xff 1\n")
+        with pytest.raises(ValidationError) as exc:
+            load_corpus(path)
+        assert str(exc.value) == (
+            f"{path}:4: token ids must be integers in [0, {2 ** 63}), "
+            "got '0 5\\\\xff 1'")
+
+    def test_longest_int64_id_without_a_vocabulary(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text(f"0\tprompt\t0 {2 ** 63 - 1}\n")
+        assert load_corpus(path).vocab_size == 2 ** 63
+        path.write_text(f"0\tprompt\t0 {2 ** 63}\n")
+        with pytest.raises(ValidationError, match="token ids must be"):
+            load_corpus(path)
+
+    def test_over_long_sentence_names_its_line(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text("0\tprompt\t0 5 1\n0\tprompt\t0 5 6 1\n")
+        with pytest.raises(ValidationError) as exc:
+            load_corpus(path, max_tokens=3)
+        assert str(exc.value) == \
+            f"{path}:2: sentence has 4 tokens, limit is 3"
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text("\n\n")
+        with pytest.raises(ValidationError, match="no sentences"):
+            load_corpus(path, vocab_size=96)

@@ -5,8 +5,8 @@ import pytest
 
 from vlltr.anchors import AnchorSet, save_anchors
 from vlltr.checkpoint import atomic_write, read_checkpoint, write_checkpoint
-from vlltr.data import (ClassCorpus, LongTailDataset, Sentence, save_corpus,
-                        save_dataset, save_stats)
+from vlltr.data import (ClassCorpus, LongTailDataset, save_corpus,
+                        save_dataset, save_stats, token_table)
 from vlltr.encoders import (
     TAU_MAX,
     TAU_MIN,
@@ -151,7 +151,7 @@ class TestTeacherPair:
         assert TEXT_CHUNK == 256
         corpus, _ = gen_corpus(4, 6, 4, vocab_size=64, noise_fraction=0.0,
                                seed=1)
-        pool = corpus.all_tokens()
+        pool = corpus.token_table().sequences()
         sentences = [pool[i % len(pool)] for i in range(n)]
         teacher = TeacherPair(CvlpModel(6, 6, 64, seed=4))
         images = np.random.default_rng(0).normal(size=(5, 6))
@@ -241,9 +241,10 @@ class Poison:
 
 
 def _corpus_with_poison():
-    ok = Sentence(id=0, tokens=np.array([0, 5, 1]), source="prompt")
-    return ClassCorpus(C=2, vocab_size=8, max_tokens=77,
-                       sentences=[[ok], [Sentence(1, Poison(), "prompt")]])
+    """The second row's source code raises when the writer reads it."""
+    return ClassCorpus(vocab_size=8,
+                       table=token_table([[0, 5, 1], [0, 6, 1]], 77, [1, 1]),
+                       sources=[1, Poison()])
 
 
 # each writer with a payload that raises after some bytes are written

@@ -159,7 +159,7 @@ class TestConceptRetrieval:
 
     def test_works_with_real_model(self, mini_model, mini_data):
         dataset, corpus = mini_data
-        tokens = corpus.for_class(0)[0].tokens
+        tokens = oracle.class_sentences(corpus, 0)[0]
         ids = concept_retrieval(tokens, dataset.test_X, mini_model, k=5)
         assert len(ids) == 5
         assert len(set(ids)) == 5

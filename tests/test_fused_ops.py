@@ -17,8 +17,7 @@ import pytest
 import composite_oracles as oracle
 from vlltr import pretrain
 from vlltr.checkpoint import load_params
-from vlltr.data import (ClassCorpus, Sentence, SqrtSampler, gen_corpus,
-                        gen_synthetic, token_array, token_table)
+from vlltr.data import SqrtSampler, gen_corpus, gen_synthetic, token_table
 from vlltr.encoders import CvlpModel, LinguisticEncoder, VisualEncoder
 from vlltr.errors import ValidationError
 from vlltr.gradsuite import LGR_PARAM_NAMES, lgr_params_from
@@ -213,14 +212,15 @@ class TestTextPooling:
         enc = LinguisticEncoder(48, 6, np.random.default_rng(2))
         table = corpus.token_table()
         rows = np.array([7, 0, 20, 7, 3])
-        pool = corpus.all_tokens()
+        pool = table.sequences()
         assert enc(table).data.tobytes() == enc(pool).data.tobytes()
         assert enc(table.take(rows)).data.tobytes() == \
             enc([pool[r] for r in rows]).data.tobytes()
 
     @pytest.mark.parametrize("source", ["list", "corpus", "wider_table"])
     def test_length_errors_keep_their_messages(self, source):
-        """From a list, from a corpus table, and from a table checked at a
+        """From a list, from a table built with class rows, as a corpus
+        table is, and from a table checked at a
         larger limit than the encoder's."""
         enc = LinguisticEncoder(10, 2, np.random.default_rng(0), max_tokens=4)
         for bad, message in (
@@ -232,11 +232,7 @@ class TestTextPooling:
                 if source == "list":
                     enc(sequences)
                 elif source == "corpus":
-                    ClassCorpus(C=1, vocab_size=10, max_tokens=4,
-                                sentences=[[Sentence(i, token_array(seq),
-                                                     "prompt")
-                                            for i, seq in enumerate(
-                                                sequences)]]).token_table()
+                    token_table(sequences, 4, [len(sequences)])
                 else:
                     enc(token_table(sequences, 77))
             assert str(exc.value) == message

@@ -288,6 +288,29 @@ def finetune_world(seed=0):
     return ds, corpus, model, anchors
 
 
+class TestAnchorEmbeddings:
+    @pytest.mark.parametrize("entries", [
+        [[(0, 0.0)], [(8, 0.0)], [(1, 0.0)]],     # past class 1's 8 sentences
+        [[(0, 0.0)], [(-1, 0.0)], [(1, 0.0)]],    # negative
+        [[(0, 0.0)], [(1, 0.0)]]])                # two classes of three
+    def test_anchors_off_the_corpus_are_validation_errors(self, entries):
+        """An id that would read a row of another class or a row from the
+        end, and a class count that differs from the corpus's."""
+        _, corpus, model, _ = finetune_world()
+        anchors = AnchorSet("AnSS", 1, entries, b"\1" * 32)
+        with pytest.raises(ValidationError, match="do not fit the corpus"):
+            compute_anchor_embeddings(anchors, corpus, model)
+
+    def test_rows_are_each_class_s_sentences(self):
+        _, corpus, model, _ = finetune_world()
+        anchors = AnchorSet("AnSS", 2, [[(7, 0.0), (0, 0.0)]] * 3, b"")
+        table = corpus.token_table()
+        want = [model.lin([table.sequences()[int(table.class_starts[c]) + s]
+                           for s in (7, 0)]).data for c in range(3)]
+        np.testing.assert_array_equal(
+            compute_anchor_embeddings(anchors, corpus, model), np.stack(want))
+
+
 class TestFinetune:
     def test_zero_epochs_leaves_encoder(self):
         ds, corpus, model, anchors = finetune_world()

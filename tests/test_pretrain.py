@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from composite_oracles import class_sentences
 from vlltr import pretrain as pretrain_module
 from vlltr.data import ClassCorpus, SqrtSampler, gen_corpus, gen_synthetic
 from vlltr.encoders import CvlpModel, TeacherPair
@@ -212,19 +213,19 @@ class TestSamplePairedBatch:
             np.testing.assert_array_equal(batch.labels,
                                           ds.y[sampler.draw(7)])
             for c, seq in zip(batch.labels, batch.sequences):
-                options = corpus.for_class(int(c))
-                want = options[int(ref_rng.integers(len(options)))].tokens
+                options = class_sentences(corpus, int(c))
+                want = options[int(ref_rng.integers(len(options)))]
                 assert seq.tolist() == want.tolist()
         assert rng.random() == ref_rng.random()
 
     def test_rows_locate_the_batch(self):
         """`idx` are the images' dataset rows and `rows` the sentences'
-        rows of `corpus.all_tokens()`, and the batch's bags hold exactly
-        those sentences."""
+        rows of the corpus table, and the batch's bags hold exactly those
+        sentences."""
         ds, corpus, _ = tiny_setup(seed=5)
         sampler, rng = SqrtSampler(ds.counts, seed=5), np.random.default_rng(2)
-        everything = corpus.all_tokens()
         table = corpus.token_table()
+        everything = table.sequences()
         starts = table.class_starts
         for _ in range(4):
             batch = sample_paired_batch(ds, table, sampler, rng, 9)
@@ -236,7 +237,7 @@ class TestSamplePairedBatch:
                 batch.bags.ids, np.concatenate([everything[r]
                                                 for r in batch.rows]))
             for c, r, seq in zip(batch.labels, batch.rows, batch.sequences):
-                assert starts[c] <= r < starts[c] + len(corpus.for_class(c))
+                assert starts[c] <= r < starts[c] + table.class_sizes[c]
                 np.testing.assert_array_equal(seq, everything[r])
 
 
@@ -313,7 +314,7 @@ class TestSampleEpoch:
 
 def oracle_pretrain(dataset, corpus, model, teacher, cfg):
     """`run_pretrain` fed a list of token arrays per batch, one sentence
-    drawn per image from `corpus.for_class`, with the teacher matrix
+    drawn per image from the class's sentences, with the teacher matrix
     from `TeacherPair.similarity` on the same lists."""
     steps_per_epoch = max(1, int(np.ceil(len(dataset.y) / cfg.batch_size)))
     sched = LrSchedule(cfg.base_lr, 0.0, cfg.epochs * steps_per_epoch)
@@ -329,9 +330,8 @@ def oracle_pretrain(dataset, corpus, model, teacher, cfg):
             images, labels = dataset.X[idx].astype(np.float64), dataset.y[idx]
             sequences = []
             for c in labels.tolist():
-                options = corpus.for_class(c)
-                sequences.append(options[int(rng.integers(len(options)))]
-                                 .tokens)
+                options = class_sentences(corpus, c)
+                sequences.append(options[int(rng.integers(len(options)))])
             S = model.similarity(images, sequences)
             S_teacher = (teacher.similarity(images, sequences)
                          if distill else None)
@@ -390,7 +390,7 @@ class TestRunPretrain:
         """The corpus is read once per run into its token table, never
         per step."""
         calls = []
-        for name in ("all_tokens", "for_class"):
+        for name in ("token_table",):
             method = getattr(ClassCorpus, name)
 
             def counted(self, *args, _method=method, _name=name):
@@ -471,7 +471,7 @@ class TestRunPretrain:
                              PretrainConfig(epochs=30, batch_size=32,
                                             base_lr=3e-3, lam=1.0, seed=0))
         assert trace[-1][2] < trace[0][2]
-        seqs = [corpus.for_class(c)[0].tokens for c in range(20)]
+        seqs = [class_sentences(corpus, c)[0] for c in range(20)]
         S = model.similarity(ds.test_X.astype(np.float64), seqs).data
         diag = np.array([S[i, ds.test_y[i]] for i in range(len(ds.test_y))])
         mask = np.ones_like(S, dtype=bool)

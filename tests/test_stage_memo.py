@@ -135,22 +135,23 @@ def check_hashed_once(log, total):
 def test_no_stage_call_of_a_run_hashes_a_file_twice(mini_cfg, tmp_path,
                                                     monkeypatch):
     """make-teacher hashes the two data files; pretrain, select-anchors,
-    finetune and eval each hash them and the checkpoint they read."""
+    finetune and eval each hash them and the checkpoint they read, and
+    finetune and eval (which builds the anchor cache) also anchors.tsv."""
     log = hashing(monkeypatch)
     pipeline.run_all(mini_cfg, tmp_path)
     assert [stage for stage, _ in log] == [
         "cmd_gen_data", "cmd_make_teacher", "cmd_pretrain",
         "cmd_select_anchors", "cmd_finetune", "cmd_eval"]
-    check_hashed_once(log, 14)
+    check_hashed_once(log, 16)
 
 
 def test_no_stage_call_of_ablate_hashes_a_file_twice(ablated):
     """A memo hit hashes the stage's inputs and nothing else: 4 teacher
-    calls of 2, 4 distilled and 1 lam=1 pretrain call of 3 and 2, and 5
-    each of select-anchors, finetune and eval of 3."""
+    calls of 2, 4 distilled and 1 lam=1 pretrain call of 3 and 2, 5
+    select-anchors calls of 3, and 5 each of finetune and eval of 4."""
     _, _, log = ablated
     assert len(log) == 29
-    check_hashed_once(log, 67)
+    check_hashed_once(log, 77)
 
 
 def test_missing_teacher_is_an_error_with_a_memo(mini_cfg, tmp_path):
