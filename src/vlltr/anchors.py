@@ -83,40 +83,26 @@ class AnchorSet:
         return [sid for sid, _ in self.entries[cls]]
 
 
-def _pad_cyclic(selected, M):
-    if not selected:
-        raise ValidationError("select_anchors: class with zero sentences")
-    out = list(selected)
-    i = 0
-    while len(out) < M:
-        out.append(selected[i % len(selected)])
-        i += 1
-    return out
-
-
 def select_anchors(corpus: ClassCorpus, dataset: LongTailDataset,
                    model: CvlpModel, M: int, mode: str = ANSS,
                    cap: int = 50, seed: int = 0,
                    checkpoint_hash: bytes = b"") -> AnchorSet:
     """Per class, keep M sentences: lowest score first under AnSS (id
-    breaks ties), plain corpus order under CutOff. Classes with fewer
-    than M sentences are padded by cycling the selected list."""
-    if M < 1:
-        raise ValidationError(f"select_anchors: M must be >= 1, got {M}")
-    if mode not in (ANSS, CUTOFF):
-        raise ValidationError(f"select_anchors: unknown mode {mode!r}")
+    breaks ties), plain corpus order under CutOff. A class with fewer
+    than M sentences is a ValidationError naming it."""
     pool = build_probe_pool(dataset, model, cap=cap, seed=seed)
     table = corpus.token_table()
     entries = []
     for c in range(corpus.C):
         rows = table.class_rows(c)
-        if not rows.size:
-            raise ValidationError(f"select_anchors: class {c} has no sentences")
+        if rows.size < M:
+            raise ValidationError(f"select_anchors: class {c} has "
+                                  f"{rows.size} sentences, fewer than M={M}")
         scores = _score_columns(pool, c, model.lin(table.take(rows)).data)
         scored = list(enumerate(scores.tolist()))
         if mode == ANSS:
             scored.sort(key=lambda pair: (pair[1], pair[0]))
-        entries.append(_pad_cyclic(scored[: min(M, len(scored))], M))
+        entries.append(scored[:M])
     return AnchorSet(mode=mode, M=M, entries=entries,
                      checkpoint_hash=checkpoint_hash)
 

@@ -106,8 +106,9 @@ def _cmd_ablate(cfg: RunConfig, out_dir: Path):
 
 def _cmd_retrieve(cfg: RunConfig, out_dir: Path, query: str, k: int):
     from .data import load_dataset, parse_tokens
+    hashes = pipeline.require_inputs("retrieve", out_dir,
+                                     ("dataset", "corpus", "student"))
     dataset = load_dataset(pipeline.artifact(out_dir, "dataset"))
-    hashes = pipeline.hash_inputs(out_dir, ("dataset", "corpus"))
     model = pipeline.load_model(cfg, out_dir, "student", hashes)
     tokens = parse_tokens(query, model.lin.vocab_size, "--query")
     ids = concept_retrieval(tokens, dataset.test_X, model, k)

@@ -31,6 +31,7 @@ MANY_THRESHOLD, FEW_THRESHOLD = 100, 20
 ATTR_POOL = 32
 ATTRS_PER_CLASS = 6
 PROTO_IDIOSYNCRASY = 0.35
+TEMPLATE_WORDS = 3   # prompt-pool tokens in a prompt template, at most
 
 
 def class_attributes(C: int, seed: int) -> np.ndarray:
@@ -46,13 +47,8 @@ def class_attributes(C: int, seed: int) -> np.ndarray:
 
 def gen_pareto_counts(C: int, n_max: int, n_min: int):
     """Per-class counts on a rank power law n_max * (c + 1) ** -p, its
-    exponent p solved so the last class lands exactly on n_min."""
-    if C < 2:
-        raise ValidationError(f"gen_pareto_counts: need C >= 2, got {C}")
-    if not n_max > n_min >= 1:
-        raise ValidationError(
-            f"gen_pareto_counts: need n_max > n_min >= 1, got {n_max}, {n_min}"
-        )
+    exponent p solved so the last class lands exactly on n_min. Needs
+    C >= 2 and n_max > n_min >= 1, as `RunConfig.validate` ensures."""
     p = math.log(n_max / n_min) / math.log(C)
     counts = [max(n_min, round(n_max * (c + 1) ** (-p))) for c in range(C)]
     return counts
@@ -81,8 +77,6 @@ def gen_synthetic(C: int, counts, d_img: int, noise_sigma: float, seed: int,
     (C, d_img, seed) so balanced variants share them; each is composed
     from its class's shared-attribute directions plus a small
     idiosyncratic component."""
-    if d_img < 2:
-        raise ValidationError(f"gen_synthetic: d_img must be >= 2, got {d_img}")
     if len(counts) != C:
         raise ValidationError("gen_synthetic: len(counts) != C")
     ss = np.random.SeedSequence([int(seed), 0xDA7A])
@@ -183,10 +177,6 @@ class SqrtSampler:
         classes = self._cdf.searchsorted(u[:, 0], side="right")
         within = (u[:, 1] * self.counts[classes]).astype(np.int64)
         return self.offsets[classes] + within
-
-    def draw(self, n: int) -> np.ndarray:
-        """Return `n` global sample indices (class-major layout)."""
-        return self.draw_epoch(1, n)[0]
 
 
 # ---- class corpus ----------------------------------------------------------
@@ -380,6 +370,11 @@ class VocabLayout:
     def required_size(self) -> int:
         return 2 + self.C + self.prompt_count + ATTR_POOL + 8
 
+    def prompt_length(self) -> int:
+        """Tokens in a prompt line: SOS, its template, the class token
+        and EOS."""
+        return min(TEMPLATE_WORDS, self.prompt_count) + 3
+
 
 def gen_corpus(C: int, sentences_per_class: int, prompt_count: int,
                vocab_size: int, noise_fraction: float, seed: int,
@@ -388,19 +383,11 @@ def gen_corpus(C: int, sentences_per_class: int, prompt_count: int,
 
     Returns (corpus, distractor_ids) where distractor_ids[c] is the set of
     per-class sentence ids whose content was drawn from another class.
-    Descriptive sentences always contain their class token; distractors are
-    descriptive sentences of a different class filed under this one.
+    Descriptive sentences always contain their class token and are cut to
+    `max_tokens`; distractors are descriptive sentences of a different
+    class filed under this one. The sizes must pass `RunConfig.validate`.
     """
-    if vocab_size <= 0:
-        raise ValidationError("gen_corpus: empty vocabulary")
-    if prompt_count < 0:
-        raise ValidationError("gen_corpus: prompt_count must be >= 0")
     layout = VocabLayout(C, prompt_count)
-    if vocab_size < layout.required_size():
-        raise ValidationError(
-            f"gen_corpus: vocab_size {vocab_size} too small; "
-            f"need >= {layout.required_size()}"
-        )
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xC0B9]))
     filler = np.array(layout.filler_pool(vocab_size))
     attrs = class_attributes(C, seed)
@@ -408,7 +395,8 @@ def gen_corpus(C: int, sentences_per_class: int, prompt_count: int,
     # token ("a photo of a {label}"); templates are shared across classes
     templates = [
         [layout.prompt_token(int(t))
-         for t in rng.choice(prompt_count, size=min(3, prompt_count))]
+         for t in rng.choice(prompt_count,
+                             size=min(TEMPLATE_WORDS, prompt_count))]
         for _ in range(prompt_count)
     ]
     n_noise = round(noise_fraction * sentences_per_class)

@@ -6,7 +6,7 @@ import numpy as np
 
 from .encoders import CvlpModel, LinguisticEncoder, VisualEncoder
 from .gradcheck import GradCheckReport, check_gradients, gradcheck
-from .head import LGR_PARAM_NAMES, LgrParams, lgr_forward, rec_loss
+from .head import HEADS, LGR_PARAM_NAMES, LgrParams, rec_loss
 from .pretrain import ccl_loss, distill_loss, pretrain_loss, pretrain_step
 from .tensor import (Tensor, cosine_sim_matrix, cross_entropy, layer_norm,
                      matmul, softmax)
@@ -31,14 +31,14 @@ def lgr_params_from(param_tensors, D, C) -> LgrParams:
 
 
 def lgr_loss_fn(anchors, labels, C, M, D):
-    """Scalar L_rec through lgr_forward as a function of the image
-    embedding plus every head parameter."""
+    """Scalar L_rec through the LGR head's paths, as fine-tuning takes
+    it, as a function of the image embedding plus every head
+    parameter."""
     anchors = np.asarray(anchors)
 
     def f(e_i, *param_tensors):
-        return rec_loss(lgr_forward(e_i, anchors,
-                                    lgr_params_from(param_tensors, D, C)),
-                        labels)
+        return rec_loss(HEADS["lgr"].paths(
+            e_i, anchors, lgr_params_from(param_tensors, D, C)), labels)
 
     return f
 

@@ -168,9 +168,12 @@ def lgr_forward(E_I, anchors, params: LgrParams) -> HeadOutput:
     return HeadOutput(P_I=p_i, P_T=p_t, attention=attention, G=g)
 
 
-def rec_loss(out: HeadOutput, y) -> Tensor:
-    """Cross entropy on both probability paths, summed."""
-    return cross_entropy(out.P_I, y) + cross_entropy(out.P_T, y)
+def rec_loss(paths, y) -> Tensor:
+    """The recognition loss: cross entropy on each of a head's probability
+    paths (P_I, P_T), summed in that order; a None path, one the head
+    lacks, is skipped."""
+    return reduce(operator.add,
+                  [cross_entropy(p, y) for p in paths if p is not None])
 
 
 # ---- ablation heads ---------------------------------------------------------
@@ -321,7 +324,7 @@ class FinetuneConfig:
 def run_finetune(dataset: LongTailDataset, anchors: AnchorSet,
                  corpus: ClassCorpus, model: CvlpModel, cfg: FinetuneConfig):
     """Fine-tune the visual encoder plus the chosen head on the
-    recognition loss, cross entropy summed over the head's paths. The
+    recognition loss `rec_loss` over the head's paths. The
     linguistic encoder stays frozen and anchor embeddings are computed
     once up front. Returns (head_params, anchor_embeddings, trace).
     """
@@ -346,9 +349,8 @@ def run_finetune(dataset: LongTailDataset, anchors: AnchorSet,
         idx = sampler.draw_epoch(steps_per_epoch, cfg.batch_size)
         for images, labels in zip(dataset.X[idx].astype(np.float64),
                                   dataset.y[idx]):
-            paths = head.paths(model.vis(images), anchor_emb, head_params)
-            loss = reduce(operator.add, [cross_entropy(p, labels)
-                                         for p in paths if p is not None])
+            loss = rec_loss(head.paths(model.vis(images), anchor_emb,
+                                       head_params), labels)
             if not np.isfinite(loss.data):
                 raise NumericError(
                     f"run_finetune: non-finite loss at step {step}")

@@ -83,8 +83,6 @@ class AdamW:
 
     def step(self, lr: float | None = None):
         lr = self.base_lr if lr is None else lr
-        if lr < 0:
-            raise ValidationError(f"AdamW: negative learning rate {lr}")
         for name, p, view, g_view in self._slots:
             if p.data is not view:
                 if np.shape(p.data) != view.shape:

@@ -101,31 +101,39 @@ def stage_fingerprint(name: str, cfg: RunConfig) -> bytes:
     return cfg.fingerprint(STAGES[name].fields)
 
 
+# The command that writes each artifact a later command reads.
+_WRITERS = {art: name.replace("_", "-")
+           for name, st in STAGES.items() for art in st.outputs}
+_WRITERS["final"] = "finetune"
+
+
 def hash_inputs(out_dir, names) -> dict:
     """{artifact: SHA-256} of each named file in `out_dir`."""
     return {name: ckpt.file_sha256(artifact(out_dir, name)) for name in names}
 
 
+def require_inputs(command: str, out_dir, names) -> dict:
+    """`hash_inputs` of the input files of `command`; a missing one is a
+    ValidationError naming the file and the command that writes it."""
+    for name in names:
+        path = artifact(out_dir, name)
+        if not path.exists():
+            raise ValidationError(f"{command}: {path} is missing; run "
+                                  f"`vlltr {_WRITERS[name]}` first")
+    return hash_inputs(out_dir, names)
+
+
 def _memoized(name: str):
-    """Make stage `name` hash its inputs once and take an optional memo
-    (key -> {artifact: bytes}). A missing input is a ValidationError
-    naming the file and the command that writes it. The body gets the
-    hash table; on a memo hit the stage writes the remembered bytes
+    """Make stage `name` hash its inputs once, through `require_inputs`,
+    and take an optional memo (key -> {artifact: bytes}). The body gets
+    the hash table; on a memo hit the stage writes the remembered bytes
     instead and returns. Bytes, not paths, so a row directory edited
     later cannot leak into the next caller."""
     def wrap(run):
         @functools.wraps(run)
         def stage(cfg: RunConfig, out_dir, memo: dict | None = None):
-            inputs = STAGES[name].inputs(cfg)
-            for up in inputs:
-                path = artifact(out_dir, up)
-                if not path.exists():
-                    writer = next(s for s, st in STAGES.items()
-                                  if up in st.outputs)
-                    raise ValidationError(
-                        f"{name.replace('_', '-')}: {path} is missing; run "
-                        f"`vlltr {writer.replace('_', '-')}` first")
-            hashes = hash_inputs(out_dir, inputs)
+            hashes = require_inputs(name.replace("_", "-"), out_dir,
+                                    STAGES[name].inputs(cfg))
             key = None if memo is None else (stage_fingerprint(name, cfg),
                                              *hashes.values())
             if key is not None and key in memo:
@@ -262,7 +270,8 @@ def cmd_select_anchors(cfg: RunConfig, out_dir, hashes: dict):
 
 
 def cmd_finetune(cfg: RunConfig, out_dir):
-    hashes = hash_inputs(out_dir, ("dataset", "corpus", "student", "anchors"))
+    hashes = require_inputs("finetune", out_dir,
+                            ("dataset", "corpus", "student", "anchors"))
     dataset = load_dataset(artifact(out_dir, "dataset"))
     corpus = _load_corpus(cfg, out_dir)
     model = load_model(cfg, out_dir, "student", hashes)
@@ -294,7 +303,8 @@ def cmd_precompute_cache(cfg: RunConfig, out_dir, hashes: dict):
     checkpoint's content hash in `hashes`, from the anchors that
     checkpoint was fine-tuned on."""
     model = load_model(cfg, out_dir, "final",
-                       {**hashes, **hash_inputs(out_dir, ("anchors",))},
+                       {**hashes, **require_inputs("eval", out_dir,
+                                                   ("anchors",))},
                        _FINAL_RECORDS)
     anchors = load_anchors(artifact(out_dir, "anchors"))
     emb = compute_anchor_embeddings(anchors, _load_corpus(cfg, out_dir), model)
@@ -328,7 +338,7 @@ def cmd_eval(cfg: RunConfig, out_dir) -> EvalReport:
     is missing) and write the report and predictions. The corpus is
     read only to build a missing cache; the final checkpoint's recorded
     hash of it is still checked."""
-    hashes = hash_inputs(out_dir, _EVAL_INPUTS)
+    hashes = require_inputs("eval", out_dir, _EVAL_INPUTS)
     dataset = load_dataset(artifact(out_dir, "dataset"))
     cache_path = artifact(out_dir, "cache")
     if not cache_path.exists():

@@ -36,10 +36,6 @@ class PretrainConfig:
     weight_decay: float = 0.05
     seed: int = 0
 
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValidationError(f"lam must be in [0, 1], got {self.lam}")
-
 
 def _log_softmax(z: np.ndarray, axis: int) -> np.ndarray:
     z = z - z.max(axis=axis, keepdims=True)
@@ -229,11 +225,6 @@ class PairedBatch(NamedTuple):
     labels: np.ndarray
     idx: np.ndarray        # the images' rows of the dataset
     rows: np.ndarray       # the sentences' rows of the corpus table
-
-    @property
-    def sequences(self) -> list:
-        """One token array per image."""
-        return self.bags.sequences()
 
 
 def sample_epoch(dataset: LongTailDataset, table: TokenTable,

@@ -169,33 +169,12 @@ class Tensor:
     # Closures capture output arrays, never the output Tensor: a closure
     # holding `out` is a reference cycle that only the cyclic GC frees.
 
-    def log(self):
-        out = Tensor(np.log(self.data), parents=(self,))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g / self.data)
-
-        out._backward = backward
-        return out
-
     def relu(self):
         out = Tensor(np.maximum(self.data, 0.0), parents=(self,))
 
         def backward(g):
             if self.requires_grad:
                 self._accumulate(g * (self.data > 0.0))
-
-        out._backward = backward
-        return out
-
-    def clip_min(self, floor: float):
-        """Elementwise max(x, floor); gradient passes only above the floor."""
-        out = Tensor(np.maximum(self.data, floor), parents=(self,))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * (self.data > floor))
 
         out._backward = backward
         return out

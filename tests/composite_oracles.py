@@ -9,8 +9,8 @@ update per parameter tensor, and the accuracy report as one loop over
 the predictions, exactly as the package did before those paths became
 single nodes, BLAS matmuls, one flat buffer and bin counts. Values and
 gradients of the package versions are checked against them in
-test_fused_ops.py. The elementwise exp and tanh nodes and log_softmax
-live only here.
+test_fused_ops.py. The elementwise exp, tanh, log and clip_min nodes
+and log_softmax live only here.
 
 `load_corpus_per_line` is the line-by-line corpus reader that the bulk
 `data.load_corpus` replaced, checked against it in test_data.py.
@@ -45,6 +45,23 @@ def tanh(x):
     return Tensor(out_data, parents=(x,), backward=backward)
 
 
+def log(x):
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g / x.data)
+
+    return Tensor(np.log(x.data), parents=(x,), backward=backward)
+
+
+def clip_min(x, floor):
+    """Elementwise max(x, floor); gradient passes only above the floor."""
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g * (x.data > floor))
+
+    return Tensor(np.maximum(x.data, floor), parents=(x,), backward=backward)
+
+
 def log_softmax(x, axis):
     x = as_tensor(x)
     if not -x.ndim <= axis < x.ndim:
@@ -53,7 +70,7 @@ def log_softmax(x, axis):
         )
     shift = Tensor(x.data.max(axis=axis, keepdims=True))
     z = x - shift
-    return z - exp(z).sum(axis=axis, keepdims=True).log()
+    return z - log(exp(z).sum(axis=axis, keepdims=True))
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
@@ -237,7 +254,7 @@ def cross_entropy(p, y):
     rows = p.reshape(1, -1) if p.ndim == 1 else p
     labels = np.atleast_1d(np.asarray(y, dtype=np.int64))
     picked = rows[np.arange(rows.shape[0]), labels]
-    return -(picked.clip_min(1e-12).log().mean())
+    return -(log(clip_min(picked, 1e-12)).mean())
 
 
 def visual_encode(enc, x):

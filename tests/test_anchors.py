@@ -138,14 +138,14 @@ class TestSelection:
         for c in range(corpus.C):
             assert anchors.ids(c) == [0, 1, 2, 3]
 
-    def test_cyclic_padding(self):
+    def test_validation_errors(self):
+        """A corpus file may hold fewer sentences for a class than the
+        config promises; selection names the class instead of repeating
+        sentences to make up M."""
         ds, corpus, _, model = tiny_world(spc=3, prompts=0)
-        n = len(class_sentences(corpus, 0))
-        anchors = select_anchors(corpus, ds, model, M=n + 2, cap=5)
-        for c in range(corpus.C):
-            ids = anchors.ids(c)
-            assert len(ids) == n + 2
-            assert ids[n:] == ids[:2]
+        with pytest.raises(ValidationError,
+                           match="class 0 has 3 sentences, fewer than M=4"):
+            select_anchors(corpus, ds, model, M=4, cap=5)
 
     def test_anss_invariant_to_corpus_order(self):
         ds, corpus, _, model = tiny_world(seed=4)
@@ -182,13 +182,6 @@ class TestSelection:
         a = select_anchors(corpus, ds, model, M=3, cap=5)
         b = select_anchors(corpus, ds, model, M=3, cap=5)
         assert a.entries == b.entries
-
-    def test_validation_errors(self):
-        ds, corpus, _, model = tiny_world()
-        with pytest.raises(ValidationError):
-            select_anchors(corpus, ds, model, M=0)
-        with pytest.raises(ValidationError):
-            select_anchors(corpus, ds, model, M=3, mode="TopK")
 
 
 class TestAnchorFiles:

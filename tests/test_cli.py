@@ -250,6 +250,26 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{path}:3: " in err
 
+    @pytest.mark.parametrize("command,extra,missing,writer", [
+        ("finetune", [], "anchors.tsv", "select-anchors"),
+        ("eval", [], "final.ck", "finetune"),
+        ("eval", [], "anchors.tsv", "select-anchors"),
+        ("retrieve", ["--query", "0 7 1"], "student.ck", "pretrain")])
+    def test_missing_input_names_the_command_that_writes_it(
+            self, cfg_file, cli_run, tmp_path, capsys, command, extra,
+            missing, writer):
+        """As for the memoized stages (was `[Errno 2] No such file or
+        directory`); eval reads anchors.tsv only to build its cache."""
+        work = tmp_path / "copy"
+        shutil.copytree(cli_run, work)
+        (work / missing).unlink()
+        (work / "anchor_cache.vlae").unlink()
+        assert cli.main([command, "--config", str(cfg_file),
+                         "--out", str(work)] + extra) == 2
+        assert capsys.readouterr().err == (
+            f"error: {command}: {work / missing} is missing; run "
+            f"`vlltr {writer}` first\n")
+
     def test_anchors_reselected_after_finetune_are_stale(self, cfg_file,
                                                         cli_run, tmp_path,
                                                         capsys):
@@ -390,17 +410,27 @@ class TestUsageAndErrors:
         "pretrain_batch=0", "finetune_batch=0", "tau_init=0",
         "tau_init=-1", "tau_init=nan", "tau_init=1.5", "seed=-1",
         "probe_cap=0", "test_per_class=0", "noise_fraction=2",
-        "noise_sigma=-1"])
-    def test_out_of_bounds_value_is_validation_error(self, tmp_path, capsys,
-                                                     setting):
-        """A batch size, probe cap or test split below 1, a tau_init
-        outside [0.01, 1], a negative seed or noise sigma, or a noise
-        fraction outside [0, 1] exits 2 with one stderr line naming the
-        key."""
-        assert cli.main(["make-teacher", "--out", str(tmp_path),
-                         "--set", setting]) == 2
+        "noise_sigma=-1", "weight_decay=-1",
+        "sentences_per_class=0,prompt_count=0", "teacher_epochs=-1",
+        "embed_dim=0", "finetune_lr=inf", "finetune_lr=-1", "max_tokens=2",
+        "anchor_m=21"])
+    def test_out_of_bounds_value_is_validation_error(self, cfg_file, tmp_path,
+                                                     capsys, setting):
+        """Each value outside its key's domain stops gen-data with exit 2
+        and one stderr line naming the key, before any artifact is
+        written. Weight decay -1, no sentences, teacher_epochs -1 and
+        finetune_lr -1 used to pass gen-data (the first three every
+        stage); embed_dim 0 failed at make-teacher naming
+        cosine_sim_matrix, and finetune_lr inf at finetune with 9 stderr
+        lines."""
+        out = tmp_path / "run"
+        args = ["gen-data", "--config", str(cfg_file), "--out", str(out)]
+        for pair in setting.split(","):
+            args += ["--set", pair]
+        assert cli.main(args) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and setting.split("=")[0] in err
+        assert not out.exists()
 
     def test_missing_checkpoint_is_validation_error(self, cfg_file, tmp_path):
         assert cli.main(["select-anchors", "--config", str(cfg_file),

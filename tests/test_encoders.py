@@ -137,7 +137,7 @@ class TestTeacherPair:
             b = sample_paired_batch(ds, table, sampler, rng, batch)
             np.testing.assert_array_equal(
                 img[b.idx] @ txt[b.rows].T,
-                teacher.similarity(b.images, b.sequences))
+                teacher.similarity(b.images, b.bags.sequences()))
 
     @pytest.mark.parametrize("n", [2, 255, 256, 257, 512, 513, 600])
     def test_unit_embeddings_match_one_pass(self, n):

