@@ -98,7 +98,7 @@ def select_anchors(corpus: ClassCorpus, dataset: LongTailDataset,
         if rows.size < M:
             raise ValidationError(f"select_anchors: class {c} has "
                                   f"{rows.size} sentences, fewer than M={M}")
-        scores = _score_columns(pool, c, model.lin(table.take(rows)).data)
+        scores = _score_columns(pool, c, model.lin(table.take(rows)))
         scored = list(enumerate(scores.tolist()))
         if mode == ANSS:
             scored.sort(key=lambda pair: (pair[1], pair[0]))
@@ -137,9 +137,11 @@ def load_anchors(path) -> AnchorSet:
         per_class: dict[int, list] = {}
         for lineno, line in enumerate(f, 2):
             try:
-                c, _, sid, score = line.rstrip("\n").split("\t")
-                per_class.setdefault(int(c), []).append((int(sid),
-                                                         float(score)))
+                c, rank, sid, score = line.rstrip("\n").split("\t")
+                c, rank, entry = int(c), int(rank), (int(sid), float(score))
+                if c < 0:
+                    raise ValueError(f"negative class {c}")
+                per_class.setdefault(c, []).append(entry)
             except ValueError as exc:
                 raise ValidationError(
                     f"{path}:{lineno}: bad anchor row ({exc})") from exc

@@ -86,6 +86,12 @@ def _load_cfg(args) -> RunConfig:
     return load_config(args.config, overrides)
 
 
+def _at_least(flag: str, value: int, low: int) -> int:
+    if value < low:
+        raise ValidationError(f"{flag}: must be at least {low}, got {value}")
+    return value
+
+
 def _cmd_ablate(cfg: RunConfig, out_dir: Path):
     from dataclasses import replace
     rows = (("LGR + AnSS + distill", {}),
@@ -130,7 +136,8 @@ def main(argv=None) -> int:
         cfg = _load_cfg(args)
         out_dir = Path(args.out)
         if args.command == "gradcheck":
-            return _cmd_gradcheck(args.instances, cfg.seed)
+            return _cmd_gradcheck(_at_least("--instances", args.instances, 0),
+                                  cfg.seed)
         if args.command in STAGE_COMMANDS:
             stage = getattr(pipeline, "cmd_" + args.command.replace("-", "_"))
             stage(cfg, out_dir)
@@ -140,7 +147,7 @@ def main(argv=None) -> int:
         elif args.command == "ablate":
             _cmd_ablate(cfg, out_dir)
         elif args.command == "retrieve":
-            _cmd_retrieve(cfg, out_dir, args.query, args.k)
+            _cmd_retrieve(cfg, out_dir, args.query, _at_least("-k", args.k, 1))
         return 0
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -468,8 +468,8 @@ def save_dataset(path, ds: LongTailDataset):
 
 
 def load_dataset(path) -> LongTailDataset:
-    """A dataset file; a short or truncated one is a ValidationError
-    naming `path`."""
+    """A dataset file; a short or truncated one, or one with no classes or
+    an empty class, is a ValidationError naming `path`."""
     with open(path, "rb") as f:
         if f.read(4) != DATASET_MAGIC:
             raise ValidationError(f"{path}: not a dataset file (bad magic)")
@@ -477,6 +477,10 @@ def load_dataset(path) -> LongTailDataset:
         if version != DATASET_VERSION:
             raise ValidationError(f"{path}: unsupported version {version}")
         counts = list(unpack(f, f"<{C}I", path, "class counts"))
+        if C == 0 or not all(counts):
+            raise ValidationError(
+                f"{path}: need at least one class and one image per class, "
+                f"got class counts {counts}")
         total = sum(counts)
         X = np.frombuffer(read_exact(f, total * d_img * 4, path, "images"),
                           dtype="<f4").reshape(total, d_img)

@@ -9,7 +9,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .data import token_table
 from .errors import ShapeMismatch
-from .tensor import (Tensor, cosine_sim_matrix, grad_node, parameter,
+from .tensor import (Tensor, cosine_sim_forward, grad_node, parameter,
                      unit_rows)
 
 TAU_MIN, TAU_MAX = 0.01, 1.0
@@ -128,11 +128,10 @@ class LinguisticEncoder:
                       np.repeat((g @ proj_w.T) * inv_len, bags.lengths,
                                 axis=0).ravel())
 
-    def __call__(self, sequences) -> Tensor:
-        """`forward` as one tape node over the weights."""
-        y, cache = self.forward(sequences)
-        return grad_node(y, (self.tok, self.proj_w, self.proj_b),
-                         lambda g, out: self.backward(cache, g, out))
+    def __call__(self, sequences) -> np.ndarray:
+        """`forward`'s embeddings without its cache; only the pre-training
+        step, through `forward` and `backward`, trains this encoder."""
+        return self.forward(sequences)[0]
 
 
 class CvlpModel:
@@ -156,8 +155,11 @@ class CvlpModel:
     def clamp_tau(self):
         clamp_tau(self.tau)
 
-    def similarity(self, images, sequences) -> Tensor:
-        return cosine_sim_matrix(self.vis(images), self.lin(sequences))
+    def similarity(self, images, sequences) -> np.ndarray:
+        """The cosine matrix of the images' and the sentences'
+        embeddings, the S of `pretrain.pretrain_loss`."""
+        return cosine_sim_forward(self.vis.forward(images)[0],
+                                  self.lin(sequences))[0]
 
     # ---- persistence ----
 
@@ -177,8 +179,9 @@ class CvlpModel:
 
 
 class TeacherPair:
-    """A frozen encoder pair plus its frozen temperature; produces the
-    no-gradient similarity matrix used by the distillation loss."""
+    """A frozen encoder pair plus its frozen temperature; its unit
+    embeddings give the teacher's similarity matrices of the
+    distillation loss."""
 
     def __init__(self, model: CvlpModel):
         self._model = model
@@ -187,11 +190,11 @@ class TeacherPair:
         self.tau = float(model.tau.data)
 
     def similarity(self, images, sequences) -> np.ndarray:
-        return self._model.similarity(images, sequences).data.copy()
+        return self._model.similarity(images, sequences)
 
     def unit_embeddings(self, images, sequences):
         """(image rows, sentence rows) of the frozen pair, each scaled to
-        unit length exactly as `cosine_sim_matrix` scales them, so that
+        unit length exactly as `cosine_sim_forward` scales them, so that
         `img[i] @ txt[j].T` equals `similarity` on any two or more of the
         images and sentences, bit for bit. `sequences` is a TokenTable or
         a list of token sequences.
@@ -206,6 +209,6 @@ class TeacherPair:
         n = len(bags.lengths)
         stops = list(range(TEXT_CHUNK, n - 1, TEXT_CHUNK))
         txt, _ = unit_rows(np.concatenate(
-            [lin(bags.take(np.arange(a, b))).data
+            [lin(bags.take(np.arange(a, b)))
              for a, b in zip([0] + stops, stops + [n])]), "sequences")
         return img, txt

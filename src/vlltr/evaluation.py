@@ -77,11 +77,10 @@ def concept_retrieval(query_tokens, images: np.ndarray, model: CvlpModel,
                       k: int) -> list:
     """Top-k image ids by cosine similarity to the query sentence,
     descending, smaller id on ties."""
-    if k > len(images):
+    if not 1 <= k <= len(images):
         raise ValidationError(
-            f"concept_retrieval: k={k} exceeds set size {len(images)}"
-        )
-    text = model.lin([query_tokens]).data[0]
+            f"concept_retrieval: k={k} outside [1, {len(images)}]")
+    text = model.lin([query_tokens])[0]
     text = text / np.linalg.norm(text)
     emb = model.vis(np.asarray(images, dtype=np.float64)).data
     emb = emb / np.linalg.norm(emb, axis=1, keepdims=True)

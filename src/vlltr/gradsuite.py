@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .encoders import CvlpModel, LinguisticEncoder, VisualEncoder
 from .gradcheck import GradCheckReport, check_gradients, gradcheck
 from .head import HEADS, LGR_PARAM_NAMES, LgrParams, rec_loss
-from .pretrain import ccl_loss, distill_loss, pretrain_loss, pretrain_step
+from .pretrain import pretrain_loss, pretrain_step
 from .tensor import (Tensor, cosine_sim_matrix, cross_entropy, layer_norm,
                      matmul, softmax)
 
@@ -51,6 +53,17 @@ def random_batch(rng, n):
     return S, labels, S_teacher, tau
 
 
+def pretrain_loss_check(S, S_teacher, labels, tau, lam):
+    """`pretrain_loss`'s gradients of (S, tau) against central
+    differences, with the teacher's temperature at 0.5."""
+    S, tau = S.copy(), np.array(tau)
+    grads = [np.empty(S.shape), np.empty(())]
+    pretrain_loss(S, S_teacher, labels, tau, 0.5, lam).backward(grads)
+    return check_gradients(
+        lambda: pretrain_loss(S, S_teacher, labels, tau, 0.5, lam).value,
+        [S, tau], grads)
+
+
 def default_suite(seed: int = 0, instances: int = 3):
     """(name, thunk) pairs; each thunk returns a GradCheckReport."""
     rng = np.random.default_rng(seed)
@@ -84,14 +97,13 @@ def default_suite(seed: int = 0, instances: int = 3):
         # across sentences, token 4 is in none
         enc = LinguisticEncoder(5, 2, rng)
         seqs = [[3, 0], [3], [1, 2, 3]]
-        w_lin = Tensor(rng.normal(size=(3, 2)))
-
-        def f(tok, proj_w, proj_b):
-            enc.tok, enc.proj_w, enc.proj_b = tok, proj_w, proj_b
-            return (enc(seqs) * w_lin).sum()
-
-        return gradcheck(f, [enc.tok.data, enc.proj_w.data,
-                             rng.normal(size=2)])
+        w_lin = rng.normal(size=(3, 2))
+        enc.proj_b.data = rng.normal(size=2)
+        arrays = [p.data for p in enc.params().values()]
+        grads = [np.empty(a.shape) for a in arrays]
+        enc.backward(enc.forward(seqs)[1], w_lin, grads)
+        return check_gradients(lambda: float((enc(seqs) * w_lin).sum()),
+                               arrays, grads)
 
     suite.append(("linguistic_encoder", linguistic_encoder))
 
@@ -113,22 +125,10 @@ def default_suite(seed: int = 0, instances: int = 3):
         n = int(rng.integers(2, 7))
         S, labels, S_teacher, tau = random_batch(rng, n)
 
-        def ccl(S=S, labels=labels):
-            return gradcheck(
-                lambda s, t: ccl_loss(s, labels, t)[2], [S, np.array(tau)])
-
-        def dis(S=S, St=S_teacher):
-            return gradcheck(
-                lambda s, t: distill_loss(s, St, t, 0.5), [S, np.array(tau)])
-
-        def pre(S=S, St=S_teacher, labels=labels):
-            return gradcheck(
-                lambda s, t: pretrain_loss(s, St, labels, t, 0.5, 0.5)[0],
-                [S, np.array(tau)])
-
-        suite.append((f"L_ccl[{i}]", ccl))
-        suite.append((f"L_dis[{i}]", dis))
-        suite.append((f"L_pre[{i}]", pre))
+        # L_ccl and L_dis are pretrain_loss's ends, lam 1 and 0
+        for name, lam in (("L_ccl", 1.0), ("L_dis", 0.0), ("L_pre", 0.5)):
+            suite.append((f"{name}[{i}]", partial(
+                pretrain_loss_check, S, S_teacher, labels, tau, lam)))
 
         C, M, D = int(rng.integers(2, 5)), int(rng.integers(1, 4)), 4
         e_i, anchors, y, arrays = random_lgr_arrays(rng, C, M, D)

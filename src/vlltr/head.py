@@ -16,7 +16,7 @@ from .anchors import AnchorSet
 from .data import ClassCorpus, LongTailDataset, SqrtSampler
 from .encoders import CvlpModel, clamp_tau
 from .errors import NumericError, ShapeMismatch, ValidationError
-from .optim import AdamW, LrSchedule, cosine_lr
+from .optim import AdamW, cosine_lr
 from .tensor import (Tensor, as_tensor, cosine_sim_matrix, cross_entropy,
                      layer_norm, matmul, parameter, softmax)
 
@@ -278,7 +278,7 @@ def compute_anchor_embeddings(anchors: AnchorSet, corpus: ClassCorpus,
         raise ValidationError("compute_anchor_embeddings: anchors do not "
                               "fit the corpus's classes and sentence ids")
     rows = table.class_starts[:, None] + sids
-    return np.stack([model.lin(table.take(r)).data for r in rows])
+    return np.stack([model.lin(table.take(r)) for r in rows])
 
 
 def save_anchor_embeddings(path, embeddings: np.ndarray,
@@ -340,7 +340,6 @@ def run_finetune(dataset: LongTailDataset, anchors: AnchorSet,
 
     steps_per_epoch = max(1, int(np.ceil(len(dataset.y) / cfg.batch_size)))
     total_steps = max(1, cfg.epochs * steps_per_epoch)
-    sched = LrSchedule(cfg.base_lr, 0.0, total_steps)
     opt = AdamW(trainable, cfg.base_lr, weight_decay=cfg.weight_decay)
     sampler = SqrtSampler(dataset.counts, seed=cfg.seed)
     trace = []
@@ -356,7 +355,7 @@ def run_finetune(dataset: LongTailDataset, anchors: AnchorSet,
                     f"run_finetune: non-finite loss at step {step}")
             opt.zero_grad()
             loss.backward()
-            opt.step(lr=cosine_lr(sched, step))
+            opt.step(lr=cosine_lr(cfg.base_lr, step, total_steps))
             for tau in taus:
                 clamp_tau(tau)
             trace.append((epoch, step, float(loss.data)))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,23 +10,12 @@ from .errors import ShapeMismatch, ValidationError
 from .tensor import Tensor
 
 
-@dataclass
-class LrSchedule:
-    base_lr: float
-    min_lr: float
-    total_steps: int
-
-
-def cosine_lr(sched: LrSchedule, step: int) -> float:
-    """Half-cosine decay from base_lr at step 0 to min_lr at total_steps."""
-    if not 0 <= step <= sched.total_steps:
+def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
+    """Half-cosine decay from base_lr at step 0 to 0 at total_steps."""
+    if not 0 <= step <= total_steps:
         raise ValidationError(
-            f"cosine_lr: step {step} outside [0, {sched.total_steps}]"
-        )
-    span = sched.base_lr - sched.min_lr
-    return sched.min_lr + 0.5 * span * (
-        1.0 + math.cos(math.pi * step / sched.total_steps)
-    )
+            f"cosine_lr: step {step} outside [0, {total_steps}]")
+    return 0.5 * base_lr * (1.0 + math.cos(math.pi * step / total_steps))
 
 
 class AdamW:

@@ -16,9 +16,8 @@ from .checkpoint import atomic_write
 from .data import ClassCorpus, LongTailDataset, SqrtSampler, TokenTable
 from .encoders import CvlpModel, TeacherPair
 from .errors import NumericError, ShapeMismatch, ValidationError
-from .optim import AdamW, LrSchedule, cosine_lr
-from .tensor import (Tensor, as_tensor, cosine_sim_backward,
-                     cosine_sim_forward, grad_node)
+from .optim import AdamW, cosine_lr
+from .tensor import cosine_sim_backward, cosine_sim_forward
 
 
 # An epoch's batches are drawn at most this many steps at a time, which
@@ -47,7 +46,7 @@ class _Logits:
     their row and column softmaxes and log-softmaxes, shared by every loss
     taken over them."""
 
-    def __init__(self, S: np.ndarray, tau: np.ndarray):
+    def __init__(self, S: np.ndarray, tau):
         self.S, self.tau = S, tau
         z = S / tau
         self.log_p_row = _log_softmax(z, axis=1)
@@ -56,29 +55,10 @@ class _Logits:
 
     def backward(self, G: np.ndarray, out):
         """Write the gradients of (S, tau) of a loss whose gradient with
-        respect to the logits is G over the arrays in `out`, skipping a
-        None: G / tau and -sum(G * S) / tau^2."""
-        if out[0] is not None:
-            np.divide(G, self.tau, out=out[0])
-        if out[1] is not None:
-            out[1][...] = -(G * self.S).sum() / self.tau ** 2
-
-    def loss(self, S: Tensor, tau: Tensor, value, G: np.ndarray) -> Tensor:
-        """The loss of value `value` and logit gradient G as one tape node
-        over S and tau, the tensors of this object's arrays."""
-        return grad_node(value, (S, tau),
-                         lambda g, out: self.backward(g * G, out))
-
-
-def _ccl_labels(S: Tensor, labels) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    n = S.shape[0]
-    if S.ndim != 2 or S.shape != (n, n) or labels.shape != (n,):
-        raise ShapeMismatch(
-            f"ccl_loss: need square S and matching labels, "
-            f"got S {S.shape}, labels {labels.shape}"
-        )
-    return labels
+        respect to the logits is G, G / tau and -sum(G * S) / tau^2, over
+        the two arrays in `out`."""
+        np.divide(G, self.tau, out=out[0])
+        out[1][...] = -(G * self.S).sum() / self.tau ** 2
 
 
 def _ccl_terms(logits: _Logits, labels: np.ndarray):
@@ -95,16 +75,6 @@ def _ccl_terms(logits: _Logits, labels: np.ndarray):
             for log_p, p, target in (
                 (logits.log_p_row, logits.p_row, target_vis),
                 (logits.log_p_col, logits.p_col, target_lin))]
-
-
-def _teacher_matrix(S: Tensor, S_teacher) -> np.ndarray:
-    St = np.asarray(S_teacher, dtype=np.float64)
-    if S.shape != St.shape or S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ShapeMismatch(
-            f"distill_loss: need matching square matrices, "
-            f"got {S.shape} vs {St.shape}"
-        )
-    return St
 
 
 def _distill_term(logits: _Logits, St: np.ndarray, tau_teacher: float):
@@ -127,72 +97,60 @@ def _distill_term(logits: _Logits, St: np.ndarray, tau_teacher: float):
     return value, G / n
 
 
-def ccl_loss(S: Tensor, labels, tau):
-    """Class-wise contrastive loss over a similarity matrix.
+class PretrainLoss(NamedTuple):
+    value: float           # lam * L_ccl + (1 - lam) * L_dis
+    l_ccl: float
+    l_dis: float | None    # None at lam == 1
+    logits: _Logits
+    G: np.ndarray          # the gradient of `value` with respect to S / tau
 
-    Returns (L_vis, L_lin, L_ccl): the row-softmax (image-anchored) term,
-    the column-softmax (text-anchored) term, and their sum. Each term is
-    averaged over its positive set and then over the batch, and each is
-    one tape node.
-    """
-    S, tau = as_tensor(S), as_tensor(tau)
-    labels = _ccl_labels(S, labels)
-    logits = _Logits(S.data, tau.data)
-    (v_vis, g_vis), (v_lin, g_lin) = _ccl_terms(logits, labels)
-    return (logits.loss(S, tau, v_vis, g_vis),
-            logits.loss(S, tau, v_lin, g_lin),
-            logits.loss(S, tau, v_vis + v_lin, g_vis + g_lin))
+    def backward(self, out):
+        """Write the gradients of `value` with respect to (S, tau) over
+        the two arrays in `out`."""
+        self.logits.backward(self.G, out)
 
 
-def distill_loss(S: Tensor, S_teacher, tau, tau_teacher: float):
-    """Teacher's positive-pair probability weighting the student's
-    positive-pair log-probability, in both softmax directions,
-    batch-averaged, as one tape node. No gradient flows through the
-    teacher matrix."""
-    S, tau = as_tensor(S), as_tensor(tau)
-    St = _teacher_matrix(S, S_teacher)
-    logits = _Logits(S.data, tau.data)
-    return logits.loss(S, tau, *_distill_term(logits, St, tau_teacher))
+def pretrain_loss(S: np.ndarray, S_teacher, labels, tau, tau_teacher: float,
+                  lam: float) -> PretrainLoss:
+    """lam * L_ccl + (1 - lam) * L_dis over the similarity array S and the
+    temperature tau, with the two losses' values and one shared pass over
+    the logits; the teacher side is skipped entirely at lam == 1.
 
-
-def _pretrain_terms(S: np.ndarray, tau: np.ndarray, labels, S_teacher,
-                    tau_teacher: float, lam: float):
-    """(logits, value, G, l_ccl, l_dis) of lam * L_ccl + (1 - lam) * L_dis
-    over the arrays S and tau, G its gradient with respect to the logits;
-    l_ccl and l_dis are floats, and the teacher side is skipped entirely
-    at lam == 1 (l_dis is None)."""
+    L_ccl, the class-wise contrastive loss, is the row-softmax
+    (image-anchored) term plus the column-softmax (text-anchored) term,
+    each averaged over its positive set and then over the batch. L_dis
+    weights the student's positive-pair log-probability by the teacher's,
+    in both softmax directions, batch-averaged."""
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"pretrain_loss: lam must be in [0, 1], got {lam}")
-    labels = _ccl_labels(S, labels)
+    labels = np.asarray(labels, dtype=np.int64)
+    n = S.shape[0]
+    if S.ndim != 2 or S.shape != (n, n) or labels.shape != (n,):
+        raise ShapeMismatch(
+            f"pretrain_loss: need square S and matching labels, "
+            f"got S {S.shape}, labels {labels.shape}")
     logits = _Logits(S, tau)
     (v_vis, g_vis), (v_lin, g_lin) = _ccl_terms(logits, labels)
-    v_ccl, g_ccl = v_vis + v_lin, g_vis + g_lin
+    l_ccl, g_ccl = float(v_vis + v_lin), g_vis + g_lin
     if lam == 1.0:
-        return logits, v_ccl, g_ccl, float(v_ccl), None
-    v_dis, g_dis = _distill_term(logits, _teacher_matrix(S, S_teacher),
-                                 tau_teacher)
+        return PretrainLoss(l_ccl, l_ccl, None, logits, g_ccl)
+    St = np.asarray(S_teacher, dtype=np.float64)
+    if St.shape != S.shape:
+        raise ShapeMismatch(f"pretrain_loss: teacher matrix {St.shape} "
+                            f"does not match S {S.shape}")
+    v_dis, g_dis = _distill_term(logits, St, tau_teacher)
+    l_dis = float(v_dis)
     if lam == 0.0:
-        return logits, v_dis, g_dis, float(v_ccl), float(v_dis)
-    return (logits, lam * v_ccl + (1.0 - lam) * v_dis,
-            lam * g_ccl + (1.0 - lam) * g_dis, float(v_ccl), float(v_dis))
-
-
-def pretrain_loss(S: Tensor, S_teacher, labels, tau, tau_teacher: float,
-                  lam: float):
-    """lam * L_ccl + (1 - lam) * L_dis; the teacher side is skipped
-    entirely at lam == 1. Returns (loss, l_ccl, l_dis): `loss` is the one
-    tape node, and l_ccl and l_dis are the two losses' values as floats
-    (l_dis is None at lam == 1); both share one pass over the logits."""
-    S, tau = as_tensor(S), as_tensor(tau)
-    logits, value, G, l_ccl, l_dis = _pretrain_terms(
-        S.data, tau.data, labels, S_teacher, tau_teacher, lam)
-    return logits.loss(S, tau, value, G), l_ccl, l_dis
+        return PretrainLoss(l_dis, l_ccl, l_dis, logits, g_dis)
+    return PretrainLoss(lam * l_ccl + (1.0 - lam) * l_dis, l_ccl, l_dis,
+                        logits, lam * g_ccl + (1.0 - lam) * g_dis)
 
 
 def pretrain_step(model: CvlpModel, images, bags, labels, S_teacher,
                   tau_teacher: float, lam: float):
     """`pretrain_loss(model.similarity(images, bags), ...)` and its
-    backward pass without the tape, through the same array functions.
+    backward pass, through the encoders' array forward and backward
+    functions.
 
     Each parameter's gradient is written over its `.grad`, allocated where
     it is None; `AdamW.zero_grad` binds it to a view of the optimizer's
@@ -204,19 +162,18 @@ def pretrain_step(model: CvlpModel, images, bags, labels, S_teacher,
     a, vis_cache = vis.forward(images)
     b, lin_cache = lin.forward(bags)
     S, cos_cache = cosine_sim_forward(a, b)
-    logits, value, G, l_ccl, l_dis = _pretrain_terms(
-        S, tau.data, labels, S_teacher, tau_teacher, lam)
-    if not np.isfinite(value):
+    loss = pretrain_loss(S, S_teacher, labels, tau.data, tau_teacher, lam)
+    if not np.isfinite(loss.value):
         raise NumericError("pretrain_step: non-finite loss")
     for p in model.params().values():
         if p.grad is None:
             p.grad = np.empty(p.shape)
     gS, ga, gb = np.empty(S.shape), np.empty(a.shape), np.empty(b.shape)
-    logits.backward(G, (gS, tau.grad))
+    loss.backward((gS, tau.grad))
     cosine_sim_backward(cos_cache, gS, (ga, gb))
     vis.backward(vis_cache, ga, [p.grad for p in vis.params().values()])
     lin.backward(lin_cache, gb, [p.grad for p in lin.params().values()])
-    return float(value), l_ccl, l_dis
+    return loss.value, loss.l_ccl, loss.l_dis
 
 
 class PairedBatch(NamedTuple):
@@ -269,7 +226,6 @@ def run_pretrain(dataset: LongTailDataset, corpus: ClassCorpus,
         raise ValidationError("run_pretrain: lam < 1 requires a teacher")
     steps_per_epoch = max(1, int(np.ceil(len(dataset.y) / cfg.batch_size)))
     total_steps = max(1, cfg.epochs * steps_per_epoch)
-    sched = LrSchedule(cfg.base_lr, 0.0, total_steps)
     opt = AdamW(model.params(), cfg.base_lr, weight_decay=cfg.weight_decay)
     sampler = SqrtSampler(dataset.counts, seed=cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x9E7]))
@@ -298,7 +254,7 @@ def run_pretrain(dataset: LongTailDataset, corpus: ClassCorpus,
             except NumericError as exc:
                 raise NumericError(
                     f"run_pretrain: non-finite loss at step {step}") from exc
-            opt.step(lr=cosine_lr(sched, step))
+            opt.step(lr=cosine_lr(cfg.base_lr, step, total_steps))
             model.clamp_tau()
             trace.append((epoch, step, l_ccl,
                           0.0 if l_dis is None else l_dis,

@@ -25,7 +25,7 @@ from vlltr.evaluation import evaluate
 from vlltr.gradsuite import default_suite, run_suite
 from vlltr.head import (classify_dataset, compute_anchor_embeddings,
                         knn_forward, lgr_forward, load_anchor_embeddings)
-from vlltr.pretrain import ccl_loss, distill_loss, pretrain_loss
+from vlltr.pretrain import pretrain_loss
 
 
 def report_line(n, ok, detail):
@@ -47,34 +47,34 @@ def test_criterion_1_gradient_suite():
                    + "; ".join(l for l in lines if "FAIL" in l)))
 
 
+def ccl(S, labels, tau):
+    """L_ccl, pretrain_loss at lam 1, which never reads the teacher."""
+    return pretrain_loss(S, None, labels, tau, 1.0, lam=1.0).value
+
+
 def test_criterion_2_loss_identities():
     checks = []
     # single pair: both losses vanish
-    checks.append(abs(float(ccl_loss(np.array([[0.4]]), [3], 0.5)[2].data))
-                  < 1e-12)
-    checks.append(abs(float(distill_loss(np.array([[0.4]]),
-                                         np.array([[1.1]]), 0.5, 0.3).data))
-                  < 1e-12)
+    checks.append(abs(ccl(np.array([[0.4]]), [3], 0.5)) < 1e-12)
+    checks.append(abs(pretrain_loss(np.array([[0.4]]), np.array([[1.1]]),
+                                    [3], 0.5, 0.3, lam=0.0).value) < 1e-12)
     # all-same-class uniform similarity: 2 ln N
     for n in (2, 3, 5):
-        got = float(ccl_loss(np.full((n, n), 0.7), np.zeros(n, int),
-                             0.3)[2].data)
+        got = ccl(np.full((n, n), 0.7), np.zeros(n, int), 0.3)
         checks.append(abs(got - 2 * np.log(n)) < 1e-12)
     # shift invariance
     rng = np.random.default_rng(0)
     S = rng.normal(size=(6, 6))
     labels = rng.integers(0, 4, size=6)
-    drift = abs(float(ccl_loss(S, labels, 0.4)[2].data)
-                - float(ccl_loss(S + 123.0, labels, 0.4)[2].data))
+    drift = abs(ccl(S, labels, 0.4) - ccl(S + 123.0, labels, 0.4))
     checks.append(drift <= 1e-10)
     # lambda endpoints are bit-exact reuses of the component losses
     St = rng.normal(size=(6, 6))
-    loss1, _, dis1 = pretrain_loss(S, St, labels, 0.4, 0.6, lam=1.0)
-    checks.append(dis1 is None and
-                  float(loss1.data) == float(ccl_loss(S, labels, 0.4)[2].data))
-    loss0, _, _ = pretrain_loss(S, St, labels, 0.4, 0.6, lam=0.0)
-    checks.append(float(loss0.data)
-                  == float(distill_loss(S, St, 0.4, 0.6).data))
+    both = pretrain_loss(S, St, labels, 0.4, 0.6, lam=0.5)
+    loss1 = pretrain_loss(S, St, labels, 0.4, 0.6, lam=1.0)
+    checks.append(loss1.l_dis is None and loss1.value == both.l_ccl)
+    loss0 = pretrain_loss(S, St, labels, 0.4, 0.6, lam=0.0)
+    checks.append(loss0.value == both.l_dis)
     report_line(2, all(checks), f"{len(checks)} identities, drift={drift:.2e}")
 
 

@@ -218,8 +218,12 @@ class TestAnchorFiles:
         ("# mode=AnSS\tM=1\n0\t0\t0\t1.0\n", 1),
         ("# M=1\tcheckpoint=\n0\t0\t0\t1.0\n", 1),
         ("# mode=AnSS\tM=one\tcheckpoint=\n0\t0\t0\t1.0\n", 1),
+        ("# mode=AnSS\tM=1\tcheckpoint=\n0\t0\t3\t0.5\n-1\t0\t4\t0.2\n",
+         3),
+        ("# mode=AnSS\tM=1\tcheckpoint=\n0\t0\t3\t0.5\n1\tx\t4\t0.2\n",
+         3),
     ], ids=["short-row", "bad-id", "bad-score", "no-M", "no-checkpoint",
-            "no-mode", "bad-M"])
+            "no-mode", "bad-M", "negative-class", "bad-rank"])
     def test_malformed_file_names_path_and_line(self, tmp_path, text, line):
         path = tmp_path / "anchors.tsv"
         path.write_text(text)

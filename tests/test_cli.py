@@ -343,6 +343,38 @@ class TestPipelineCommands:
             f"error: --query: token ids must be integers in [0, 96), "
             f"got {query!r}"]
 
+    @pytest.mark.parametrize("k", ["-1", "0"])
+    def test_retrieve_rejects_k_below_one(self, cfg_file, cli_run, capsys, k):
+        assert cli.main(["retrieve", "--config", str(cfg_file),
+                         "--out", str(cli_run), "--query", "0 7 1",
+                         "-k", k]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: -k: must be at least 1, got {k}"]
+
+    @pytest.mark.parametrize("counts", [[], [100, 0, 50, 20, 10, 5]],
+                             ids=["no-classes", "empty-class"])
+    def test_dataset_with_an_empty_class_exits_two(self, cfg_file, cli_run,
+                                                   tmp_path, capsys, counts):
+        """A dataset header of zero classes, or with a class count of 0,
+        and a payload that matches it."""
+        import struct
+        from vlltr.data import DATASET_MAGIC, DATASET_VERSION
+
+        work = tmp_path / "copy"
+        shutil.copytree(cli_run, work)
+        C, d_img = len(counts), 8
+        (work / "dataset.bin").write_bytes(
+            DATASET_MAGIC
+            + struct.pack(f"<III{C}I", DATASET_VERSION, C, d_img, *counts)
+            + bytes(4 * d_img * sum(counts)) + struct.pack("<I", 1)
+            + bytes(4 * d_img * C))
+        assert cli.main(["pretrain", "--config", str(cfg_file),
+                         "--out", str(work), "--set", "lam=1.0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(work / "dataset.bin") in err[0]
+
     def test_corpus_token_past_vocabulary_exits_two(self, cfg_file, cli_run,
                                                     tmp_path, capsys):
         work = tmp_path / "copy"
@@ -374,6 +406,13 @@ class TestGradcheckCommand:
         assert cli.main(["gradcheck", "--instances", "1"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_negative_instances_exit_two(self, capsys):
+        assert cli.main(["gradcheck", "--instances", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: --instances: must be at least 0, got -1"]
 
     def test_failure_exits_three_and_names_check(self, capsys):
         from vlltr.gradcheck import GradCheckReport

@@ -1,6 +1,7 @@
 """Tests for synthetic data generation, shot bands, sampling, and the corpus."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from composite_oracles import class_sentences, class_sources
 from vlltr.data import (
     ATTR_POOL,
     ATTRS_PER_CLASS,
+    DATASET_MAGIC,
+    DATASET_VERSION,
     SOURCES,
     ClassCorpus,
     SqrtSampler,
@@ -343,6 +346,25 @@ class TestSerialization:
             load_dataset(path)
         assert str(path) in str(exc.value)
         assert "truncated" in str(exc.value)
+
+    @pytest.mark.parametrize("counts", [[], [5, 0, 2]],
+                             ids=["no-classes", "empty-class"])
+    def test_empty_class_header_is_validation_error(self, tmp_path, counts):
+        """A header of zero classes, or with a class count of 0, and a
+        payload that matches it."""
+        path = tmp_path / "d.bin"
+        C, d_img, test_per_class = len(counts), 4, 1
+        path.write_bytes(
+            DATASET_MAGIC
+            + struct.pack(f"<III{C}I", DATASET_VERSION, C, d_img, *counts)
+            + bytes(4 * d_img * sum(counts))
+            + struct.pack("<I", test_per_class)
+            + bytes(4 * d_img * C * test_per_class))
+        with pytest.raises(ValidationError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == (
+            f"{path}: need at least one class and one image per class, "
+            f"got class counts {counts}")
 
     def test_corpus_round_trip(self, tmp_path):
         corpus, _ = gen_corpus(3, 6, 4, 96, 0.2, seed=0)

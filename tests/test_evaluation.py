@@ -120,9 +120,7 @@ class FakeModel:
         self._text = np.asarray(text_vec, dtype=np.float64)
 
     def lin(self, seqs):
-        from vlltr.tensor import as_tensor
-
-        return as_tensor(self._text.reshape(1, -1))
+        return self._text.reshape(1, -1)
 
     def vis(self, images):
         from vlltr.tensor import as_tensor
@@ -156,6 +154,12 @@ class TestConceptRetrieval:
         model = FakeModel([1.0, 0.0])
         with pytest.raises(ValidationError):
             concept_retrieval([0, 1], np.ones((3, 2)), model, k=4)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, k):
+        model = FakeModel([1.0, 0.0])
+        with pytest.raises(ValidationError):
+            concept_retrieval([0, 1], np.ones((3, 2)), model, k=k)
 
     def test_works_with_real_model(self, mini_model, mini_data):
         dataset, corpus = mini_data

@@ -1,8 +1,9 @@
-"""The single-node losses, cosine similarity, text pooling, softmax and
-layer norm, and the fused LGR and matmul KNN heads, against their
-composite-op oracles (composite_oracles.py): the value and every
-gradient must agree to 1e-10. The one-node text and visual encoders and
-the flat-buffer AdamW must agree with theirs bit for bit. Also checks that a
+"""The pre-training losses on arrays, the single-node cosine similarity,
+softmax and layer norm, the text pooling, and the fused LGR and matmul
+KNN heads, against their composite-op oracles (composite_oracles.py):
+the value and every gradient must agree to 1e-10. The text encoder's
+array forward and backward, the one-node visual encoder and the
+flat-buffer AdamW must agree with theirs bit for bit. Also checks that a
 forward and backward pass leaves no reference cycles behind, and that
 freeing its graph does not hand memory back to the OS only to fault it
 in again."""
@@ -17,12 +18,12 @@ import pytest
 import composite_oracles as oracle
 from vlltr import pretrain
 from vlltr.checkpoint import load_params
-from vlltr.data import SqrtSampler, gen_corpus, gen_synthetic, token_table
+from vlltr.data import gen_corpus, token_table
 from vlltr.encoders import CvlpModel, LinguisticEncoder, VisualEncoder
 from vlltr.errors import ValidationError
 from vlltr.gradsuite import LGR_PARAM_NAMES, lgr_params_from
 from vlltr.head import LgrParams, knn_forward, lgr_forward, rec_loss
-from vlltr.optim import AdamW, LrSchedule, cosine_lr
+from vlltr.optim import AdamW, cosine_lr
 from vlltr.tensor import (Tensor, cosine_sim_matrix, cross_entropy,
                           layer_norm, matmul, parameter, softmax)
 
@@ -65,6 +66,27 @@ def encoder_value_and_grads(enc, encode, x, w):
     return [out.data] + [p.grad for p in enc.params().values()]
 
 
+def lin_value_and_grads(enc, sequences, w):
+    """The text encoder's embeddings of `sequences` and each parameter's
+    gradient of the `w`-weighted sum of them, through its array
+    `forward` and `backward`."""
+    out, cache = enc.forward(sequences)
+    grads = [np.empty(p.shape) for p in enc.params().values()]
+    enc.backward(cache, w, grads)
+    return [out] + grads
+
+
+def assert_loss_matches(value, logits, G, composite, S, tau):
+    """An array loss of value `value` and logit gradient G against the
+    composite oracle's value and gradients of (S, tau)."""
+    grads = [np.empty(S.shape), np.empty(())]
+    logits.backward(G, grads)
+    want, want_grads = value_and_grads(composite, [S, tau])
+    assert abs(value - want) <= TOL
+    for g, w in zip(grads, want_grads):
+        np.testing.assert_allclose(g, w, rtol=0, atol=TOL)
+
+
 def loss_inputs(labels, seed=0):
     rng = np.random.default_rng(seed)
     n = len(labels)
@@ -76,26 +98,31 @@ class TestContrastiveLoss:
     @pytest.mark.parametrize("case", sorted(LABEL_CASES))
     @pytest.mark.parametrize("term", [0, 1, 2])
     def test_matches_composite(self, case, term):
+        """L_vis, L_lin and their sum L_ccl, which is `pretrain_loss`
+        at lam 1."""
         labels = LABEL_CASES[case]
         S, _, tau = loss_inputs(labels)
-        assert_same(lambda s, t: pretrain.ccl_loss(s, labels, t)[term],
-                    lambda s, t: oracle.ccl_loss(s, labels, t)[term],
-                    [S, tau])
-
-    def test_is_one_node_over_s_and_tau(self):
-        S = Tensor(np.eye(3), requires_grad=True)
-        tau = Tensor(np.array(0.5), requires_grad=True)
-        for term in pretrain.ccl_loss(S, [0, 1, 1], tau):
-            assert term._parents == (S, tau)
+        if term == 2:
+            loss = pretrain.pretrain_loss(S, None, labels, tau, 1.0, 1.0)
+            value, logits, G = loss.value, loss.logits, loss.G
+        else:
+            logits = pretrain._Logits(S, tau)
+            value, G = pretrain._ccl_terms(logits, labels)[term]
+        assert_loss_matches(
+            value, logits, G,
+            lambda s, t: oracle.ccl_loss(s, labels, t)[term], S, tau)
 
 
 class TestDistillLoss:
     @pytest.mark.parametrize("case", sorted(LABEL_CASES))
     def test_matches_composite(self, case):
-        S, St, tau = loss_inputs(LABEL_CASES[case], seed=1)
-        assert_same(lambda s, t: pretrain.distill_loss(s, St, t, 0.35),
-                    lambda s, t: oracle.distill_loss(s, St, t, 0.35),
-                    [S, tau])
+        """L_dis, `pretrain_loss` at lam 0."""
+        labels = LABEL_CASES[case]
+        S, St, tau = loss_inputs(labels, seed=1)
+        loss = pretrain.pretrain_loss(S, St, labels, tau, 0.35, 0.0)
+        assert_loss_matches(
+            loss.value, loss.logits, loss.G,
+            lambda s, t: oracle.distill_loss(s, St, t, 0.35), S, tau)
 
 
 class TestPretrainLoss:
@@ -104,35 +131,35 @@ class TestPretrainLoss:
     def test_matches_composite(self, case, lam):
         labels = LABEL_CASES[case]
         S, St, tau = loss_inputs(labels, seed=2)
-        assert_same(
-            lambda s, t: pretrain.pretrain_loss(s, St, labels, t, 0.6, lam)[0],
+        loss = pretrain.pretrain_loss(S, St, labels, tau, 0.6, lam)
+        assert_loss_matches(
+            loss.value, loss.logits, loss.G,
             lambda s, t: oracle.pretrain_loss(s, St, labels, t, 0.6, lam),
-            [S, tau])
+            S, tau)
 
     @pytest.mark.parametrize("case", sorted(LABEL_CASES))
     @pytest.mark.parametrize("lam", LAMS)
     def test_logged_losses_are_floats_of_the_oracles(self, case, lam):
-        """l_ccl and l_dis come back as floats equal to the composite
-        losses, and to the fused ones bit for bit; only `loss` is a tape
-        node, and its one node reads S and tau."""
+        """The loss, l_ccl and l_dis come back as floats, l_ccl and l_dis
+        equal to the composite losses, and bit for bit to the values of
+        `pretrain_loss` at lam 1 and at lam 0."""
         labels = LABEL_CASES[case]
-        S, St, tau = (Tensor(a, requires_grad=True)
-                      for a in loss_inputs(labels, seed=2))
-        loss, l_ccl, l_dis = pretrain.pretrain_loss(S, St.data, labels, tau,
-                                                    0.6, lam)
-        assert loss._parents == (S, tau)
-        assert type(l_ccl) is float
-        assert l_ccl == float(pretrain.ccl_loss(S, labels, tau)[2].data)
+        S, St, tau = loss_inputs(labels, seed=2)
+        loss, l_ccl, l_dis, _, _ = pretrain.pretrain_loss(S, St, labels, tau,
+                                                          0.6, lam)
+        assert type(loss) is float and type(l_ccl) is float
+        assert l_ccl == pretrain.pretrain_loss(S, St, labels, tau, 0.6,
+                                               1.0).value
         assert abs(l_ccl - float(
             oracle.ccl_loss(S, labels, tau)[2].data)) <= TOL
         if lam == 1.0:
             assert l_dis is None
             return
         assert type(l_dis) is float
-        assert l_dis == float(
-            pretrain.distill_loss(S, St.data, tau, 0.6).data)
+        assert l_dis == pretrain.pretrain_loss(S, St, labels, tau, 0.6,
+                                               0.0).value
         assert abs(l_dis - float(
-            oracle.distill_loss(S, St.data, tau, 0.6).data)) <= TOL
+            oracle.distill_loss(S, St, tau, 0.6).data)) <= TOL
 
 
 class TestCosineSimMatrix:
@@ -157,28 +184,21 @@ class TestCosineSimMatrix:
 class TestTextPooling:
     SEQUENCES = [[0, 5, 5, 1], np.array([0, 2, 1]), [7], [0, 5, 3, 2, 9, 1]]
 
-    def grads(self, enc, encode, w):
-        for p in enc.params().values():
-            p.zero_grad()
-        out = encode(enc, self.SEQUENCES)
-        (out * w).sum().backward()
-        return out.data, {k: p.grad.copy() for k, p in enc.params().items()}
-
     def test_encoder_matches_pool_matrix(self):
         enc = LinguisticEncoder(12, 4, np.random.default_rng(5))
         w = Tensor(np.random.default_rng(6).normal(size=(4, 4)))
-        out, grads = self.grads(enc, LinguisticEncoder.__call__, w)
-        want_out, want_grads = self.grads(enc, oracle.linguistic_encode, w)
-        np.testing.assert_allclose(out, want_out, rtol=0, atol=TOL)
-        for name in want_grads:
-            np.testing.assert_allclose(grads[name], want_grads[name],
-                                       rtol=0, atol=TOL)
+        got = lin_value_and_grads(enc, self.SEQUENCES, w.data)
+        want = encoder_value_and_grads(enc, oracle.linguistic_encode,
+                                       self.SEQUENCES, w)
+        for g, wanted in zip(got, want):
+            np.testing.assert_allclose(g, wanted, rtol=0, atol=TOL)
 
     def test_untouched_rows_get_zero_gradient(self):
         enc = LinguisticEncoder(6, 2, np.random.default_rng(0))
-        enc([[1], [4, 4]]).sum().backward()
+        _, gtok, _, _ = lin_value_and_grads(enc, [[1], [4, 4]],
+                                            np.ones((2, 2)))
         np.testing.assert_array_equal(
-            enc.tok.grad.any(axis=1), [False, True, False, False, True, False])
+            gtok.any(axis=1), [False, True, False, False, True, False])
 
     @pytest.mark.parametrize("case", ["one_row", "one_token_rows",
                                       "max_tokens_rows", "rows32",
@@ -198,8 +218,7 @@ class TestTextPooling:
         sequences = [rng.integers(384, size=int(lengths[i % len(lengths)]))
                      for i in range(n)]
         w = Tensor(rng.normal(size=(n, 16)))
-        got = encoder_value_and_grads(enc, LinguisticEncoder.__call__,
-                                      sequences, w)
+        got = lin_value_and_grads(enc, sequences, w.data)
         want = encoder_value_and_grads(enc, oracle.bag_encode, sequences, w)
         for g, wanted in zip(got, want):
             assert g.tobytes() == wanted.tobytes()
@@ -213,9 +232,9 @@ class TestTextPooling:
         table = corpus.token_table()
         rows = np.array([7, 0, 20, 7, 3])
         pool = table.sequences()
-        assert enc(table).data.tobytes() == enc(pool).data.tobytes()
-        assert enc(table.take(rows)).data.tobytes() == \
-            enc([pool[r] for r in rows]).data.tobytes()
+        assert enc(table).tobytes() == enc(pool).tobytes()
+        assert enc(table.take(rows)).tobytes() == \
+            enc([pool[r] for r in rows]).tobytes()
 
     @pytest.mark.parametrize("source", ["list", "corpus", "wider_table"])
     def test_length_errors_keep_their_messages(self, source):
@@ -236,11 +255,6 @@ class TestTextPooling:
                 else:
                     enc(token_table(sequences, 77))
             assert str(exc.value) == message
-
-    def test_is_one_node_over_the_weights(self):
-        enc = LinguisticEncoder(6, 2, np.random.default_rng(0))
-        assert enc([[1, 2], [3]])._parents == (enc.tok, enc.proj_w,
-                                                enc.proj_b)
 
 
 class TestSoftmax:
@@ -385,7 +399,6 @@ class TestAdamW:
     def trajectory(self, make_opt, clip, weight_decay):
         params = self.params(0)
         opt = make_opt(params, 0.05, weight_decay=weight_decay)
-        sched = LrSchedule(0.05, 0.0, self.STEPS)
         rng = np.random.default_rng(1)
         states = []
         for step in range(self.STEPS):
@@ -394,7 +407,7 @@ class TestAdamW:
                                      for k, p in params.items()})
             opt.zero_grad()
             self.loss(params, rng.normal(size=(6, 3)), step).backward()
-            opt.step(lr=cosine_lr(sched, step))
+            opt.step(lr=cosine_lr(0.05, step, self.STEPS))
             clip(params["tau"])
             states.append({k: p.data.tobytes() for k, p in params.items()})
         return states
@@ -432,23 +445,6 @@ def graph_size(root):
             seen.add(id(node))
             todo.extend(node._parents)
     return len(seen)
-
-
-def test_lam_one_pretrain_graph_has_twelve_nodes():
-    """Four visual weights and one encoder node, three text weights and
-    one encoder node, the cosine matrix, the temperature and the loss."""
-    ds = gen_synthetic(3, [5, 4, 3], d_img=6, noise_sigma=0.2, seed=0,
-                       test_per_class=1)
-    corpus, _ = gen_corpus(3, 4, 2, vocab_size=48, noise_fraction=0.0,
-                           seed=0)
-    model = CvlpModel(6, 6, 48, seed=0)
-    batch = pretrain.sample_paired_batch(ds, corpus.token_table(),
-                                         SqrtSampler(ds.counts, 0),
-                                         np.random.default_rng(0), 5)
-    loss, _, _ = pretrain.pretrain_loss(
-        model.similarity(batch.images, batch.bags), None, batch.labels,
-        model.tau, 1.0, 1.0)
-    assert graph_size(loss) == 12
 
 
 def test_lgr_finetune_graph_has_forty_one_nodes():
@@ -544,11 +540,9 @@ def _one_training_step_and_head_pass():
     rng = np.random.default_rng(7)
     model = CvlpModel(4, 4, 16, seed=0)
     seqs = [[0, 2, 1], [0, 3, 4, 1], [0, 5, 1]]
-    S = model.similarity(rng.normal(size=(3, 4)), seqs)
-    loss, _, _ = pretrain.pretrain_loss(S, rng.normal(size=(3, 3)),
-                                        np.array([0, 1, 1]), model.tau,
-                                        0.5, 0.5)
-    loss.backward()
+    pretrain.pretrain_step(model, rng.normal(size=(3, 4)), seqs,
+                           np.array([0, 1, 1]), rng.normal(size=(3, 3)),
+                           0.5, 0.5)
     params = LgrParams(4, 3, tau_init=0.3, rng=rng)
     out = lgr_forward(rng.normal(size=(2, 4)), rng.normal(size=(3, 2, 4)),
                       params)

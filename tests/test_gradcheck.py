@@ -5,7 +5,7 @@ import pytest
 
 from vlltr.errors import NumericError
 from vlltr.gradcheck import gradcheck
-from vlltr.gradsuite import default_suite, run_suite
+from vlltr.gradsuite import default_suite, pretrain_loss_check, run_suite
 from vlltr.tensor import Tensor, as_tensor
 
 
@@ -16,16 +16,11 @@ class TestGradcheck:
         assert report.max_rel_err < 1e-9
 
     def test_contrastive_loss_passes(self):
-        from vlltr.pretrain import ccl_loss
-
+        """L_ccl, `pretrain_loss` at lam 1, on arrays."""
         rng = np.random.default_rng(0)
         s = rng.normal(size=(4, 4))
         labels = np.array([0, 1, 1, 2])
-
-        def f(st, tau):
-            return ccl_loss(st, labels, tau)[2]
-
-        report = gradcheck(f, [s, np.array(0.3)], tol=1e-4)
+        report = pretrain_loss_check(s, None, labels, 0.3, lam=1.0)
         assert report.passed, str(report)
 
     def test_recognition_loss_passes(self):

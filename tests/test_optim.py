@@ -5,32 +5,24 @@ import pytest
 
 import composite_oracles as oracle
 from vlltr.errors import ShapeMismatch, ValidationError
-from vlltr.optim import AdamW, LrSchedule, cosine_lr
+from vlltr.optim import AdamW, cosine_lr
 from vlltr.tensor import Tensor, matmul, parameter
 
 
 class TestCosineLr:
     def test_endpoints_and_midpoint(self):
-        sched = LrSchedule(base_lr=1.0, min_lr=0.0, total_steps=100)
-        assert cosine_lr(sched, 0) == pytest.approx(1.0, abs=1e-12)
-        assert cosine_lr(sched, 100) == pytest.approx(0.0, abs=1e-12)
-        assert cosine_lr(sched, 50) == pytest.approx(0.5, abs=1e-12)
-
-    def test_min_lr_floor(self):
-        sched = LrSchedule(base_lr=3e-3, min_lr=1e-4, total_steps=10)
-        assert cosine_lr(sched, 10) == pytest.approx(1e-4, abs=1e-15)
-        assert cosine_lr(sched, 0) == pytest.approx(3e-3, abs=1e-15)
+        assert cosine_lr(1.0, 0, 100) == pytest.approx(1.0, abs=1e-12)
+        assert cosine_lr(1.0, 100, 100) == pytest.approx(0.0, abs=1e-12)
+        assert cosine_lr(1.0, 50, 100) == pytest.approx(0.5, abs=1e-12)
 
     def test_out_of_range_step(self):
-        sched = LrSchedule(base_lr=1.0, min_lr=0.0, total_steps=10)
         with pytest.raises(ValidationError):
-            cosine_lr(sched, 11)
+            cosine_lr(1.0, 11, 10)
         with pytest.raises(ValidationError):
-            cosine_lr(sched, -1)
+            cosine_lr(1.0, -1, 10)
 
     def test_monotone_non_increasing(self):
-        sched = LrSchedule(base_lr=0.1, min_lr=1e-5, total_steps=57)
-        values = [cosine_lr(sched, s) for s in range(58)]
+        values = [cosine_lr(0.1, s, 57) for s in range(58)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 

@@ -1,20 +1,21 @@
 """Tests for the contrastive and distillation losses and the pre-training loop."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import composite_oracles as oracle
 from composite_oracles import class_sentences
+from vlltr import pipeline
 from vlltr import pretrain as pretrain_module
 from vlltr.data import ClassCorpus, SqrtSampler, gen_corpus, gen_synthetic
-from vlltr.encoders import CvlpModel, TeacherPair
+from vlltr.encoders import CvlpModel, LinguisticEncoder, TeacherPair
 from vlltr.errors import NumericError, ShapeMismatch, ValidationError
-from vlltr.optim import AdamW, LrSchedule, cosine_lr
+from vlltr.optim import AdamW, cosine_lr
 from vlltr.pretrain import (
     PretrainConfig,
-    ccl_loss,
-    distill_loss,
     pretrain_loss,
     pretrain_step,
     run_pretrain,
@@ -22,10 +23,23 @@ from vlltr.pretrain import (
     sample_paired_batch,
     save_trace,
 )
-from vlltr.tensor import Tensor, as_tensor
+from vlltr.tensor import Tensor
 
 # frozen by hand: 2 * ln(1 + e^-1) for the N=2 identity-matrix, tau=1 case
 TWO_POINT_IDENTITY_LOSS = 0.6265233750364456
+TOL = 1e-10
+
+
+def ccl_loss(S, labels, tau):
+    """L_ccl: `pretrain_loss` at lam 1, which never reads the teacher."""
+    return pretrain_loss(S, None, labels, tau, 1.0, lam=1.0).value
+
+
+def distill_loss(S, St, tau, tau_t):
+    """L_dis: `pretrain_loss` at lam 0, whose value the labels do not
+    enter."""
+    return pretrain_loss(S, St, np.zeros(len(S), dtype=int), tau, tau_t,
+                         lam=0.0).value
 
 
 def naive_ccl(S, labels, tau):
@@ -59,24 +73,24 @@ def naive_distill(S, St, tau, tau_t):
 
 class TestCclIdentities:
     def test_single_pair_is_zero(self):
-        _, _, l = ccl_loss(np.array([[0.37]]), np.array([5]), tau=0.5)
-        assert abs(float(l.data)) < 1e-12
+        l = ccl_loss(np.array([[0.37]]), np.array([5]), tau=0.5)
+        assert abs(l) < 1e-12
 
     def test_all_same_class_uniform_matrix(self):
         n = 3
-        _, _, l = ccl_loss(np.full((n, n), 0.8), np.zeros(n, dtype=int), tau=0.2)
-        assert float(l.data) == pytest.approx(2 * math.log(n), abs=1e-12)
+        l = ccl_loss(np.full((n, n), 0.8), np.zeros(n, dtype=int), tau=0.2)
+        assert l == pytest.approx(2 * math.log(n), abs=1e-12)
 
     def test_two_point_identity(self):
-        _, _, l = ccl_loss(np.eye(2), np.array([0, 1]), tau=1.0)
-        assert float(l.data) == pytest.approx(TWO_POINT_IDENTITY_LOSS, abs=1e-12)
+        l = ccl_loss(np.eye(2), np.array([0, 1]), tau=1.0)
+        assert l == pytest.approx(TWO_POINT_IDENTITY_LOSS, abs=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(0)
         S = rng.normal(size=(5, 5))
         labels = rng.integers(0, 3, size=5)
-        a = float(ccl_loss(S, labels, 0.3)[2].data)
-        b = float(ccl_loss(S + 7.5, labels, 0.3)[2].data)
+        a = ccl_loss(S, labels, 0.3)
+        b = ccl_loss(S + 7.5, labels, 0.3)
         assert abs(a - b) <= 1e-10
 
     def test_non_negative(self):
@@ -85,15 +99,15 @@ class TestCclIdentities:
             n = int(rng.integers(1, 7))
             S = rng.normal(size=(n, n))
             labels = rng.integers(0, max(1, n - 1) + 1, size=n)
-            assert float(ccl_loss(S, labels, 0.5)[2].data) >= -1e-12
+            assert ccl_loss(S, labels, 0.5) >= -1e-12
 
     def test_same_class_swap_invariance(self):
         rng = np.random.default_rng(2)
         S = rng.normal(size=(4, 4))
         labels = np.array([0, 0, 1, 2])
-        a = float(ccl_loss(S, labels, 0.4)[2].data)
+        a = ccl_loss(S, labels, 0.4)
         swapped = S[[1, 0, 2, 3]][:, [1, 0, 2, 3]]
-        b = float(ccl_loss(swapped, labels, 0.4)[2].data)
+        b = ccl_loss(swapped, labels, 0.4)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_naive_loop_oracle(self):
@@ -103,7 +117,7 @@ class TestCclIdentities:
             S = rng.normal(size=(n, n))
             labels = rng.integers(0, n, size=n)
             tau = float(rng.uniform(0.1, 1.0))
-            got = float(ccl_loss(S, labels, tau)[2].data)
+            got = ccl_loss(S, labels, tau)
             assert got == pytest.approx(naive_ccl(S, labels, tau), abs=1e-10)
 
     def test_shape_errors(self):
@@ -116,13 +130,13 @@ class TestCclIdentities:
 class TestDistill:
     def test_single_pair_is_zero(self):
         l = distill_loss(np.array([[1.3]]), np.array([[0.2]]), 0.5, 0.7)
-        assert abs(float(l.data)) < 1e-12
+        assert abs(l) < 1e-12
 
     def test_uniform_teacher_weights(self):
         rng = np.random.default_rng(4)
         S = rng.normal(size=(3, 3))
         St = np.full((3, 3), 0.6)
-        got = float(distill_loss(S, St, 0.3, 0.9).data)
+        got = distill_loss(S, St, 0.3, 0.9)
         assert got == pytest.approx(naive_distill(S, St, 0.3, 0.9), abs=1e-12)
         # constant teacher similarities put probability 1/N on each diagonal
         n = 3
@@ -142,7 +156,7 @@ class TestDistill:
             S = rng.normal(size=(n, n))
             St = rng.normal(size=(n, n))
             tau, tau_t = rng.uniform(0.1, 1.0, size=2)
-            got = float(distill_loss(S, St, float(tau), float(tau_t)).data)
+            got = distill_loss(S, St, float(tau), float(tau_t))
             assert got == pytest.approx(
                 naive_distill(S, St, float(tau), float(tau_t)), abs=1e-10)
 
@@ -160,27 +174,31 @@ class TestPretrainLoss:
         rng = np.random.default_rng(6)
         S = rng.normal(size=(3, 3))
         labels = np.array([0, 1, 1])
-        loss, l_ccl, l_dis = pretrain_loss(S, Poison(), labels, 0.4, 0.9, lam=1.0)
-        assert l_dis is None
-        assert float(loss.data) == float(ccl_loss(S, labels, 0.4)[2].data)
+        loss = pretrain_loss(S, Poison(), labels, 0.4, 0.9, lam=1.0)
+        assert loss.l_dis is None
+        both = pretrain_loss(S, rng.normal(size=(3, 3)), labels, 0.4, 0.9,
+                             lam=0.5)
+        assert loss.value == loss.l_ccl == both.l_ccl
 
     def test_lam_zero_bit_exact(self):
         rng = np.random.default_rng(7)
         S = rng.normal(size=(3, 3))
         St = rng.normal(size=(3, 3))
         labels = np.array([0, 1, 2])
-        loss, _, l_dis = pretrain_loss(S, St, labels, 0.4, 0.9, lam=0.0)
-        assert float(loss.data) == float(distill_loss(S, St, 0.4, 0.9).data)
-        assert float(loss.data) == l_dis
+        loss = pretrain_loss(S, St, labels, 0.4, 0.9, lam=0.0)
+        both = pretrain_loss(S, St, labels, 0.4, 0.9, lam=0.5)
+        assert loss.value == both.l_dis
+        assert loss.value == loss.l_dis
 
     def test_half_lam_is_mean(self):
         rng = np.random.default_rng(8)
         S = rng.normal(size=(4, 4))
         St = rng.normal(size=(4, 4))
         labels = np.array([0, 0, 1, 2])
-        loss, l_ccl, l_dis = pretrain_loss(S, St, labels, 0.3, 0.5, lam=0.5)
+        loss, l_ccl, l_dis, _, _ = pretrain_loss(S, St, labels, 0.3, 0.5,
+                                                 lam=0.5)
         expect = 0.5 * l_ccl + 0.5 * l_dis
-        assert float(loss.data) == pytest.approx(expect, abs=1e-15)
+        assert loss == pytest.approx(expect, abs=1e-15)
 
     def test_lam_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -315,7 +333,7 @@ def oracle_pretrain(dataset, corpus, model, teacher, cfg):
     drawn per image from the class's sentences, with the teacher matrix
     from `TeacherPair.similarity` on the same lists."""
     steps_per_epoch = max(1, int(np.ceil(len(dataset.y) / cfg.batch_size)))
-    sched = LrSchedule(cfg.base_lr, 0.0, cfg.epochs * steps_per_epoch)
+    total_steps = cfg.epochs * steps_per_epoch
     opt = AdamW(model.params(), cfg.base_lr, weight_decay=cfg.weight_decay)
     sampler = SqrtSampler(dataset.counts, seed=cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x9E7]))
@@ -330,18 +348,17 @@ def oracle_pretrain(dataset, corpus, model, teacher, cfg):
             for c in labels.tolist():
                 options = class_sentences(corpus, c)
                 sequences.append(options[int(rng.integers(len(options)))])
-            S = model.similarity(images, sequences)
             S_teacher = (teacher.similarity(images, sequences)
                          if distill else None)
-            loss, l_ccl, l_dis = pretrain_loss(
-                S, S_teacher, labels, model.tau, tau_teacher, cfg.lam)
             opt.zero_grad()
-            loss.backward()
-            opt.step(lr=cosine_lr(sched, step))
+            loss, l_ccl, l_dis = pretrain_step(
+                model, images, sequences, labels, S_teacher, tau_teacher,
+                cfg.lam)
+            opt.step(lr=cosine_lr(cfg.base_lr, step, total_steps))
             model.clamp_tau()
             trace.append((epoch, step, l_ccl,
                           l_dis if l_dis is not None else 0.0,
-                          float(loss.data), float(model.tau.data)))
+                          loss, float(model.tau.data)))
             step += 1
     return trace
 
@@ -470,7 +487,7 @@ class TestRunPretrain:
                                             base_lr=3e-3, lam=1.0, seed=0))
         assert trace[-1][2] < trace[0][2]
         seqs = [class_sentences(corpus, c)[0] for c in range(20)]
-        S = model.similarity(ds.test_X.astype(np.float64), seqs).data
+        S = model.similarity(ds.test_X.astype(np.float64), seqs)
         diag = np.array([S[i, ds.test_y[i]] for i in range(len(ds.test_y))])
         mask = np.ones_like(S, dtype=bool)
         mask[np.arange(len(ds.test_y)), ds.test_y] = False
@@ -508,6 +525,45 @@ class TestRunPretrain:
         assert "step 0" in str(exc.value)
 
 
+@pytest.mark.parametrize("head", ["lgr", "fc", "knn"])
+@pytest.mark.parametrize("lam", [0.5, 1.0])
+def test_the_tape_carries_only_finetuning(monkeypatch, tmp_path, mini_cfg,
+                                          head, lam):
+    """Over a whole run, every `Tensor.backward` call is a step of
+    `run_finetune`, one per step, and the text encoder returns arrays."""
+    backward, finetune = Tensor.backward, pipeline.run_finetune
+    encode = LinguisticEncoder.__call__
+    depths, steps, encoded = [], [], set()
+    depth = [0]
+
+    def counted_backward(self):
+        depths.append(depth[0])
+        return backward(self)
+
+    def counted_finetune(*args, **kwargs):
+        depth[0] += 1
+        try:
+            result = finetune(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+        steps.append(len(result[2]))
+        return result
+
+    def typed_encode(self, sequences):
+        out = encode(self, sequences)
+        encoded.add(type(out))
+        return out
+
+    monkeypatch.setattr(Tensor, "backward", counted_backward)
+    monkeypatch.setattr(pipeline, "run_finetune", counted_finetune)
+    monkeypatch.setattr(LinguisticEncoder, "__call__", typed_encode)
+    pipeline.run_all(dataclasses.replace(mini_cfg, head=head, lam=lam),
+                     tmp_path)
+    assert len(steps) == 1 and steps[0] > 0
+    assert depths == [1] * steps[0]
+    assert encoded == {np.ndarray}
+
+
 class TestPretrainStep:
     # lengths 3, 1, 4, 2 and 3: token 7 repeats within the first and
     # third sentences and across three of them, token 2 in two
@@ -520,33 +576,34 @@ class TestPretrainStep:
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
     def test_matches_the_tape_bit_for_bit(self, lam):
-        """The loss, both logged losses and all 8 gradients equal those of
-        `pretrain_loss(model.similarity(...)).backward()`, bit for bit,
-        and the step's gradients land in AdamW's buffer."""
+        """The loss and both logged losses are `pretrain_loss`'s floats on
+        `model.similarity`, bit for bit; all 8 gradients land in AdamW's
+        buffer and equal, within TOL, those of the composite-oracle tape
+        of the same loss."""
         images, S_teacher = self.batch()
-        got, want = [], []
-        for out in (got, want):
-            model = CvlpModel(6, 4, 12, seed=2, tau_init=0.3)
-            opt = AdamW(model.params(), 0.01)
-            opt.zero_grad()
-            if out is got:
-                losses = pretrain_step(model, images, self.SEQS, self.LABELS,
-                                       S_teacher, 0.4, lam)
-            else:
-                loss, l_ccl, l_dis = pretrain_loss(
-                    model.similarity(images, self.SEQS), S_teacher,
-                    self.LABELS, model.tau, 0.4, lam)
-                loss.backward()
-                losses = (float(loss.data), l_ccl, l_dis)
-            out.extend([losses, {k: p.grad for k, p in
-                                 model.params().items()}, opt])
-        assert got[0] == want[0]
-        assert (got[0][2] is None) == (lam == 1.0)
-        assert sorted(got[1]) == sorted(want[1]) and len(got[1]) == 8
-        for name, grad in want[1].items():
-            np.testing.assert_array_equal(got[1][name], grad, err_msg=name)
-            assert np.shares_memory(got[1][name], got[2]._g)
-        assert np.any(got[1]["lin.tok"][7] != 0.0)
+        model = CvlpModel(6, 4, 12, seed=2, tau_init=0.3)
+        opt = AdamW(model.params(), 0.01)
+        opt.zero_grad()
+        losses = pretrain_step(model, images, self.SEQS, self.LABELS,
+                               S_teacher, 0.4, lam)
+        want = pretrain_loss(model.similarity(images, self.SEQS), S_teacher,
+                             self.LABELS, model.tau.data, 0.4, lam)
+        assert losses == (want.value, want.l_ccl, want.l_dis)
+        assert (losses[2] is None) == (lam == 1.0)
+
+        twin = CvlpModel(6, 4, 12, seed=0)
+        twin.load_state(model.state())
+        oracle.pretrain_loss(
+            oracle.cosine_sim_matrix(oracle.visual_encode(twin.vis, images),
+                                     oracle.bag_encode(twin.lin, self.SEQS)),
+            S_teacher, self.LABELS, twin.tau, 0.4, lam).backward()
+        grads = {k: p.grad for k, p in model.params().items()}
+        assert sorted(grads) == sorted(twin.params()) and len(grads) == 8
+        for name, p in twin.params().items():
+            np.testing.assert_allclose(grads[name], p.grad, rtol=0, atol=TOL,
+                                       err_msg=name)
+            assert np.shares_memory(grads[name], opt._g)
+        assert np.any(grads["lin.tok"][7] != 0.0)
 
     def test_non_finite_loss_writes_no_gradient(self):
         images, _ = self.batch()
