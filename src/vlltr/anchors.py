@@ -120,8 +120,8 @@ def save_anchors(path, anchors: AnchorSet):
 
 
 def load_anchors(path) -> AnchorSet:
-    """An anchor file; a malformed header or row, or an undecodable
-    byte, is a ValidationError naming path:line."""
+    """An anchor file; a malformed header or row, an out-of-order rank or
+    an undecodable byte is a ValidationError naming path:line."""
     with io.StringIO(read_text(path)) as f:
         header = f.readline().strip()
         if not header.startswith("# "):
@@ -141,7 +141,9 @@ def load_anchors(path) -> AnchorSet:
                 c, rank, entry = int(c), int(rank), (int(sid), float(score))
                 if c < 0:
                     raise ValueError(f"negative class {c}")
-                per_class.setdefault(c, []).append(entry)
+                if rank != len(per_class.setdefault(c, [])):
+                    raise ValueError(f"rank {rank} out of order in class {c}")
+                per_class[c].append(entry)
             except ValueError as exc:
                 raise ValidationError(
                     f"{path}:{lineno}: bad anchor row ({exc})") from exc

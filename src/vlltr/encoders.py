@@ -204,11 +204,13 @@ class TeacherPair:
         one-row remainder, because numpy multiplies a single row through
         a matrix-vector kernel that rounds differently."""
         lin = self._model.lin
-        img, _ = unit_rows(self._model.vis(images).data, "images")
+        img, _ = unit_rows(self._model.vis(images).data,
+                           "TeacherPair.unit_embeddings operand images")
         bags = token_table(sequences, lin.max_tokens)
         n = len(bags.lengths)
         stops = list(range(TEXT_CHUNK, n - 1, TEXT_CHUNK))
         txt, _ = unit_rows(np.concatenate(
             [lin(bags.take(np.arange(a, b)))
-             for a, b in zip([0] + stops, stops + [n])]), "sequences")
+             for a, b in zip([0] + stops, stops + [n])]),
+            "TeacherPair.unit_embeddings operand sequences")
         return img, txt

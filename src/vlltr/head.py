@@ -311,20 +311,10 @@ def load_anchor_embeddings(path):
 # ---- fine-tuning ------------------------------------------------------------
 
 
-@dataclass
-class FinetuneConfig:
-    epochs: int
-    batch_size: int
-    base_lr: float
-    weight_decay: float = 0.05
-    seed: int = 0
-    head: str = "lgr"          # a key of HEADS
-
-
 def run_finetune(dataset: LongTailDataset, anchors: AnchorSet,
-                 corpus: ClassCorpus, model: CvlpModel, cfg: FinetuneConfig):
-    """Fine-tune the visual encoder plus the chosen head on the
-    recognition loss `rec_loss` over the head's paths. The
+                 corpus: ClassCorpus, model: CvlpModel, cfg):
+    """Fine-tune the visual encoder plus the head of RunConfig `cfg` on
+    the recognition loss `rec_loss` over the head's paths. The
     linguistic encoder stays frozen and anchor embeddings are computed
     once up front. Returns (head_params, anchor_embeddings, trace).
     """
@@ -338,14 +328,14 @@ def run_finetune(dataset: LongTailDataset, anchors: AnchorSet,
     trainable = {**model.vis.params(), **head_params.params()}
     taus = [p for name, p in trainable.items() if name.endswith("tau")]
 
-    steps_per_epoch = max(1, int(np.ceil(len(dataset.y) / cfg.batch_size)))
-    total_steps = max(1, cfg.epochs * steps_per_epoch)
-    opt = AdamW(trainable, cfg.base_lr, weight_decay=cfg.weight_decay)
+    steps_per_epoch = max(1, int(np.ceil(dataset.y.size / cfg.finetune_batch)))
+    total_steps = max(1, cfg.finetune_epochs * steps_per_epoch)
+    opt = AdamW(trainable, cfg.finetune_lr, weight_decay=cfg.weight_decay)
     sampler = SqrtSampler(dataset.counts, seed=cfg.seed)
     trace = []
     step = 0
-    for epoch in range(cfg.epochs):
-        idx = sampler.draw_epoch(steps_per_epoch, cfg.batch_size)
+    for epoch in range(cfg.finetune_epochs):
+        idx = sampler.draw_epoch(steps_per_epoch, cfg.finetune_batch)
         for images, labels in zip(dataset.X[idx].astype(np.float64),
                                   dataset.y[idx]):
             loss = rec_loss(head.paths(model.vis(images), anchor_emb,
@@ -355,7 +345,7 @@ def run_finetune(dataset: LongTailDataset, anchors: AnchorSet,
                     f"run_finetune: non-finite loss at step {step}")
             opt.zero_grad()
             loss.backward()
-            opt.step(lr=cosine_lr(cfg.base_lr, step, total_steps))
+            opt.step(lr=cosine_lr(cfg.finetune_lr, step, total_steps))
             for tau in taus:
                 clamp_tau(tau)
             trace.append((epoch, step, float(loss.data)))

@@ -8,16 +8,16 @@ file it reads once, into one {artifact: SHA-256} table that its memo
 key, its records and its checks all read, and refuses inputs whose
 hashes disagree. `head` holds no hash policy.
 
-The stages in `STAGES` write bytes that depend only on the config fields
-they read and on the bytes of their upstream artifacts. Given a memo,
-such a stage runs once per distinct (fields, upstream bytes) and writes
-the remembered bytes on every later call.
+Every stage is a row of `STAGES` and writes bytes that depend only on
+the config fields it reads and on the bytes of its upstream artifacts.
+Given a memo, a stage runs once per distinct (fields, upstream bytes)
+and writes the remembered bytes on every later call.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +31,8 @@ from .data import (corpus_stats, gen_corpus, gen_pareto_counts, gen_synthetic,
 from .encoders import CvlpModel, TeacherPair, VisualEncoder
 from .errors import StaleArtifactError, ValidationError
 from .evaluation import EvalReport, evaluate
-from .head import (FinetuneConfig, classify_dataset, compute_anchor_embeddings,
-                   get_head, load_anchor_embeddings, run_finetune,
-                   save_anchor_embeddings)
+from .head import (classify_dataset, get_head, load_anchor_embeddings,
+                   run_finetune, save_anchor_embeddings)
 from .pretrain import PretrainConfig, run_pretrain, save_trace
 from .tensor import parameter
 
@@ -71,6 +70,9 @@ class Stage:
                      if a != "teacher" or cfg.lam < 1.0)
 
 
+# final.ck and report.json record the whole config's fingerprint
+_EVERY_FIELD = tuple(f.name for f in fields(RunConfig))
+
 STAGES = {
     "gen_data": Stage(
         fields=("seed", "classes", "n_max", "n_min", "d_img", "noise_sigma",
@@ -93,6 +95,13 @@ STAGES = {
         fields=("seed", "d_img", "embed_dim", "vocab_size", "max_tokens",
                 "anchor_m", "anchor_mode", "probe_cap"),
         upstream=("dataset", "corpus", "student"), outputs=("anchors",)),
+    "finetune": Stage(
+        fields=_EVERY_FIELD,
+        upstream=("dataset", "corpus", "student", "anchors"),
+        outputs=("final", "finetune_trace", "cache")),
+    "eval": Stage(
+        fields=_EVERY_FIELD, upstream=("dataset", "corpus", "final", "cache"),
+        outputs=("report", "predictions")),
 }
 
 
@@ -104,7 +113,6 @@ def stage_fingerprint(name: str, cfg: RunConfig) -> bytes:
 # The command that writes each artifact a later command reads.
 _WRITERS = {art: name.replace("_", "-")
            for name, st in STAGES.items() for art in st.outputs}
-_WRITERS["final"] = "finetune"
 
 
 def hash_inputs(out_dir, names) -> dict:
@@ -123,12 +131,12 @@ def require_inputs(command: str, out_dir, names) -> dict:
     return hash_inputs(out_dir, names)
 
 
-def _memoized(name: str):
+def _stage(name: str):
     """Make stage `name` hash its inputs once, through `require_inputs`,
     and take an optional memo (key -> {artifact: bytes}). The body gets
-    the hash table; on a memo hit the stage writes the remembered bytes
-    instead and returns. Bytes, not paths, so a row directory edited
-    later cannot leak into the next caller."""
+    the hash table and the stage returns its result; on a memo hit the
+    stage writes the remembered bytes instead and returns None. Bytes,
+    not paths: a row directory edited later cannot leak into the next."""
     def wrap(run):
         @functools.wraps(run)
         def stage(cfg: RunConfig, out_dir, memo: dict | None = None):
@@ -142,11 +150,12 @@ def _memoized(name: str):
                     with ckpt.atomic_write(artifact(out_dir, art),
                                            binary=True) as f:
                         f.write(data)
-                return
-            run(cfg, out_dir, hashes)
+                return None
+            result = run(cfg, out_dir, hashes)
             if key is not None:
                 memo[key] = {art: artifact(out_dir, art).read_bytes()
                              for art in STAGES[name].outputs}
+            return result
         return stage
     return wrap
 
@@ -164,10 +173,9 @@ def _meta_sections(fingerprint: bytes, hashes: dict,
                for name, key in records}}
 
 
-def _check_data_hashes(path, sections: dict, hashes: dict,
-                       records=_DATA_RECORDS):
-    """Each of the `records` of checkpoint `path` must equal `hashes`."""
-    for name, key in records:
+def _check_data_hashes(path, sections: dict, hashes: dict):
+    """The data records of checkpoint `path` must equal `hashes`."""
+    for name, key in _DATA_RECORDS:
         if key not in sections:
             raise StaleArtifactError(
                 f"{path}: checkpoint records no {name} hash ('{key}')")
@@ -181,7 +189,7 @@ def _check_data_hashes(path, sections: dict, hashes: dict,
 # ---- stages -----------------------------------------------------------------
 
 
-@_memoized("gen_data")
+@_stage("gen_data")
 def cmd_gen_data(cfg: RunConfig, out_dir, hashes: dict):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -201,7 +209,7 @@ def _load_corpus(cfg: RunConfig, out_dir):
                        cfg.max_tokens)
 
 
-@_memoized("make_teacher")
+@_stage("make_teacher")
 def cmd_make_teacher(cfg: RunConfig, out_dir, hashes: dict):
     """Pre-train a frozen teacher pair on the balanced variant of the
     synthetic task (every class at n_max, same prototypes)."""
@@ -223,7 +231,7 @@ def cmd_make_teacher(cfg: RunConfig, out_dir, hashes: dict):
     save_trace(artifact(out_dir, "teacher_trace"), trace)
 
 
-@_memoized("pretrain")
+@_stage("pretrain")
 def cmd_pretrain(cfg: RunConfig, out_dir, hashes: dict):
     dataset = load_dataset(artifact(out_dir, "dataset"))
     corpus = _load_corpus(cfg, out_dir)
@@ -244,21 +252,19 @@ def cmd_pretrain(cfg: RunConfig, out_dir, hashes: dict):
     save_trace(artifact(out_dir, "pretrain_trace"), trace)
 
 
-def load_model(cfg: RunConfig, out_dir, name, hashes: dict,
-               records=_DATA_RECORDS) -> CvlpModel:
+def load_model(cfg: RunConfig, out_dir, name, hashes: dict) -> CvlpModel:
     """The encoder pair and temperature of checkpoint `name`, after
-    checking that its `records` (default: the data files) match the
-    files hashed in `hashes`."""
+    checking that its data records match the files hashed in `hashes`."""
     path = artifact(out_dir, name)
     sections = ckpt.read_checkpoint(path)
-    _check_data_hashes(path, sections, hashes, records)
+    _check_data_hashes(path, sections, hashes)
     model = CvlpModel(cfg.d_img, cfg.embed_dim, cfg.vocab_size, seed=0,
                       max_tokens=cfg.max_tokens)
     model.load_state(sections)
     return model
 
 
-@_memoized("select_anchors")
+@_stage("select_anchors")
 def cmd_select_anchors(cfg: RunConfig, out_dir, hashes: dict):
     dataset = load_dataset(artifact(out_dir, "dataset"))
     corpus = _load_corpus(cfg, out_dir)
@@ -269,9 +275,10 @@ def cmd_select_anchors(cfg: RunConfig, out_dir, hashes: dict):
     save_anchors(artifact(out_dir, "anchors"), anchors)
 
 
-def cmd_finetune(cfg: RunConfig, out_dir):
-    hashes = require_inputs("finetune", out_dir,
-                            ("dataset", "corpus", "student", "anchors"))
+@_stage("finetune")
+def cmd_finetune(cfg: RunConfig, out_dir, hashes: dict):
+    """Fine-tune on the selected anchors. The anchor cache is the block
+    fine-tuning embedded, which the frozen text encoder cannot change."""
     dataset = load_dataset(artifact(out_dir, "dataset"))
     corpus = _load_corpus(cfg, out_dir)
     model = load_model(cfg, out_dir, "student", hashes)
@@ -279,37 +286,22 @@ def cmd_finetune(cfg: RunConfig, out_dir):
     if anchors.checkpoint_hash != hashes["student"]:
         raise StaleArtifactError(f"{artifact(out_dir, 'anchors')}: selected "
                                  "under a different pre-training checkpoint")
-    fcfg = FinetuneConfig(epochs=cfg.finetune_epochs,
-                          batch_size=cfg.finetune_batch,
-                          base_lr=cfg.finetune_lr,
-                          weight_decay=cfg.weight_decay, seed=cfg.seed,
-                          head=cfg.head)
-    head_params, _, trace = run_finetune(dataset, anchors, corpus, model, fcfg)
+    head, emb, trace = run_finetune(dataset, anchors, corpus, model, cfg)
     sections = {**model.state(),
                 **_meta_sections(cfg.fingerprint(), hashes, _FINAL_RECORDS),
-                **{k: v.data.copy() for k, v in head_params.params().items()}}
+                **{k: v.data.copy() for k, v in head.params().items()}}
     ckpt.write_checkpoint(artifact(out_dir, "final"), sections)
     with ckpt.atomic_write(artifact(out_dir, "finetune_trace")) as f:
         for epoch, step, loss in trace:
             f.write(f"{epoch}\t{step}\t{loss!r}\n")
-    return trace
+    cmd_precompute_cache(out_dir, emb)
 
 
-_EVAL_INPUTS = ("dataset", "corpus", "final")
-
-
-def cmd_precompute_cache(cfg: RunConfig, out_dir, hashes: dict):
-    """Write the offline anchor text-embedding cache, keyed by the final
-    checkpoint's content hash in `hashes`, from the anchors that
-    checkpoint was fine-tuned on."""
-    model = load_model(cfg, out_dir, "final",
-                       {**hashes, **require_inputs("eval", out_dir,
-                                                   ("anchors",))},
-                       _FINAL_RECORDS)
-    anchors = load_anchors(artifact(out_dir, "anchors"))
-    emb = compute_anchor_embeddings(anchors, _load_corpus(cfg, out_dir), model)
-    save_anchor_embeddings(artifact(out_dir, "cache"), emb, hashes["final"])
-    return emb
+def cmd_precompute_cache(out_dir, anchor_emb: np.ndarray):
+    """Write the (C, M, D) anchor text-embedding block as the offline
+    cache, keyed by the content hash of the final checkpoint."""
+    save_anchor_embeddings(artifact(out_dir, "cache"), anchor_emb,
+                           ckpt.file_sha256(artifact(out_dir, "final")))
 
 
 def load_inference_head(cfg: RunConfig, out_dir, hashes: dict | None = None):
@@ -319,7 +311,7 @@ def load_inference_head(cfg: RunConfig, out_dir, hashes: dict | None = None):
     materialized. Hashes dataset, corpus and final unless given their
     table. Returns (vis, head_params, checkpoint SHA-256)."""
     if hashes is None:
-        hashes = hash_inputs(out_dir, _EVAL_INPUTS)
+        hashes = hash_inputs(out_dir, ("dataset", "corpus", "final"))
     final_path = artifact(out_dir, "final")
     sections = ckpt.read_checkpoint(
         final_path, names=lambda n: not n.startswith("lin."))
@@ -333,17 +325,14 @@ def load_inference_head(cfg: RunConfig, out_dir, hashes: dict | None = None):
     return vis, head_params, hashes["final"]
 
 
-def cmd_eval(cfg: RunConfig, out_dir) -> EvalReport:
-    """Classify the test split from the anchor cache (built first if it
-    is missing) and write the report and predictions. The corpus is
-    read only to build a missing cache; the final checkpoint's recorded
-    hash of it is still checked."""
-    hashes = require_inputs("eval", out_dir, _EVAL_INPUTS)
+@_stage("eval")
+def cmd_eval(cfg: RunConfig, out_dir, hashes: dict) -> EvalReport:
+    """Classify the test split against the anchor cache that finetune
+    wrote and write the report and predictions. The text side is never
+    read: not the corpus, the anchors nor a `lin.` section; the final
+    checkpoint's recorded hash of the corpus is still checked."""
     dataset = load_dataset(artifact(out_dir, "dataset"))
-    cache_path = artifact(out_dir, "cache")
-    if not cache_path.exists():
-        cmd_precompute_cache(cfg, out_dir, hashes)
-    anchor_emb, cache_hash = load_anchor_embeddings(cache_path)
+    anchor_emb, cache_hash = load_anchor_embeddings(artifact(out_dir, "cache"))
     vis, head_params, final_hash = load_inference_head(cfg, out_dir, hashes)
     if cache_hash != final_hash:
         raise StaleArtifactError(
@@ -364,7 +353,7 @@ def cmd_eval(cfg: RunConfig, out_dir) -> EvalReport:
 
 def run_all(cfg: RunConfig, out_dir, memo: dict | None = None) -> EvalReport:
     """The full two-stage pipeline in one call. Runs that pass one
-    `memo` run each distinct stage of `STAGES` once."""
+    `memo` run each distinct stage before finetune once."""
     cmd_gen_data(cfg, out_dir, memo)
     if cfg.lam < 1.0:
         cmd_make_teacher(cfg, out_dir, memo)

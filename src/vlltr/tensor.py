@@ -348,12 +348,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 def unit_rows(x: np.ndarray, operand: str):
     """(x with each row scaled to unit length, the (N, 1) inverse row
-    norms); a zero row is a ValidationError naming `operand`."""
+    norms); a zero row is a ValidationError naming `operand`, which
+    names the calling function and its operand."""
     sq = (x * x).sum(axis=1, keepdims=True)
     if not sq.all():
         raise ValidationError(
-            f"cosine_sim_matrix: zero-norm row "
-            f"{int(np.flatnonzero(sq == 0.0)[0])} in operand {operand}")
+            f"{operand}: zero-norm row {int(np.flatnonzero(sq == 0.0)[0])}")
     inv = sq ** -0.5
     return x * inv, inv
 
@@ -361,8 +361,8 @@ def unit_rows(x: np.ndarray, operand: str):
 def cosine_sim_forward(a: np.ndarray, b: np.ndarray):
     """(the pairwise cosine similarities of the rows of `a` and `b`, the
     cache `cosine_sim_backward` reads) on arrays."""
-    na, inv_a = unit_rows(a, "a")
-    nb, inv_b = unit_rows(b, "b")
+    na, inv_a = unit_rows(a, "cosine_sim_forward operand a")
+    nb, inv_b = unit_rows(b, "cosine_sim_forward operand b")
     return na @ nb.T, (na, inv_a, nb, inv_b)
 
 

@@ -222,8 +222,11 @@ class TestAnchorFiles:
          3),
         ("# mode=AnSS\tM=1\tcheckpoint=\n0\t0\t3\t0.5\n1\tx\t4\t0.2\n",
          3),
+        ("# mode=AnSS\tM=1\tcheckpoint=\n0\t7\t3\t0.5\n1\t-4\t4\t0.2\n",
+         2),
     ], ids=["short-row", "bad-id", "bad-score", "no-M", "no-checkpoint",
-            "no-mode", "bad-M", "negative-class", "bad-rank"])
+            "no-mode", "bad-M", "negative-class", "bad-rank",
+            "rank-not-position"])
     def test_malformed_file_names_path_and_line(self, tmp_path, text, line):
         path = tmp_path / "anchors.tsv"
         path.write_text(text)

@@ -253,42 +253,39 @@ class TestPipelineCommands:
     @pytest.mark.parametrize("command,extra,missing,writer", [
         ("finetune", [], "anchors.tsv", "select-anchors"),
         ("eval", [], "final.ck", "finetune"),
-        ("eval", [], "anchors.tsv", "select-anchors"),
+        ("eval", [], "anchor_cache.vlae", "finetune"),
         ("retrieve", ["--query", "0 7 1"], "student.ck", "pretrain")])
     def test_missing_input_names_the_command_that_writes_it(
             self, cfg_file, cli_run, tmp_path, capsys, command, extra,
             missing, writer):
-        """As for the memoized stages (was `[Errno 2] No such file or
-        directory`); eval reads anchors.tsv only to build its cache."""
+        """As for the other stages (was `[Errno 2] No such file or
+        directory`); eval no longer builds a missing anchor cache."""
         work = tmp_path / "copy"
         shutil.copytree(cli_run, work)
         (work / missing).unlink()
-        (work / "anchor_cache.vlae").unlink()
         assert cli.main([command, "--config", str(cfg_file),
                          "--out", str(work)] + extra) == 2
         assert capsys.readouterr().err == (
             f"error: {command}: {work / missing} is missing; run "
             f"`vlltr {writer}` first\n")
 
-    def test_anchors_reselected_after_finetune_are_stale(self, cfg_file,
-                                                        cli_run, tmp_path,
-                                                        capsys):
-        """final.ck records the anchors it was fine-tuned on, so building
-        the cache from CutOff anchors selected after an AnSS fine-tune is
-        a stale artifact (it used to score 0.325 without complaint)."""
+    def test_anchors_reselected_after_finetune_leave_eval_unchanged(
+            self, cfg_file, cli_run, tmp_path, capsys):
+        """Fine-tuning writes the anchor cache from the anchors it trained
+        on, and eval reads only that cache: CutOff anchors selected after
+        an AnSS fine-tune change neither the report nor the predictions."""
         work = tmp_path / "copy"
         shutil.copytree(cli_run, work)
-        (work / "anchor_cache.vlae").unlink()
         assert cli.main(["select-anchors", "--config", str(cfg_file),
                          "--out", str(work),
                          "--set", "anchor_mode=CutOff"]) == 0
+        assert sha(work / "anchors.tsv") != sha(cli_run / "anchors.tsv")
         capsys.readouterr()
         assert cli.main(["eval", "--config", str(cfg_file),
-                         "--out", str(work)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {work / 'final.ck'}: checkpoint was trained on a "
-            "different anchors file than anchors.tsv\n")
-        assert not (work / "anchor_cache.vlae").exists()
+                         "--out", str(work)]) == 0
+        assert capsys.readouterr().out == (cli_run / "report.json").read_text()
+        for name in ("report.json", "predictions.tsv", "anchor_cache.vlae"):
+            assert (work / name).read_bytes() == (cli_run / name).read_bytes()
 
     def test_malformed_anchor_row_is_validation_error(self, cfg_file, cli_run,
                                                       tmp_path, capsys):

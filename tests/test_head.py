@@ -1,5 +1,6 @@
 """Tests for the recognition heads, cache file, and fine-tuning."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -12,7 +13,6 @@ from vlltr.errors import ShapeMismatch, ValidationError
 from vlltr.head import (
     HEADS,
     FcParams,
-    FinetuneConfig,
     Head,
     LgrParams,
     classify_dataset,
@@ -275,6 +275,14 @@ class TestAnchorEmbeddingCache:
             load_anchor_embeddings(path)
 
 
+def finetune_config(mini_cfg, **changes):
+    """`mini_cfg` (`small_config()`) fine-tuning 2 epochs at batch 4 and
+    lr 0.01, with `changes` on top."""
+    return dataclasses.replace(mini_cfg, **{
+        "finetune_epochs": 2, "finetune_batch": 4, "finetune_lr": 0.01,
+        **changes})
+
+
 def finetune_world(seed=0):
     C = 3
     ds = gen_synthetic(C, [10] * C, d_img=6, noise_sigma=0.2, seed=seed,
@@ -311,25 +319,25 @@ class TestAnchorEmbeddings:
 
 
 class TestFinetune:
-    def test_zero_epochs_leaves_encoder(self):
+    def test_zero_epochs_leaves_encoder(self, mini_cfg):
         ds, corpus, model, anchors = finetune_world()
         before = {k: v.copy() for k, v in model.state().items()}
         _, emb, trace = run_finetune(
             ds, anchors, corpus, model,
-            FinetuneConfig(epochs=0, batch_size=4, base_lr=0.01))
+            finetune_config(mini_cfg, finetune_epochs=0))
         assert trace == []
         for k, v in model.state().items():
             np.testing.assert_array_equal(v, before[k])
         np.testing.assert_array_equal(
             emb, compute_anchor_embeddings(anchors, corpus, model))
 
-    def test_deterministic(self):
+    def test_deterministic(self, mini_cfg):
         outs = []
         for _ in range(2):
             ds, corpus, model, anchors = finetune_world(seed=2)
             head, emb, _ = run_finetune(
                 ds, anchors, corpus, model,
-                FinetuneConfig(epochs=2, batch_size=4, base_lr=0.005, seed=2))
+                finetune_config(mini_cfg, finetune_lr=0.005, seed=2))
             outs.append((model.state(),
                          {k: v.data.copy() for k, v in head.params().items()},
                          emb))
@@ -339,21 +347,20 @@ class TestFinetune:
             np.testing.assert_array_equal(outs[0][1][k], outs[1][1][k])
         np.testing.assert_array_equal(outs[0][2], outs[1][2])
 
-    def test_text_encoder_frozen(self):
+    def test_text_encoder_frozen(self, mini_cfg):
         ds, corpus, model, anchors = finetune_world(seed=3)
         lin_before = {k: v.data.copy() for k, v in model.lin.params().items()}
-        run_finetune(ds, anchors, corpus, model,
-                     FinetuneConfig(epochs=2, batch_size=4, base_lr=0.01))
+        run_finetune(ds, anchors, corpus, model, finetune_config(mini_cfg))
         for k, v in model.lin.params().items():
             np.testing.assert_array_equal(v.data, lin_before[k])
             assert not v.requires_grad
 
     @pytest.mark.parametrize("head", list(HEADS))
-    def test_all_heads_train_and_classify(self, head):
+    def test_all_heads_train_and_classify(self, head, mini_cfg):
         ds, corpus, model, anchors = finetune_world(seed=4)
         head_params, emb, trace = run_finetune(
             ds, anchors, corpus, model,
-            FinetuneConfig(epochs=1, batch_size=4, base_lr=0.01, head=head))
+            finetune_config(mini_cfg, finetune_epochs=1, head=head))
         assert (head_params.params().get("tau") is model.tau) == (head == "knn")
         assert trace and all(np.isfinite(t[2]) for t in trace)
         preds, p_i, p_t = classify_dataset(
@@ -365,20 +372,19 @@ class TestFinetune:
         if head == "knn":
             assert np.all(p_i == 0.0)
 
-    def test_unknown_head_rejected(self):
+    def test_unknown_head_rejected(self, mini_cfg):
         ds, corpus, model, anchors = finetune_world(seed=6)
         with pytest.raises(ValidationError):
-            run_finetune(ds, anchors, corpus, model,
-                         FinetuneConfig(epochs=1, batch_size=4, base_lr=0.01,
-                                        head="transformer"))
+            run_finetune(ds, anchors, corpus, model, finetune_config(
+                mini_cfg, finetune_epochs=1, head="transformer"))
         with pytest.raises(ValidationError):
             classify_dataset(ds.test_X, model.vis, "transformer", None, None)
 
-    def test_classify_batching_invariant(self):
+    def test_classify_batching_invariant(self, mini_cfg):
         ds, corpus, model, anchors = finetune_world(seed=7)
         head_params, emb, _ = run_finetune(
             ds, anchors, corpus, model,
-            FinetuneConfig(epochs=1, batch_size=4, base_lr=0.01))
+            finetune_config(mini_cfg, finetune_epochs=1))
         a = classify_dataset(ds.test_X, model.vis, "lgr", head_params, emb,
                              batch=256)
         b = classify_dataset(ds.test_X, model.vis, "lgr", head_params, emb,

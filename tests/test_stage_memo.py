@@ -9,8 +9,9 @@ import shutil
 import pytest
 
 from vlltr import checkpoint as ckpt
-from vlltr import cli, pipeline
+from vlltr import cli, head, pipeline
 from vlltr.config import RunConfig
+from vlltr.encoders import LinguisticEncoder
 from vlltr.errors import ValidationError
 
 ABLATE_ROWS = {"LGR_and_AnSS_and_distill": {},
@@ -37,8 +38,8 @@ def counting(monkeypatch, name, calls):
 
 def hashing(monkeypatch):
     """Log the paths `ckpt.file_sha256` hashes within each outermost call
-    of a `pipeline.cmd_*` stage (eval's cache build is part of eval), as
-    a list of (stage, [paths]) entries."""
+    of a `pipeline.cmd_*` stage (finetune's cache write is part of
+    finetune), as a list of (stage, [paths]) entries."""
     log, depth = [], [0]
 
     def stage_wrapper(name, original):
@@ -134,24 +135,28 @@ def check_hashed_once(log, total):
 
 def test_no_stage_call_of_a_run_hashes_a_file_twice(mini_cfg, tmp_path,
                                                     monkeypatch):
-    """make-teacher hashes the two data files; pretrain, select-anchors,
-    finetune and eval each hash them and the checkpoint they read, and
-    finetune and eval (which builds the anchor cache) also anchors.tsv."""
+    """gen-data hashes nothing and make-teacher the two data files (2);
+    pretrain and select-anchors hash them and the checkpoint they read
+    (3 + 3); finetune hashes them, student.ck, anchors.tsv and the
+    final.ck it writes, to key the anchor cache (5); eval hashes them,
+    final.ck and the cache (4). 17 in all."""
     log = hashing(monkeypatch)
     pipeline.run_all(mini_cfg, tmp_path)
     assert [stage for stage, _ in log] == [
         "cmd_gen_data", "cmd_make_teacher", "cmd_pretrain",
         "cmd_select_anchors", "cmd_finetune", "cmd_eval"]
-    check_hashed_once(log, 16)
+    assert [len(paths) for _, paths in log] == [0, 2, 3, 3, 5, 4]
+    check_hashed_once(log, 17)
 
 
 def test_no_stage_call_of_ablate_hashes_a_file_twice(ablated):
     """A memo hit hashes the stage's inputs and nothing else: 4 teacher
-    calls of 2, 4 distilled and 1 lam=1 pretrain call of 3 and 2, 5
-    select-anchors calls of 3, and 5 each of finetune and eval of 4."""
+    calls of 2 (8), 4 distilled and 1 lam=1 pretrain call of 3 and 2
+    (14), 5 select-anchors calls of 3 (15), 5 finetunes of 5 (25) and 5
+    evals of 4 (20). 82 in all."""
     _, _, log = ablated
     assert len(log) == 29
-    check_hashed_once(log, 77)
+    check_hashed_once(log, 82)
 
 
 def test_missing_teacher_is_an_error_with_a_memo(mini_cfg, tmp_path):
@@ -184,11 +189,54 @@ def test_missing_input_names_the_file_and_its_command(mini_cfg, mini_run,
 
 
 def test_stage_table_names_real_fields_and_artifacts():
+    """Every field and artifact is real, and the table is closed: each
+    artifact is the output of exactly one stage, and each stage reads
+    only outputs of the stages before it."""
     names = {f.name for f in dataclasses.fields(RunConfig)}
+    written = []
     for stage in pipeline.STAGES.values():
         assert set(stage.fields) <= names
         assert len(set(stage.fields)) == len(stage.fields)
-        assert set(stage.upstream + stage.outputs) <= set(pipeline.FILES)
+        assert set(stage.upstream) <= set(written)
+        written += stage.outputs
+    assert sorted(written) == sorted(pipeline.FILES)
+    assert set(pipeline.STAGES["finetune"].fields) == names
+    assert set(pipeline.STAGES["eval"].fields) == names
+
+
+def test_run_all_embeds_the_anchors_once_and_eval_reads_no_text(
+        mini_cfg, mini_run, tmp_path, monkeypatch):
+    """Fine-tuning embeds the anchor block and writes it as the cache;
+    eval parses neither the corpus nor the anchors and runs no text
+    encoder, and still writes the same report."""
+    embedded = []
+    embed = head.compute_anchor_embeddings
+
+    def counted_embed(*args):
+        embedded.append(args)
+        return embed(*args)
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"eval called {name}")
+        return call
+
+    evaluate = pipeline.cmd_eval
+
+    def text_free_eval(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "load_corpus", refuse("load_corpus"))
+            mp.setattr(pipeline, "load_anchors", refuse("load_anchors"))
+            mp.setattr(LinguisticEncoder, "__call__",
+                       refuse("LinguisticEncoder"))
+            return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(head, "compute_anchor_embeddings", counted_embed)
+    monkeypatch.setattr(pipeline, "cmd_eval", text_free_eval)
+    report = pipeline.run_all(mini_cfg, tmp_path)
+    assert len(embedded) == 1
+    assert report.to_json() == mini_run[2].to_json()
+    assert files(tmp_path) == files(mini_run[1])
 
 
 def other_value(cfg, name):

@@ -187,11 +187,24 @@ class TestCosineSimMatrix:
         assert np.all(out >= -1.0 - 1e-12)
 
     def test_zero_norm_row_identified(self):
+        """The error names the row, the function that normalized it and
+        its operand, also when that is not `cosine_sim_matrix`."""
+        from vlltr.encoders import CvlpModel, TeacherPair
+
         a = np.ones((3, 2))
         a[1] = 0.0
         with pytest.raises(ValidationError) as exc:
             cosine_sim_matrix(as_tensor(a), as_tensor(np.ones((2, 2))))
-        assert "row 1" in str(exc.value)
+        assert str(exc.value) == \
+            "cosine_sim_forward operand a: zero-norm row 1"
+
+        model = CvlpModel(4, 4, 12, seed=0)
+        for p in model.vis.params().values():
+            p.data[...] = 0.0
+        with pytest.raises(ValidationError) as exc:
+            TeacherPair(model).unit_embeddings(np.ones((2, 4)), [[2, 3]])
+        assert str(exc.value) == \
+            "TeacherPair.unit_embeddings operand images: zero-norm row 0"
 
     def test_gradcheck(self):
         rng = np.random.default_rng(8)
