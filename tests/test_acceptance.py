@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import golden
 from composite_oracles import class_sentences
 from test_head import make_params, naive_lgr
 
@@ -212,11 +213,22 @@ def _grid_for_seed(seed, root):
             for name, changes in rows.items()}
 
 
-def test_criterion_7_directional_grid(tmp_path):
+GRID_SEEDS = (0, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def grid(tmp_path_factory):
+    """Criterion 7's grid over GRID_SEEDS, run once per module: ({seed:
+    {row: report}}, seconds it took)."""
+    root = tmp_path_factory.mktemp("grid")
     start = time.time()
-    seeds = (0, 1, 2)
-    grids = {s: _grid_for_seed(s, tmp_path) for s in seeds}
-    elapsed = time.time() - start
+    grids = {s: _grid_for_seed(s, root) for s in GRID_SEEDS}
+    return grids, time.time() - start
+
+
+def test_criterion_7_directional_grid(grid):
+    grids, elapsed = grid
+    seeds = GRID_SEEDS
 
     a_ok = b_ok = True
     for s in seeds:
@@ -305,3 +317,36 @@ def test_criterion_9_determinism(mini_cfg, mini_run, tmp_path):
     report_line(9, not diffs,
                 "byte-identical artifacts" if not diffs
                 else f"differing files: {diffs}")
+
+
+@pytest.fixture(scope="module")
+def golden_records():
+    records = golden.load()
+    reason = golden.skip_reason(records)
+    if reason is not None:
+        pytest.skip(reason)
+    return records
+
+
+def test_small_runs_keep_their_golden_bytes(golden_records, mini_cfg,
+                                            mini_run, tmp_path):
+    """Every artifact of `small_config()` runs on golden.SEEDS has the
+    SHA-256 recorded in golden.json."""
+    run_dirs = {mini_cfg.seed: mini_run[1]}
+    for s in golden.SEEDS:
+        if s not in run_dirs:
+            run_dirs[s] = tmp_path / f"seed{s}"
+            pipeline.run_all(dataclasses.replace(mini_cfg, seed=s),
+                             run_dirs[s])
+        message = golden.mismatch(f"seed {s} artifacts",
+                                  golden_records["runs"][f"seed{s}"],
+                                  golden.artifact_digests(run_dirs[s]))
+        assert message is None, message
+
+
+def test_grid_keeps_its_golden_counts(golden_records, grid):
+    """Each report of criterion 7's grid classifies the recorded number
+    of test images correctly in every shot band."""
+    message = golden.mismatch("grid reports", golden_records["grid"],
+                              golden.grid_counts(grid[0]))
+    assert message is None, message
