@@ -158,20 +158,21 @@ def read_checkpoint(path, names=None) -> dict[str, np.ndarray]:
     return out
 
 
-def load_params(params: dict, sections: dict):
-    """Copy each checkpoint section into the parameter of the same name.
+def load_params(params: dict, sections: dict, path):
+    """Copy each section read from checkpoint `path` into the parameter of
+    the same name.
 
     Every parameter needs a section of exactly its shape: a missing
     section is a ValidationError, and a section of another shape (say, a
     run loaded under a different class count or embedding width) is a
-    ShapeMismatch naming the section.
+    ShapeMismatch; both name `path` and the section.
     """
     for name, p in params.items():
         if name not in sections:
-            raise ValidationError(f"checkpoint missing section '{name}'")
+            raise ValidationError(
+                f"{path}: checkpoint missing section '{name}'")
         if sections[name].shape != p.data.shape:
             raise ShapeMismatch(
-                f"checkpoint section '{name}': shape {sections[name].shape} "
-                f"!= expected {p.data.shape}"
-            )
+                f"{path}: checkpoint section '{name}': shape "
+                f"{sections[name].shape} != expected {p.data.shape}")
         p.data = sections[name].copy()

@@ -152,7 +152,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, VlltrError, FileNotFoundError) as exc:
+    except (ValidationError, VlltrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

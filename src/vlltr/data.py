@@ -162,11 +162,6 @@ class SqrtSampler:
         self._cdf = self.weights.cumsum()
         self._cdf /= self._cdf[-1]
 
-    def draw_classes(self, n: int) -> np.ndarray:
-        """The stream of `rng.choice(C, size=n, p=weights)`, without
-        re-validating and re-summing the weights on every call."""
-        return self._cdf.searchsorted(self.rng.random(n), side="right")
-
     def draw_epoch(self, steps: int, n: int) -> np.ndarray:
         """`steps` batches of `n` global sample indices (class-major
         layout), (steps, n), from one uniform draw: per batch, `n`

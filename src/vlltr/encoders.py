@@ -36,9 +36,9 @@ class VisualEncoder:
         self.w2 = parameter(rng.normal(size=(hidden, D)) / np.sqrt(hidden))
         self.b2 = parameter(np.zeros(D))
 
-    def params(self, prefix="vis.") -> dict:
-        return {prefix + "w1": self.w1, prefix + "b1": self.b1,
-                prefix + "w2": self.w2, prefix + "b2": self.b2}
+    def params(self) -> dict:
+        return {"vis.w1": self.w1, "vis.b1": self.b1,
+                "vis.w2": self.w2, "vis.b2": self.b2}
 
     def forward(self, x):
         """(tanh(x @ w1 + b1) @ w2 + b2, the cache `backward` reads) on
@@ -90,9 +90,9 @@ class LinguisticEncoder:
         self.proj_w = parameter(rng.normal(size=(D, D)) / np.sqrt(D))
         self.proj_b = parameter(np.zeros(D))
 
-    def params(self, prefix="lin.") -> dict:
-        return {prefix + "tok": self.tok, prefix + "proj_w": self.proj_w,
-                prefix + "proj_b": self.proj_b}
+    def params(self) -> dict:
+        return {"lin.tok": self.tok, "lin.proj_w": self.proj_w,
+                "lin.proj_b": self.proj_b}
 
     def forward(self, sequences):
         """(each sentence mean-pooled and projected, the cache `backward`
@@ -152,9 +152,6 @@ class CvlpModel:
     def params(self) -> dict:
         return {**self.vis.params(), **self.lin.params(), "tau": self.tau}
 
-    def clamp_tau(self):
-        clamp_tau(self.tau)
-
     def similarity(self, images, sequences) -> np.ndarray:
         """The cosine matrix of the images' and the sentences'
         embeddings, the S of `pretrain.pretrain_loss`."""
@@ -166,15 +163,15 @@ class CvlpModel:
     def state(self) -> dict:
         return {k: v.data.copy() for k, v in self.params().items()}
 
-    def load_state(self, sections: dict):
-        ckpt.load_params(self.params(), sections)
+    def load_state(self, sections: dict, path):
+        ckpt.load_params(self.params(), sections, path)
 
     @classmethod
     def from_checkpoint(cls, path, d_img, D, vocab_size, max_tokens=77):
         model = cls(d_img, D, vocab_size, seed=0, max_tokens=max_tokens)
         sections = ckpt.read_checkpoint(
             path, names=lambda n: not n.startswith("__"))
-        model.load_state(sections)
+        model.load_state(sections, path)
         return model
 
 

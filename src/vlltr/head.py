@@ -52,11 +52,8 @@ class LgrParams:
         self.mlp_b2 = parameter(np.zeros(C))
         self.tau = parameter(np.array(tau_init))
 
-    def params(self, prefix="lgr.") -> dict:
-        return {prefix + name: getattr(self, name) for name in LGR_PARAM_NAMES}
-
-    def load_state(self, sections: dict, prefix="lgr."):
-        ckpt.load_params(self.params(prefix), sections)
+    def params(self) -> dict:
+        return {"lgr." + name: getattr(self, name) for name in LGR_PARAM_NAMES}
 
 
 @dataclass
@@ -186,8 +183,8 @@ class FcParams:
         self.w = parameter(rng.normal(size=(D, C)) / np.sqrt(D))
         self.b = parameter(np.zeros(C))
 
-    def params(self, prefix="fc.") -> dict:
-        return {prefix + "w": self.w, prefix + "b": self.b}
+    def params(self) -> dict:
+        return {"fc.w": self.w, "fc.b": self.b}
 
 
 def fc_forward(E_I, fc: FcParams) -> Tensor:

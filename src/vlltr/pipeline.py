@@ -17,7 +17,7 @@ and writes the remembered bytes on every later call.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .errors import StaleArtifactError, ValidationError
 from .evaluation import EvalReport, evaluate
 from .head import (classify_dataset, get_head, load_anchor_embeddings,
                    run_finetune, save_anchor_embeddings)
-from .pretrain import PretrainConfig, run_pretrain, save_trace
+from .pretrain import run_pretrain, save_trace
 from .tensor import parameter
 
 FILES = {
@@ -209,47 +209,44 @@ def _load_corpus(cfg: RunConfig, out_dir):
                        cfg.max_tokens)
 
 
+def _pretrain(name: str, cfg: RunConfig, run_cfg: RunConfig, out_dir,
+              hashes: dict, dataset, teacher):
+    """Pre-train a `CvlpModel` built under `run_cfg` on `dataset` and
+    write stage `name`'s checkpoint and trace, recording the stage
+    fingerprint of the run's own `cfg`."""
+    model = CvlpModel(run_cfg.d_img, run_cfg.embed_dim, run_cfg.vocab_size,
+                      seed=run_cfg.seed, tau_init=run_cfg.tau_init,
+                      max_tokens=run_cfg.max_tokens)
+    trace = run_pretrain(dataset, _load_corpus(cfg, out_dir), model, teacher,
+                         run_cfg)
+    checkpoint, trace_file = STAGES[name].outputs
+    ckpt.write_checkpoint(artifact(out_dir, checkpoint), {
+        **model.state(),
+        **_meta_sections(stage_fingerprint(name, cfg), hashes)})
+    save_trace(artifact(out_dir, trace_file), trace)
+
+
 @_stage("make_teacher")
 def cmd_make_teacher(cfg: RunConfig, out_dir, hashes: dict):
-    """Pre-train a frozen teacher pair on the balanced variant of the
-    synthetic task (every class at n_max, same prototypes)."""
-    corpus = _load_corpus(cfg, out_dir)
+    """Pre-train a frozen teacher pair: pre-training without a teacher
+    (lam 1) for `teacher_epochs` under seed + 7, on the balanced variant
+    of the synthetic task (every class at n_max, same prototypes)."""
     balanced = gen_synthetic(cfg.classes, [cfg.n_max] * cfg.classes,
                              cfg.d_img, cfg.noise_sigma, cfg.seed,
                              cfg.test_per_class)
-    model = CvlpModel(cfg.d_img, cfg.embed_dim, cfg.vocab_size,
-                      seed=cfg.seed + 7, tau_init=cfg.tau_init,
-                      max_tokens=cfg.max_tokens)
-    pcfg = PretrainConfig(epochs=cfg.teacher_epochs,
-                          batch_size=cfg.pretrain_batch,
-                          base_lr=cfg.pretrain_lr, lam=1.0,
-                          weight_decay=cfg.weight_decay, seed=cfg.seed + 7)
-    trace = run_pretrain(balanced, corpus, model, None, pcfg)
-    ckpt.write_checkpoint(artifact(out_dir, "teacher"), {
-        **model.state(),
-        **_meta_sections(stage_fingerprint("make_teacher", cfg), hashes)})
-    save_trace(artifact(out_dir, "teacher_trace"), trace)
+    run_cfg = replace(cfg, pretrain_epochs=cfg.teacher_epochs, lam=1.0,
+                      seed=cfg.seed + 7)
+    _pretrain("make_teacher", cfg, run_cfg, out_dir, hashes, balanced, None)
 
 
 @_stage("pretrain")
 def cmd_pretrain(cfg: RunConfig, out_dir, hashes: dict):
-    dataset = load_dataset(artifact(out_dir, "dataset"))
-    corpus = _load_corpus(cfg, out_dir)
-    teacher = None
-    if cfg.lam < 1.0:
-        teacher = TeacherPair(load_model(cfg, out_dir, "teacher", hashes))
-    model = CvlpModel(cfg.d_img, cfg.embed_dim, cfg.vocab_size,
-                      seed=cfg.seed, tau_init=cfg.tau_init,
-                      max_tokens=cfg.max_tokens)
-    pcfg = PretrainConfig(epochs=cfg.pretrain_epochs,
-                          batch_size=cfg.pretrain_batch,
-                          base_lr=cfg.pretrain_lr, lam=cfg.lam,
-                          weight_decay=cfg.weight_decay, seed=cfg.seed)
-    trace = run_pretrain(dataset, corpus, model, teacher, pcfg)
-    ckpt.write_checkpoint(artifact(out_dir, "student"), {
-        **model.state(),
-        **_meta_sections(stage_fingerprint("pretrain", cfg), hashes)})
-    save_trace(artifact(out_dir, "pretrain_trace"), trace)
+    """Pre-train the student, distilled from the teacher exactly when the
+    stage reads one."""
+    teacher = (TeacherPair(load_model(cfg, out_dir, "teacher", hashes))
+               if "teacher" in hashes else None)
+    _pretrain("pretrain", cfg, cfg, out_dir, hashes,
+              load_dataset(artifact(out_dir, "dataset")), teacher)
 
 
 def load_model(cfg: RunConfig, out_dir, name, hashes: dict) -> CvlpModel:
@@ -260,7 +257,7 @@ def load_model(cfg: RunConfig, out_dir, name, hashes: dict) -> CvlpModel:
     _check_data_hashes(path, sections, hashes)
     model = CvlpModel(cfg.d_img, cfg.embed_dim, cfg.vocab_size, seed=0,
                       max_tokens=cfg.max_tokens)
-    model.load_state(sections)
+    model.load_state(sections, path)
     return model
 
 
@@ -291,9 +288,7 @@ def cmd_finetune(cfg: RunConfig, out_dir, hashes: dict):
                 **_meta_sections(cfg.fingerprint(), hashes, _FINAL_RECORDS),
                 **{k: v.data.copy() for k, v in head.params().items()}}
     ckpt.write_checkpoint(artifact(out_dir, "final"), sections)
-    with ckpt.atomic_write(artifact(out_dir, "finetune_trace")) as f:
-        for epoch, step, loss in trace:
-            f.write(f"{epoch}\t{step}\t{loss!r}\n")
+    save_trace(artifact(out_dir, "finetune_trace"), trace)
     cmd_precompute_cache(out_dir, emb)
 
 
@@ -321,7 +316,8 @@ def load_inference_head(cfg: RunConfig, out_dir, hashes: dict | None = None):
     head_params = get_head(cfg.head).params(
         cfg.embed_dim, cfg.classes, parameter(np.array(cfg.tau_init)),
         np.random.default_rng(0))
-    ckpt.load_params({**vis.params(), **head_params.params()}, sections)
+    ckpt.load_params({**vis.params(), **head_params.params()}, sections,
+                     final_path)
     return vis, head_params, hashes["final"]
 
 

@@ -7,14 +7,13 @@ every iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .checkpoint import atomic_write
 from .data import ClassCorpus, LongTailDataset, SqrtSampler, TokenTable
-from .encoders import CvlpModel, TeacherPair
+from .encoders import CvlpModel, TeacherPair, clamp_tau
 from .errors import NumericError, ShapeMismatch, ValidationError
 from .optim import AdamW, cosine_lr
 from .tensor import cosine_sim_backward, cosine_sim_forward
@@ -24,16 +23,6 @@ from .tensor import cosine_sim_backward, cosine_sim_forward
 # bounds the sampled images and token rows held at once (a balanced
 # reference epoch is 313 steps); the draws do not depend on it.
 DRAW_STEPS = 64
-
-
-@dataclass
-class PretrainConfig:
-    epochs: int
-    batch_size: int
-    base_lr: float
-    lam: float = 0.5
-    weight_decay: float = 0.05
-    seed: int = 0
 
 
 def _log_softmax(z: np.ndarray, axis: int) -> np.ndarray:
@@ -213,9 +202,10 @@ def sample_paired_batch(dataset: LongTailDataset, table: TokenTable,
 
 
 def run_pretrain(dataset: LongTailDataset, corpus: ClassCorpus,
-                 model: CvlpModel, teacher: TeacherPair | None,
-                 cfg: PretrainConfig):
-    """Train the encoder pair; returns a per-step trace list.
+                 model: CvlpModel, teacher: TeacherPair | None, cfg):
+    """Train the encoder pair for `pretrain_epochs` of RunConfig `cfg` at
+    its `pretrain_batch`, `pretrain_lr`, `lam`, `weight_decay` and
+    `seed`; returns a per-step trace list.
 
     Trace entries are (epoch, step, l_ccl, l_dis, l_pre, tau). At
     lam == 1 the teacher is never evaluated and l_dis is logged as 0.
@@ -224,9 +214,10 @@ def run_pretrain(dataset: LongTailDataset, corpus: ClassCorpus,
     """
     if cfg.lam < 1.0 and teacher is None:
         raise ValidationError("run_pretrain: lam < 1 requires a teacher")
-    steps_per_epoch = max(1, int(np.ceil(len(dataset.y) / cfg.batch_size)))
-    total_steps = max(1, cfg.epochs * steps_per_epoch)
-    opt = AdamW(model.params(), cfg.base_lr, weight_decay=cfg.weight_decay)
+    steps_per_epoch = max(1, int(np.ceil(dataset.y.size / cfg.pretrain_batch)))
+    total_steps = max(1, cfg.pretrain_epochs * steps_per_epoch)
+    opt = AdamW(model.params(), cfg.pretrain_lr,
+                weight_decay=cfg.weight_decay)
     sampler = SqrtSampler(dataset.counts, seed=cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x9E7]))
     table = corpus.token_table()
@@ -240,11 +231,11 @@ def run_pretrain(dataset: LongTailDataset, corpus: ClassCorpus,
     opt.zero_grad()
     # (epoch, steps) of each draw: an epoch in runs of at most DRAW_STEPS
     draws = [(epoch, min(DRAW_STEPS, steps_per_epoch - start))
-             for epoch in range(cfg.epochs)
+             for epoch in range(cfg.pretrain_epochs)
              for start in range(0, steps_per_epoch, DRAW_STEPS)]
     for epoch, steps in draws:
         for batch in sample_epoch(dataset, table, sampler, rng,
-                                  cfg.batch_size, steps):
+                                  cfg.pretrain_batch, steps):
             S_teacher = (teacher_img[batch.idx] @ teacher_txt[batch.rows].T
                          if distill else None)
             try:
@@ -254,8 +245,8 @@ def run_pretrain(dataset: LongTailDataset, corpus: ClassCorpus,
             except NumericError as exc:
                 raise NumericError(
                     f"run_pretrain: non-finite loss at step {step}") from exc
-            opt.step(lr=cosine_lr(cfg.base_lr, step, total_steps))
-            model.clamp_tau()
+            opt.step(lr=cosine_lr(cfg.pretrain_lr, step, total_steps))
+            clamp_tau(model.tau)
             trace.append((epoch, step, l_ccl,
                           0.0 if l_dis is None else l_dis,
                           loss, float(model.tau.data)))
@@ -264,6 +255,7 @@ def run_pretrain(dataset: LongTailDataset, corpus: ClassCorpus,
 
 
 def save_trace(path, trace):
+    """One line per trace entry: each field's repr, tab-joined."""
     with atomic_write(path) as f:
-        for epoch, step, l_ccl, l_dis, l_pre, tau in trace:
-            f.write(f"{epoch}\t{step}\t{l_ccl!r}\t{l_dis!r}\t{l_pre!r}\t{tau!r}\n")
+        for entry in trace:
+            f.write("\t".join(map(repr, entry)) + "\n")

@@ -174,7 +174,8 @@ def test_criterion_4_oracle_equivalence():
 def test_criterion_5_sampler_statistics():
     counts = [100, 25, 4]
     target = np.sqrt(counts) / np.sqrt(counts).sum()
-    draws = SqrtSampler(counts, seed=0).draw_classes(1_000_000)
+    labels = np.repeat(np.arange(3), counts)
+    draws = labels[SqrtSampler(counts, seed=0).draw_epoch(1, 1_000_000)[0]]
     freqs = np.bincount(draws, minlength=3) / draws.size
     worst = float(np.abs(freqs - target).max())
     report_line(5, worst <= 0.005,
@@ -277,11 +278,11 @@ def test_criterion_8_encoder_free_inference(mini_cfg, mini_run, tmp_path):
                       mini_cfg.vocab_size, seed=0,
                       max_tokens=mini_cfg.max_tokens)
     model.load_state({k: v for k, v in sections.items()
-                      if not k.startswith(("lgr.", "fc."))})
+                      if not k.startswith(("lgr.", "fc."))}, work / "final.ck")
     from vlltr.head import LgrParams
     head = LgrParams(mini_cfg.embed_dim, mini_cfg.classes,
                      mini_cfg.tau_init, np.random.default_rng(0))
-    head.load_state(sections)
+    ckpt.load_params(head.params(), sections, work / "final.ck")
     anchors = load_anchors(work / "anchors.tsv")
     live_emb = compute_anchor_embeddings(anchors, corpus, model)
     probe = dataset.test_X[:100]

@@ -147,15 +147,20 @@ class TestPipelineCommands:
         assert "different corpus file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting,section", [("classes=10", "lgr."),
-                                                 ("embed_dim=4", "vis.")])
+                                                 ("embed_dim=4", "vis."),
+                                                 ("head=fc", "fc.w")])
     def test_eval_under_other_shapes_is_validation_error(
             self, cfg_file, cli_run, tmp_path, capsys, setting, section):
+        """A section of another shape, or missing (the FC head's, from an
+        LGR run), exits 2 naming the section and the checkpoint."""
         work = tmp_path / "copy"
         shutil.copytree(cli_run, work)
         assert cli.main(["eval", "--config", str(cfg_file),
                          "--out", str(work), "--set", setting]) == 2
         err = capsys.readouterr().err
-        assert f"section '{section}" in err and "shape" in err
+        problem = "missing section" if setting == "head=fc" else "shape"
+        assert f"section '{section}" in err and problem in err
+        assert str(work / "final.ck") in err
 
     def test_cutoff_anchors_differ_from_anss(self, cfg_file, cli_run, tmp_path):
         work = tmp_path / "copy"
@@ -467,6 +472,21 @@ class TestUsageAndErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and setting.split("=")[0] in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag,make", [
+        ("gen-data", "--out", lambda path: path.write_text("")),
+        ("eval", "--config", lambda path: path.mkdir())],
+        ids=["out-is-a-file", "config-is-a-directory"])
+    def test_unusable_path_exits_two_naming_it(self, tmp_path, capsys,
+                                               command, flag, make):
+        """`--out` a regular file and `--config` a directory exit 2 with
+        one stderr line naming the path (were internal errors, exit 4)."""
+        path = tmp_path / "given"
+        make(path)
+        args = [command, "--out", str(tmp_path / "run"), flag, str(path)]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(path) in err
 
     def test_missing_checkpoint_is_validation_error(self, cfg_file, tmp_path):
         assert cli.main(["select-anchors", "--config", str(cfg_file),

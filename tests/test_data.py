@@ -129,8 +129,9 @@ class TestSqrtSampler:
         np.testing.assert_allclose(sqrt_class_weights([7, 7, 7]), 1 / 3, atol=1e-12)
 
     def test_empirical_frequencies(self):
-        sampler = SqrtSampler([100, 25, 4], seed=0)
-        draws = sampler.draw_classes(100_000)
+        counts = [100, 25, 4]
+        labels = np.repeat(np.arange(3), counts)
+        draws = labels[SqrtSampler(counts, seed=0).draw_epoch(1, 100_000)[0]]
         freqs = np.bincount(draws, minlength=3) / draws.size
         np.testing.assert_allclose(freqs, [10 / 17, 5 / 17, 2 / 17], atol=0.01)
 
@@ -140,7 +141,7 @@ class TestSqrtSampler:
         idx = sampler.draw_epoch(1, 500)[0]
         offsets = np.concatenate([[0], np.cumsum(counts)])
         assert np.all(idx >= 0) and np.all(idx < offsets[-1])
-        # the per-class share of global indices must match draw_classes stats
+        # every class must be drawn
         classes = np.searchsorted(offsets, idx, side="right") - 1
         assert set(classes.tolist()) == {0, 1, 2}
 
@@ -160,17 +161,20 @@ class TestSqrtSampler:
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 1000])
     def test_draw_classes_is_the_choice_stream(self, seed):
-        """Class draws equal `Generator.choice(C, size=n, p=weights)`
-        on the sampler's generator, call after call."""
+        """The classes of a `draw_epoch` batch of n equal
+        `Generator.choice(C, size=n, p=weights)` on the sampler's
+        generator, whose next n uniforms place the samples, call after
+        call."""
         counts = [500, 120, 31, 9, 5, 1]
+        labels = np.repeat(np.arange(len(counts)), counts)
         sampler = SqrtSampler(counts, seed=seed)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5A3]))
         for n in (1, 32, 0, 7, 1000):
-            got = sampler.draw_classes(n)
+            got = labels[sampler.draw_epoch(1, n)[0]]
             want = rng.choice(len(counts), size=n,
                               p=sqrt_class_weights(counts))
+            rng.random(n)
             np.testing.assert_array_equal(got, want)
-            assert got.dtype == want.dtype
 
 
     @pytest.mark.parametrize("seed", [0, 3, 1000])
@@ -187,7 +191,8 @@ class TestSqrtSampler:
             for batch in epoch:
                 np.testing.assert_array_equal(batch,
                                               by_draw.draw_epoch(1, n)[0])
-                classes = by_hand.draw_classes(n)
+                classes = by_hand.rng.choice(len(counts), size=n,
+                                             p=sqrt_class_weights(counts))
                 within = (by_hand.rng.random(n)
                           * np.asarray(counts)[classes]).astype(np.int64)
                 np.testing.assert_array_equal(batch,

@@ -14,6 +14,7 @@ from vlltr.encoders import (
     LinguisticEncoder,
     TeacherPair,
     VisualEncoder,
+    clamp_tau,
 )
 from vlltr.errors import ShapeMismatch, ValidationError
 from vlltr.gradcheck import check_gradients
@@ -194,10 +195,10 @@ class TestTauClamp:
     def test_clamp_bounds(self):
         model = tiny_model()
         model.tau.data = np.array(5.0)
-        model.clamp_tau()
+        clamp_tau(model.tau)
         assert float(model.tau.data) == TAU_MAX
         model.tau.data = np.array(1e-6)
-        model.clamp_tau()
+        clamp_tau(model.tau)
         assert float(model.tau.data) == TAU_MIN
 
     @pytest.mark.parametrize("value,want", [(5.0, TAU_MAX), (0.0, TAU_MIN),
@@ -206,13 +207,13 @@ class TestTauClamp:
         model = tiny_model()
         view = model.tau.data
         view[...] = value
-        model.clamp_tau()
+        clamp_tau(model.tau)
         assert model.tau.data is view and float(view) == want
 
     def test_nan_stays_nan(self):
         model = tiny_model()
         model.tau.data = np.array(np.nan)
-        model.clamp_tau()
+        clamp_tau(model.tau)
         assert np.isnan(model.tau.data)
 
 
@@ -293,7 +294,7 @@ class TestCheckpointing:
         path = tmp_path / "m.ck"
         write_checkpoint(path, model.state())
         other = tiny_model(seed=1)
-        other.load_state(read_checkpoint(path))
+        other.load_state(read_checkpoint(path), path)
         for k, v in model.state().items():
             np.testing.assert_array_equal(other.params()[k].data, v)
 
@@ -302,15 +303,15 @@ class TestCheckpointing:
         state = model.state()
         del state["vis.w1"]
         with pytest.raises(ValidationError) as exc:
-            model.load_state(state)
-        assert "vis.w1" in str(exc.value)
+            model.load_state(state, "m.ck")
+        assert "m.ck" in str(exc.value) and "vis.w1" in str(exc.value)
 
     def test_shape_mismatch(self):
         model = tiny_model()
         state = model.state()
         state["vis.w1"] = np.zeros((1, 1))
         with pytest.raises((ValidationError, ShapeMismatch)):
-            model.load_state(state)
+            model.load_state(state, "m.ck")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ck"

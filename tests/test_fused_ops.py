@@ -404,7 +404,7 @@ class TestAdamW:
         for step in range(self.STEPS):
             if step == self.STEPS // 2:   # a checkpoint load mid-run
                 load_params(params, {k: p.data * 0.5 + 0.1
-                                     for k, p in params.items()})
+                                     for k, p in params.items()}, "mid.ck")
             opt.zero_grad()
             self.loss(params, rng.normal(size=(6, 3)), step).backward()
             opt.step(lr=cosine_lr(0.05, step, self.STEPS))

@@ -10,12 +10,13 @@ import composite_oracles as oracle
 from composite_oracles import class_sentences
 from vlltr import pipeline
 from vlltr import pretrain as pretrain_module
-from vlltr.data import ClassCorpus, SqrtSampler, gen_corpus, gen_synthetic
-from vlltr.encoders import CvlpModel, LinguisticEncoder, TeacherPair
+from vlltr.config import RunConfig
+from vlltr.data import (ClassCorpus, SqrtSampler, gen_corpus, gen_synthetic,
+                        sqrt_class_weights)
+from vlltr.encoders import CvlpModel, LinguisticEncoder, TeacherPair, clamp_tau
 from vlltr.errors import NumericError, ShapeMismatch, ValidationError
 from vlltr.optim import AdamW, cosine_lr
 from vlltr.pretrain import (
-    PretrainConfig,
     pretrain_loss,
     pretrain_step,
     run_pretrain,
@@ -265,7 +266,8 @@ def per_step_batches(ds, table, sampler, rng, batch_size, steps):
     offsets = np.concatenate([[0], np.cumsum(counts)])
     out = []
     for _ in range(steps):
-        classes = sampler.draw_classes(batch_size)
+        classes = sampler.rng.choice(len(counts), size=batch_size,
+                                     p=sqrt_class_weights(counts))
         within = (sampler.rng.random(batch_size)
                   * counts[classes]).astype(np.int64)
         idx = offsets[classes] + within
@@ -328,21 +330,29 @@ class TestSampleEpoch:
             assert draws[0] == draws[1] == draws[2]
 
 
+def pretrain_cfg(epochs, lam, seed=0, batch=4, lr=0.01):
+    """A RunConfig whose fields `run_pretrain` reads are set."""
+    return RunConfig(pretrain_epochs=epochs, pretrain_batch=batch,
+                     pretrain_lr=lr, lam=lam, seed=seed)
+
+
 def oracle_pretrain(dataset, corpus, model, teacher, cfg):
     """`run_pretrain` fed a list of token arrays per batch, one sentence
     drawn per image from the class's sentences, with the teacher matrix
     from `TeacherPair.similarity` on the same lists."""
-    steps_per_epoch = max(1, int(np.ceil(len(dataset.y) / cfg.batch_size)))
-    total_steps = cfg.epochs * steps_per_epoch
-    opt = AdamW(model.params(), cfg.base_lr, weight_decay=cfg.weight_decay)
+    steps_per_epoch = max(1, int(np.ceil(len(dataset.y)
+                                         / cfg.pretrain_batch)))
+    total_steps = cfg.pretrain_epochs * steps_per_epoch
+    opt = AdamW(model.params(), cfg.pretrain_lr,
+                weight_decay=cfg.weight_decay)
     sampler = SqrtSampler(dataset.counts, seed=cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x9E7]))
     distill = cfg.lam < 1.0
     tau_teacher = teacher.tau if distill else 1.0
     trace, step = [], 0
-    for epoch in range(cfg.epochs):
+    for epoch in range(cfg.pretrain_epochs):
         for _ in range(steps_per_epoch):
-            idx = sampler.draw_epoch(1, cfg.batch_size)[0]
+            idx = sampler.draw_epoch(1, cfg.pretrain_batch)[0]
             images, labels = dataset.X[idx].astype(np.float64), dataset.y[idx]
             sequences = []
             for c in labels.tolist():
@@ -354,8 +364,8 @@ def oracle_pretrain(dataset, corpus, model, teacher, cfg):
             loss, l_ccl, l_dis = pretrain_step(
                 model, images, sequences, labels, S_teacher, tau_teacher,
                 cfg.lam)
-            opt.step(lr=cosine_lr(cfg.base_lr, step, total_steps))
-            model.clamp_tau()
+            opt.step(lr=cosine_lr(cfg.pretrain_lr, step, total_steps))
+            clamp_tau(model.tau)
             trace.append((epoch, step, l_ccl,
                           l_dis if l_dis is not None else 0.0,
                           loss, float(model.tau.data)))
@@ -367,8 +377,7 @@ class TestRunPretrain:
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
     def test_matches_list_fed_oracle_loop(self, lam):
         """24 steps: the trace and the final parameters, bit for bit."""
-        cfg = PretrainConfig(epochs=2, batch_size=4, base_lr=0.01, lam=lam,
-                             seed=6)
+        cfg = pretrain_cfg(2, lam, seed=6)
         runs = []
         for loop in (run_pretrain, oracle_pretrain):
             ds, corpus, model = tiny_setup(seed=6)
@@ -387,8 +396,7 @@ class TestRunPretrain:
         """Epochs of 12 steps drawn 1, 5 (5 + 5 + 2) or 12 steps at a
         time give the oracle loop's trace and parameters, bit for bit."""
         monkeypatch.setattr(pretrain_module, "DRAW_STEPS", draw_steps)
-        cfg = PretrainConfig(epochs=2, batch_size=4, base_lr=0.01, lam=0.5,
-                             seed=8)
+        cfg = pretrain_cfg(2, 0.5, seed=8)
         runs = []
         for loop in (run_pretrain, oracle_pretrain):
             ds, corpus, model = tiny_setup(seed=8)
@@ -419,8 +427,7 @@ class TestRunPretrain:
             teacher = TeacherPair(CvlpModel(6, 6, 64, seed=14))
             calls.clear()
             run_pretrain(ds, corpus, model, teacher,
-                         PretrainConfig(epochs=epochs, batch_size=4,
-                                        base_lr=0.01, lam=0.5, seed=7))
+                         pretrain_cfg(epochs, 0.5, seed=7))
             counts.append(sorted(calls))
         assert counts[0] == counts[1]
 
@@ -428,8 +435,7 @@ class TestRunPretrain:
         ds, corpus, model = tiny_setup()
         before = {k: v.copy() for k, v in model.state().items()}
         trace = run_pretrain(ds, corpus, model, None,
-                             PretrainConfig(epochs=0, batch_size=4, base_lr=0.01,
-                                            lam=1.0))
+                             pretrain_cfg(0, 1.0))
         assert trace == []
         for k, v in model.state().items():
             np.testing.assert_array_equal(v, before[k])
@@ -439,8 +445,7 @@ class TestRunPretrain:
         for _ in range(2):
             ds, corpus, model = tiny_setup(seed=3)
             run_pretrain(ds, corpus, model, None,
-                         PretrainConfig(epochs=2, batch_size=4, base_lr=0.01,
-                                        lam=1.0, seed=3))
+                         pretrain_cfg(2, 1.0, seed=3))
             results.append(model.state())
         for k in results[0]:
             np.testing.assert_array_equal(results[0][k], results[1][k])
@@ -449,15 +454,13 @@ class TestRunPretrain:
         ds, corpus, model = tiny_setup()
         with pytest.raises(ValidationError):
             run_pretrain(ds, corpus, model, None,
-                         PretrainConfig(epochs=1, batch_size=4, base_lr=0.01,
-                                        lam=0.5))
+                         pretrain_cfg(1, 0.5))
 
     def test_trace_lambda_identity(self, tmp_path):
         ds, corpus, model = tiny_setup(seed=1)
         teacher = TeacherPair(CvlpModel(6, 6, 64, seed=11))
         trace = run_pretrain(ds, corpus, model, teacher,
-                             PretrainConfig(epochs=1, batch_size=4, base_lr=0.01,
-                                            lam=0.5, seed=1))
+                             pretrain_cfg(1, 0.5, seed=1))
         assert trace
         for _, _, l_ccl, l_dis, l_pre, tau in trace:
             assert l_pre == pytest.approx(0.5 * l_ccl + 0.5 * l_dis, abs=1e-12)
@@ -472,8 +475,7 @@ class TestRunPretrain:
     def test_lam_one_logs_zero_distill(self):
         ds, corpus, model = tiny_setup(seed=2)
         trace = run_pretrain(ds, corpus, model, None,
-                             PretrainConfig(epochs=1, batch_size=4, base_lr=0.01,
-                                            lam=1.0, seed=2))
+                             pretrain_cfg(1, 1.0, seed=2))
         assert all(entry[3] == 0.0 for entry in trace)
 
     def test_training_separates_classes(self):
@@ -483,8 +485,7 @@ class TestRunPretrain:
                                seed=0)
         model = CvlpModel(16, 16, 128, seed=0)
         trace = run_pretrain(ds, corpus, model, None,
-                             PretrainConfig(epochs=30, batch_size=32,
-                                            base_lr=3e-3, lam=1.0, seed=0))
+                             pretrain_cfg(30, 1.0, seed=0, batch=32, lr=3e-3))
         assert trace[-1][2] < trace[0][2]
         seqs = [class_sentences(corpus, c)[0] for c in range(20)]
         S = model.similarity(ds.test_X.astype(np.float64), seqs)
@@ -509,8 +510,7 @@ class TestRunPretrain:
             teacher = (None if teacher_seed is None else
                        TeacherPair(CvlpModel(6, 6, 64, seed=teacher_seed)))
             trace = run_pretrain(ds, corpus, model, teacher,
-                                 PretrainConfig(epochs=1, batch_size=4,
-                                                base_lr=0.01, lam=lam))
+                                 pretrain_cfg(1, lam))
             assert len(trace) == 12
         assert calls == []
 
@@ -520,8 +520,7 @@ class TestRunPretrain:
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(NumericError) as exc:
                 run_pretrain(ds, corpus, model, None,
-                             PretrainConfig(epochs=1, batch_size=4,
-                                            base_lr=0.01, lam=1.0))
+                             pretrain_cfg(1, 1.0))
         assert "step 0" in str(exc.value)
 
 
@@ -592,7 +591,7 @@ class TestPretrainStep:
         assert (losses[2] is None) == (lam == 1.0)
 
         twin = CvlpModel(6, 4, 12, seed=0)
-        twin.load_state(model.state())
+        twin.load_state(model.state(), "model.ck")
         oracle.pretrain_loss(
             oracle.cosine_sim_matrix(oracle.visual_encode(twin.vis, images),
                                      oracle.bag_encode(twin.lin, self.SEQS)),
