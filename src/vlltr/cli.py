@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 
+from .anchors import ANSS, CUTOFF
 from .checkpoint import atomic_write
 from .config import RunConfig, load_config
 from .errors import NumericError, ValidationError, VlltrError
@@ -93,12 +94,18 @@ def _at_least(flag: str, value: int, low: int) -> int:
 
 
 def _cmd_ablate(cfg: RunConfig, out_dir: Path):
+    """Run the five rows on `cfg`, each pinning the head and anchor mode
+    its label names; the base must distill (lam < 1)."""
     from dataclasses import replace
-    rows = (("LGR + AnSS + distill", {}),
-            ("LGR + AnSS, no distill", {"lam": 1.0}),
-            ("FC head", {"head": "fc"}),
-            ("KNN head", {"head": "knn"}),
-            ("LGR + CutOff + distill", {"anchor_mode": "CutOff"}))
+    if cfg.lam >= 1.0:
+        raise ValidationError(f"ablate: lam must be below 1 so that the "
+                              f"distill rows distill, got {cfg.lam}")
+    lgr, anss = {"head": "lgr"}, {"anchor_mode": ANSS}
+    rows = (("LGR + AnSS + distill", {**lgr, **anss}),
+            ("LGR + AnSS, no distill", {**lgr, **anss, "lam": 1.0}),
+            ("FC head", {"head": "fc", **anss}),
+            ("KNN head", {"head": "knn", **anss}),
+            ("LGR + CutOff + distill", {**lgr, "anchor_mode": CUTOFF}))
     entries, memo = [], {}
     for label, changes in rows:
         sub_cfg = replace(cfg, **changes).validate()

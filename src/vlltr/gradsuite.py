@@ -8,41 +8,39 @@ import numpy as np
 
 from .encoders import CvlpModel, LinguisticEncoder, VisualEncoder
 from .gradcheck import GradCheckReport, check_gradients, gradcheck
-from .head import HEADS, LGR_PARAM_NAMES, LgrParams, rec_loss
+from .head import HEADS, head_loss
 from .pretrain import pretrain_loss, pretrain_step
 from .tensor import (Tensor, cosine_sim_matrix, cross_entropy, layer_norm,
-                     matmul, softmax)
+                     matmul, parameter, softmax)
 
 
-def random_lgr_arrays(rng, C, M, D):
-    params = LgrParams(D, C, tau_init=float(rng.uniform(0.2, 0.8)), rng=rng)
-    arrays = [getattr(params, n).data.copy() for n in LGR_PARAM_NAMES]
-    e_i = rng.normal(size=(2, D))
-    anchors = rng.normal(size=(C, M, D))
-    labels = rng.integers(0, C, size=2)
-    return e_i, anchors, labels, arrays
+def random_head(rng, name, C, M, D, N=2):
+    """(image embeddings, anchors, labels, parameters) of head `name` on
+    N images, every parameter but the temperature off its init."""
+    tau = parameter(np.array(float(rng.uniform(0.2, 0.8))))
+    params = HEADS[name].params(D, C, tau, rng)
+    for key, p in params.params().items():
+        if not key.endswith("tau"):
+            p.data = p.data + 0.1 * rng.normal(size=p.shape)
+    return (rng.normal(size=(N, D)), rng.normal(size=(C, M, D)),
+            rng.integers(0, C, size=N), params)
 
 
-def lgr_params_from(param_tensors, D, C) -> LgrParams:
-    """LgrParams holding the given tensors, in LGR_PARAM_NAMES order."""
-    params = LgrParams.__new__(LgrParams)
-    params.D, params.C = D, C
-    for name, t in zip(LGR_PARAM_NAMES, param_tensors):
-        setattr(params, name, t)
-    return params
+def head_loss_check(name, e_i, anchors, labels, params):
+    """`head_loss` through head `name`: its gradients of the image
+    embedding and of every head parameter against central differences."""
+    head = HEADS[name]
+    keys = head.keys(anchors)
+    emb = Tensor(e_i.copy(), requires_grad=True)
+    leaves = [emb, *params.params().values()]
 
+    def loss():
+        return head_loss(head, emb, anchors, keys, params, labels)
 
-def lgr_loss_fn(anchors, labels, C, M, D):
-    """Scalar L_rec through the LGR head's paths, as fine-tuning takes
-    it, as a function of the image embedding plus every head
-    parameter."""
-    anchors = np.asarray(anchors)
-
-    def f(e_i, *param_tensors):
-        return rec_loss(HEADS["lgr"].paths(
-            e_i, anchors, lgr_params_from(param_tensors, D, C)), labels)
-
-    return f
+    loss().backward()
+    return check_gradients(lambda: float(loss().data),
+                           [t.data for t in leaves],
+                           [t.grad.copy() for t in leaves])
 
 
 def random_batch(rng, n):
@@ -121,6 +119,13 @@ def default_suite(seed: int = 0, instances: int = 3):
 
     suite.append(("visual_encoder", visual_encoder))
 
+    # two identical anchors of class 0 tie at the max for every image;
+    # the tie shares the gradient instead of doubling it
+    e_i, anchors, y_knn, knn = random_head(rng, "knn", 3, 2, 4)
+    anchors[0, 1] = anchors[0, 0]
+    suite.append(("L_rec∘knn_tie", partial(
+        head_loss_check, "knn", e_i, anchors, y_knn, knn)))
+
     for i in range(instances):
         n = int(rng.integers(2, 7))
         S, labels, S_teacher, tau = random_batch(rng, n)
@@ -131,14 +136,9 @@ def default_suite(seed: int = 0, instances: int = 3):
                 pretrain_loss_check, S, S_teacher, labels, tau, lam)))
 
         C, M, D = int(rng.integers(2, 5)), int(rng.integers(1, 4)), 4
-        e_i, anchors, y, arrays = random_lgr_arrays(rng, C, M, D)
-
-        def rec(e_i=e_i, anchors=anchors, y=y, arrays=arrays,
-                C=C, M=M, D=D):
-            return gradcheck(lgr_loss_fn(anchors, y, C, M, D),
-                             [e_i] + arrays)
-
-        suite.append((f"L_rec∘lgr_forward[{i}]", rec))
+        for head in HEADS:
+            suite.append((f"L_rec∘{head}[{i}]", partial(
+                head_loss_check, head, *random_head(rng, head, C, M, D))))
 
         # the production pre-training step, on a model with d_img 3, D 2
         # and 5 tokens, its weights and biases all off their init

@@ -1,5 +1,9 @@
 """Stage 2: the language-guided recognition head, its ablation heads
-(FC, KNN), fine-tuning, and the precomputed anchor-embedding cache."""
+(FC, KNN), fine-tuning, and the precomputed anchor-embedding cache.
+
+Each head is an array forward and an array backward. A fine-tuning step
+is a two-node tape: the visual encoder, then `head_loss`, one node over
+the image embedding and the head's parameters."""
 
 from __future__ import annotations
 
@@ -17,8 +21,10 @@ from .data import ClassCorpus, LongTailDataset, SqrtSampler
 from .encoders import CvlpModel, clamp_tau
 from .errors import NumericError, ShapeMismatch, ValidationError
 from .optim import AdamW, cosine_lr
-from .tensor import (Tensor, as_tensor, cosine_sim_matrix, cross_entropy,
-                     layer_norm, matmul, parameter, softmax)
+from .tensor import (Tensor, cosine_sim_backward, cross_entropy_backward,
+                     cross_entropy_forward, grad_node, layer_norm_backward,
+                     layer_norm_forward, normalize_rows, parameter,
+                     softmax_backward, softmax_forward, unit_rows)
 
 CACHE_MAGIC = b"VLAE"
 CACHE_VERSION = 1
@@ -57,62 +63,71 @@ class LgrParams:
 
 
 @dataclass
-class HeadOutput:
-    P_I: Tensor      # (N, C) probabilities from the image classifier
-    P_T: Tensor      # (N, C) probabilities from the anchor attention path
-    attention: Tensor  # (N, C, M), rows over M sum to 1
-    G: Tensor        # (N, C, D) per-class gathers
+class LgrOutput:
+    """`lgr_forward`'s arrays, and the cache `lgr_backward` reads."""
+    P_I: np.ndarray        # (N, C) probabilities from the image classifier
+    P_T: np.ndarray        # (N, C) probabilities from the anchor attention path
+    attention: np.ndarray  # (N, C, M), rows over M sum to 1
+    G: np.ndarray          # (N, C, D) per-class gathers
+    cache: tuple
 
 
-# The three nodes below keep the image axis last, in (C, M, N) and
-# (C, D, N) buffers behind (N, C, M) and (N, C, D) views, so that every
-# reduction over M or D runs across whole rows of N images.
+def _rows(E_I) -> np.ndarray:
+    x = np.asarray(E_I, dtype=np.float64)
+    return x.reshape(1, -1) if x.ndim == 1 else x
 
 
-def _class_attention(q: Tensor, k: Tensor, C: int) -> Tensor:
-    """softmax(q k^T / sqrt(D)) over each class's M keys, (N, C, M), as
-    one node max-shifted, exponentiated and normalized in one buffer.
-    With output p and upstream g the scores receive p * (g - sum_M(g p))."""
-    N, D = q.shape
-    q_scaled = q.data / np.sqrt(D)
-    p = (k.data @ q_scaled.T).reshape(C, -1, N)            # (C, M, N)
-    p -= p.max(axis=1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
-
-    def backward(g):
-        s = p * g.transpose(1, 2, 0)
-        s = (s - p * s.sum(axis=1, keepdims=True)).reshape(-1, N)
-        if q.requires_grad:
-            q._accumulate(s.T @ k.data / np.sqrt(D))
-        if k.requires_grad:
-            k._accumulate(s @ q_scaled)
-
-    return Tensor(p.transpose(2, 0, 1), parents=(q, k), backward=backward)
+def lgr_keys(anchors) -> np.ndarray:
+    """The rows of the frozen (C, M, D) anchor block normalized as the key
+    layer norm normalizes them, (C*M, D), before its gain and bias: a
+    constant of a fine-tuning run."""
+    C, M, D = np.shape(anchors)
+    return normalize_rows(
+        np.asarray(anchors, dtype=np.float64).reshape(C * M, D))[0]
 
 
-def _class_gather(attention: Tensor, anchors: Tensor) -> Tensor:
-    """G[n, c] = attention[n, c] @ anchors[c], (N, C, D), as one node of
-    C batched matmuls."""
-    weights, a = attention.data.transpose(1, 2, 0), anchors.data
-
-    def backward(g):
-        g_c = g.transpose(1, 2, 0)                         # (C, D, N)
-        if attention.requires_grad:
-            attention._accumulate((a @ g_c).transpose(2, 0, 1))
-        if anchors.requires_grad:
-            anchors._accumulate(weights @ g_c.transpose(0, 2, 1))
-
-    return Tensor((a.transpose(0, 2, 1) @ weights).transpose(2, 0, 1),
-                  parents=(attention, anchors), backward=backward)
+# The attention, gather and cosine keep the image axis last, in (C, M, N)
+# and (C, D, N) buffers behind (N, C, M) and (N, C, D) views, so that
+# every reduction over M or D runs across whole rows of N images.
 
 
-def _gather_cosine(x: Tensor, G: Tensor) -> Tensor:
-    """cos[n, c] between x[n] and G[n, c], (N, C), as one node; a zero
-    image or gather row is a ValidationError. With inverse norms rx, rg,
-    unit rows ux and upstream g, through w = g rg, x receives
-    rx (sum_c w G - ux sum_c g cos) and G[n, c] w (ux - cos rg G[n, c])."""
-    x_t, g_t = x.data.T, G.data.transpose(1, 2, 0)         # (D, N), (C, D, N)
+def lgr_forward(E_I, anchors, params: LgrParams, keys=None) -> LgrOutput:
+    """Attention of the image query over each class's M anchor embeddings
+    (softmax within the class), then the additive two-path probability,
+    on arrays.
+
+    `E_I` is (N, D) or (D,); `anchors` is the frozen (C, M, D) block and
+    `keys` its `lgr_keys`, computed here when None. A zero image or
+    gather row is a ValidationError.
+    """
+    x = _rows(E_I)
+    anchors = np.asarray(anchors, dtype=np.float64)
+    C, M, D = anchors.shape
+    if x.shape[1] != D or (params.D, params.C) != (D, C):
+        raise ShapeMismatch(
+            f"lgr_forward: embeddings {x.shape}, anchors {anchors.shape}, "
+            f"params (D={params.D}, C={params.C}) disagree"
+        )
+    if keys is None:
+        keys = lgr_keys(anchors)
+    N = len(x)
+    q_ln, q_ln_cache = layer_norm_forward(x, params.q_ln_g.data,
+                                          params.q_ln_b.data)
+    q = q_ln @ params.q_w.data + params.q_b.data           # (N, D)
+    k_ln = keys * params.k_ln_g.data
+    k_ln += params.k_ln_b.data
+    k = k_ln @ params.k_w.data + params.k_b.data            # (C*M, D)
+    # softmax(q k^T / sqrt(D)) over each class's M keys, max-shifted,
+    # exponentiated and normalized in one buffer
+    q_scaled = q / np.sqrt(D)
+    att = (k @ q_scaled.T).reshape(C, -1, N)                # (C, M, N)
+    att -= att.max(axis=1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=1, keepdims=True)
+    # G[n, c] = attention[n, c] @ anchors[c], as C batched matmuls
+    g_t = anchors.transpose(0, 2, 1) @ att                  # (C, D, N)
+    # cos[n, c] between x[n] and G[n, c]
+    x_t = x.T
     x_sq, g_sq = (x_t * x_t).sum(axis=0), (g_t * g_t).sum(axis=1)
     if (x_sq == 0.0).any():
         raise ValidationError("lgr_forward: zero-norm image embedding")
@@ -120,57 +135,89 @@ def _gather_cosine(x: Tensor, G: Tensor) -> Tensor:
         raise ValidationError("lgr_forward: zero-norm gather row")
     inv_x, inv_g = x_sq ** -0.5, g_sq ** -0.5
     cos = (g_t * x_t).sum(axis=1) * inv_x * inv_g          # (C, N)
+    tau_inv = params.tau.data ** -1.0
+    p_t = softmax_forward(cos.T * tau_inv, 1)
+    h = x @ params.mlp_w1.data + params.mlp_b1.data
+    r = np.maximum(h, 0.0)
+    p_i = softmax_forward(r @ params.mlp_w2.data + params.mlp_b2.data, 1)
+    return LgrOutput(P_I=p_i, P_T=p_t, attention=att.transpose(2, 0, 1),
+                     G=g_t.transpose(2, 0, 1),
+                     cache=(x, anchors, keys, params, q_ln_cache, q_ln, k_ln,
+                            k, q_scaled, att, g_t, inv_x, inv_g, cos,
+                            tau_inv, h, r))
+
+
+def lgr_backward(out: LgrOutput, g_i, g_t) -> list:
+    """The gradients of (E_I, *params in LGR_PARAM_NAMES order) for
+    upstream g_i on P_I and g_t on P_T; the anchors are frozen.
+
+    Each is computed in the same float operations as the tape of single
+    nodes that fine-tuning built before, so every bit agrees: reductions
+    and matmuls round by memory layout, so each runs on operands laid
+    out as there, and the image embedding's three terms are summed in
+    the tape's order: gather cosine, query layer norm, perceptron.
+    """
+    (x, anchors, keys, params, q_ln_cache, q_ln, k_ln, k, q_scaled, att,
+     g_t_rows, inv_x, inv_g, cos, tau_inv, h, r) = out.cache
+    N, D = x.shape
+    # P_T = softmax(cos^T * tau^-1), whose rows lie transposed
+    g_z = np.ascontiguousarray(softmax_backward(out.P_T, g_t, 1))
+    g_cos = g_z * tau_inv                                    # (N, C)
+    g_tau = ((g_z * cos.T).sum(axis=0).sum(axis=0) * -1.0
+             * params.tau.data ** -2.0)
+    # the cosine: with inverse norms rx, rg, unit rows ux and w = g rg,
+    # x receives rx (sum_c w G - ux sum_c g cos) and G[n, c]
+    # w (ux - cos rg G[n, c])
+    w, ux = g_cos.T * inv_g, x.T * inv_x
+    g_x = (inv_x * ((w[:, None] * g_t_rows).sum(axis=0)
+                    - ux * (g_cos.T * cos).sum(axis=0))).T
+    g_gather = w[:, None] * ux - (w * cos * inv_g)[:, None] * g_t_rows
+    # the gather: the attention receives anchors[c] @ g per class
+    g_att = anchors @ g_gather                               # (C, M, N)
+    # the attention softmax: the scores receive p * (g - sum_M(g p))
+    s = np.multiply(att, g_att, out=g_att)
+    s_p = att * s.sum(axis=1, keepdims=True)
+    s = np.subtract(s, s_p, out=s).reshape(-1, N)
+    g_q = s.T @ k / np.sqrt(D)
+    # the keys, layer-normed frozen anchors times k_w plus k_b: k_b and
+    # the key layer norm's bias and gain receive column sums over the
+    # C*M key rows of g_k, of g_k_ln and of g_k_ln * keys, taken in one
+    # reduction of the three side by side
+    sums = np.empty((len(s), 3 * D))
+    g_k = np.matmul(s, q_scaled, out=sums[:, :D])
+    g_k_ln = np.matmul(g_k, params.k_w.data.T, out=sums[:, D:2 * D])
+    np.multiply(g_k_ln, keys, out=sums[:, 2 * D:])
+    g_k_b, g_k_ln_b, g_k_ln_g = np.split(sums.sum(axis=0), 3)
+    # the query, layer-normed x times q_w plus q_b
+    g_q_ln = g_q @ params.q_w.data.T
+    g_x_ln, g_q_ln_g, g_q_ln_b = np.empty(x.shape), np.empty(D), np.empty(D)
+    layer_norm_backward(q_ln_cache, g_q_ln, (g_x_ln, g_q_ln_g, g_q_ln_b))
+    g_x = g_x + g_x_ln
+    # P_I = softmax(relu(x mlp_w1 + mlp_b1) mlp_w2 + mlp_b2)
+    g_logits = softmax_backward(out.P_I, g_i, 1)
+    g_h = (g_logits @ params.mlp_w2.data.T) * (h > 0.0)
+    g_x += g_h @ params.mlp_w1.data.T
+    return [g_x, q_ln.T @ g_q, g_q.sum(axis=0), g_q_ln_g, g_q_ln_b,
+            k_ln.T @ g_k, g_k_b, g_k_ln_g, g_k_ln_b,
+            x.T @ g_h, g_h.sum(axis=0), r.T @ g_logits, g_logits.sum(axis=0),
+            g_tau]
+
+
+def rec_loss(paths, y):
+    """The recognition loss on arrays: cross entropy on each of a head's
+    probability paths (P_I, P_T), summed in that order; a None path, one
+    the head lacks, is skipped. Returns (the loss, `backward`), where
+    `backward(g)` gives each path's gradient for upstream g, None for a
+    skipped path."""
+    terms = [None if p is None else cross_entropy_forward(p, y)
+             for p in paths]
+    value = reduce(operator.add, [t[0] for t in terms if t is not None])
 
     def backward(g):
-        w, ux = g.T * inv_g, x_t * inv_x
-        if x.requires_grad:
-            x._accumulate((inv_x * ((w[:, None] * g_t).sum(axis=0)
-                                    - ux * (g.T * cos).sum(axis=0))).T)
-        if G.requires_grad:
-            G._accumulate((w[:, None] * ux - (w * cos * inv_g)[:, None] * g_t)
-                          .transpose(2, 0, 1))
+        return [None if t is None else cross_entropy_backward(t[1], g)
+                for t in terms]
 
-    return Tensor(cos.T, parents=(x, G), backward=backward)
-
-
-def lgr_forward(E_I, anchors, params: LgrParams) -> HeadOutput:
-    """Attention of the image query over each class's M anchor embeddings
-    (softmax within the class), then the additive two-path probability.
-
-    `E_I` is (N, D) or (D,); `anchors` is the frozen (C, M, D) block.
-    """
-    x = as_tensor(E_I)
-    if x.ndim == 1:
-        x = x.reshape(1, -1)
-    anchors_t = as_tensor(anchors)
-    C, M, D = anchors_t.shape
-    if x.shape[1] != D or (params.D, params.C) != (D, C):
-        raise ShapeMismatch(
-            f"lgr_forward: embeddings {x.shape}, anchors {anchors_t.shape}, "
-            f"params (D={params.D}, C={params.C}) disagree"
-        )
-
-    q = matmul(layer_norm(x, params.q_ln_g, params.q_ln_b), params.q_w) \
-        + params.q_b                                       # (N, D)
-    k = matmul(layer_norm(anchors_t.reshape(C * M, D),
-                          params.k_ln_g, params.k_ln_b),
-               params.k_w) + params.k_b                    # (C*M, D)
-    attention = _class_attention(q, k, C)                  # (N, C, M)
-    g = _class_gather(attention, anchors_t)                # (N, C, D)
-    p_t = softmax(_gather_cosine(x, g) / params.tau, axis=1)
-
-    h = matmul(x, params.mlp_w1) + params.mlp_b1
-    logits_i = matmul(h.relu(), params.mlp_w2) + params.mlp_b2
-    p_i = softmax(logits_i, axis=1)
-    return HeadOutput(P_I=p_i, P_T=p_t, attention=attention, G=g)
-
-
-def rec_loss(paths, y) -> Tensor:
-    """The recognition loss: cross entropy on each of a head's probability
-    paths (P_I, P_T), summed in that order; a None path, one the head
-    lacks, is skipped."""
-    return reduce(operator.add,
-                  [cross_entropy(p, y) for p in paths if p is not None])
+    return value, backward
 
 
 # ---- ablation heads ---------------------------------------------------------
@@ -187,28 +234,65 @@ class FcParams:
         return {"fc.w": self.w, "fc.b": self.b}
 
 
-def fc_forward(E_I, fc: FcParams) -> Tensor:
-    x = as_tensor(E_I)
-    if x.ndim == 1:
-        x = x.reshape(1, -1)
-    return softmax(matmul(x, fc.w) + fc.b, axis=1)
+def fc_forward(E_I, fc: FcParams):
+    """(softmax(E_I w + b), the cache `fc_backward` reads) on arrays."""
+    x = _rows(E_I)
+    p = softmax_forward(x @ fc.w.data + fc.b.data, 1)
+    return p, (x, fc, p)
 
 
-def knn_forward(E_I, anchors, tau) -> Tensor:
+def fc_backward(cache, g_i, g_t) -> list:
+    """The gradients of (E_I, w, b) for upstream g_i on the
+    probabilities; the head has no P_T, so g_t is None."""
+    x, fc, p = cache
+    g_z = softmax_backward(p, g_i, 1)
+    return [g_z @ fc.w.data.T, x.T @ g_z, g_z.sum(axis=0)]
+
+
+def knn_keys(anchors) -> tuple:
+    """The rows of the frozen (C, M, D) anchor block scaled to unit
+    length, with their inverse norms, (C*M, D) and (C*M, 1): a constant
+    of a fine-tuning run. A zero row is a ValidationError."""
+    C, M, D = np.shape(anchors)
+    return unit_rows(np.asarray(anchors, dtype=np.float64)
+                     .reshape(C * M, D), "knn_forward anchors")
+
+
+def knn_forward(E_I, anchors, tau, keys=None):
     """Per class, the best cosine match among its M anchors, softmaxed
-    over classes with the temperature. Training-free on the text side."""
-    x = as_tensor(E_I)
-    if x.ndim == 1:
-        x = x.reshape(1, -1)
-    anchors_t = as_tensor(anchors)
-    C, M, D = anchors_t.shape
+    over classes with the temperature, on arrays: (the probabilities,
+    the cache `knn_backward` reads). Training-free on the text side.
+    `keys` is the anchors' `knn_keys`, computed here when None."""
+    x = _rows(E_I)
+    C, M, D = np.shape(anchors)
     if x.shape[1] != D:
         raise ShapeMismatch(
-            f"knn_forward: embeddings {x.shape} vs anchors {anchors_t.shape}"
+            f"knn_forward: embeddings {x.shape} vs anchors {np.shape(anchors)}"
         )
-    cos = cosine_sim_matrix(x, anchors_t.reshape(C * M, D))
-    best = cos.reshape(-1, C, M).max(axis=2)                # (N, C)
-    return softmax(best / as_tensor(tau), axis=1)
+    if keys is None:
+        keys = knn_keys(anchors)
+    unit_x, inv_x = unit_rows(x, "knn_forward embeddings")
+    cos = (unit_x @ keys[0].T).reshape(-1, C, M)            # (N, C, M)
+    best = cos.max(axis=2)                                  # (N, C)
+    tau = np.asarray(tau, dtype=np.float64)
+    tau_inv = tau ** -1.0
+    p = softmax_forward(best * tau_inv, 1)
+    return p, ((unit_x, inv_x, *keys), cos, best, tau, tau_inv, p)
+
+
+def knn_backward(cache, g_i, g_t) -> list:
+    """The gradients of (E_I, tau) for upstream g_t on the
+    probabilities; the head has no P_I, so g_i is None. Cosines tied at
+    a class's max share its gradient evenly."""
+    cos_cache, cos, best, tau, tau_inv, p = cache
+    g_z = softmax_backward(p, g_t, 1)
+    g_tau = (g_z * best).sum(axis=0).sum(axis=0) * -1.0 * tau ** -2.0
+    at_max = (cos == best[:, :, None]).astype(np.float64)
+    at_max /= at_max.sum(axis=2, keepdims=True)
+    g_cos = (at_max * (g_z * tau_inv)[:, :, None]).reshape(len(cos), -1)
+    g_x = np.empty(cos_cache[0].shape)
+    cosine_sim_backward(cos_cache, g_cos, (g_x, None))
+    return [g_x, g_tau]
 
 
 class KnnParams:
@@ -227,28 +311,43 @@ class KnnParams:
 @dataclass(frozen=True)
 class Head:
     """`params(D, C, tau, rng)` builds the head's parameters, where `tau`
-    is the model temperature tensor; `paths(emb, anchor_emb, params)`
-    returns the path probabilities (P_I, P_T), None for a path the head
-    lacks."""
+    is the model temperature tensor; `keys(anchor_emb)` computes the
+    constants of the frozen anchor block that the head reads;
+    `forward(emb, anchor_emb, keys, params)` returns the path
+    probabilities (P_I, P_T) and a cache on arrays, None for a path the
+    head lacks; `backward(cache, g_i, g_t)` returns the gradients of
+    (emb, *params.params().values()) for upstream g_i on P_I and g_t on
+    P_T."""
     params: Callable
-    paths: Callable
+    keys: Callable
+    forward: Callable
+    backward: Callable
 
 
-def _lgr_paths(emb, anchor_emb, params):
-    out = lgr_forward(emb, anchor_emb, params)
-    return out.P_I, out.P_T
+def _lgr_paths(emb, anchor_emb, keys, params):
+    out = lgr_forward(emb, anchor_emb, params, keys)
+    return out.P_I, out.P_T, out
+
+
+def _fc_paths(emb, anchor_emb, keys, params):
+    p, cache = fc_forward(emb, params)
+    return p, None, cache
+
+
+def _knn_paths(emb, anchor_emb, keys, params):
+    p, cache = knn_forward(emb, anchor_emb, params.tau.data, keys)
+    return None, p, cache
 
 
 # The forwards look the head functions up in this module at call time,
 # so wrapping `head.lgr_forward` and friends sees every call.
 HEADS = {
     "lgr": Head(lambda D, C, tau, rng: LgrParams(D, C, float(tau.data), rng),
-                _lgr_paths),
+                lgr_keys, _lgr_paths, lgr_backward),
     "fc": Head(lambda D, C, tau, rng: FcParams(D, C, rng),
-               lambda emb, anchor_emb, p: (fc_forward(emb, p), None)),
-    "knn": Head(lambda D, C, tau, rng: KnnParams(tau),
-                lambda emb, anchor_emb, p:
-                (None, knn_forward(emb, anchor_emb, p.tau))),
+               lambda anchor_emb: None, _fc_paths, fc_backward),
+    "knn": Head(lambda D, C, tau, rng: KnnParams(tau), knn_keys, _knn_paths,
+                knn_backward),
 }
 
 
@@ -257,6 +356,20 @@ def get_head(name: str) -> Head:
         raise ValidationError(
             f"head must be one of {', '.join(HEADS)}, got {name!r}")
     return HEADS[name]
+
+
+def head_loss(head: Head, emb: Tensor, anchor_emb, keys, params, y) -> Tensor:
+    """`rec_loss` through `head` as one tape node over the image
+    embedding `emb` and the head's parameters."""
+    p_i, p_t, cache = head.forward(emb.data, anchor_emb, keys, params)
+    value, path_grads = rec_loss((p_i, p_t), y)
+
+    def write_grads(g, out):
+        for o, grad in zip(out, head.backward(cache, *path_grads(g))):
+            if o is not None:
+                np.copyto(o, grad)
+
+    return grad_node(value, (emb, *params.params().values()), write_grads)
 
 
 # ---- anchor embeddings ------------------------------------------------------
@@ -319,6 +432,7 @@ def run_finetune(dataset: LongTailDataset, anchors: AnchorSet,
     for p in model.lin.params().values():
         p.requires_grad = False
     anchor_emb = compute_anchor_embeddings(anchors, corpus, model)
+    keys = head.keys(anchor_emb)
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF17E]))
     head_params = head.params(model.D, dataset.C, model.tau, rng)
@@ -335,8 +449,8 @@ def run_finetune(dataset: LongTailDataset, anchors: AnchorSet,
         idx = sampler.draw_epoch(steps_per_epoch, cfg.finetune_batch)
         for images, labels in zip(dataset.X[idx].astype(np.float64),
                                   dataset.y[idx]):
-            loss = rec_loss(head.paths(model.vis(images), anchor_emb,
-                                       head_params), labels)
+            loss = head_loss(head, model.vis(images), anchor_emb, keys,
+                             head_params, labels)
             if not np.isfinite(loss.data):
                 raise NumericError(
                     f"run_finetune: non-finite loss at step {step}")
@@ -359,12 +473,12 @@ def classify_dataset(images: np.ndarray, vis, head: str, head_params,
     p_t_at_pred) so prediction dumps can log both path probabilities; a
     path the head lacks logs 0.
     """
-    paths_of = get_head(head).paths
+    head = get_head(head)
+    keys = head.keys(anchor_emb)
     preds, p_i_all, p_t_all = [], [], []
     for start in range(0, len(images), batch):
-        emb = vis(images[start:start + batch].astype(np.float64))
-        paths = [None if p is None else p.data
-                 for p in paths_of(emb, anchor_emb, head_params)]
+        emb = vis.forward(images[start:start + batch].astype(np.float64))[0]
+        paths = head.forward(emb, anchor_emb, keys, head_params)[:2]
         lab = np.argmax(sum(p for p in paths if p is not None), axis=1)
         rows = np.arange(len(lab))
         p_i, p_t = (np.zeros(len(lab)) if p is None else p[rows, lab]

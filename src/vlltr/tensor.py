@@ -292,31 +292,80 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ---- neural-net building blocks -----------------------------------------
 
 
-def softmax(x: Tensor, axis: int) -> Tensor:
-    """Numerically stable softmax along `axis` (max-subtracted), as one
-    tape node: with output p and upstream g the input gradient is
+def softmax_forward(x: np.ndarray, axis: int) -> np.ndarray:
+    """Numerically stable softmax along `axis` (max-subtracted) on arrays."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def softmax_backward(p: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """The input gradient of a softmax with output p for upstream g:
     p * (g - sum(g * p)) along `axis`."""
+    return p * (g - (g * p).sum(axis=axis, keepdims=True))
+
+
+def softmax(x: Tensor, axis: int) -> Tensor:
+    """`softmax_forward` as one tape node over `softmax_backward`."""
     x = as_tensor(x)
     if not -x.ndim <= axis < x.ndim:
         raise ValidationError(
             f"softmax: axis {axis} invalid for shape {x.shape}"
         )
-    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = softmax_forward(x.data, axis)
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(p * (g - (g * p).sum(axis=axis, keepdims=True)))
+            x._accumulate(softmax_backward(p, g, axis))
 
     return Tensor(p, parents=(x,), backward=backward)
 
 
+def normalize_rows(x: np.ndarray, eps: float = 1e-5):
+    """(x with its last axis shifted to zero mean and scaled to unit
+    variance, the inverse deviations), normalized in place in one
+    buffer."""
+    d = x.shape[-1]
+    xh = x - x.sum(axis=-1, keepdims=True) * (1.0 / d)
+    inv = ((xh * xh).sum(axis=-1, keepdims=True) * (1.0 / d) + eps) ** -0.5
+    xh *= inv
+    return xh, inv
+
+
+def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                       eps: float = 1e-5):
+    """(`normalize_rows(x)` times gain plus bias, the cache
+    `layer_norm_backward` reads) on arrays."""
+    xh, inv = normalize_rows(x, eps)
+    out = xh * gain
+    out += bias
+    return out, (xh, inv, gain)
+
+
+def layer_norm_backward(cache, g: np.ndarray, out):
+    """Write the gradients of (x, gain, bias) for upstream g over the
+    arrays in `out`, skipping a None. With normalized rows xh, inverse
+    deviations r and upstream g, bias receives sum(g), gain receives
+    sum(g * xh), and through gx = g * gain the input receives
+    r * (gx - mean(gx) - xh * mean(gx * xh)) per row."""
+    xh, inv, gain = cache
+    gx, ggain, gbias = out
+    d = xh.shape[-1]
+    if gbias is not None:
+        np.sum(g.reshape(-1, d), axis=0, out=gbias)
+    if ggain is not None:
+        np.sum((g * xh).reshape(-1, d), axis=0, out=ggain)
+    if gx is not None:
+        np.multiply(g, gain, out=gx)
+        along_xh = (gx * xh).sum(axis=-1, keepdims=True) * (1.0 / d)
+        gx -= gx.sum(axis=-1, keepdims=True) * (1.0 / d)
+        gx -= xh * along_xh
+        gx *= inv
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine,
-    as one tape node; the rows are normalized in place in one buffer.
-    With normalized rows xh, inverse deviations r and upstream g, bias
-    receives sum(g), gain receives sum(g * xh), and through gx = g * gain
-    the input receives r * (gx - mean(gx) - xh * mean(gx * xh)) per row."""
+    as one tape node over `layer_norm_forward` and
+    `layer_norm_backward`."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
@@ -324,26 +373,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             f"layer_norm: gain {gain.shape} / bias {bias.shape} "
             f"must match last axis ({d},)"
         )
-    xh = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / d)
-    inv = ((xh * xh).sum(axis=-1, keepdims=True) * (1.0 / d) + eps) ** -0.5
-    xh *= inv
-
-    def backward(g):
-        if bias.requires_grad:
-            bias._accumulate(g.reshape(-1, d).sum(axis=0))
-        if gain.requires_grad:
-            gain._accumulate((g * xh).reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            gx = g * gain.data
-            along_xh = (gx * xh).sum(axis=-1, keepdims=True) * (1.0 / d)
-            gx -= gx.sum(axis=-1, keepdims=True) * (1.0 / d)
-            gx -= xh * along_xh
-            gx *= inv
-            x._accumulate(gx)
-
-    out = xh * gain.data
-    out += bias.data
-    return Tensor(out, parents=(x, gain, bias), backward=backward)
+    out, cache = layer_norm_forward(x.data, gain.data, bias.data, eps)
+    return grad_node(out, (x, gain, bias),
+                     lambda g, grads: layer_norm_backward(cache, g, grads))
 
 
 def unit_rows(x: np.ndarray, operand: str):
@@ -394,16 +426,13 @@ def cosine_sim_matrix(a: Tensor, b: Tensor) -> Tensor:
                      lambda g, out: cosine_sim_backward(cache, g, out))
 
 
-def cross_entropy(p: Tensor, y) -> Tensor:
-    """-log p[y] on probability rows, floored at 1e-12, as one tape node.
+def cross_entropy_forward(p: np.ndarray, y):
+    """(-log p[y] on probability rows, floored at 1e-12, the cache
+    `cross_entropy_backward` reads) on arrays.
 
-    `p` may be a single row or a batch; a batch is averaged. With the
-    picked probabilities q = p[i, y_i], floored to q', and upstream g,
-    p[i, y_i] receives (-g / n) / q' where q is above the floor and every
-    other entry nothing.
+    `p` may be a single row or a batch; a batch is averaged.
     """
-    p = as_tensor(p)
-    rows = p.data.reshape(1, -1) if p.ndim == 1 else p.data
+    rows = p.reshape(1, -1) if p.ndim == 1 else p
     labels = np.atleast_1d(np.asarray(y, dtype=np.int64))
     n, c = rows.shape
     if labels.shape != (n,):
@@ -422,12 +451,29 @@ def cross_entropy(p: Tensor, y) -> Tensor:
     index = (np.arange(n), labels)
     picked = rows[index]
     floored = np.maximum(picked, 1e-12)
+    return (-(np.log(floored).sum() * (1.0 / n)),
+            (p.shape, rows.shape, index, picked, floored))
+
+
+def cross_entropy_backward(cache, g) -> np.ndarray:
+    """The gradient of the probability rows for upstream g. With the
+    picked probabilities q = p[i, y_i], floored to q', p[i, y_i]
+    receives (-g / n) / q' where q is above the floor and every other
+    entry nothing."""
+    shape, rows_shape, index, picked, floored = cache
+    grad = np.zeros(rows_shape)
+    grad[index] = (-g * (1.0 / rows_shape[0])) / floored * (picked > 1e-12)
+    return grad.reshape(shape)
+
+
+def cross_entropy(p: Tensor, y) -> Tensor:
+    """`cross_entropy_forward` as one tape node over
+    `cross_entropy_backward`."""
+    p = as_tensor(p)
+    value, cache = cross_entropy_forward(p.data, y)
 
     def backward(g):
         if p.requires_grad:
-            grad = np.zeros(rows.shape)
-            grad[index] = (-g * (1.0 / n)) / floored * (picked > 1e-12)
-            p._accumulate(grad.reshape(p.shape))
+            p._accumulate(cross_entropy_backward(cache, g))
 
-    return Tensor(-(np.log(floored).sum() * (1.0 / n)), parents=(p,),
-                  backward=backward)
+    return Tensor(value, parents=(p,), backward=backward)

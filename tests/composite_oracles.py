@@ -12,17 +12,33 @@ gradients of the package versions are checked against them in
 test_fused_ops.py. The elementwise exp, tanh, log and clip_min nodes
 and log_softmax live only here.
 
+`tape_head_loss` is each head's recognition loss as the tape of single
+nodes that fine-tuning built before it became one node over array
+forwards; the fused loss must reproduce its floats bit for bit.
+
 `load_corpus_per_line` is the line-by-line corpus reader that the bulk
 `data.load_corpus` replaced, checked against it in test_data.py.
 """
 
+import operator
+from dataclasses import dataclass
+from functools import reduce
+
 import numpy as np
 
+from vlltr import tensor
 from vlltr.data import ENCYCLOPEDIA, PROMPT, SOURCES, token_table
 from vlltr.errors import ShapeMismatch, ValidationError
 from vlltr.evaluation import BAND_ORDER, EvalReport
-from vlltr.head import HeadOutput
 from vlltr.tensor import Tensor, as_tensor, matmul
+
+
+@dataclass
+class HeadOutput:
+    P_I: Tensor        # (N, C) probabilities from the image classifier
+    P_T: Tensor        # (N, C) probabilities from the anchor attention path
+    attention: Tensor  # (N, C, M), rows over M sum to 1
+    G: Tensor          # (N, C, D) per-class gathers
 
 
 def exp(x):
@@ -245,6 +261,92 @@ def knn_forward(E_I, anchors, tau):
         / (x_norm.reshape(-1, 1, 1) * a_norm.reshape(1, C, M))
     best = cos.max(axis=2)
     return softmax(best / as_tensor(tau), axis=1)
+
+
+def _class_attention(q, k, C):
+    """softmax(q k^T / sqrt(D)) over each class's M keys, (N, C, M), as
+    one node in a (C, M, N) buffer."""
+    N, D = q.shape
+    q_scaled = q.data / np.sqrt(D)
+    p = (k.data @ q_scaled.T).reshape(C, -1, N)
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+
+    def backward(g):
+        s = p * g.transpose(1, 2, 0)
+        s = (s - p * s.sum(axis=1, keepdims=True)).reshape(-1, N)
+        if q.requires_grad:
+            q._accumulate(s.T @ k.data / np.sqrt(D))
+        if k.requires_grad:
+            k._accumulate(s @ q_scaled)
+
+    return Tensor(p.transpose(2, 0, 1), parents=(q, k), backward=backward)
+
+
+def _class_gather(attention, anchors):
+    """G[n, c] = attention[n, c] @ anchors[c], (N, C, D), as one node."""
+    weights, a = attention.data.transpose(1, 2, 0), anchors.data
+
+    def backward(g):
+        g_c = g.transpose(1, 2, 0)
+        if attention.requires_grad:
+            attention._accumulate((a @ g_c).transpose(2, 0, 1))
+        if anchors.requires_grad:
+            anchors._accumulate(weights @ g_c.transpose(0, 2, 1))
+
+    return Tensor((a.transpose(0, 2, 1) @ weights).transpose(2, 0, 1),
+                  parents=(attention, anchors), backward=backward)
+
+
+def _gather_cosine(x, G):
+    """cos[n, c] between x[n] and G[n, c], (N, C), as one node."""
+    x_t, g_t = x.data.T, G.data.transpose(1, 2, 0)
+    inv_x = (x_t * x_t).sum(axis=0) ** -0.5
+    inv_g = (g_t * g_t).sum(axis=1) ** -0.5
+    cos = (g_t * x_t).sum(axis=1) * inv_x * inv_g
+
+    def backward(g):
+        w, ux = g.T * inv_g, x_t * inv_x
+        if x.requires_grad:
+            x._accumulate((inv_x * ((w[:, None] * g_t).sum(axis=0)
+                                    - ux * (g.T * cos).sum(axis=0))).T)
+        if G.requires_grad:
+            G._accumulate((w[:, None] * ux - (w * cos * inv_g)[:, None] * g_t)
+                          .transpose(2, 0, 1))
+
+    return Tensor(cos.T, parents=(x, G), backward=backward)
+
+
+def _tape_paths(head, x, anchors, params):
+    """(P_I, P_T) of `head` on the tape, None for a path it lacks."""
+    anchors_t = as_tensor(anchors)
+    C, M, D = anchors_t.shape
+    if head == "fc":
+        return tensor.softmax(matmul(x, params.w) + params.b, axis=1), None
+    if head == "knn":
+        cos = tensor.cosine_sim_matrix(x, anchors_t.reshape(C * M, D))
+        best = cos.reshape(-1, C, M).max(axis=2)
+        return None, tensor.softmax(best / params.tau, axis=1)
+    q = matmul(tensor.layer_norm(x, params.q_ln_g, params.q_ln_b),
+               params.q_w) + params.q_b
+    k = matmul(tensor.layer_norm(anchors_t.reshape(C * M, D),
+                                 params.k_ln_g, params.k_ln_b),
+               params.k_w) + params.k_b
+    g = _class_gather(_class_attention(q, k, C), anchors_t)
+    p_t = tensor.softmax(_gather_cosine(x, g) / params.tau, axis=1)
+    h = matmul(x, params.mlp_w1) + params.mlp_b1
+    logits_i = matmul(h.relu(), params.mlp_w2) + params.mlp_b2
+    return tensor.softmax(logits_i, axis=1), p_t
+
+
+def tape_head_loss(head, emb, anchors, params, y):
+    """`head.head_loss` of head name `head` as the tape fine-tuning built
+    before: the cross entropy of each path the head has, summed."""
+    return reduce(operator.add,
+                  [tensor.cross_entropy(p, y)
+                   for p in _tape_paths(head, emb, anchors, params)
+                   if p is not None])
 
 
 def cross_entropy(p, y):

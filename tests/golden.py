@@ -30,18 +30,36 @@ WRITE = "python tests/golden.py --write"
 SEEDS = (0, 1)
 
 
-def blas_core() -> str:
-    """The kernel set numpy's bundled OpenBLAS picked for this CPU, or
-    "unknown" where numpy bundles no such library."""
+def _openblas(symbol: str):
+    """Function `symbol` of numpy's bundled OpenBLAS, or None where numpy
+    bundles no such library."""
     for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs")
                       .glob("libscipy_openblas*")):
         try:
-            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+            return getattr(ctypes.CDLL(str(lib)), symbol)
         except (OSError, AttributeError):
             continue
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        return corename().decode()
-    return "unknown"
+    return None
+
+
+def blas_core() -> str:
+    """The kernel set numpy's bundled OpenBLAS picked for this CPU, or
+    "unknown" where numpy bundles no such library."""
+    corename = _openblas("scipy_openblas_get_corename64_")
+    if corename is None:
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def blas_threads() -> int:
+    """The threads numpy's bundled OpenBLAS runs on, 1 where numpy
+    bundles no such library."""
+    threads = _openblas("scipy_openblas_get_num_threads64_")
+    if threads is None:
+        return 1
+    threads.argtypes, threads.restype = [], ctypes.c_int
+    return threads()
 
 
 def environment() -> dict:

@@ -6,8 +6,12 @@ stated tolerance.
 """
 
 import dataclasses
+import os
 import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,15 +95,15 @@ def test_criterion_3_head_normalization():
         out = lgr_forward(rng.normal(size=(N, D)), rng.normal(size=(C, M, D)),
                           params)
         worst = max(worst,
-                    float(np.abs(out.P_I.data.sum(axis=1) - 1).max()),
-                    float(np.abs(out.P_T.data.sum(axis=1) - 1).max()),
-                    float(np.abs(out.attention.data.sum(axis=2) - 1).max()))
+                    float(np.abs(out.P_I.sum(axis=1) - 1).max()),
+                    float(np.abs(out.P_T.sum(axis=1) - 1).max()),
+                    float(np.abs(out.attention.sum(axis=2) - 1).max()))
     # M = 1: the gather must be the raw anchor block, exactly
     anchors = rng.normal(size=(3, 1, 4))
     out = lgr_forward(rng.normal(size=(2, 4)), anchors, make_params(4, 3))
     reduces = bool(
-        (out.attention.data == 1.0).all()
-        and (out.G.data == np.broadcast_to(anchors[:, 0], (2, 3, 4))).all())
+        (out.attention == 1.0).all()
+        and (out.G == np.broadcast_to(anchors[:, 0], (2, 3, 4))).all())
     report_line(3, worst <= 1e-6 and reduces,
                 f"1000 passes, worst row-sum error {worst:.2e}, "
                 f"M=1 reduction exact={reduces}")
@@ -121,10 +125,10 @@ def test_criterion_4_oracle_equivalence():
         out = lgr_forward(x, anchors, params)
         p_i, p_t, att, g = naive_lgr(x, anchors, params)
         worst = max(worst,
-                    float(np.abs(out.P_I.data - p_i).max()),
-                    float(np.abs(out.P_T.data - p_t).max()),
-                    float(np.abs(out.attention.data - att).max()),
-                    float(np.abs(out.G.data - g).max()))
+                    float(np.abs(out.P_I - p_i).max()),
+                    float(np.abs(out.P_T - p_t).max()),
+                    float(np.abs(out.attention - att).max()),
+                    float(np.abs(out.G - g).max()))
     head_ok = worst <= 1e-10
 
     # (ii) anchor selection vs. exhaustive scoring with independently
@@ -157,7 +161,7 @@ def test_criterion_4_oracle_equivalence():
     for _ in range(20):
         x = rng.normal(size=(3, 5))
         anchors = rng.normal(size=(4, 3, 5))
-        got = knn_forward(x, anchors, 0.3).data
+        got = knn_forward(x, anchors, 0.3)[0]
         best = np.array([[max(
             x[i] @ anchors[c, m] / (np.linalg.norm(x[i])
                                     * np.linalg.norm(anchors[c, m]))
@@ -343,6 +347,39 @@ def test_small_runs_keep_their_golden_bytes(golden_records, mini_cfg,
                                   golden_records["runs"][f"seed{s}"],
                                   golden.artifact_digests(run_dirs[s]))
         assert message is None, message
+
+
+THREADED_RUN = """
+import sys
+import golden
+from conftest import small_config
+from vlltr import pipeline
+pipeline.run_all(small_config(seed=0), sys.argv[1])
+print(golden.blas_threads())
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_small_run_keeps_its_golden_bytes_on_each_blas_thread_count(
+        golden_records, tmp_path, threads):
+    """`run_all(small_config(seed=0))` in a process whose OpenBLAS runs
+    one or two threads writes the artifacts golden.json records."""
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests)]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join(
+               path + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-c", THREADED_RUN,
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    if int(proc.stdout) != threads:
+        pytest.skip(f"OpenBLAS runs {int(proc.stdout)} thread(s) here, "
+                    f"not {threads}")
+    message = golden.mismatch(f"seed 0 artifacts on {threads} BLAS threads",
+                              golden_records["runs"]["seed0"],
+                              golden.artifact_digests(tmp_path))
+    assert message is None, message
 
 
 def test_grid_keeps_its_golden_counts(golden_records, grid):

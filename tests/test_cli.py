@@ -402,6 +402,39 @@ class TestPipelineCommands:
         for label in ("distill", "FC head", "KNN head", "CutOff"):
             assert any(label in line for line in lines[2:])
 
+    def test_ablate_rows_pin_their_head_and_anchor_mode(self, cfg_file,
+                                                        tmp_path, capsys):
+        """A base `head=knn` changes no row: the LGR rows run LGR, every
+        row but CutOff runs AnSS, and the table and each row's report are
+        those of the default base."""
+        tables = {}
+        for name, sets in (("base", []),
+                           ("knn", ["--set", "head=knn",
+                                    "--set", "anchor_mode=CutOff"])):
+            assert cli.main(["ablate", "--config", str(cfg_file),
+                             "--out", str(tmp_path / name), *sets]) == 0
+            tables[name] = (tmp_path / name / "ablation.txt").read_text()
+        capsys.readouterr()
+        assert tables["knn"] == tables["base"]
+        row = "LGR_and_AnSS_and_distill"
+        report = json.loads((tmp_path / "knn" / row / "report.json")
+                            .read_text())
+        assert report["config_fingerprint"] == \
+            load_config(cfg_file).fingerprint().hex()
+        for path in (tmp_path / "base").glob("*/report.json"):
+            assert (tmp_path / "knn" / path.parent.name / "report.json") \
+                .read_bytes() == path.read_bytes()
+
+    def test_ablate_without_distillation_exits_two(self, cfg_file, tmp_path,
+                                                   capsys):
+        assert cli.main(["ablate", "--config", str(cfg_file), "--out",
+                         str(tmp_path), "--set", "lam=1.0"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: ablate: lam must be below 1 so that the distill rows "
+            "distill, got 1.0"]
+        assert not list(tmp_path.iterdir())
+
 
 class TestGradcheckCommand:
     def test_passes_with_exit_zero(self, capsys):

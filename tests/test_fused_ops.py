@@ -1,12 +1,12 @@
 """The pre-training losses on arrays, the single-node cosine similarity,
-softmax and layer norm, the text pooling, and the fused LGR and matmul
+softmax and layer norm, the text pooling, and the array LGR and matmul
 KNN heads, against their composite-op oracles (composite_oracles.py):
 the value and every gradient must agree to 1e-10. The text encoder's
-array forward and backward, the one-node visual encoder and the
-flat-buffer AdamW must agree with theirs bit for bit. Also checks that a
-forward and backward pass leaves no reference cycles behind, and that
-freeing its graph does not hand memory back to the OS only to fault it
-in again."""
+array forward and backward, the one-node visual encoder, each head's
+one-node fine-tuning loss and the flat-buffer AdamW must agree with
+theirs bit for bit. Also checks that a forward and backward pass leaves
+no reference cycles behind, and that freeing its graph does not hand
+memory back to the OS only to fault it in again."""
 
 import gc
 import platform
@@ -21,8 +21,9 @@ from vlltr.checkpoint import load_params
 from vlltr.data import gen_corpus, token_table
 from vlltr.encoders import CvlpModel, LinguisticEncoder, VisualEncoder
 from vlltr.errors import ValidationError
-from vlltr.gradsuite import LGR_PARAM_NAMES, lgr_params_from
-from vlltr.head import LgrParams, knn_forward, lgr_forward, rec_loss
+from vlltr.gradsuite import random_head
+from vlltr.head import (HEADS, LGR_PARAM_NAMES, LgrParams, head_loss,
+                        knn_backward, knn_forward, lgr_backward, lgr_forward)
 from vlltr.optim import AdamW, cosine_lr
 from vlltr.tensor import (Tensor, cosine_sim_matrix, cross_entropy,
                           layer_norm, matmul, parameter, softmax)
@@ -447,37 +448,81 @@ def graph_size(root):
     return len(seen)
 
 
-def test_lgr_finetune_graph_has_forty_one_nodes():
+def test_lgr_finetune_graph_has_nineteen_nodes():
     """One LGR fine-tune loss: four visual weights and the encoder node,
-    the frozen anchors and thirteen head parameters (19); the query's
-    layer norm, matmul and bias add, the keys' reshape, layer norm,
-    matmul and bias add (7); the attention, gather and cosine nodes,
-    the temperature's inverse, the product and the P_T softmax (6);
-    five perceptron nodes and the P_I softmax (6); one cross-entropy
-    node per path and their sum (3). As composite ops it was 99."""
+    thirteen head parameters and the one loss node over the embedding
+    and them. As single tape nodes it was 41, as composite ops 99."""
     rng = np.random.default_rng(0)
     vis = VisualEncoder(6, 4, rng)
-    out = lgr_forward(vis(rng.normal(size=(5, 6))),
-                      rng.normal(size=(3, 2, 4)), LgrParams(4, 3, 0.3, rng))
-    assert graph_size(rec_loss((out.P_I, out.P_T),
-                               np.array([0, 1, 2, 0, 1]))) == 41
+    anchors = rng.normal(size=(3, 2, 4))
+    loss = head_loss(HEADS["lgr"], vis(rng.normal(size=(5, 6))), anchors,
+                     None, LgrParams(4, 3, 0.3, rng), np.array([0, 1, 2, 0, 1]))
+    assert graph_size(loss) == 19
 
 
 # (N, C, M, D): one image, one class, one anchor, and the reference shapes
 HEAD_SHAPES = [(1, 3, 4, 5), (6, 1, 4, 5), (6, 3, 1, 5), (256, 20, 64, 16)]
 
 
-def lgr_outputs_and_grads(forward, e_i, anchors, arrays, seed):
-    """Every HeadOutput field, and the gradient of a random weighting of
-    all of them with respect to the image embedding and each parameter."""
+def lgr_params_from(param_tensors, D, C) -> LgrParams:
+    """LgrParams holding the given tensors, in LGR_PARAM_NAMES order."""
+    params = LgrParams.__new__(LgrParams)
+    params.D, params.C = D, C
+    for name, t in zip(LGR_PARAM_NAMES, param_tensors):
+        setattr(params, name, t)
+    return params
+
+
+@pytest.mark.parametrize("shape", HEAD_SHAPES)
+@pytest.mark.parametrize("name", list(HEADS))
+def test_head_loss_matches_the_tape_bit_for_bit(name, shape):
+    """The one-node loss of each head and the gradients it leaves in the
+    embedding and every head parameter equal, bit for bit, those of the
+    single-node tape that fine-tuning built before. The embedding sums
+    up to three terms, so this pins the tape's order."""
+    N, C, M, D = shape
+    e_i, anchors, y, params = random_head(np.random.default_rng(16), name,
+                                          C, M, D, N)
+    leaves = list(params.params().values())
+    got_emb, want_emb = (Tensor(e_i.copy(), requires_grad=True)
+                         for _ in range(2))
+
+    def run(emb, loss_fn):
+        for p in leaves:
+            p.grad = None
+        loss = loss_fn(emb)
+        loss.backward()
+        return loss.data, [emb.grad] + [p.grad for p in leaves]
+
+    head = HEADS[name]
+    got = run(got_emb, lambda emb: head_loss(
+        head, emb, anchors, head.keys(anchors), params, y))
+    want = run(want_emb, lambda emb: oracle.tape_head_loss(
+        name, emb, anchors, params, y))
+    assert got[0].tobytes() == want[0].tobytes()
+    assert len(got[1]) == len(want[1]) == 1 + len(leaves)
+    for g, w in zip(got[1], want[1]):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def lgr_outputs_and_grads(e_i, anchors, arrays, seed):
+    """Every field of `lgr_forward`'s output and `lgr_backward`'s
+    gradients for a random weighting of P_I and P_T, against the einsum
+    oracle's tape."""
     C, _, D = anchors.shape
-    leaves = [Tensor(a.copy(), requires_grad=True) for a in [e_i] + arrays]
-    out = forward(leaves[0], anchors, lgr_params_from(leaves[1:], D, C))
-    parts = (out.P_I, out.P_T, out.attention, out.G)
     rng = np.random.default_rng(seed)
-    total = sum((p * Tensor(rng.normal(size=p.shape))).sum() for p in parts)
-    total.backward()
-    return [p.data for p in parts], [leaf.grad for leaf in leaves]
+    w_i, w_t = rng.normal(size=(2, len(e_i), C))
+    out = lgr_forward(e_i, anchors, lgr_params_from(
+        [Tensor(a) for a in arrays], D, C))
+    got = ([out.P_I, out.P_T, out.attention, out.G],
+           lgr_backward(out, w_i, w_t))
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in [e_i] + arrays]
+    ref = oracle.lgr_forward(leaves[0], anchors,
+                             lgr_params_from(leaves[1:], D, C))
+    ((ref.P_I * Tensor(w_i)).sum() + (ref.P_T * Tensor(w_t)).sum()).backward()
+    want = ([ref.P_I.data, ref.P_T.data, ref.attention.data, ref.G.data],
+            [leaf.grad for leaf in leaves])
+    return got, want
 
 
 class TestLgrForward:
@@ -492,33 +537,10 @@ class TestLgrForward:
                       size=getattr(params, n).shape)
                   for n in LGR_PARAM_NAMES]
         e_i, anchors = rng.normal(size=(N, D)), rng.normal(size=(C, M, D))
-        got, got_grads = lgr_outputs_and_grads(lgr_forward, e_i, anchors,
-                                               arrays, seed=11)
-        want, want_grads = lgr_outputs_and_grads(oracle.lgr_forward, e_i,
-                                                 anchors, arrays, seed=11)
-        for g, w in zip(got + got_grads, want + want_grads):
+        got, want = lgr_outputs_and_grads(e_i, anchors, arrays, seed=11)
+        for g, w in zip(got[0] + got[1], want[0] + want[1]):
             assert g.shape == w.shape
             np.testing.assert_allclose(g, w, rtol=0, atol=TOL)
-
-    def test_anchor_gradient_matches_einsum_oracle(self):
-        """The anchors are frozen in the pipeline, but a trainable anchor
-        block gets the gradient of both its key and its gather paths."""
-        rng = np.random.default_rng(15)
-        N, C, M, D = 4, 3, 5, 6
-        params = LgrParams(D, C, tau_init=0.3, rng=rng)
-        e_i = rng.normal(size=(N, D))
-        weights = [Tensor(rng.normal(size=shape))
-                   for shape in ((N, C), (N, C), (N, C, M), (N, C, D))]
-
-        def weighted(forward):
-            def f(anchors):
-                out = forward(e_i, anchors, params)
-                return sum((p * w).sum() for p, w in zip(
-                    (out.P_I, out.P_T, out.attention, out.G), weights))
-            return f
-
-        assert_same(weighted(lgr_forward), weighted(oracle.lgr_forward),
-                    [rng.normal(size=(C, M, D))])
 
 
 class TestKnnForward:
@@ -527,13 +549,15 @@ class TestKnnForward:
         N, C, M, D = shape
         rng = np.random.default_rng(12)
         e_i, anchors = rng.normal(size=(N, D)), rng.normal(size=(C, M, D))
-        np.testing.assert_allclose(knn_forward(e_i, anchors, 0.2).data,
-                                   oracle.knn_forward(e_i, anchors, 0.2).data,
-                                   rtol=0, atol=TOL)
-        w = Tensor(rng.normal(size=(N, C)))
-        assert_same(lambda x, t: (knn_forward(x, anchors, t) * w).sum(),
-                    lambda x, t: (oracle.knn_forward(x, anchors, t) * w).sum(),
-                    [e_i, np.array(0.2)])
+        w = rng.normal(size=(N, C))
+        p, cache = knn_forward(e_i, anchors, 0.2)
+        got = [p] + knn_backward(cache, None, w)
+        leaves = [Tensor(a, requires_grad=True)
+                  for a in (e_i.copy(), np.array(0.2))]
+        ref = oracle.knn_forward(leaves[0], anchors, leaves[1])
+        (ref * Tensor(w)).sum().backward()
+        for g, want in zip(got, [ref.data] + [t.grad for t in leaves]):
+            np.testing.assert_allclose(g, want, rtol=0, atol=TOL)
 
 
 def _one_training_step_and_head_pass():
@@ -543,10 +567,10 @@ def _one_training_step_and_head_pass():
     pretrain.pretrain_step(model, rng.normal(size=(3, 4)), seqs,
                            np.array([0, 1, 1]), rng.normal(size=(3, 3)),
                            0.5, 0.5)
-    params = LgrParams(4, 3, tau_init=0.3, rng=rng)
-    out = lgr_forward(rng.normal(size=(2, 4)), rng.normal(size=(3, 2, 4)),
-                      params)
-    rec_loss((out.P_I, out.P_T), np.array([0, 2])).backward()
+    head_loss(HEADS["lgr"], model.vis(rng.normal(size=(2, 4))),
+              rng.normal(size=(3, 2, 4)), None,
+              LgrParams(4, 3, tau_init=0.3, rng=rng),
+              np.array([0, 2])).backward()
 
 
 def test_graphs_leave_no_reference_cycles():

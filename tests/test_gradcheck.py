@@ -24,14 +24,12 @@ class TestGradcheck:
         assert report.passed, str(report)
 
     def test_recognition_loss_passes(self):
-        from vlltr.gradsuite import lgr_loss_fn, random_lgr_arrays
+        from vlltr.gradsuite import head_loss_check, random_head
 
-        e_i, anchors, labels, arrays = random_lgr_arrays(
-            np.random.default_rng(1), C=3, M=2, D=4
-        )
-        f = lgr_loss_fn(anchors, labels, C=3, M=2, D=4)
-        report = gradcheck(f, [e_i] + arrays, tol=1e-4)
-        assert report.passed, str(report)
+        for head in ("lgr", "fc", "knn"):
+            report = head_loss_check(head, *random_head(
+                np.random.default_rng(1), head, C=3, M=2, D=4))
+            assert report.passed, f"{head}: {report}"
 
     def test_detects_corrupted_gradient(self):
         def bad_exp(t):

@@ -8,7 +8,7 @@ import pytest
 
 from vlltr.anchors import AnchorSet, select_anchors
 from vlltr.data import gen_corpus, gen_synthetic
-from vlltr.encoders import CvlpModel
+from vlltr.encoders import CvlpModel, VisualEncoder
 from vlltr.errors import ShapeMismatch, ValidationError
 from vlltr.head import (
     HEADS,
@@ -25,7 +25,7 @@ from vlltr.head import (
     run_finetune,
     save_anchor_embeddings,
 )
-from vlltr.tensor import Tensor, as_tensor, parameter
+from vlltr.tensor import parameter
 
 
 def make_params(D, C, seed=0, tau=0.3):
@@ -76,8 +76,8 @@ class TestLgrForward:
         anchors = rng.normal(size=(3, 1, 4))
         params = make_params(4, 3)
         out = lgr_forward(rng.normal(size=(2, 4)), anchors, params)
-        np.testing.assert_allclose(out.attention.data, 1.0, atol=1e-12)
-        np.testing.assert_allclose(out.G.data,
+        np.testing.assert_allclose(out.attention, 1.0, atol=1e-12)
+        np.testing.assert_allclose(out.G,
                                    np.broadcast_to(anchors[:, 0], (2, 3, 4)),
                                    atol=1e-12)
 
@@ -85,7 +85,7 @@ class TestLgrForward:
         rng = np.random.default_rng(1)
         out = lgr_forward(rng.normal(size=(2, 4)),
                           rng.normal(size=(1, 3, 4)), make_params(4, 1))
-        np.testing.assert_allclose(out.P_T.data, 1.0, atol=1e-12)
+        np.testing.assert_allclose(out.P_T, 1.0, atol=1e-12)
 
     def test_naive_loop_oracle(self):
         rng = np.random.default_rng(2)
@@ -100,19 +100,19 @@ class TestLgrForward:
             anchors = rng.normal(size=(C, M, D))
             out = lgr_forward(x, anchors, params)
             p_i, p_t, att, g = naive_lgr(x, anchors, params)
-            np.testing.assert_allclose(out.P_I.data, p_i, atol=1e-10)
-            np.testing.assert_allclose(out.P_T.data, p_t, atol=1e-10)
-            np.testing.assert_allclose(out.attention.data, att, atol=1e-10)
-            np.testing.assert_allclose(out.G.data, g, atol=1e-10)
+            np.testing.assert_allclose(out.P_I, p_i, atol=1e-10)
+            np.testing.assert_allclose(out.P_T, p_t, atol=1e-10)
+            np.testing.assert_allclose(out.attention, att, atol=1e-10)
+            np.testing.assert_allclose(out.G, g, atol=1e-10)
 
     def test_probability_normalization(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             out = lgr_forward(rng.normal(size=(3, 5)),
                               rng.normal(size=(4, 2, 5)), make_params(5, 4))
-            np.testing.assert_allclose(out.P_I.data.sum(axis=1), 1.0, atol=1e-6)
-            np.testing.assert_allclose(out.P_T.data.sum(axis=1), 1.0, atol=1e-6)
-            np.testing.assert_allclose(out.attention.data.sum(axis=2), 1.0,
+            np.testing.assert_allclose(out.P_I.sum(axis=1), 1.0, atol=1e-6)
+            np.testing.assert_allclose(out.P_T.sum(axis=1), 1.0, atol=1e-6)
+            np.testing.assert_allclose(out.attention.sum(axis=2), 1.0,
                                        atol=1e-6)
 
     def test_batch_matches_per_sample(self):
@@ -124,17 +124,17 @@ class TestLgrForward:
         for i in range(3):
             solo = lgr_forward(x[i], anchors, params)
             np.testing.assert_allclose(
-                full.P_I.data[i] + full.P_T.data[i],
-                solo.P_I.data[0] + solo.P_T.data[0], atol=1e-12)
+                full.P_I[i] + full.P_T[i],
+                solo.P_I[0] + solo.P_T[0], atol=1e-12)
 
     def test_mlp_bias_shift_invariance(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 4))
         anchors = rng.normal(size=(3, 2, 4))
         params = make_params(4, 3)
-        before = lgr_forward(x, anchors, params).P_I.data
+        before = lgr_forward(x, anchors, params).P_I
         params.mlp_b2.data = params.mlp_b2.data + 11.0
-        after = lgr_forward(x, anchors, params).P_I.data
+        after = lgr_forward(x, anchors, params).P_I
         np.testing.assert_allclose(before, after, atol=1e-12)
 
     def test_anchor_scale_invariant_attention(self):
@@ -147,7 +147,7 @@ class TestLgrForward:
         scaled[1] *= 4.0  # keys are layer-normed, so per-class scale drops out
         out = lgr_forward(x, scaled, params)
         # equality holds only up to the layer-norm epsilon
-        np.testing.assert_allclose(out.attention.data, base.attention.data,
+        np.testing.assert_allclose(out.attention, base.attention,
                                    atol=1e-5)
 
     def test_shape_and_zero_norm_errors(self):
@@ -160,31 +160,34 @@ class TestLgrForward:
 
 class TestRecLossAndPredict:
     def test_certain_output_zero_loss(self):
-        p = as_tensor(np.array([[0.0, 1.0]]))
-        assert float(rec_loss((p, p), np.array([1])).data) < 1e-10
+        p = np.array([[0.0, 1.0]])
+        assert float(rec_loss((p, p), np.array([1]))[0]) < 1e-10
 
     def test_uniform_output_loss(self):
         """Each path adds its cross entropy; a path the head lacks adds
         nothing."""
         C = 4
-        p = as_tensor(np.full((2, C), 1.0 / C))
+        p = np.full((2, C), 1.0 / C)
         y = np.array([0, 3])
-        assert float(rec_loss((p, p), y).data) == \
+        assert float(rec_loss((p, p), y)[0]) == \
             pytest.approx(2 * np.log(C), abs=1e-12)
         for paths in ((p, None), (None, p)):
-            assert float(rec_loss(paths, y).data) == \
-                pytest.approx(np.log(C), abs=1e-12)
+            value, backward = rec_loss(paths, y)
+            assert float(value) == pytest.approx(np.log(C), abs=1e-12)
+            assert [g is None for g in backward(1.0)] == \
+                [q is None for q in paths]
 
     @staticmethod
     def classify_fixed(monkeypatch, p_i, p_t):
         """`classify_dataset` under a head whose paths are fixed rows:
         the labels are the argmax of P_I + P_T."""
         monkeypatch.setitem(HEADS, "fixed", Head(
-            params=None,
-            paths=lambda emb, anchor_emb, params: (as_tensor(p_i),
-                                                   as_tensor(p_t))))
+            params=None, keys=lambda anchor_emb: None,
+            forward=lambda emb, anchor_emb, keys, params: (p_i, p_t, None),
+            backward=None))
+        vis = VisualEncoder(2, 2, np.random.default_rng(0))
         labels, logged_i, logged_t = classify_dataset(
-            np.ones((1, 2)), as_tensor, "fixed", None, None)
+            np.ones((1, 2)), vis, "fixed", None, None)
         np.testing.assert_array_equal(logged_i, p_i[0, labels])
         np.testing.assert_array_equal(logged_t, p_t[0, labels])
         return labels.tolist()
@@ -206,7 +209,7 @@ class TestBaselineHeads:
     def test_fc_zero_weights_uniform(self):
         fc = FcParams(4, 5, np.random.default_rng(0))
         fc.w.data[...] = 0.0
-        probs = fc_forward(np.ones((2, 4)), fc).data
+        probs = fc_forward(np.ones((2, 4)), fc)[0]
         np.testing.assert_allclose(probs, 0.2, atol=1e-12)
 
     def test_knn_exact_anchor_match(self):
@@ -216,7 +219,7 @@ class TestBaselineHeads:
         anchors[1, :, 1] = 1.0
         anchors[2, :, 2] = 1.0
         probs = knn_forward(np.array([[0.0, 1.0, 0.0, 0.0]]), anchors,
-                            tau=0.05).data
+                            tau=0.05)[0]
         assert probs.argmax() == 1
         assert probs[0, 1] > 0.99
 
@@ -225,7 +228,7 @@ class TestBaselineHeads:
         x = rng.normal(size=(4, 5))
         anchors = rng.normal(size=(3, 4, 5))
         tau = 0.3
-        got = knn_forward(x, anchors, tau).data
+        got = knn_forward(x, anchors, tau)[0]
         best = np.empty((4, 3))
         for i in range(4):
             for c in range(3):

@@ -529,14 +529,25 @@ class TestRunPretrain:
 def test_the_tape_carries_only_finetuning(monkeypatch, tmp_path, mini_cfg,
                                           head, lam):
     """Over a whole run, every `Tensor.backward` call is a step of
-    `run_finetune`, one per step, and the text encoder returns arrays."""
+    `run_finetune`, one per step, over a graph of exactly two nodes
+    with a backward: the visual encoder and the head's loss. The text
+    encoder returns arrays and `classify_dataset` constructs no
+    Tensor."""
     backward, finetune = Tensor.backward, pipeline.run_finetune
+    classify, init = pipeline.classify_dataset, Tensor.__init__
     encode = LinguisticEncoder.__call__
-    depths, steps, encoded = [], [], set()
-    depth = [0]
+    depths, steps, inner, encoded = [], [], [], set()
+    depth, classifying, built = [0], [0], [0]
 
     def counted_backward(self):
         depths.append(depth[0])
+        seen, todo = set(), [self]
+        while todo:
+            node = todo.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                todo.extend(node._parents)
+                inner.append(node._backward is not None)
         return backward(self)
 
     def counted_finetune(*args, **kwargs):
@@ -548,19 +559,34 @@ def test_the_tape_carries_only_finetuning(monkeypatch, tmp_path, mini_cfg,
         steps.append(len(result[2]))
         return result
 
+    def counted_classify(*args, **kwargs):
+        classifying[0] += 1
+        try:
+            return classify(*args, **kwargs)
+        finally:
+            classifying[0] -= 1
+
+    def counted_init(self, *args, **kwargs):
+        built[0] += classifying[0]
+        init(self, *args, **kwargs)
+
     def typed_encode(self, sequences):
         out = encode(self, sequences)
         encoded.add(type(out))
         return out
 
     monkeypatch.setattr(Tensor, "backward", counted_backward)
+    monkeypatch.setattr(Tensor, "__init__", counted_init)
     monkeypatch.setattr(pipeline, "run_finetune", counted_finetune)
+    monkeypatch.setattr(pipeline, "classify_dataset", counted_classify)
     monkeypatch.setattr(LinguisticEncoder, "__call__", typed_encode)
     pipeline.run_all(dataclasses.replace(mini_cfg, head=head, lam=lam),
                      tmp_path)
     assert len(steps) == 1 and steps[0] > 0
     assert depths == [1] * steps[0]
+    assert sum(inner) == 2 * steps[0]
     assert encoded == {np.ndarray}
+    assert built == [0]
 
 
 class TestPretrainStep:
