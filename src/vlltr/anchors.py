@@ -91,7 +91,7 @@ def select_anchors(corpus: ClassCorpus, dataset: LongTailDataset,
     breaks ties), plain corpus order under CutOff. A class with fewer
     than M sentences is a ValidationError naming it."""
     pool = build_probe_pool(dataset, model, cap=cap, seed=seed)
-    table = corpus.token_table()
+    table = corpus.table
     entries = []
     for c in range(corpus.C):
         rows = table.class_rows(c)

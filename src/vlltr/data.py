@@ -114,27 +114,13 @@ def gen_synthetic(C: int, counts, d_img: int, noise_sigma: float, seed: int,
 # ---- shot bands ----------------------------------------------------------
 
 
-@dataclass
-class ShotBands:
-    bands: list  # per-class "many" | "medium" | "few"
-
-    def __getitem__(self, c: int) -> str:
-        return self.bands[c]
-
-
-def split_shots(counts) -> ShotBands:
-    """many >= 100 samples, few <= 20, medium in between."""
-    bands = []
-    for n in counts:
-        if n < 1:
-            raise ValidationError("split_shots: counts must be >= 1")
-        if n >= MANY_THRESHOLD:
-            bands.append("many")
-        elif n <= FEW_THRESHOLD:
-            bands.append("few")
-        else:
-            bands.append("medium")
-    return ShotBands(bands)
+def split_shots(counts) -> list:
+    """Each class's band: many >= 100 samples, few <= 20, medium in
+    between."""
+    if any(n < 1 for n in counts):
+        raise ValidationError("split_shots: counts must be >= 1")
+    return ["many" if n >= MANY_THRESHOLD else
+            "few" if n <= FEW_THRESHOLD else "medium" for n in counts]
 
 
 # ---- square-root sampler --------------------------------------------------
@@ -233,13 +219,16 @@ def _token_ids(fields, limit: int):
 def parse_tokens(text: str, vocab_size: int, where: str) -> np.ndarray:
     """Token ids separated by ASCII whitespace as an int64 array. Anything
     but ASCII-digit integers in [0, vocab_size), or in [0, 2**63) when
-    `vocab_size` is 0, is a ValidationError naming `where`."""
+    `vocab_size` is 0, or no id at all, is a ValidationError naming
+    `where`."""
     limit = vocab_size or 2 ** 63
     field = text.encode("utf-8", "backslashreplace").translate(_BREAKS)
     ids, _, bad = _token_ids([field], limit)
     if bad[0]:
         raise ValidationError(
             f"{where}: token ids must be integers in [0, {limit}), got {text!r}")
+    if not ids.size:
+        raise ValidationError(f"{where}: no token ids")
     return ids
 
 
@@ -338,9 +327,6 @@ class ClassCorpus:
     @property
     def C(self) -> int:
         return len(self.table.class_sizes)
-
-    def token_table(self) -> TokenTable:
-        return self.table
 
 
 @dataclass

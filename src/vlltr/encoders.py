@@ -182,8 +182,6 @@ class TeacherPair:
 
     def __init__(self, model: CvlpModel):
         self._model = model
-        for p in model.params().values():
-            p.requires_grad = False
         self.tau = float(model.tau.data)
 
     def similarity(self, images, sequences) -> np.ndarray:
@@ -201,7 +199,7 @@ class TeacherPair:
         one-row remainder, because numpy multiplies a single row through
         a matrix-vector kernel that rounds differently."""
         lin = self._model.lin
-        img, _ = unit_rows(self._model.vis(images).data,
+        img, _ = unit_rows(self._model.vis.forward(images)[0],
                            "TeacherPair.unit_embeddings operand images")
         bags = token_table(sequences, lin.max_tokens)
         n = len(bags.lengths)

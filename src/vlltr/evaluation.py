@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ShotBands
 from .encoders import CvlpModel
 from .errors import ValidationError
 
@@ -40,7 +39,7 @@ class EvalReport:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def evaluate(predictions, labels, bands: ShotBands,
+def evaluate(predictions, labels, bands: list,
              config_fingerprint: str = "") -> EvalReport:
     """Micro-averaged overall accuracy plus exact per-band ratios."""
     predictions = np.asarray(predictions, dtype=np.int64)
@@ -49,7 +48,7 @@ def evaluate(predictions, labels, bands: ShotBands,
         raise ValidationError(
             f"evaluate: {len(predictions)} predictions vs {len(labels)} labels"
         )
-    C = len(bands.bands)
+    C = len(bands)
     if labels.size and (labels.min() < 0 or labels.max() >= C):
         bad = labels.max() if labels.max() >= C else labels.min()
         raise ValidationError(f"evaluate: label {int(bad)} has no shot band")
@@ -58,7 +57,7 @@ def evaluate(predictions, labels, bands: ShotBands,
     class_n = np.bincount(labels, minlength=C).tolist()
     class_h = np.bincount(labels[correct], minlength=C).tolist()
     band_hits = {b: [0, 0] for b in BAND_ORDER}
-    for band, h, n in zip(bands.bands, class_h, class_n):
+    for band, h, n in zip(bands, class_h, class_n):
         band_hits[band][0] += h
         band_hits[band][1] += n
     band_acc = {b: h / n for b, (h, n) in band_hits.items() if n}

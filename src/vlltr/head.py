@@ -380,7 +380,7 @@ def compute_anchor_embeddings(anchors: AnchorSet, corpus: ClassCorpus,
     """The frozen (C, M, D) anchor text embedding block, each class's
     anchors embedded together. Anchors that do not fit the corpus's
     classes and per-class ids are a ValidationError."""
-    table = corpus.token_table()
+    table = corpus.table
     sids = np.array([anchors.ids(c) for c in range(len(anchors.entries))],
                     dtype=np.int64)
     if len(sids) != corpus.C or not (
@@ -429,8 +429,6 @@ def run_finetune(dataset: LongTailDataset, anchors: AnchorSet,
     once up front. Returns (head_params, anchor_embeddings, trace).
     """
     head = get_head(cfg.head)
-    for p in model.lin.params().values():
-        p.requires_grad = False
     anchor_emb = compute_anchor_embeddings(anchors, corpus, model)
     keys = head.keys(anchor_emb)
 

@@ -6,7 +6,9 @@ checkpoint they were scored under, and the embedding cache records the
 checkpoint its text embeddings came from. Each stage call hashes each
 file it reads once, into one {artifact: SHA-256} table that its memo
 key, its records and its checks all read, and refuses inputs whose
-hashes disagree. `head` holds no hash policy.
+hashes disagree, and checkpoints whose config fingerprint is not its own
+config's over the fields of the stage that wrote them. `head` holds no
+hash policy.
 
 Every stage is a row of `STAGES` and writes bytes that depend only on
 the config fields it reads and on the bytes of its upstream artifacts.
@@ -162,15 +164,12 @@ def _stage(name: str):
 
 _DATA_RECORDS = (("dataset", "__dataset_hash__"),
                  ("corpus", "__corpus_hash__"))
-# final.ck also records the anchors it was fine-tuned on
-_FINAL_RECORDS = _DATA_RECORDS + (("anchors", "__anchors_hash__"),)
 
 
-def _meta_sections(fingerprint: bytes, hashes: dict,
-                   records=_DATA_RECORDS) -> dict:
+def _meta_sections(fingerprint: bytes, hashes: dict) -> dict:
     return {"__fingerprint__": ckpt.hash_to_floats(fingerprint),
             **{key: ckpt.hash_to_floats(hashes[name])
-               for name, key in records}}
+               for name, key in _DATA_RECORDS}}
 
 
 def _check_data_hashes(path, sections: dict, hashes: dict):
@@ -184,6 +183,17 @@ def _check_data_hashes(path, sections: dict, hashes: dict):
             raise StaleArtifactError(
                 f"{path}: checkpoint was trained on a different {name} "
                 f"file than {FILES[name]}")
+
+
+def _check_fingerprint(path, sections: dict, cfg: RunConfig, name: str):
+    """Checkpoint `name` at `path` must record `cfg`'s fingerprint over
+    the fields of the stage that writes it."""
+    writer = _WRITERS[name]
+    want = stage_fingerprint(writer.replace("-", "_"), cfg)
+    if not np.array_equal(sections.get("__fingerprint__"),
+                          ckpt.hash_to_floats(want)):
+        raise StaleArtifactError(f"{path}: written under a different config; "
+                                 f"re-run `vlltr {writer}` under this one")
 
 
 # ---- stages -----------------------------------------------------------------
@@ -251,13 +261,14 @@ def cmd_pretrain(cfg: RunConfig, out_dir, hashes: dict):
 
 def load_model(cfg: RunConfig, out_dir, name, hashes: dict) -> CvlpModel:
     """The encoder pair and temperature of checkpoint `name`, after
-    checking that its data records match the files hashed in `hashes`."""
+    checking its data records against `hashes` and its fingerprint."""
     path = artifact(out_dir, name)
     sections = ckpt.read_checkpoint(path)
     _check_data_hashes(path, sections, hashes)
     model = CvlpModel(cfg.d_img, cfg.embed_dim, cfg.vocab_size, seed=0,
                       max_tokens=cfg.max_tokens)
     model.load_state(sections, path)
+    _check_fingerprint(path, sections, cfg, name)
     return model
 
 
@@ -285,7 +296,7 @@ def cmd_finetune(cfg: RunConfig, out_dir, hashes: dict):
                                  "under a different pre-training checkpoint")
     head, emb, trace = run_finetune(dataset, anchors, corpus, model, cfg)
     sections = {**model.state(),
-                **_meta_sections(cfg.fingerprint(), hashes, _FINAL_RECORDS),
+                **_meta_sections(cfg.fingerprint(), hashes),
                 **{k: v.data.copy() for k, v in head.params().items()}}
     ckpt.write_checkpoint(artifact(out_dir, "final"), sections)
     save_trace(artifact(out_dir, "finetune_trace"), trace)
@@ -301,10 +312,10 @@ def cmd_precompute_cache(out_dir, anchor_emb: np.ndarray):
 
 def load_inference_head(cfg: RunConfig, out_dir, hashes: dict | None = None):
     """Load only what cache-based inference needs from the final
-    checkpoint, after checking its data hashes: the visual encoder and
-    the head parameters. Linguistic-encoder sections are never
-    materialized. Hashes dataset, corpus and final unless given their
-    table. Returns (vis, head_params, checkpoint SHA-256)."""
+    checkpoint, after checking its data hashes and its fingerprint: the
+    visual encoder and the head parameters. Linguistic-encoder sections
+    are never materialized. Hashes dataset, corpus and final unless
+    given their table. Returns (vis, head_params, checkpoint SHA-256)."""
     if hashes is None:
         hashes = hash_inputs(out_dir, ("dataset", "corpus", "final"))
     final_path = artifact(out_dir, "final")
@@ -318,6 +329,7 @@ def load_inference_head(cfg: RunConfig, out_dir, hashes: dict | None = None):
         np.random.default_rng(0))
     ckpt.load_params({**vis.params(), **head_params.params()}, sections,
                      final_path)
+    _check_fingerprint(final_path, sections, cfg, "final")
     return vis, head_params, hashes["final"]
 
 

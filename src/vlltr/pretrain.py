@@ -178,7 +178,7 @@ def sample_epoch(dataset: LongTailDataset, table: TokenTable,
                  batch_size: int, steps: int) -> list:
     """`steps` batches of square-root sampled images plus one fresh
     same-class sentence each, drawn from `table`, a corpus's
-    `token_table()`, with one draw, one gather and one table take for
+    `table`, with one draw, one gather and one table take for
     them all. Both generators' streams are the same whether the batches
     are drawn at once or one by one; each batch's arrays and bags are
     views of the epoch's."""
@@ -220,7 +220,7 @@ def run_pretrain(dataset: LongTailDataset, corpus: ClassCorpus,
                 weight_decay=cfg.weight_decay)
     sampler = SqrtSampler(dataset.counts, seed=cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x9E7]))
-    table = corpus.token_table()
+    table = corpus.table
     distill = cfg.lam < 1.0
     if distill:
         teacher_img, teacher_txt = teacher.unit_embeddings(dataset.X, table)

@@ -7,32 +7,9 @@ finite-difference checks can run at tight tolerances.
 
 from __future__ import annotations
 
-import ctypes
-
 import numpy as np
 
 from .errors import NumericError, ShapeMismatch, ValidationError
-
-# glibc's malloc hands freed heap back to the OS once the free top of the
-# heap exceeds a threshold it sizes from the largest block freed so far, a
-# few MB here. A forward pass allocates and frees the same large
-# temporaries every step, so each step would fault those pages back in
-# (about 2,500 minor faults per 256-image LGR batch). Fixed thresholds keep
-# up to 64 MiB of freed heap mapped for reuse. Other C libraries are left
-# as they are.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
-
-def _retain_freed_heap():
-    try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-
-
-_retain_freed_heap()
 
 
 def _as_array(x) -> np.ndarray:
@@ -70,9 +47,6 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
-
-    def zero_grad(self):
-        self.grad = None
 
     def _grad_buffer(self) -> np.ndarray:
         """The gradient array for in-place adds, zeros on first use."""

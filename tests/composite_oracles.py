@@ -411,7 +411,7 @@ def evaluate(predictions, labels, bands, config_fingerprint=""):
     labels = np.asarray(labels, dtype=np.int64)
     correct = predictions == labels
     band_hits = {b: [0, 0] for b in BAND_ORDER}
-    class_hits = [[0, 0] for _ in range(len(bands.bands))]
+    class_hits = [[0, 0] for _ in range(len(bands))]
     for ok, lab in zip(correct, labels):
         band = bands[int(lab)]
         band_hits[band][0] += int(ok)
@@ -481,11 +481,11 @@ def load_corpus_per_line(path, vocab_size=0, max_tokens=77):
 
 def class_sentences(corpus, c):
     """Class c's sentences (token arrays), in per-class id order."""
-    table = corpus.token_table()
+    table = corpus.table
     return table.take(table.class_rows(c)).sequences()
 
 
 def class_sources(corpus, c):
     """Class c's sentence sources, in per-class id order."""
     return [SOURCES[code] for code in corpus.sources[
-        corpus.token_table().class_rows(c)]]
+        corpus.table.class_rows(c)]]

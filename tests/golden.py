@@ -10,6 +10,8 @@ the tests that read them skip.
 Regenerate the file with
 
     python tests/golden.py --write
+
+which prints each entry that differs from the file it replaces.
 """
 
 from __future__ import annotations
@@ -102,10 +104,15 @@ def grid_counts(grids: dict) -> dict:
             for row, report in sorted(rows.items())}
 
 
+def changed(want: dict, got: dict) -> list:
+    """The keys whose values differ between `want` and `got`, sorted."""
+    return sorted(k for k in want.keys() | got.keys()
+                  if want.get(k) != got.get(k))
+
+
 def mismatch(what: str, want: dict, got: dict) -> str | None:
     """A message listing the keys whose values differ, or None."""
-    differ = sorted(k for k in want.keys() | got.keys()
-                    if want.get(k) != got.get(k))
+    differ = changed(want, got)
     if not differ:
         return None
     return (f"{what} differ from {GOLDEN.name} in {', '.join(differ)}; if the "
@@ -123,9 +130,16 @@ def write():
             runs[f"seed{s}"] = artifact_digests(Path(root) / f"seed{s}")
         grid = grid_counts({s: _grid_for_seed(s, Path(root))
                             for s in GRID_SEEDS})
-    GOLDEN.write_text(json.dumps(
-        {"environment": environment(), "runs": runs, "grid": grid},
-        indent=1, sort_keys=True) + "\n")
+    old = load() if GOLDEN.exists() else {}
+    new = {"environment": environment(), "runs": runs, "grid": grid}
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
+    groups = [("environment", old.get("environment", {}), new["environment"]),
+              *((f"runs {s}", old.get("runs", {}).get(s, {}), digests)
+                for s, digests in runs.items()),
+              ("grid", old.get("grid", {}), grid)]
+    lines = [f"{what}: {', '.join(keys)}" for what, want, got in groups
+             if (keys := changed(want, got))]
+    print("\n".join(lines) or f"{GOLDEN.name}: no entry changed")
 
 
 if __name__ == "__main__":

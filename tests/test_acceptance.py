@@ -24,7 +24,7 @@ from vlltr import checkpoint as ckpt
 from vlltr import pipeline
 from vlltr.anchors import build_probe_pool, select_anchors
 from vlltr.config import RunConfig
-from vlltr.data import SqrtSampler, ShotBands, gen_corpus, gen_synthetic
+from vlltr.data import SqrtSampler, gen_corpus, gen_synthetic
 from vlltr.encoders import CvlpModel, VisualEncoder
 from vlltr.evaluation import evaluate
 from vlltr.gradsuite import default_suite, run_suite
@@ -187,7 +187,7 @@ def test_criterion_5_sampler_statistics():
 
 
 def test_criterion_6_protocol_exactness():
-    bands = ShotBands(["many", "medium", "few"])
+    bands = ["many", "medium", "few"]
     rep = evaluate([0, 1, 1, 1, 0, 1], [0, 0, 1, 1, 2, 2], bands)
     fixture_ok = (rep.overall == 0.5 and rep.bands["many"] == 0.5
                   and rep.bands["medium"] == 1.0 and rep.bands["few"] == 0.0)
@@ -197,7 +197,7 @@ def test_criterion_6_protocol_exactness():
         labels = np.repeat(np.arange(C), per)
         preds = np.where(rng.random(C * per) < 0.7, labels,
                          rng.integers(0, C, C * per))
-        rep = evaluate(preds, labels, ShotBands(["medium"] * C))
+        rep = evaluate(preds, labels, ["medium"] * C)
         gaps.append(abs(rep.overall - float(np.mean(rep.per_class))))
     micro_macro_ok = max(gaps) <= 1e-12
     report_line(6, fixture_ok and micro_macro_ok,

@@ -153,7 +153,7 @@ class TestSelection:
         # permute sentence storage order; ids are reassigned positionally,
         # so compare the selected token multisets instead of ids
         rng = np.random.default_rng(0)
-        table = corpus.token_table()
+        table = corpus.table
         rows = np.concatenate([rng.permutation(table.class_rows(c))
                                for c in range(3)])
         shuffled = dataclasses.replace(

@@ -175,14 +175,38 @@ class TestPipelineCommands:
     def test_stale_anchors_rejected(self, cfg_file, cli_run, tmp_path, capsys):
         work = tmp_path / "copy"
         shutil.copytree(cli_run, work)
-        # re-train the encoder under a different seed: the anchor file now
+        # re-train the encoder for another epoch: the anchor file now
         # refers to a checkpoint that no longer exists
         assert cli.main(["pretrain", "--config", str(cfg_file),
-                         "--out", str(work), "--seed", "1"]) == 0
+                         "--out", str(work),
+                         "--set", "pretrain_epochs=5"]) == 0
         code = cli.main(["finetune", "--config", str(cfg_file),
-                         "--out", str(work), "--seed", "1"])
+                         "--out", str(work), "--set", "pretrain_epochs=5"])
         assert code == 2
         assert "checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,setting,name,writer", [
+        ("eval", "head=knn", "final.ck", "finetune"),
+        ("pretrain", "teacher_epochs=3", "teacher.ck", "make-teacher"),
+        ("finetune", "lam=0.9", "student.ck", "pretrain")])
+    def test_checkpoint_of_another_config_rejected(
+            self, cfg_file, cli_run, tmp_path, capsys, command, setting, name,
+            writer):
+        """A command whose config differs, in the fields of the stage that
+        wrote a checkpoint it reads, from what that checkpoint records
+        exits 2 in one line naming it and the command to re-run, and
+        writes nothing."""
+        work = tmp_path / "copy"
+        shutil.copytree(cli_run, work)
+        assert cli.main([command, "--config", str(cfg_file),
+                         "--out", str(work), "--set", setting]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {work / name}: written under a different config; "
+            f"re-run `vlltr {writer}` under this one"]
+        for path in cli_run.iterdir():
+            assert (work / path.name).read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("command,extra", [
         ("eval", []), ("retrieve", ["--query", "0 7 1"]),
@@ -344,6 +368,15 @@ class TestPipelineCommands:
         assert captured.err.splitlines() == [
             f"error: --query: token ids must be integers in [0, 96), "
             f"got {query!r}"]
+
+    @pytest.mark.parametrize("query", ["", "  "])
+    def test_retrieve_rejects_empty_query(self, cfg_file, cli_run, capsys,
+                                          query):
+        assert cli.main(["retrieve", "--config", str(cfg_file),
+                         "--out", str(cli_run), "--query", query]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --query: no token ids"]
 
     @pytest.mark.parametrize("k", ["-1", "0"])
     def test_retrieve_rejects_k_below_one(self, cfg_file, cli_run, capsys, k):

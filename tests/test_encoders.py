@@ -124,7 +124,7 @@ class TestTeacherPair:
         corpus, _ = gen_corpus(C, per_class, prompts, vocab_size=vocab,
                                noise_fraction=0.2, seed=2)
         teacher = TeacherPair(CvlpModel(d_img, D, vocab, seed=11))
-        table = corpus.token_table()
+        table = corpus.table
         img, txt = teacher.unit_embeddings(ds.X.astype(np.float64), table)
         sampler, rng = SqrtSampler(ds.counts, seed=2), np.random.default_rng(3)
         for _ in range(20):
@@ -145,7 +145,7 @@ class TestTeacherPair:
         assert TEXT_CHUNK == 256
         corpus, _ = gen_corpus(4, 6, 4, vocab_size=64, noise_fraction=0.0,
                                seed=1)
-        pool = corpus.token_table().sequences()
+        pool = corpus.table.sequences()
         sentences = [pool[i % len(pool)] for i in range(n)]
         teacher = TeacherPair(CvlpModel(6, 6, 64, seed=4))
         images = np.random.default_rng(0).normal(size=(5, 6))
@@ -171,8 +171,11 @@ class TestTeacherPair:
         path = tmp_path / "t.ck"
         write_checkpoint(path, model.state())
         teacher = TeacherPair(CvlpModel.from_checkpoint(path, 4, 4, 12))
-        for p in teacher._model.params().values():
-            assert not p.requires_grad
+        x = np.random.default_rng(5).normal(size=(3, 4))
+        teacher.unit_embeddings(x, [[0, 2, 1], [0, 5, 1]])
+        for name, p in teacher._model.params().items():
+            np.testing.assert_array_equal(p.data, model.state()[name])
+            assert p.grad is None
 
     def test_no_gradient_flows_into_teacher(self, tmp_path):
         model = tiny_model(seed=3)

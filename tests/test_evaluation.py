@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import composite_oracles as oracle
-from vlltr.data import ShotBands
 from vlltr.encoders import CvlpModel
 from vlltr.errors import ValidationError
 from vlltr.evaluation import ablation_report, concept_retrieval, evaluate
@@ -14,7 +13,7 @@ from vlltr.evaluation import ablation_report, concept_retrieval, evaluate
 
 class TestEvaluate:
     def test_all_correct(self):
-        bands = ShotBands(["many", "few"])
+        bands = ["many", "few"]
         report = evaluate([0, 1, 0], [0, 1, 0], bands)
         assert report.overall == 1.0
         assert report.bands == {"many": 1.0, "few": 1.0}
@@ -22,7 +21,7 @@ class TestEvaluate:
 
     def test_six_sample_fixture(self):
         # many: 2 samples 1 correct; medium: 2/2; few: 2 samples 0 correct
-        bands = ShotBands(["many", "medium", "few"])
+        bands = ["many", "medium", "few"]
         labels = [0, 0, 1, 1, 2, 2]
         preds = [0, 1, 1, 1, 0, 1]
         report = evaluate(preds, labels, bands)
@@ -34,7 +33,7 @@ class TestEvaluate:
         assert report.per_class == [0.5, 1.0, 0.0]
 
     def test_absent_band_offered_as_null(self):
-        bands = ShotBands(["many", "many"])
+        bands = ["many", "many"]
         report = evaluate([0, 1], [0, 1], bands)
         assert "few" not in report.bands
         doc = json.loads(report.to_json())
@@ -42,7 +41,7 @@ class TestEvaluate:
         assert doc["many"] == 1.0
 
     def test_unseen_class_has_null_per_class(self):
-        bands = ShotBands(["many", "few"])
+        bands = ["many", "few"]
         report = evaluate([0], [0], bands)
         assert report.per_class == [1.0, None]
 
@@ -52,20 +51,20 @@ class TestEvaluate:
         labels = np.repeat(np.arange(C), per)
         preds = np.where(rng.random(C * per) < 0.6, labels,
                          rng.integers(0, C, C * per))
-        report = evaluate(preds, labels, ShotBands(["medium"] * C))
+        report = evaluate(preds, labels, ["medium"] * C)
         macro = float(np.mean(report.per_class))
         assert abs(report.overall - macro) <= 1e-12
 
     def test_band_counts_partition_total(self):
         rng = np.random.default_rng(1)
-        bands = ShotBands(["many", "medium", "few", "few"])
+        bands = ["many", "medium", "few", "few"]
         labels = rng.integers(0, 4, size=200)
         preds = rng.integers(0, 4, size=200)
         report = evaluate(preds, labels, bands)
         assert sum(report.band_counts.values()) == report.total == 200
 
     def test_validation_errors(self):
-        bands = ShotBands(["many"])
+        bands = ["many"]
         with pytest.raises(ValidationError):
             evaluate([0, 0], [0], bands)
         with pytest.raises(ValidationError):
@@ -79,8 +78,7 @@ class TestEvaluate:
         rng = np.random.default_rng(seed)
         C = int(rng.integers(3, 12))
         names = ("many", "medium") if seed == 0 else ("many", "medium", "few")
-        bands = ShotBands([names[int(k)]
-                           for k in rng.integers(len(names), size=C)])
+        bands = [names[int(k)] for k in rng.integers(len(names), size=C)]
         n = int(rng.integers(0, 300)) if seed else 250
         labels = rng.integers(0, C - 1, size=n)   # class C - 1 unseen
         preds = np.where(rng.random(n) < 0.5, labels,
@@ -94,17 +92,17 @@ class TestEvaluate:
             assert "few" not in got.bands and "few" not in got.band_counts
 
     def test_empty_input(self):
-        report = evaluate([], [], ShotBands(["many", "few"]))
-        assert report == oracle.evaluate([], [], ShotBands(["many", "few"]))
+        report = evaluate([], [], ["many", "few"])
+        assert report == oracle.evaluate([], [], ["many", "few"])
         assert report.total == 0 and report.per_class == [None, None]
 
     def test_negative_label_is_validation_error(self):
         with pytest.raises(ValidationError) as exc:
-            evaluate([0, 0], [0, -1], ShotBands(["many"]))
+            evaluate([0, 0], [0, -1], ["many"])
         assert "label -1" in str(exc.value)
 
     def test_json_is_stable(self):
-        bands = ShotBands(["many", "few"])
+        bands = ["many", "few"]
         report = evaluate([0, 1], [0, 0], bands, config_fingerprint="abc")
         assert report.to_json() == report.to_json()
         doc = json.loads(report.to_json())
@@ -172,7 +170,7 @@ class TestConceptRetrieval:
 
 class TestAblationReport:
     def test_single_row(self):
-        bands = ShotBands(["many", "few"])
+        bands = ["many", "few"]
         report = evaluate([0, 1], [0, 1], bands)
         text = ablation_report([("baseline", report)])
         lines = text.splitlines()
@@ -181,13 +179,13 @@ class TestAblationReport:
         assert "1.0000" in lines[2]
 
     def test_absent_band_rendered_as_dash(self):
-        bands = ShotBands(["many"])
+        bands = ["many"]
         report = evaluate([0], [0], bands)
         row = ablation_report([("x", report)]).splitlines()[2]
         assert row.split() == ["x", "1.0000", "1.0000", "-", "-"]
 
     def test_row_order_preserved(self):
-        bands = ShotBands(["many"])
+        bands = ["many"]
         a = evaluate([0], [0], bands)
         b = evaluate([1], [0], bands)
         lines = ablation_report([("first", a), ("second", b)]).splitlines()

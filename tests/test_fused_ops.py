@@ -61,7 +61,7 @@ def encoder_value_and_grads(enc, encode, x, w):
     """An encoder's output on `x` and each parameter's gradient of the
     `w`-weighted sum of it."""
     for p in enc.params().values():
-        p.zero_grad()
+        p.grad = None
     out = encode(enc, x)
     (out * w).sum().backward()
     return [out.data] + [p.grad for p in enc.params().values()]
@@ -230,7 +230,7 @@ class TestTextPooling:
         corpus, _ = gen_corpus(3, 5, 2, vocab_size=48, noise_fraction=0.2,
                                seed=3)
         enc = LinguisticEncoder(48, 6, np.random.default_rng(2))
-        table = corpus.token_table()
+        table = corpus.table
         rows = np.array([7, 0, 20, 7, 3])
         pool = table.sequences()
         assert enc(table).tobytes() == enc(pool).tobytes()

@@ -11,7 +11,7 @@ from composite_oracles import class_sentences
 from vlltr import pipeline
 from vlltr import pretrain as pretrain_module
 from vlltr.config import RunConfig
-from vlltr.data import (ClassCorpus, SqrtSampler, gen_corpus, gen_synthetic,
+from vlltr.data import (SqrtSampler, gen_corpus, gen_synthetic,
                         sqrt_class_weights)
 from vlltr.encoders import CvlpModel, LinguisticEncoder, TeacherPair, clamp_tau
 from vlltr.errors import NumericError, ShapeMismatch, ValidationError
@@ -221,7 +221,7 @@ class TestSamplePairedBatch:
         image, in batch order."""
         ds, corpus, _ = tiny_setup(seed=4)
         sampler, rng = SqrtSampler(ds.counts, seed=4), np.random.default_rng(9)
-        table = corpus.token_table()
+        table = corpus.table
         batches = [sample_paired_batch(ds, table, sampler, rng, 7)
                    for _ in range(3)]
         sampler = SqrtSampler(ds.counts, seed=4)
@@ -241,7 +241,7 @@ class TestSamplePairedBatch:
         sentences."""
         ds, corpus, _ = tiny_setup(seed=5)
         sampler, rng = SqrtSampler(ds.counts, seed=5), np.random.default_rng(2)
-        table = corpus.token_table()
+        table = corpus.table
         everything = table.sequences()
         starts = table.class_starts
         for _ in range(4):
@@ -294,7 +294,7 @@ class TestSampleEpoch:
                            seed=seed, test_per_class=2)
         corpus, _ = gen_corpus(len(counts), 6, 4, vocab_size=64,
                                noise_fraction=0.0, seed=seed)
-        table, steps = corpus.token_table(), 4
+        table, steps = corpus.table, 4
 
         def streams():
             return (SqrtSampler(ds.counts, seed=seed),
@@ -409,27 +409,28 @@ class TestRunPretrain:
         for name, value in want_state.items():
             np.testing.assert_array_equal(state[name], value)
 
-    def test_corpus_reads_do_not_grow_with_steps(self, monkeypatch):
+    def test_corpus_reads_do_not_grow_with_steps(self):
         """The corpus is read once per run into its token table, never
         per step."""
         calls = []
-        for name in ("token_table",):
-            method = getattr(ClassCorpus, name)
 
-            def counted(self, *args, _method=method, _name=name):
-                calls.append(_name)
-                return _method(self, *args)
+        class Counted:
+            def __init__(self, corpus):
+                self._corpus = corpus
 
-            monkeypatch.setattr(ClassCorpus, name, counted)
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(self._corpus, name)
+
         counts = []
         for epochs in (1, 3):
             ds, corpus, model = tiny_setup(seed=7)
             teacher = TeacherPair(CvlpModel(6, 6, 64, seed=14))
             calls.clear()
-            run_pretrain(ds, corpus, model, teacher,
+            run_pretrain(ds, Counted(corpus), model, teacher,
                          pretrain_cfg(epochs, 0.5, seed=7))
             counts.append(sorted(calls))
-        assert counts[0] == counts[1]
+        assert counts[0] == counts[1] == ["table"]
 
     def test_zero_epochs_leaves_model(self):
         ds, corpus, model = tiny_setup()

@@ -1,7 +1,8 @@
 """The stage memo: `vlltr ablate` runs each distinct stage once, and the
 bytes it shares are the bytes a memo-free run writes. The stage table's
-field lists are checked, not trusted: a field outside a stage's list
-must leave that stage's artifacts unchanged."""
+field lists are checked, not trusted: fields outside a stage's list,
+moved one at a time or all at once, must leave that stage's artifacts
+unchanged."""
 
 import dataclasses
 import shutil
@@ -270,19 +271,52 @@ def rerun(stage, cfg, base_dir, run_dir):
             for name in pipeline.STAGES[stage].outputs}
 
 
+def checked_fields(stage):
+    """The fields of the rows that write the checkpoints `stage` reads;
+    the stage checks them against the checkpoints' fingerprints."""
+    return {field for name in pipeline.STAGES[stage].upstream
+            if pipeline.FILES[name].endswith(".ck")
+            for st in pipeline.STAGES.values() if name in st.outputs
+            for field in st.fields}
+
+
+def outside_fields(stage):
+    """The fields a re-run of `stage` may move: all but those of its own
+    row and `checked_fields`."""
+    kept = set(pipeline.STAGES[stage].fields) | checked_fields(stage)
+    return [f.name for f in dataclasses.fields(RunConfig)
+            if f.name not in kept]
+
+
 @pytest.mark.parametrize("stage", ORDER)
 def test_fields_outside_a_stage_leave_its_bytes(stage, base_run, tmp_path):
     cfg, base_dir = base_run
     want = {name: pipeline.artifact(base_dir, name).read_bytes()
             for name in pipeline.STAGES[stage].outputs}
-    outside = [f.name for f in dataclasses.fields(RunConfig)
-               if f.name not in pipeline.STAGES[stage].fields]
+    outside = outside_fields(stage)
     changed = [name for name in outside
                if rerun(stage, dataclasses.replace(
                    cfg, **{name: other_value(cfg, name)}),
                    base_dir, tmp_path / name) != want]
     assert changed == [], f"{stage} reads {changed} but does not list them"
 
-    reseeded = rerun(stage, dataclasses.replace(cfg, seed=cfg.seed + 1),
-                     base_dir, tmp_path / "seed")
-    assert all(reseeded[name] != want[name] for name in want)
+    # the first field of its own row that it may move changes every output
+    own = next(name for name in pipeline.STAGES[stage].fields
+               if name not in checked_fields(stage))
+    moved = rerun(stage,
+                  dataclasses.replace(cfg, **{own: other_value(cfg, own)}),
+                  base_dir, tmp_path / own)
+    assert all(moved[name] != want[name] for name in want)
+
+
+@pytest.mark.parametrize("stage", ORDER)
+def test_moving_every_field_outside_a_stage_leaves_its_bytes(stage, base_run,
+                                                             tmp_path):
+    """All of `outside_fields` moved at once to other legal values: the
+    stage writes the bytes it wrote under the base config."""
+    cfg, base_dir = base_run
+    want = {name: pipeline.artifact(base_dir, name).read_bytes()
+            for name in pipeline.STAGES[stage].outputs}
+    moved = dataclasses.replace(cfg, **{name: other_value(cfg, name)
+                                        for name in outside_fields(stage)})
+    assert rerun(stage, moved.validate(), base_dir, tmp_path / "run") == want
