@@ -49,7 +49,7 @@ def build_probe_pool(dataset: LongTailDataset, model: CvlpModel,
     start = 0
     for c in range(dataset.C):
         probe = build_probe(dataset, c, cap=cap, seed=seed)
-        emb = model.vis(probe).data
+        emb = model.vis.forward(probe)[0]
         blocks.append(emb)
         slices.append(slice(start, start + len(emb)))
         start += len(emb)

@@ -81,7 +81,7 @@ def concept_retrieval(query_tokens, images: np.ndarray, model: CvlpModel,
             f"concept_retrieval: k={k} outside [1, {len(images)}]")
     text = model.lin([query_tokens])[0]
     text = text / np.linalg.norm(text)
-    emb = model.vis(np.asarray(images, dtype=np.float64)).data
+    emb = model.vis.forward(images)[0]
     emb = emb / np.linalg.norm(emb, axis=1, keepdims=True)
     sims = emb @ text
     order = sorted(range(len(images)), key=lambda i: (-sims[i], i))

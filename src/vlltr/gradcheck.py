@@ -6,8 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError
-from .tensor import Tensor
+from .errors import NumericError, ValidationError
 
 
 @dataclass
@@ -22,33 +21,21 @@ class GradCheckReport:
         return f"{status} max_rel_err={self.max_rel_err:.3e} (tol={self.tol:.1e})"
 
 
-def gradcheck(f, inputs, h: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
-    """Compare the tape's gradients of scalar `f(*inputs)` with central
-    differences (see `check_gradients`). `inputs` is a sequence of
-    array-likes, each passed to `f` as a Tensor."""
-    # C-order copies, so that check_gradients perturbs them through flat views
-    tensors = [Tensor(np.array(x, dtype=np.float64, order="C"),
-                      requires_grad=True) for x in inputs]
-    out = f(*tensors)
-    if not np.isfinite(out.data).all():
-        raise NumericError("gradcheck: non-finite loss at the base point")
-    out.backward()
-    analytic = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
-                for t in tensors]
-    return check_gradients(lambda: float(f(*tensors).data),
-                           [t.data for t in tensors], analytic, h, tol)
-
-
 def check_gradients(loss, arrays, analytic, h: float = 1e-5,
                     tol: float = 1e-4) -> GradCheckReport:
     """Compare `analytic`, one gradient per array of `arrays`, with central
     differences of the float `loss()`, which reads the arrays, each
-    C-contiguous.
+    C-contiguous: a strided array is a ValidationError, because its flat
+    view would be a copy that the loss never reads.
 
     Every coordinate of every array is perturbed in place by +-h and
     restored. Relative error uses max(1, |analytic|, |numeric|) as the
     denominator so near-zero gradients are judged absolutely.
     """
+    for idx, array in enumerate(arrays):
+        if not array.flags.c_contiguous:
+            raise ValidationError(
+                f"gradcheck: input {idx} is not C-contiguous")
     worst = 0.0
     per_input = []
     for idx, array in enumerate(arrays):

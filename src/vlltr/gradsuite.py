@@ -1,4 +1,6 @@
-"""Registered gradient checks over the numeric ops and composite losses."""
+"""Registered gradient checks: each array forward/backward pair, the
+encoders, the pre-training loss and step, and each head's fine-tuning
+loss node."""
 
 from __future__ import annotations
 
@@ -7,11 +9,13 @@ from functools import partial
 import numpy as np
 
 from .encoders import CvlpModel, LinguisticEncoder, VisualEncoder
-from .gradcheck import GradCheckReport, check_gradients, gradcheck
+from .gradcheck import GradCheckReport, check_gradients
 from .head import HEADS, head_loss
 from .pretrain import pretrain_loss, pretrain_step
-from .tensor import (Tensor, cosine_sim_matrix, cross_entropy, layer_norm,
-                     matmul, parameter, softmax)
+from .tensor import (Tensor, cosine_sim_backward, cosine_sim_forward,
+                     cross_entropy_backward, cross_entropy_forward, grad_node,
+                     layer_norm_backward, layer_norm_forward, parameter,
+                     softmax_backward, softmax_forward)
 
 
 def random_head(rng, name, C, M, D, N=2):
@@ -62,62 +66,93 @@ def pretrain_loss_check(S, S_teacher, labels, tau, lam):
         [S, tau], grads)
 
 
+def pair_check(forward, backward, arrays, w):
+    """The gradients of `arrays` that `backward(cache, w, out)` writes
+    for the upstream weight w against central differences of the
+    w-weighted sum of the first output of `forward(*arrays)`, an
+    (output, cache) pair."""
+    grads = [np.empty(a.shape) for a in arrays]
+    backward(forward(*arrays)[1], w, grads)
+    return check_gradients(lambda: float((forward(*arrays)[0] * w).sum()),
+                           arrays, grads)
+
+
 def default_suite(seed: int = 0, instances: int = 3):
     """(name, thunk) pairs; each thunk returns a GradCheckReport."""
     rng = np.random.default_rng(seed)
     suite = []
 
-    suite.append(("matmul", lambda: gradcheck(
-        lambda a, b: matmul(a, b).sum(),
-        [rng.normal(size=(3, 4)), rng.normal(size=(4, 2))])))
-    w_bmm = Tensor(rng.normal(size=(2, 3, 2)))
-    suite.append(("matmul_batched", lambda: gradcheck(
-        lambda a, b: (matmul(a, b) * w_bmm).sum(),
-        [rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4, 2))])))
-    w = rng.normal(size=5)
-    suite.append(("softmax", lambda: gradcheck(
-        lambda x: (softmax(x, 0) * Tensor(w)).sum(), [rng.normal(size=5)])))
-    w_ln = rng.normal(size=(2, 4))
-    suite.append(("layer_norm", lambda: gradcheck(
-        lambda x, g, b: (layer_norm(x, g, b) * Tensor(w_ln)).sum(),
-        [rng.normal(size=(2, 4)), np.ones(4), np.zeros(4)])))
-    w_cs = rng.normal(size=(3, 2))
-    suite.append(("cosine_sim_matrix", lambda: gradcheck(
-        lambda a, b: (cosine_sim_matrix(a, b) * Tensor(w_cs)).sum(),
-        [rng.normal(size=(3, 4)), rng.normal(size=(2, 4))])))
-    y_ce = np.array([1, 0])
-    suite.append(("cross_entropy", lambda: gradcheck(
-        lambda z: cross_entropy(softmax(z, 1), y_ce),
-        [rng.normal(size=(2, 3))])))
+    def softmax_check():
+        x, w = rng.normal(size=5), rng.normal(size=5)
+        return check_gradients(
+            lambda: float((softmax_forward(x, 0) * w).sum()), [x],
+            [softmax_backward(softmax_forward(x, 0), w, 0)])
+
+    suite.append(("softmax", softmax_check))
+    suite.append(("layer_norm", lambda: pair_check(
+        layer_norm_forward, layer_norm_backward,
+        [rng.normal(size=(2, 4)), rng.normal(size=4), rng.normal(size=4)],
+        rng.normal(size=(2, 4)))))
+    suite.append(("cosine_sim", lambda: pair_check(
+        cosine_sim_forward, cosine_sim_backward,
+        [rng.normal(size=(3, 4)), rng.normal(size=(2, 4))],
+        rng.normal(size=(3, 2)))))
+
+    def cross_entropy_check():
+        # through a softmax, so that the rows stay probability vectors
+        # while the logits are perturbed
+        z, y, w = rng.normal(size=(2, 3)), np.array([1, 0]), rng.uniform(1, 2)
+
+        def loss():
+            return w * cross_entropy_forward(softmax_forward(z, 1), y)[0]
+
+        p = softmax_forward(z, 1)
+        g_p = cross_entropy_backward(cross_entropy_forward(p, y)[1], w)
+        return check_gradients(loss, [z], [softmax_backward(p, g_p, 1)])
+
+    suite.append(("cross_entropy", cross_entropy_check))
 
     def linguistic_encoder():
         # sentences of lengths 2, 1 and 3; token 3 repeats within and
         # across sentences, token 4 is in none
         enc = LinguisticEncoder(5, 2, rng)
         seqs = [[3, 0], [3], [1, 2, 3]]
-        w_lin = rng.normal(size=(3, 2))
         enc.proj_b.data = rng.normal(size=2)
-        arrays = [p.data for p in enc.params().values()]
-        grads = [np.empty(a.shape) for a in arrays]
-        enc.backward(enc.forward(seqs)[1], w_lin, grads)
-        return check_gradients(lambda: float((enc(seqs) * w_lin).sum()),
-                               arrays, grads)
+        return pair_check(lambda *_: enc.forward(seqs), enc.backward,
+                          [p.data for p in enc.params().values()],
+                          rng.normal(size=(3, 2)))
 
     suite.append(("linguistic_encoder", linguistic_encoder))
 
-    def visual_encoder():
-        enc = VisualEncoder(4, 2, rng, hidden=3)
-        x, w_vis = rng.normal(size=(3, 4)), Tensor(rng.normal(size=(3, 2)))
-
-        def f(w1, b1, w2, b2):
-            enc.w1, enc.b1, enc.w2, enc.b2 = w1, b1, w2, b2
-            return (enc(x) * w_vis).sum()
-
+    def random_visual():
         # nonzero biases, so the tanh is not centred on the origin
-        return gradcheck(f, [enc.w1.data, rng.normal(size=3), enc.w2.data,
-                             rng.normal(size=2)])
+        enc = VisualEncoder(4, 2, rng, hidden=3)
+        enc.b1.data, enc.b2.data = rng.normal(size=3), rng.normal(size=2)
+        return enc, rng.normal(size=(3, 4)), rng.normal(size=(3, 2))
 
-    suite.append(("visual_encoder", visual_encoder))
+    def visual_pair():
+        enc, x, w = random_visual()
+        return pair_check(lambda *_: enc.forward(x), enc.backward,
+                          [p.data for p in enc.params().values()], w)
+
+    def visual_node():
+        # fine-tuning's first tape node, under a scalar node that
+        # weights its output, through `Tensor.backward`
+        enc, x, w = random_visual()
+        params = list(enc.params().values())
+
+        def loss():
+            y = enc(x)
+            return grad_node(float((y.data * w).sum()), (y,),
+                             lambda g, out: np.multiply(g, w, out=out[0]))
+
+        loss().backward()
+        return check_gradients(lambda: float(loss().data),
+                               [p.data for p in params],
+                               [p.grad.copy() for p in params])
+
+    suite.append(("visual_encoder", visual_pair))
+    suite.append(("visual_encoder_node", visual_node))
 
     # two identical anchors of class 0 tie at the max for every image;
     # the tie shares the gradient instead of doubling it

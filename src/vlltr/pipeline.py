@@ -31,7 +31,7 @@ from .data import (corpus_stats, gen_corpus, gen_pareto_counts, gen_synthetic,
                    load_corpus, load_dataset, save_corpus, save_dataset,
                    save_stats, split_shots)
 from .encoders import CvlpModel, TeacherPair, VisualEncoder
-from .errors import StaleArtifactError, ValidationError
+from .errors import NumericError, StaleArtifactError, ValidationError
 from .evaluation import EvalReport, evaluate
 from .head import (classify_dataset, get_head, load_anchor_embeddings,
                    run_finetune, save_anchor_embeddings)
@@ -138,11 +138,17 @@ def _stage(name: str):
     and take an optional memo (key -> {artifact: bytes}). The body gets
     the hash table and the stage returns its result; on a memo hit the
     stage writes the remembered bytes instead and returns None. Bytes,
-    not paths: a row directory edited later cannot leak into the next."""
+    not paths: a row directory edited later cannot leak into the next.
+
+    The body runs with floating-point division by zero, invalid
+    operations and overflow raised where they arise, as a NumericError
+    naming the stage; underflow stays silent."""
+    command = name.replace("_", "-")
+
     def wrap(run):
         @functools.wraps(run)
         def stage(cfg: RunConfig, out_dir, memo: dict | None = None):
-            hashes = require_inputs(name.replace("_", "-"), out_dir,
+            hashes = require_inputs(command, out_dir,
                                     STAGES[name].inputs(cfg))
             key = None if memo is None else (stage_fingerprint(name, cfg),
                                              *hashes.values())
@@ -153,7 +159,12 @@ def _stage(name: str):
                                            binary=True) as f:
                         f.write(data)
                 return None
-            result = run(cfg, out_dir, hashes)
+            try:
+                with np.errstate(divide="raise", invalid="raise",
+                                 over="raise", under="ignore"):
+                    result = run(cfg, out_dir, hashes)
+            except FloatingPointError as exc:
+                raise NumericError(f"{command}: {exc}") from exc
             if key is not None:
                 memo[key] = {art: artifact(out_dir, art).read_bytes()
                              for art in STAGES[name].outputs}
@@ -290,10 +301,16 @@ def cmd_finetune(cfg: RunConfig, out_dir, hashes: dict):
     dataset = load_dataset(artifact(out_dir, "dataset"))
     corpus = _load_corpus(cfg, out_dir)
     model = load_model(cfg, out_dir, "student", hashes)
-    anchors = load_anchors(artifact(out_dir, "anchors"))
+    path = artifact(out_dir, "anchors")
+    anchors = load_anchors(path)
     if anchors.checkpoint_hash != hashes["student"]:
-        raise StaleArtifactError(f"{artifact(out_dir, 'anchors')}: selected "
-                                 "under a different pre-training checkpoint")
+        raise StaleArtifactError(f"{path}: selected under a different "
+                                 "pre-training checkpoint")
+    if (anchors.mode, anchors.M) != (cfg.anchor_mode, cfg.anchor_m):
+        raise StaleArtifactError(
+            f"{path}: selected with mode={anchors.mode} M={anchors.M}, not "
+            f"mode={cfg.anchor_mode} M={cfg.anchor_m}; re-run "
+            "`vlltr select-anchors` under this one")
     head, emb, trace = run_finetune(dataset, anchors, corpus, model, cfg)
     sections = {**model.state(),
                 **_meta_sections(cfg.fingerprint(), hashes),

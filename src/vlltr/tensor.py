@@ -1,8 +1,8 @@
-"""Dense float64 tensors with reverse-mode gradients.
+"""Parameters, the nodes of the fine-tuning tape, and the array
+forward/backward pairs that the losses and the heads are built from.
 
-Small by design: only the operations the contrastive losses and the
-recognition head actually need. Everything is double precision so
-finite-difference checks can run at tight tolerances.
+Everything is double precision so finite-difference checks can run at
+tight tolerances.
 """
 
 from __future__ import annotations
@@ -12,27 +12,15 @@ import numpy as np
 from .errors import NumericError, ShapeMismatch, ValidationError
 
 
-def _as_array(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, extent in enumerate(shape):
-        if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 class Tensor:
-    """A numpy array plus an optional gradient and a backward closure."""
+    """A numpy array plus an optional gradient and a backward closure: a
+    parameter, or a node of the fine-tuning tape that `grad_node`
+    builds."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad) or any(
             p.requires_grad for p in parents
         )
@@ -43,10 +31,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
 
     def _grad_buffer(self) -> np.ndarray:
         """The gradient array for in-place adds, zeros on first use."""
@@ -80,144 +64,6 @@ class Tensor:
             if node._backward is not None and node.requires_grad:
                 node._backward(node.grad)
 
-    # ---- arithmetic -------------------------------------------------
-
-    def __add__(self, other):
-        other = as_tensor(other)
-        out = Tensor(self.data + other.data, parents=(self, other))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.shape))
-
-        out._backward = backward
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = Tensor(-self.data, parents=(self,))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(-g)
-
-        out._backward = backward
-        return out
-
-    def __sub__(self, other):
-        return self + (-as_tensor(other))
-
-    def __mul__(self, other):
-        other = as_tensor(other)
-        out = Tensor(self.data * other.data, parents=(self, other))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.shape))
-
-        out._backward = backward
-        return out
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self * as_tensor(other) ** -1.0
-
-    def __pow__(self, exponent: float):
-        out = Tensor(self.data ** exponent, parents=(self,))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * exponent * self.data ** (exponent - 1.0))
-
-        out._backward = backward
-        return out
-
-    # ---- elementwise functions --------------------------------------
-
-    # Closures capture output arrays, never the output Tensor: a closure
-    # holding `out` is a reference cycle that only the cyclic GC frees.
-
-    def relu(self):
-        out = Tensor(np.maximum(self.data, 0.0), parents=(self,))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * (self.data > 0.0))
-
-        out._backward = backward
-        return out
-
-    # ---- reductions --------------------------------------------------
-
-    def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), parents=(self,))
-
-        def backward(g):
-            if not self.requires_grad:
-                return
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, self.shape).copy())
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(gg, self.shape).copy())
-
-        out._backward = backward
-        return out
-
-    def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
-    def max(self, axis=None, keepdims=False):
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-        out = Tensor(out_data, parents=(self,))
-
-        def backward(g):
-            if not self.requires_grad:
-                return
-            full = out_data if keepdims or axis is None else np.expand_dims(
-                out_data, axis
-            )
-            mask = (self.data == full).astype(np.float64)
-            mask /= mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            gg = g if keepdims or axis is None else np.expand_dims(g, axis)
-            self._accumulate(mask * gg)
-
-        out._backward = backward
-        return out
-
-    # ---- shape manipulation ------------------------------------------
-
-    def reshape(self, *shape):
-        out = Tensor(self.data.reshape(*shape), parents=(self,))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g.reshape(self.shape))
-
-        out._backward = backward
-        return out
-
-    def __getitem__(self, index):
-        out = Tensor(self.data[index], parents=(self,))
-
-        def backward(g):
-            if self.requires_grad:
-                np.add.at(self._grad_buffer(), index, g)
-
-        out._backward = backward
-        return out
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
@@ -239,30 +85,6 @@ def grad_node(data, parents: tuple, write_grads) -> Tensor:
     return Tensor(data, parents=parents, backward=backward)
 
 
-# ---- linear algebra ----------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of 2-D operands, or batched over the leading axis
-    of 3-D operands with equal batch extents."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim not in (2, 3) or b.ndim != a.ndim \
-            or a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeMismatch(
-            f"matmul: incompatible shapes {a.shape} x {b.shape}"
-        )
-    out = Tensor(a.data @ b.data, parents=(a, b))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.swapaxes(-1, -2))
-        if b.requires_grad:
-            b._accumulate(a.data.swapaxes(-1, -2) @ g)
-
-    out._backward = backward
-    return out
-
-
 # ---- neural-net building blocks -----------------------------------------
 
 
@@ -276,22 +98,6 @@ def softmax_backward(p: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     """The input gradient of a softmax with output p for upstream g:
     p * (g - sum(g * p)) along `axis`."""
     return p * (g - (g * p).sum(axis=axis, keepdims=True))
-
-
-def softmax(x: Tensor, axis: int) -> Tensor:
-    """`softmax_forward` as one tape node over `softmax_backward`."""
-    x = as_tensor(x)
-    if not -x.ndim <= axis < x.ndim:
-        raise ValidationError(
-            f"softmax: axis {axis} invalid for shape {x.shape}"
-        )
-    p = softmax_forward(x.data, axis)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(softmax_backward(p, g, axis))
-
-    return Tensor(p, parents=(x,), backward=backward)
 
 
 def normalize_rows(x: np.ndarray, eps: float = 1e-5):
@@ -336,22 +142,6 @@ def layer_norm_backward(cache, g: np.ndarray, out):
         gx *= inv
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine,
-    as one tape node over `layer_norm_forward` and
-    `layer_norm_backward`."""
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeMismatch(
-            f"layer_norm: gain {gain.shape} / bias {bias.shape} "
-            f"must match last axis ({d},)"
-        )
-    out, cache = layer_norm_forward(x.data, gain.data, bias.data, eps)
-    return grad_node(out, (x, gain, bias),
-                     lambda g, grads: layer_norm_backward(cache, g, grads))
-
-
 def unit_rows(x: np.ndarray, operand: str):
     """(x with each row scaled to unit length, the (N, 1) inverse row
     norms); a zero row is a ValidationError naming `operand`, which
@@ -384,20 +174,6 @@ def cosine_sim_backward(cache, g: np.ndarray, out):
             g_unit = g_unit()
             np.multiply(inv, g_unit - unit * (g_unit * unit).sum(
                 axis=1, keepdims=True), out=o)
-
-
-def cosine_sim_matrix(a: Tensor, b: Tensor) -> Tensor:
-    """Pairwise cosine similarities between rows of `a` and rows of `b`,
-    as one tape node over `cosine_sim_forward` and `cosine_sim_backward`.
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeMismatch(
-            f"cosine_sim_matrix: incompatible shapes {a.shape} vs {b.shape}"
-        )
-    S, cache = cosine_sim_forward(a.data, b.data)
-    return grad_node(S, (a, b),
-                     lambda g, out: cosine_sim_backward(cache, g, out))
 
 
 def cross_entropy_forward(p: np.ndarray, y):
@@ -438,16 +214,3 @@ def cross_entropy_backward(cache, g) -> np.ndarray:
     grad = np.zeros(rows_shape)
     grad[index] = (-g * (1.0 / rows_shape[0])) / floored * (picked > 1e-12)
     return grad.reshape(shape)
-
-
-def cross_entropy(p: Tensor, y) -> Tensor:
-    """`cross_entropy_forward` as one tape node over
-    `cross_entropy_backward`."""
-    p = as_tensor(p)
-    value, cache = cross_entropy_forward(p.data, y)
-
-    def backward(g):
-        if p.requires_grad:
-            p._accumulate(cross_entropy_backward(cache, g))
-
-    return Tensor(value, parents=(p,), backward=backward)

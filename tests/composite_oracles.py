@@ -3,7 +3,8 @@
 These build the losses, the cosine similarity, the text pooling, the
 softmax, the layer norm, the cross-entropy and the text and visual
 encoders out of
-elementwise tape ops and the bag pool, one node per op, the LGR and KNN
+elementwise ops of the test tape (tape.py) and the bag pool, one node
+per op, the LGR and KNN
 heads out of composite layer norms and einsum contractions, AdamW as one
 update per parameter tensor, and the accuracy report as one loop over
 the predictions, exactly as the package did before those paths became
@@ -26,11 +27,11 @@ from functools import reduce
 
 import numpy as np
 
-from vlltr import tensor
+import tape
+from tape import Tensor, as_tensor, matmul, take
 from vlltr.data import ENCYCLOPEDIA, PROMPT, SOURCES, token_table
 from vlltr.errors import ShapeMismatch, ValidationError
 from vlltr.evaluation import BAND_ORDER, EvalReport
-from vlltr.tensor import Tensor, as_tensor, matmul
 
 
 @dataclass
@@ -158,7 +159,7 @@ def linguistic_encode(enc, sequences):
     pool = np.zeros((len(sequences), len(flat)))
     for i, (start, length) in enumerate(pool_rows):
         pool[i, start:start + length] = 1.0 / length
-    gathered = enc.tok[np.array(flat, dtype=np.int64)]
+    gathered = take(enc.tok, np.array(flat, dtype=np.int64))
     return matmul(matmul(Tensor(pool), gathered), enc.proj_w) + enc.proj_b
 
 
@@ -323,34 +324,34 @@ def _tape_paths(head, x, anchors, params):
     anchors_t = as_tensor(anchors)
     C, M, D = anchors_t.shape
     if head == "fc":
-        return tensor.softmax(matmul(x, params.w) + params.b, axis=1), None
+        return tape.softmax(matmul(x, params.w) + params.b, axis=1), None
     if head == "knn":
-        cos = tensor.cosine_sim_matrix(x, anchors_t.reshape(C * M, D))
+        cos = tape.cosine_sim_matrix(x, anchors_t.reshape(C * M, D))
         best = cos.reshape(-1, C, M).max(axis=2)
-        return None, tensor.softmax(best / params.tau, axis=1)
-    q = matmul(tensor.layer_norm(x, params.q_ln_g, params.q_ln_b),
+        return None, tape.softmax(best / params.tau, axis=1)
+    q = matmul(tape.layer_norm(x, params.q_ln_g, params.q_ln_b),
                params.q_w) + params.q_b
-    k = matmul(tensor.layer_norm(anchors_t.reshape(C * M, D),
+    k = matmul(tape.layer_norm(anchors_t.reshape(C * M, D),
                                  params.k_ln_g, params.k_ln_b),
                params.k_w) + params.k_b
     g = _class_gather(_class_attention(q, k, C), anchors_t)
-    p_t = tensor.softmax(_gather_cosine(x, g) / params.tau, axis=1)
+    p_t = tape.softmax(_gather_cosine(x, g) / params.tau, axis=1)
     h = matmul(x, params.mlp_w1) + params.mlp_b1
     logits_i = matmul(h.relu(), params.mlp_w2) + params.mlp_b2
-    return tensor.softmax(logits_i, axis=1), p_t
+    return tape.softmax(logits_i, axis=1), p_t
 
 
 def tape_head_loss(head, emb, anchors, params, y):
     """`head.head_loss` of head name `head` as the tape fine-tuning built
     before: the cross entropy of each path the head has, summed."""
     return reduce(operator.add,
-                  [tensor.cross_entropy(p, y)
+                  [tape.cross_entropy(p, y)
                    for p in _tape_paths(head, emb, anchors, params)
                    if p is not None])
 
 
 def cross_entropy(p, y):
-    """`tensor.cross_entropy` as seven tape nodes for a batch, eight for
+    """`tape.cross_entropy` as seven tape nodes for a batch, eight for
     a single row (no input checks)."""
     p = as_tensor(p)
     rows = p.reshape(1, -1) if p.ndim == 1 else p

@@ -185,6 +185,46 @@ class TestPipelineCommands:
         assert code == 2
         assert "checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["anchor_mode=CutOff", "anchor_m=4"])
+    def test_anchors_of_another_mode_or_m_rejected(
+            self, cfg_file, cli_run, tmp_path, capsys, setting):
+        """Anchors selected under another mode or M than the run's are
+        stale: finetune exits 2 in one line naming the file and the
+        command to re-run, and writes nothing. It used to train on them
+        and report the run's own config."""
+        work = tmp_path / "copy"
+        shutil.copytree(cli_run, work)
+        assert cli.main(["select-anchors", "--config", str(cfg_file),
+                         "--out", str(work), "--set", setting]) == 0
+        before = {p.name: p.read_bytes() for p in work.iterdir()}
+        capsys.readouterr()
+        assert cli.main(["finetune", "--config", str(cfg_file),
+                         "--out", str(work)]) == 2
+        mode, m = ("CutOff", 8) if "mode" in setting else ("AnSS", 4)
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {work / 'anchors.tsv'}: selected with mode={mode} "
+            f"M={m}, not mode=AnSS M=8; re-run `vlltr select-anchors` "
+            "under this one"]
+        assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+
+    def test_overflow_exits_three_naming_the_stage(self, cfg_file, cli_run,
+                                                   tmp_path, capsys):
+        """A teacher temperature of 1e-310 overflows the distillation
+        logits: pretrain exits 3 in one line naming the stage, where the
+        overflow arises, and writes nothing."""
+        work = tmp_path / "copy"
+        shutil.copytree(cli_run, work)
+        sections = ckpt.read_checkpoint(work / "teacher.ck")
+        sections["tau"] = np.array(1e-310)
+        ckpt.write_checkpoint(work / "teacher.ck", sections)
+        before = {p.name: p.read_bytes() for p in work.iterdir()}
+        assert cli.main(["pretrain", "--config", str(cfg_file),
+                         "--out", str(work)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "numeric failure: pretrain: "), err
+        assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+
     @pytest.mark.parametrize("command,setting,name,writer", [
         ("eval", "head=knn", "final.ck", "finetune"),
         ("pretrain", "teacher_epochs=3", "teacher.ck", "make-teacher"),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tape import Tensor, cosine_sim_matrix
 from vlltr.anchors import AnchorSet, save_anchors
 from vlltr.checkpoint import atomic_write, read_checkpoint, write_checkpoint
 from vlltr.data import (ClassCorpus, LongTailDataset, save_corpus,
@@ -20,7 +21,6 @@ from vlltr.errors import ShapeMismatch, ValidationError
 from vlltr.gradcheck import check_gradients
 from vlltr.head import save_anchor_embeddings
 from vlltr.pretrain import pretrain_step, save_trace
-from vlltr.tensor import Tensor, cosine_sim_matrix
 
 
 def tiny_model(seed=0, d_img=4, D=4, vocab=12):

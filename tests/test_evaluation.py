@@ -1,6 +1,7 @@
 """Tests for accuracy reporting, concept retrieval, and the ablation table."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -116,14 +117,11 @@ class FakeModel:
 
     def __init__(self, text_vec):
         self._text = np.asarray(text_vec, dtype=np.float64)
+        self.vis = SimpleNamespace(forward=lambda images: (
+            np.asarray(images, dtype=np.float64), None))
 
     def lin(self, seqs):
         return self._text.reshape(1, -1)
-
-    def vis(self, images):
-        from vlltr.tensor import as_tensor
-
-        return as_tensor(np.asarray(images, dtype=np.float64))
 
 
 class TestConceptRetrieval:

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 import composite_oracles as oracle
+from tape import (Tensor, cosine_sim_matrix, cross_entropy, layer_norm,
+                  matmul, parameter, softmax)
 from vlltr import pretrain
 from vlltr.checkpoint import load_params
 from vlltr.data import gen_corpus, token_table
@@ -25,8 +27,6 @@ from vlltr.gradsuite import random_head
 from vlltr.head import (HEADS, LGR_PARAM_NAMES, LgrParams, head_loss,
                         knn_backward, knn_forward, lgr_backward, lgr_forward)
 from vlltr.optim import AdamW, cosine_lr
-from vlltr.tensor import (Tensor, cosine_sim_matrix, cross_entropy,
-                          layer_norm, matmul, parameter, softmax)
 
 TOL = 1e-10
 

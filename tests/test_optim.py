@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import composite_oracles as oracle
+from tape import Tensor, matmul, parameter
 from vlltr.errors import ShapeMismatch, ValidationError
 from vlltr.optim import AdamW, cosine_lr
-from vlltr.tensor import Tensor, matmul, parameter
 
 
 class TestCosineLr:

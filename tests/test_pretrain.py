@@ -8,7 +8,7 @@ import pytest
 
 import composite_oracles as oracle
 from composite_oracles import class_sentences
-from vlltr import pipeline
+from vlltr import cli, pipeline
 from vlltr import pretrain as pretrain_module
 from vlltr.config import RunConfig
 from vlltr.data import (SqrtSampler, gen_corpus, gen_synthetic,
@@ -533,12 +533,14 @@ def test_the_tape_carries_only_finetuning(monkeypatch, tmp_path, mini_cfg,
     `run_finetune`, one per step, over a graph of exactly two nodes
     with a backward: the visual encoder and the head's loss. The text
     encoder returns arrays and `classify_dataset` constructs no
-    Tensor."""
+    Tensor. Over the run and a `retrieve`, no Tensor with parents or a
+    backward is built outside `run_finetune`: anchor selection and
+    retrieval embed images through the encoder's array forward."""
     backward, finetune = Tensor.backward, pipeline.run_finetune
     classify, init = pipeline.classify_dataset, Tensor.__init__
     encode = LinguisticEncoder.__call__
     depths, steps, inner, encoded = [], [], [], set()
-    depth, classifying, built = [0], [0], [0]
+    depth, classifying, built, stray = [0], [0], [0], []
 
     def counted_backward(self):
         depths.append(depth[0])
@@ -570,6 +572,8 @@ def test_the_tape_carries_only_finetuning(monkeypatch, tmp_path, mini_cfg,
     def counted_init(self, *args, **kwargs):
         built[0] += classifying[0]
         init(self, *args, **kwargs)
+        if not depth[0] and (self._parents or self._backward is not None):
+            stray.append(self.shape)
 
     def typed_encode(self, sequences):
         out = encode(self, sequences)
@@ -581,8 +585,10 @@ def test_the_tape_carries_only_finetuning(monkeypatch, tmp_path, mini_cfg,
     monkeypatch.setattr(pipeline, "run_finetune", counted_finetune)
     monkeypatch.setattr(pipeline, "classify_dataset", counted_classify)
     monkeypatch.setattr(LinguisticEncoder, "__call__", typed_encode)
-    pipeline.run_all(dataclasses.replace(mini_cfg, head=head, lam=lam),
-                     tmp_path)
+    cfg = dataclasses.replace(mini_cfg, head=head, lam=lam)
+    pipeline.run_all(cfg, tmp_path)
+    cli._cmd_retrieve(cfg, tmp_path, "0 7 1", 3)
+    assert stray == []
     assert len(steps) == 1 and steps[0] > 0
     assert depths == [1] * steps[0]
     assert sum(inner) == 2 * steps[0]

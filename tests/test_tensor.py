@@ -1,21 +1,22 @@
-"""Tests for the autodiff tensor core: forward semantics and gradient accuracy."""
+"""Tests for the test tape (tape.py) that the composite oracles are built
+from: forward semantics and gradient accuracy."""
 
 import math
 
 import numpy as np
 import pytest
 
-from vlltr.errors import NumericError, ShapeMismatch, ValidationError
-from vlltr.gradcheck import gradcheck
-from vlltr.tensor import (
+from tape import (
     Tensor,
     as_tensor,
     cosine_sim_matrix,
     cross_entropy,
+    gradcheck,
     layer_norm,
     matmul,
     softmax,
 )
+from vlltr.errors import NumericError, ShapeMismatch, ValidationError
 
 
 class TestMatmul:
