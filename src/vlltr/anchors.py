@@ -77,7 +77,6 @@ class AnchorSet:
     mode: str
     M: int
     entries: list  # per class: list of (sentence_id, score), length M
-    checkpoint_hash: bytes = b""
 
     def ids(self, cls: int) -> list:
         return [sid for sid, _ in self.entries[cls]]
@@ -85,8 +84,7 @@ class AnchorSet:
 
 def select_anchors(corpus: ClassCorpus, dataset: LongTailDataset,
                    model: CvlpModel, M: int, mode: str = ANSS,
-                   cap: int = 50, seed: int = 0,
-                   checkpoint_hash: bytes = b"") -> AnchorSet:
+                   cap: int = 50, seed: int = 0) -> AnchorSet:
     """Per class, keep M sentences: lowest score first under AnSS (id
     breaks ties), plain corpus order under CutOff. A class with fewer
     than M sentences is a ValidationError naming it."""
@@ -103,8 +101,7 @@ def select_anchors(corpus: ClassCorpus, dataset: LongTailDataset,
         if mode == ANSS:
             scored.sort(key=lambda pair: (pair[1], pair[0]))
         entries.append(scored[:M])
-    return AnchorSet(mode=mode, M=M, entries=entries,
-                     checkpoint_hash=checkpoint_hash)
+    return AnchorSet(mode=mode, M=M, entries=entries)
 
 
 # ---- on-disk format --------------------------------------------------------
@@ -112,8 +109,7 @@ def select_anchors(corpus: ClassCorpus, dataset: LongTailDataset,
 
 def save_anchors(path, anchors: AnchorSet):
     with atomic_write(path) as f:
-        f.write(f"# mode={anchors.mode}\tM={anchors.M}"
-                f"\tcheckpoint={anchors.checkpoint_hash.hex()}\n")
+        f.write(f"# mode={anchors.mode}\tM={anchors.M}\n")
         for c, per_class in enumerate(anchors.entries):
             for rank, (sid, score) in enumerate(per_class):
                 f.write(f"{c}\t{rank}\t{sid}\t{score!r}\n")
@@ -129,10 +125,9 @@ def load_anchors(path) -> AnchorSet:
         try:
             fields = dict(part.split("=", 1) for part in header[2:].split("\t"))
             mode, M = fields["mode"], int(fields["M"])
-            ckpt_hash = bytes.fromhex(fields["checkpoint"])
         except (KeyError, ValueError) as exc:
             raise ValidationError(
-                f"{path}:1: anchor header needs mode, M and checkpoint "
+                f"{path}:1: anchor header needs mode and M "
                 f"({type(exc).__name__}: {exc})") from exc
         per_class: dict[int, list] = {}
         for lineno, line in enumerate(f, 2):
@@ -151,4 +146,4 @@ def load_anchors(path) -> AnchorSet:
     entries = [per_class.get(c, []) for c in range(C)]
     if any(len(e) != M for e in entries):
         raise ValidationError(f"{path}: anchor rows do not match M={M}")
-    return AnchorSet(mode=mode, M=M, entries=entries, checkpoint_hash=ckpt_hash)
+    return AnchorSet(mode=mode, M=M, entries=entries)

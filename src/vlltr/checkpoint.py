@@ -1,10 +1,5 @@
 """The "VLCK" checkpoint container: named float64 parameter sections.
 
-Metadata (config fingerprint, upstream content hashes) travels as
-sections whose names start with "__"; their float values are the raw
-bytes of a SHA-256 digest, one byte per float, which keeps every stored
-value finite and the format uniform.
-
 `read_checkpoint` records every section name it materializes in
 `section_load_log` so tests can assert which parameters an inference
 path actually touched.
@@ -34,10 +29,6 @@ CHECKPOINT_VERSION = 1
 
 #: (path, section name) pairs, appended by read_checkpoint.
 section_load_log: list = []
-
-
-def hash_to_floats(digest: bytes) -> np.ndarray:
-    return np.array(list(digest), dtype=np.float64)
 
 
 def file_sha256(path) -> bytes:

@@ -119,10 +119,9 @@ def _cmd_ablate(cfg: RunConfig, out_dir: Path):
 
 def _cmd_retrieve(cfg: RunConfig, out_dir: Path, query: str, k: int):
     from .data import load_dataset, parse_tokens
-    hashes = pipeline.require_inputs("retrieve", out_dir,
-                                     ("dataset", "corpus", "student"))
+    pipeline.require_inputs("retrieve", out_dir, ("dataset", "student"), cfg)
     dataset = load_dataset(pipeline.artifact(out_dir, "dataset"))
-    model = pipeline.load_model(cfg, out_dir, "student", hashes)
+    model = pipeline.load_model(cfg, out_dir, "student")
     tokens = parse_tokens(query, model.lin.vocab_size, "--query")
     ids = concept_retrieval(tokens, dataset.test_X, model, k)
     for rank, sample_id in enumerate(ids):

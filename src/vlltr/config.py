@@ -108,8 +108,8 @@ class RunConfig:
             names = [f.name for f in fields(self)]
         return "".join(f"{n} = {getattr(self, n)}\n" for n in sorted(names))
 
-    def fingerprint(self, names=None) -> bytes:
-        return hashlib.sha256(self.canonical(names).encode("utf-8")).digest()
+    def fingerprint(self) -> bytes:
+        return hashlib.sha256(self.canonical().encode("utf-8")).digest()
 
 
 _PARSERS = {f.name: {"int": int, "float": float, "str": str}[f.type]

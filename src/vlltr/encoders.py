@@ -169,9 +169,7 @@ class CvlpModel:
     @classmethod
     def from_checkpoint(cls, path, d_img, D, vocab_size, max_tokens=77):
         model = cls(d_img, D, vocab_size, seed=0, max_tokens=max_tokens)
-        sections = ckpt.read_checkpoint(
-            path, names=lambda n: not n.startswith("__"))
-        model.load_state(sections, path)
+        model.load_state(ckpt.read_checkpoint(path), path)
         return model
 
 

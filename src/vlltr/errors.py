@@ -18,4 +18,5 @@ class NumericError(VlltrError, ArithmeticError):
 
 
 class StaleArtifactError(ValidationError):
-    """An artifact references an upstream file with a different content hash."""
+    """An input was written under another config than the run's, or
+    changed after the stage that wrote it recorded it."""

@@ -187,14 +187,13 @@ class TestSelection:
 class TestAnchorFiles:
     def test_round_trip(self, tmp_path):
         ds, corpus, _, model = tiny_world(seed=7)
-        anchors = select_anchors(corpus, ds, model, M=3, cap=5,
-                                 checkpoint_hash=b"\xab" * 32)
+        anchors = select_anchors(corpus, ds, model, M=3, cap=5)
         path = tmp_path / "anchors.tsv"
         save_anchors(path, anchors)
+        assert path.read_text().splitlines()[0] == "# mode=AnSS\tM=3"
         back = load_anchors(path)
         assert back.mode == anchors.mode
         assert back.M == anchors.M
-        assert back.checkpoint_hash == anchors.checkpoint_hash
         assert back.entries == anchors.entries  # repr round-trip is exact
 
     def test_header_required(self, tmp_path):
@@ -205,28 +204,26 @@ class TestAnchorFiles:
 
     def test_row_count_must_match_m(self, tmp_path):
         path = tmp_path / "anchors.tsv"
-        path.write_text("# mode=AnSS\tM=2\tcheckpoint=\n0\t0\t0\t1.0\n")
+        path.write_text("# mode=AnSS\tM=2\n0\t0\t0\t1.0\n")
         with pytest.raises(ValidationError):
             load_anchors(path)
 
     @pytest.mark.parametrize("text,line", [
-        ("# mode=AnSS\tM=1\tcheckpoint=\n0\t0\t0\n", 2),
-        ("# mode=AnSS\tM=2\tcheckpoint=\n0\t0\t0\t1.0\n0\t1\tx\t1.0\n",
+        ("# mode=AnSS\tM=1\n0\t0\t0\n", 2),
+        ("# mode=AnSS\tM=2\n0\t0\t0\t1.0\n0\t1\tx\t1.0\n",
          3),
-        ("# mode=AnSS\tM=1\tcheckpoint=\n0\t0\t0\tnan?\n", 2),
-        ("# mode=AnSS\tcheckpoint=\n0\t0\t0\t1.0\n", 1),
-        ("# mode=AnSS\tM=1\n0\t0\t0\t1.0\n", 1),
-        ("# M=1\tcheckpoint=\n0\t0\t0\t1.0\n", 1),
-        ("# mode=AnSS\tM=one\tcheckpoint=\n0\t0\t0\t1.0\n", 1),
-        ("# mode=AnSS\tM=1\tcheckpoint=\n0\t0\t3\t0.5\n-1\t0\t4\t0.2\n",
+        ("# mode=AnSS\tM=1\n0\t0\t0\tnan?\n", 2),
+        ("# mode=AnSS\n0\t0\t0\t1.0\n", 1),
+        ("# M=1\n0\t0\t0\t1.0\n", 1),
+        ("# mode=AnSS\tM=one\n0\t0\t0\t1.0\n", 1),
+        ("# mode=AnSS\tM=1\n0\t0\t3\t0.5\n-1\t0\t4\t0.2\n",
          3),
-        ("# mode=AnSS\tM=1\tcheckpoint=\n0\t0\t3\t0.5\n1\tx\t4\t0.2\n",
+        ("# mode=AnSS\tM=1\n0\t0\t3\t0.5\n1\tx\t4\t0.2\n",
          3),
-        ("# mode=AnSS\tM=1\tcheckpoint=\n0\t7\t3\t0.5\n1\t-4\t4\t0.2\n",
+        ("# mode=AnSS\tM=1\n0\t7\t3\t0.5\n1\t-4\t4\t0.2\n",
          2),
-    ], ids=["short-row", "bad-id", "bad-score", "no-M", "no-checkpoint",
-            "no-mode", "bad-M", "negative-class", "bad-rank",
-            "rank-not-position"])
+    ], ids=["short-row", "bad-id", "bad-score", "no-M", "no-mode",
+            "bad-M", "negative-class", "bad-rank", "rank-not-position"])
     def test_malformed_file_names_path_and_line(self, tmp_path, text, line):
         path = tmp_path / "anchors.tsv"
         path.write_text(text)

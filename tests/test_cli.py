@@ -11,7 +11,7 @@ from vlltr import checkpoint as ckpt
 from vlltr import cli, pipeline
 from vlltr.config import load_config
 from vlltr.encoders import CvlpModel
-from vlltr.errors import StaleArtifactError
+from vlltr.errors import StaleArtifactError, VlltrError
 
 CFG_TEXT = """\
 seed = 0
@@ -54,6 +54,17 @@ def cli_run(cfg_file, tmp_path_factory):
 
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def reseal(work, name):
+    """Record the edited file `name` in the record of the stage that
+    wrote it, as if that stage had written it, so that a command reads
+    the file instead of refusing it."""
+    for record in work.glob("*.record.json"):
+        data = json.loads(record.read_text())
+        if name in data["sha256"]:
+            data["sha256"][name] = sha(work / name)
+            record.write_text(json.dumps(data))
 
 
 class TestPipelineCommands:
@@ -139,12 +150,14 @@ class TestPipelineCommands:
         shutil.copytree(cli_run, work)
         with open(work / "corpus.tsv", "a", encoding="utf-8") as f:
             f.write("0\tprompt\t0 1\n")
+        message = (f"{work / 'corpus.tsv'}: not the file `vlltr gen-data` "
+                   "wrote; re-run it")
         with pytest.raises(StaleArtifactError) as exc:
             pipeline.cmd_eval(load_config(cfg_file), work)
-        assert "different corpus file" in str(exc.value)
+        assert str(exc.value) == message
         assert cli.main(["eval", "--config", str(cfg_file),
                          "--out", str(work)]) == 2
-        assert "different corpus file" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize("setting,section", [("classes=10", "lgr."),
                                                  ("embed_dim=4", "vis."),
@@ -152,15 +165,23 @@ class TestPipelineCommands:
     def test_eval_under_other_shapes_is_validation_error(
             self, cfg_file, cli_run, tmp_path, capsys, setting, section):
         """A section of another shape, or missing (the FC head's, from an
-        LGR run), exits 2 naming the section and the checkpoint."""
+        LGR run), is an error naming the section and the checkpoint when
+        the inference head is loaded; `eval` under that config exits 2
+        before it loads anything, naming a file written under another
+        config."""
         work = tmp_path / "copy"
         shutil.copytree(cli_run, work)
+        cfg = load_config(cfg_file, [setting])
+        with pytest.raises(VlltrError) as exc:
+            pipeline.load_inference_head(cfg, work)
+        problem = "missing section" if setting == "head=fc" else "shape"
+        assert f"section '{section}" in str(exc.value)
+        assert problem in str(exc.value)
+        assert str(work / "final.ck") in str(exc.value)
         assert cli.main(["eval", "--config", str(cfg_file),
                          "--out", str(work), "--set", setting]) == 2
-        err = capsys.readouterr().err
-        problem = "missing section" if setting == "head=fc" else "shape"
-        assert f"section '{section}" in err and problem in err
-        assert str(work / "final.ck") in err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "written under a different config" in err[0]
 
     def test_cutoff_anchors_differ_from_anss(self, cfg_file, cli_run, tmp_path):
         work = tmp_path / "copy"
@@ -180,18 +201,22 @@ class TestPipelineCommands:
         assert cli.main(["pretrain", "--config", str(cfg_file),
                          "--out", str(work),
                          "--set", "pretrain_epochs=5"]) == 0
+        capsys.readouterr()
         code = cli.main(["finetune", "--config", str(cfg_file),
                          "--out", str(work), "--set", "pretrain_epochs=5"])
         assert code == 2
-        assert "checkpoint" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {work / 'anchors.tsv'}: written under a different "
+            "config; re-run `vlltr select-anchors` under this one"]
 
-    @pytest.mark.parametrize("setting", ["anchor_mode=CutOff", "anchor_m=4"])
+    @pytest.mark.parametrize("setting", ["anchor_mode=CutOff", "anchor_m=4",
+                                         "probe_cap=3"])
     def test_anchors_of_another_mode_or_m_rejected(
             self, cfg_file, cli_run, tmp_path, capsys, setting):
-        """Anchors selected under another mode or M than the run's are
-        stale: finetune exits 2 in one line naming the file and the
-        command to re-run, and writes nothing. It used to train on them
-        and report the run's own config."""
+        """Anchors selected under another mode, M or probe cap than the
+        run's are stale: finetune exits 2 in one line naming the file and
+        the command to re-run, and writes nothing. It used to train on
+        them and report the run's own config."""
         work = tmp_path / "copy"
         shutil.copytree(cli_run, work)
         assert cli.main(["select-anchors", "--config", str(cfg_file),
@@ -200,11 +225,9 @@ class TestPipelineCommands:
         capsys.readouterr()
         assert cli.main(["finetune", "--config", str(cfg_file),
                          "--out", str(work)]) == 2
-        mode, m = ("CutOff", 8) if "mode" in setting else ("AnSS", 4)
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {work / 'anchors.tsv'}: selected with mode={mode} "
-            f"M={m}, not mode=AnSS M=8; re-run `vlltr select-anchors` "
-            "under this one"]
+            f"error: {work / 'anchors.tsv'}: written under a different "
+            "config; re-run `vlltr select-anchors` under this one"]
         assert {p.name: p.read_bytes() for p in work.iterdir()} == before
 
     def test_overflow_exits_three_naming_the_stage(self, cfg_file, cli_run,
@@ -217,6 +240,7 @@ class TestPipelineCommands:
         sections = ckpt.read_checkpoint(work / "teacher.ck")
         sections["tau"] = np.array(1e-310)
         ckpt.write_checkpoint(work / "teacher.ck", sections)
+        reseal(work, "teacher.ck")
         before = {p.name: p.read_bytes() for p in work.iterdir()}
         assert cli.main(["pretrain", "--config", str(cfg_file),
                          "--out", str(work)]) == 3
@@ -256,50 +280,103 @@ class TestPipelineCommands:
                                                 extra):
         work = tmp_path / "copy"
         shutil.copytree(cli_run, work)
-        # regenerate the data under another seed: every checkpoint of the
-        # run now records the hashes of data files that are gone
+        # regenerate the data under another seed: every later artifact of
+        # the run was made from data files that are gone
         assert cli.main(["gen-data", "--config", str(cfg_file),
                          "--out", str(work), "--seed", "5"]) == 0
+        before = {p.name: p.read_bytes() for p in work.iterdir()}
         assert cli.main([command, "--config", str(cfg_file),
                          "--out", str(work)] + extra) == 2
-        assert "different dataset file" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {work / 'dataset.bin'}: written under a different "
+            "config; re-run `vlltr gen-data` under this one"]
+        assert {p.name: p.read_bytes() for p in work.iterdir()} == before
 
-    @pytest.mark.parametrize("name,record", [
-        ("dataset.bin", "__dataset_hash__"),
-        ("corpus.tsv", "__corpus_hash__")])
-    def test_checkpoint_without_a_data_record_rejected(
-            self, cfg_file, cli_run, tmp_path, capsys, name, record):
-        """A student checkpoint that lost one data record cannot vouch for
-        that file: with another seed's file in its place, select-anchors
-        exits 2 and names the checkpoint, not 0 on the wrong data."""
+    @pytest.mark.parametrize("setting,rerun,command,name,writer", [
+        ("n_min=2", [], "make-teacher", "dataset.bin", "gen-data"),
+        ("teacher_epochs=3", ["make-teacher"], "finetune", "student.ck",
+         "pretrain")])
+    def test_artifact_of_another_upstream_config_rejected(
+            self, cfg_file, cli_run, tmp_path, capsys, setting, rerun,
+            command, name, writer):
+        """An input made under another config is refused even where the
+        setting is not a field of the stage that wrote it, but of one
+        upstream of it: n_min is gen-data's, and a student distilled from
+        a teacher of another `teacher_epochs` is stale once make-teacher
+        runs again. The command exits 2 in one line naming the file and
+        the command to re-run, and writes nothing."""
         work = tmp_path / "copy"
         shutil.copytree(cli_run, work)
-        assert cli.main(["gen-data", "--config", str(cfg_file), "--seed", "5",
-                         "--out", str(tmp_path / "other")]) == 0
-        shutil.copy(tmp_path / "other" / name, work / name)
-        student = work / "student.ck"
-        data = student.read_bytes()
-        assert data.count(record.encode()) == 1
-        student.write_bytes(data.replace(record.encode(),
-                                         record[:-3].encode() + b"X__"))
-        assert cli.main(["select-anchors", "--config", str(cfg_file),
-                         "--out", str(work)]) == 2
-        kind = name.split(".")[0]
-        assert f"{student}: checkpoint records no {kind} hash" in \
-            capsys.readouterr().err
+        sets = ["--config", str(cfg_file), "--out", str(work),
+                "--set", setting]
+        for earlier in rerun:
+            assert cli.main([earlier, *sets]) == 0
+        before = {p.name: p.read_bytes() for p in work.iterdir()}
+        capsys.readouterr()
+        assert cli.main([command, *sets]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {work / name}: written under a different config; "
+            f"re-run `vlltr {writer}` under this one"]
+        assert {p.name: p.read_bytes() for p in work.iterdir()} == before
 
-    def test_malformed_data_record_rejected(self, cfg_file, cli_run,
-                                            tmp_path, capsys):
-        """A data record that is not 32 byte values is stale, not an
-        internal error."""
+    @pytest.mark.parametrize("record,writer", [
+        ("gen-data.record.json", "gen-data"),
+        ("pretrain.record.json", "pretrain")])
+    def test_missing_record_rejected(self, cfg_file, cli_run, tmp_path,
+                                     capsys, record, writer):
+        """An input whose writer's record is gone cannot be vouched for:
+        select-anchors exits 2 naming the record and the command that
+        writes it, and writes nothing."""
         work = tmp_path / "copy"
         shutil.copytree(cli_run, work)
-        sections = ckpt.read_checkpoint(work / "student.ck")
-        sections["__dataset_hash__"] = np.full(32, 300.0)
-        ckpt.write_checkpoint(work / "student.ck", sections)
+        (work / record).unlink()
+        before = {p.name: p.read_bytes() for p in work.iterdir()}
         assert cli.main(["select-anchors", "--config", str(cfg_file),
                          "--out", str(work)]) == 2
-        assert "different dataset file" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: select-anchors: {work / record} is missing; run "
+            f"`vlltr {writer}` first"]
+        assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+
+    @pytest.mark.parametrize("text", ['{"key": ', '{"key": "0"}', "[]",
+                                      '{"key": "0", "sha256": 7}'],
+                             ids=["not-json", "no-digests", "not-an-object",
+                                  "digests-not-a-table"])
+    def test_malformed_record_rejected(self, cfg_file, cli_run, tmp_path,
+                                       capsys, text):
+        """A record that does not parse exits 2 in one line naming it,
+        not as an internal error, and writes nothing."""
+        work = tmp_path / "copy"
+        shutil.copytree(cli_run, work)
+        record = work / "pretrain.record.json"
+        record.write_text(text)
+        before = {p.name: p.read_bytes() for p in work.iterdir()}
+        assert cli.main(["select-anchors", "--config", str(cfg_file),
+                         "--out", str(work)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {record}: not a stage record")
+        assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+
+    @pytest.mark.parametrize("name,writer", [("student.ck", "pretrain"),
+                                             ("dataset.bin", "gen-data")])
+    def test_artifact_edited_after_its_record_rejected(
+            self, cfg_file, cli_run, tmp_path, capsys, name, writer):
+        """A file changed after its writer recorded it exits 2 in one line
+        naming it and the command to re-run, and writes nothing."""
+        work = tmp_path / "copy"
+        shutil.copytree(cli_run, work)
+        with open(work / name, "ab") as f:
+            f.write(b"\0")
+        before = {p.name: p.read_bytes() for p in work.iterdir()}
+        assert cli.main(["select-anchors", "--config", str(cfg_file),
+                         "--out", str(work)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {work / name}: not the file `vlltr {writer}` wrote; "
+            "re-run it"]
+        assert {p.name: p.read_bytes() for p in work.iterdir()} == before
 
     @pytest.mark.parametrize("name,command", [("corpus.tsv", "make-teacher"),
                                               ("anchors.tsv", "finetune")])
@@ -314,6 +391,7 @@ class TestPipelineCommands:
         lines = path.read_bytes().split(b"\n")
         lines[2] = lines[2][:3] + b"\xff" + lines[2][3:]
         path.write_bytes(b"\n".join(lines))
+        reseal(work, name)
         assert cli.main([command, "--config", str(cfg_file),
                          "--out", str(work)]) == 2
         err = capsys.readouterr().err
@@ -364,6 +442,7 @@ class TestPipelineCommands:
         lines = path.read_text().splitlines(keepends=True)
         lines[3] = lines[3].rsplit("\t", 1)[0] + "\n"   # drop the score
         path.write_text("".join(lines))
+        reseal(work, "anchors.tsv")
         assert cli.main(["finetune", "--config", str(cfg_file),
                          "--out", str(work)]) == 2
         assert "anchors.tsv:4:" in capsys.readouterr().err
@@ -376,6 +455,7 @@ class TestPipelineCommands:
         shutil.copytree(cli_run, work)
         path = work / name
         path.write_bytes(path.read_bytes()[:-1])
+        reseal(work, name)
         assert cli.main(["eval", "--config", str(cfg_file),
                          "--out", str(work)]) == 2
         assert f"{path}: truncated file" in capsys.readouterr().err
@@ -445,6 +525,7 @@ class TestPipelineCommands:
             + struct.pack(f"<III{C}I", DATASET_VERSION, C, d_img, *counts)
             + bytes(4 * d_img * sum(counts)) + struct.pack("<I", 1)
             + bytes(4 * d_img * C))
+        reseal(work, "dataset.bin")
         assert cli.main(["pretrain", "--config", str(cfg_file),
                          "--out", str(work), "--set", "lam=1.0"]) == 2
         err = capsys.readouterr().err.splitlines()
@@ -454,10 +535,11 @@ class TestPipelineCommands:
                                                     tmp_path, capsys):
         work = tmp_path / "copy"
         work.mkdir()
-        for name in ("dataset.bin", "corpus.tsv"):
+        for name in ("dataset.bin", "corpus.tsv", "gen-data.record.json"):
             shutil.copy(cli_run / name, work / name)
         with open(work / "corpus.tsv", "a") as f:
             f.write("0\tencyclopedia\t0 500 1\n")
+        reseal(work, "corpus.tsv")
         lines = (work / "corpus.tsv").read_text().count("\n")
         assert cli.main(["make-teacher", "--config", str(cfg_file),
                          "--out", str(work)]) == 2
@@ -593,6 +675,18 @@ class TestUsageAndErrors:
         assert cli.main(args) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(path) in err
+
+    def test_setting_too_large_for_memory_exits_two(self, tmp_path, capsys):
+        """A vocabulary of 10**15 ids asks gen-data for a filler pool of
+        8 PB, which is refused at once: exit 2 in one stderr line naming
+        the stage, and no file written (was `internal error:
+        MemoryError: `, exit 4)."""
+        out = tmp_path / "run"
+        assert cli.main(["gen-data", "--out", str(out),
+                         "--set", f"vocab_size={10 ** 15}"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: gen-data: "), err
+        assert not out.exists() or not list(out.iterdir())
 
     def test_missing_checkpoint_is_validation_error(self, cfg_file, tmp_path):
         assert cli.main(["select-anchors", "--config", str(cfg_file),

@@ -253,7 +253,7 @@ POISONED_WRITES = {
     "save_trace": lambda p: save_trace(p, [(0, 0, 1.0, 0.0, 1.0, 0.1),
                                            Poison()]),
     "save_anchors": lambda p: save_anchors(p, AnchorSet(
-        "AnSS", 1, [[(0, 0.5)], Poison()], b"\1" * 32)),
+        "AnSS", 1, [[(0, 0.5)], Poison()])),
     "save_anchor_embeddings": lambda p: save_anchor_embeddings(
         p, type("Block", (Poison,), {"shape": (1, 1, 2)})(), b"\1" * 32),
 }

@@ -293,8 +293,7 @@ def finetune_world(seed=0):
     corpus, _ = gen_corpus(C, 6, 2, vocab_size=64, noise_fraction=0.0,
                            seed=seed)
     model = CvlpModel(6, 6, 64, seed=seed)
-    anchors = select_anchors(corpus, ds, model, M=3, cap=5, seed=seed,
-                             checkpoint_hash=b"\x01" * 32)
+    anchors = select_anchors(corpus, ds, model, M=3, cap=5, seed=seed)
     return ds, corpus, model, anchors
 
 
@@ -307,13 +306,13 @@ class TestAnchorEmbeddings:
         """An id that would read a row of another class or a row from the
         end, and a class count that differs from the corpus's."""
         _, corpus, model, _ = finetune_world()
-        anchors = AnchorSet("AnSS", 1, entries, b"\1" * 32)
+        anchors = AnchorSet("AnSS", 1, entries)
         with pytest.raises(ValidationError, match="do not fit the corpus"):
             compute_anchor_embeddings(anchors, corpus, model)
 
     def test_rows_are_each_class_s_sentences(self):
         _, corpus, model, _ = finetune_world()
-        anchors = AnchorSet("AnSS", 2, [[(7, 0.0), (0, 0.0)]] * 3, b"")
+        anchors = AnchorSet("AnSS", 2, [[(7, 0.0), (0, 0.0)]] * 3)
         table = corpus.table
         want = [model.lin([table.sequences()[int(table.class_starts[c]) + s]
                            for s in (7, 0)]).data for c in range(3)]
@@ -433,7 +432,8 @@ def test_inference_head_reproduces_predictions(head, mini_cfg, mini_run,
     cfg = dataclasses.replace(mini_cfg, head=head)
     work = tmp_path / "run"
     work.mkdir()
-    for name in ("dataset", "corpus", "student", "anchors"):
+    for name in ("dataset", "corpus", "gen_data_record", "student",
+                 "pretrain_record", "anchors", "select_anchors_record"):
         shutil.copy(pipeline.artifact(run_dir, name),
                     pipeline.artifact(work, name))
     pipeline.cmd_finetune(cfg, work)

@@ -1,8 +1,8 @@
 """The stage memo: `vlltr ablate` runs each distinct stage once, and the
 bytes it shares are the bytes a memo-free run writes. The stage table's
 field lists are checked, not trusted: fields outside a stage's list,
-moved one at a time or all at once, must leave that stage's artifacts
-unchanged."""
+moved one at a time or all at once, must leave the bytes its body
+writes unchanged."""
 
 import dataclasses
 import shutil
@@ -13,7 +13,7 @@ from vlltr import checkpoint as ckpt
 from vlltr import cli, head, pipeline
 from vlltr.config import RunConfig
 from vlltr.encoders import LinguisticEncoder
-from vlltr.errors import ValidationError
+from vlltr.errors import StaleArtifactError, ValidationError
 
 ABLATE_ROWS = {"LGR_and_AnSS_and_distill": {},
                "LGR_and_AnSS,_no_distill": {"lam": 1.0},
@@ -104,13 +104,14 @@ def test_ablate_row_matches_a_memo_free_run(ablated, mini_cfg, row, tmp_path):
     cfg = dataclasses.replace(mini_cfg, **ABLATE_ROWS[row])
     pipeline.run_all(cfg, tmp_path)
     want = files(tmp_path)
-    assert len(want) == (11 if cfg.lam == 1.0 else 13)
+    assert len(want) == (16 if cfg.lam == 1.0 else 19)
     assert files(out / row) == want
 
 
 def test_memo_keeps_bytes_not_paths(mini_cfg, tmp_path):
     """Editing a row's files after its run changes nothing later rows
-    are given; a changed upstream file is a miss, not a hit."""
+    are given; an upstream file made under another config is refused
+    before the memo is read, and adds nothing to it."""
     cfg, memo = mini_cfg, {}
     pipeline.run_all(cfg, tmp_path / "first", memo)
     (tmp_path / "first" / "corpus.tsv").write_text("")
@@ -121,14 +122,14 @@ def test_memo_keeps_bytes_not_paths(mini_cfg, tmp_path):
 
     other_corpus = dataclasses.replace(cfg, noise_fraction=0.5)
     pipeline.cmd_gen_data(other_corpus, tmp_path / "third")
-    for stage in ORDER[1:]:
-        getattr(pipeline, f"cmd_{stage}")(cfg, tmp_path / "third", memo)
-    assert len(memo) == 7   # 4 stages of `first`, 3 more of `third`
+    with pytest.raises(StaleArtifactError, match="written under a different"):
+        pipeline.cmd_make_teacher(cfg, tmp_path / "third", memo)
+    assert len(memo) == 4   # the 4 stages of `first`
 
 
 def check_hashed_once(log, total):
     """Each stage call hashes each file at most once; `total` hashes in
-    all: one per input of each stage that reads files."""
+    all."""
     for stage, paths in log:
         assert len(paths) == len(set(paths)), (stage, paths)
     assert sum(len(paths) for _, paths in log) == total
@@ -136,28 +137,33 @@ def check_hashed_once(log, total):
 
 def test_no_stage_call_of_a_run_hashes_a_file_twice(mini_cfg, tmp_path,
                                                     monkeypatch):
-    """gen-data hashes nothing and make-teacher the two data files (2);
-    pretrain and select-anchors hash them and the checkpoint they read
-    (3 + 3); finetune hashes them, student.ck, anchors.tsv and the
-    final.ck it writes, to key the anchor cache (5); eval hashes them,
-    final.ck and the cache (4). 17 in all."""
+    """Each stage hashes its inputs, to check them, and its outputs, for
+    its record. gen-data hashes its three files (3); make-teacher the
+    two data files and its two (4); pretrain and select-anchors the data
+    files, the checkpoint they read and their two and one outputs (5 +
+    4); finetune the data files, student.ck, anchors.tsv and its three
+    outputs, final.ck once for both the anchor cache and the record
+    (7); eval the data files, final.ck, the cache and its two (6). 29 in
+    all."""
     log = hashing(monkeypatch)
     pipeline.run_all(mini_cfg, tmp_path)
     assert [stage for stage, _ in log] == [
         "cmd_gen_data", "cmd_make_teacher", "cmd_pretrain",
         "cmd_select_anchors", "cmd_finetune", "cmd_eval"]
-    assert [len(paths) for _, paths in log] == [0, 2, 3, 3, 5, 4]
-    check_hashed_once(log, 17)
+    assert [len(paths) for _, paths in log] == [3, 4, 5, 4, 7, 6]
+    check_hashed_once(log, 29)
 
 
 def test_no_stage_call_of_ablate_hashes_a_file_twice(ablated):
-    """A memo hit hashes the stage's inputs and nothing else: 4 teacher
-    calls of 2 (8), 4 distilled and 1 lam=1 pretrain call of 3 and 2
-    (14), 5 select-anchors calls of 3 (15), 5 finetunes of 5 (25) and 5
-    evals of 4 (20). 82 in all."""
+    """A memo hit hashes the stage's inputs and nothing else; a run also
+    hashes its outputs. gen-data runs once (3); 4 teacher calls of 2
+    and one run's 2 (10); 4 distilled and 1 lam=1 pretrain call of 3
+    and 2, and two runs' 2 (18); 5 select-anchors calls of 3 and three
+    runs' 1 (18); 5 finetunes of 7 (35) and 5 evals of 6 (30). 114 in
+    all."""
     _, _, log = ablated
     assert len(log) == 29
-    check_hashed_once(log, 82)
+    check_hashed_once(log, 114)
 
 
 def test_missing_teacher_is_an_error_with_a_memo(mini_cfg, tmp_path):
@@ -259,40 +265,37 @@ def base_run(mini_cfg, tmp_path_factory):
     return cfg, run_dir
 
 
+def body_outputs(stage):
+    """The artifacts stage `stage`'s body writes: all but its record."""
+    return pipeline.STAGES[stage].outputs[:-1]
+
+
 def rerun(stage, cfg, base_dir, run_dir):
-    """Stage `stage` under `cfg` on a copy of the base run's upstream
-    files; the bytes of each artifact it writes."""
+    """The body of stage `stage` under `cfg` on a copy of the base run's
+    upstream files; the bytes of each artifact it writes. The body runs
+    without the stage's input check, which refuses an input of another
+    config, so the body's own reads are what is tested."""
     run_dir.mkdir()
     for name in pipeline.STAGES[stage].inputs(cfg):
         shutil.copy(pipeline.artifact(base_dir, name),
                     pipeline.artifact(run_dir, name))
-    getattr(pipeline, f"cmd_{stage}")(cfg, run_dir)
+    getattr(pipeline, f"cmd_{stage}").__wrapped__(cfg, run_dir, {})
     return {name: pipeline.artifact(run_dir, name).read_bytes()
-            for name in pipeline.STAGES[stage].outputs}
-
-
-def checked_fields(stage):
-    """The fields of the rows that write the checkpoints `stage` reads;
-    the stage checks them against the checkpoints' fingerprints."""
-    return {field for name in pipeline.STAGES[stage].upstream
-            if pipeline.FILES[name].endswith(".ck")
-            for st in pipeline.STAGES.values() if name in st.outputs
-            for field in st.fields}
+            for name in body_outputs(stage)}
 
 
 def outside_fields(stage):
     """The fields a re-run of `stage` may move: all but those of its own
-    row and `checked_fields`."""
-    kept = set(pipeline.STAGES[stage].fields) | checked_fields(stage)
+    row."""
     return [f.name for f in dataclasses.fields(RunConfig)
-            if f.name not in kept]
+            if f.name not in pipeline.STAGES[stage].fields]
 
 
 @pytest.mark.parametrize("stage", ORDER)
 def test_fields_outside_a_stage_leave_its_bytes(stage, base_run, tmp_path):
     cfg, base_dir = base_run
     want = {name: pipeline.artifact(base_dir, name).read_bytes()
-            for name in pipeline.STAGES[stage].outputs}
+            for name in body_outputs(stage)}
     outside = outside_fields(stage)
     changed = [name for name in outside
                if rerun(stage, dataclasses.replace(
@@ -300,9 +303,8 @@ def test_fields_outside_a_stage_leave_its_bytes(stage, base_run, tmp_path):
                    base_dir, tmp_path / name) != want]
     assert changed == [], f"{stage} reads {changed} but does not list them"
 
-    # the first field of its own row that it may move changes every output
-    own = next(name for name in pipeline.STAGES[stage].fields
-               if name not in checked_fields(stage))
+    # the first field of its own row changes every output
+    own = pipeline.STAGES[stage].fields[0]
     moved = rerun(stage,
                   dataclasses.replace(cfg, **{own: other_value(cfg, own)}),
                   base_dir, tmp_path / own)
@@ -316,7 +318,7 @@ def test_moving_every_field_outside_a_stage_leaves_its_bytes(stage, base_run,
     stage writes the bytes it wrote under the base config."""
     cfg, base_dir = base_run
     want = {name: pipeline.artifact(base_dir, name).read_bytes()
-            for name in pipeline.STAGES[stage].outputs}
+            for name in body_outputs(stage)}
     moved = dataclasses.replace(cfg, **{name: other_value(cfg, name)
                                         for name in outside_fields(stage)})
     assert rerun(stage, moved.validate(), base_dir, tmp_path / "run") == want
