@@ -149,9 +149,15 @@ def read_checkpoint(path, names=None) -> dict[str, np.ndarray]:
     return out
 
 
+def sections(params: dict) -> dict[str, np.ndarray]:
+    """A copy of each parameter's array by name: `load_params`' inverse."""
+    return {name: p.data.copy() for name, p in params.items()}
+
+
 def load_params(params: dict, sections: dict, path):
-    """Copy each section read from checkpoint `path` into the parameter of
-    the same name.
+    """Write each section read from checkpoint `path` into the array of
+    the parameter of the same name, in place, so a parameter an
+    optimizer owns stays its view.
 
     Every parameter needs a section of exactly its shape: a missing
     section is a ValidationError, and a section of another shape (say, a
@@ -166,4 +172,4 @@ def load_params(params: dict, sections: dict, path):
             raise ShapeMismatch(
                 f"{path}: checkpoint section '{name}': shape "
                 f"{sections[name].shape} != expected {p.data.shape}")
-        p.data = sections[name].copy()
+        p.data[...] = sections[name]

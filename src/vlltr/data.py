@@ -449,14 +449,17 @@ def save_dataset(path, ds: LongTailDataset):
 
 
 def load_dataset(path) -> LongTailDataset:
-    """A dataset file; a short or truncated one, or one with no classes or
-    an empty class, is a ValidationError naming `path`."""
+    """A dataset file; a short or truncated one, or one with no classes,
+    an empty class or images of width 0 (no image bytes, so no length
+    bounds the counts that size `y`), is a ValidationError naming `path`."""
     with open(path, "rb") as f:
         if f.read(4) != DATASET_MAGIC:
             raise ValidationError(f"{path}: not a dataset file (bad magic)")
         version, C, d_img = unpack(f, "<III", path, "header")
         if version != DATASET_VERSION:
             raise ValidationError(f"{path}: unsupported version {version}")
+        if d_img == 0:
+            raise ValidationError(f"{path}: images of width d_img 0")
         counts = list(unpack(f, f"<{C}I", path, "class counts"))
         if C == 0 or not all(counts):
             raise ValidationError(

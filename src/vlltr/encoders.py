@@ -158,18 +158,10 @@ class CvlpModel:
         return cosine_sim_forward(self.vis.forward(images)[0],
                                   self.lin(sequences))[0]
 
-    # ---- persistence ----
-
-    def state(self) -> dict:
-        return {k: v.data.copy() for k, v in self.params().items()}
-
-    def load_state(self, sections: dict, path):
-        ckpt.load_params(self.params(), sections, path)
-
     @classmethod
     def from_checkpoint(cls, path, d_img, D, vocab_size, max_tokens=77):
         model = cls(d_img, D, vocab_size, seed=0, max_tokens=max_tokens)
-        model.load_state(ckpt.read_checkpoint(path), path)
+        ckpt.load_params(model.params(), ckpt.read_checkpoint(path), path)
         return model
 
 

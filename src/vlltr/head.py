@@ -439,7 +439,7 @@ def run_finetune(dataset: LongTailDataset, anchors: AnchorSet,
 
     steps_per_epoch = max(1, int(np.ceil(dataset.y.size / cfg.finetune_batch)))
     total_steps = max(1, cfg.finetune_epochs * steps_per_epoch)
-    opt = AdamW(trainable, cfg.finetune_lr, weight_decay=cfg.weight_decay)
+    opt = AdamW(trainable, cfg.weight_decay)
     sampler = SqrtSampler(dataset.counts, seed=cfg.seed)
     trace = []
     step = 0
@@ -454,7 +454,7 @@ def run_finetune(dataset: LongTailDataset, anchors: AnchorSet,
                     f"run_finetune: non-finite loss at step {step}")
             opt.zero_grad()
             loss.backward()
-            opt.step(lr=cosine_lr(cfg.finetune_lr, step, total_steps))
+            opt.step(cosine_lr(cfg.finetune_lr, step, total_steps))
             for tau in taus:
                 clamp_tau(tau)
             trace.append((epoch, step, float(loss.data)))

@@ -6,16 +6,18 @@ import math
 
 import numpy as np
 
-from .errors import ShapeMismatch, ValidationError
+from .errors import ValidationError
 from .tensor import Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
-    """Half-cosine decay from base_lr at step 0 to 0 at total_steps."""
+
+def cosine_lr(peak_lr: float, step: int, total_steps: int) -> float:
+    """Half-cosine decay from peak_lr at step 0 to 0 at total_steps."""
     if not 0 <= step <= total_steps:
         raise ValidationError(
             f"cosine_lr: step {step} outside [0, {total_steps}]")
-    return 0.5 * base_lr * (1.0 + math.cos(math.pi * step / total_steps))
+    return 0.5 * peak_lr * (1.0 + math.cos(math.pi * step / total_steps))
 
 
 class AdamW:
@@ -24,19 +26,15 @@ class AdamW:
     All parameters live in one flat float64 buffer: at construction each
     `p.data` is copied in and rebound to a view of it, so a step is a
     fixed handful of in-place ufuncs over every parameter at once, with
-    the same per-element arithmetic as a step tensor by tensor. A
-    parameter whose `.data` was replaced since (a checkpoint load, say)
-    is copied back in and rebound at the next step.
-
-    The gradients live in a second flat buffer: `zero_grad` zeroes it and
+    the same per-element arithmetic as a step tensor by tensor. The
+    gradients live in a second flat buffer: `zero_grad` zeroes it and
     binds each `p.grad` to its view, so backward passes add straight
-    into it (and `pretrain.pretrain_step` writes over it). A gradient
-    that is None or another array at `step` is zero-filled or copied in.
+    into it (and `pretrain.pretrain_step` writes over it). Whatever
+    changes a parameter or its gradient writes into these views in place
+    (`checkpoint.load_params` does); `step` refuses any other array.
     """
 
-    def __init__(self, params: dict[str, Tensor], base_lr: float,
-                 weight_decay: float = 0.05, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], weight_decay: float):
         self.params = dict(params)
         owner = {}
         for name, p in self.params.items():
@@ -45,9 +43,7 @@ class AdamW:
                     f"AdamW: '{owner[id(p)]}' and '{name}' are the same "
                     f"tensor")
             owner[id(p)] = name
-        self.base_lr = base_lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         size = sum(p.data.size for p in self.params.values())
         self._p, self._g, self._m, self._v, self._tmp, self._upd = (
@@ -69,40 +65,25 @@ class AdamW:
         for _, p, _, g_view in self._slots:
             p.grad = g_view
 
-    def step(self, lr: float | None = None):
-        lr = self.base_lr if lr is None else lr
+    def step(self, lr: float):
         for name, p, view, g_view in self._slots:
-            if p.data is not view:
-                if np.shape(p.data) != view.shape:
-                    raise ShapeMismatch(
-                        f"AdamW: parameter '{name}' was replaced by shape "
-                        f"{np.shape(p.data)}, expected {view.shape}")
-                view[...] = p.data
-                p.data = view
-            g = p.grad
-            if g is g_view:
-                continue
-            if g is None:
-                g_view.fill(0.0)
-            elif g.shape != view.shape:
-                raise ShapeMismatch(
-                    f"AdamW: gradient shape {g.shape} != parameter "
-                    f"shape {view.shape} for '{name}'"
-                )
-            else:
-                g_view[...] = g
+            if p.data is not view or p.grad is not g_view:
+                field = ".data" if p.data is not view else ".grad"
+                raise ValidationError(
+                    f"AdamW: parameter '{name}': {field} is not the view "
+                    f"AdamW bound (write into it in place)")
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         p, g, m, v = self._p, self._g, self._m, self._v
         tmp, upd = self._tmp, self._upd
         # m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=tmp)
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=tmp)
         m += tmp
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=tmp)
+        v *= BETA2
+        np.multiply(g, 1.0 - BETA2, out=tmp)
         tmp *= g
         v += tmp
         if self.weight_decay:
@@ -110,7 +91,7 @@ class AdamW:
         # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += self.eps
+        tmp += EPS
         np.divide(m, bc1, out=upd)
         upd *= lr
         upd /= tmp

@@ -41,48 +41,17 @@ from .head import (classify_dataset, get_head, load_anchor_embeddings,
 from .pretrain import run_pretrain, save_trace
 from .tensor import parameter
 
-FILES = {
-    "dataset": "dataset.bin",
-    "corpus": "corpus.tsv",
-    "stats": "stats.json",
-    "gen_data_record": "gen-data.record.json",
-    "teacher": "teacher.ck",
-    "teacher_trace": "teacher_trace.tsv",
-    "make_teacher_record": "make-teacher.record.json",
-    "student": "student.ck",
-    "pretrain_trace": "pretrain_trace.tsv",
-    "pretrain_record": "pretrain.record.json",
-    "anchors": "anchors.tsv",
-    "select_anchors_record": "select-anchors.record.json",
-    "final": "final.ck",
-    "finetune_trace": "finetune_trace.tsv",
-    "cache": "anchor_cache.vlae",
-    "finetune_record": "finetune.record.json",
-    "predictions": "predictions.tsv",
-    "report": "report.json",
-    "eval_record": "eval.record.json",
-}
-
-
-def artifact(out_dir, name) -> Path:
-    return Path(out_dir) / FILES[name]
-
-
 @dataclass(frozen=True)
 class Stage:
     fields: tuple     # the RunConfig fields the stage reads
     upstream: tuple   # the artifacts whose bytes its outputs depend on
-    outputs: tuple    # the artifacts it writes, its record last
+    files: dict       # artifact -> file name, for each but its record
 
     def inputs(self, cfg: RunConfig) -> tuple:
         """The upstream artifacts a run under `cfg` reads: the teacher
         only when it distills (lam < 1)."""
         return tuple(a for a in self.upstream
                      if a != "teacher" or cfg.lam < 1.0)
-
-    @property
-    def record(self) -> str:
-        return self.outputs[-1]
 
 
 # report.json records the whole config's fingerprint
@@ -94,57 +63,77 @@ STAGES = {
                 "test_per_class", "sentences_per_class", "prompt_count",
                 "vocab_size", "noise_fraction", "max_tokens"),
         upstream=(),
-        outputs=("dataset", "corpus", "stats", "gen_data_record")),
+        files={"dataset": "dataset.bin", "corpus": "corpus.tsv",
+               "stats": "stats.json"}),
     "make_teacher": Stage(
         fields=("seed", "classes", "n_max", "d_img", "noise_sigma",
                 "test_per_class", "embed_dim", "vocab_size", "tau_init",
                 "max_tokens", "teacher_epochs", "pretrain_batch",
                 "pretrain_lr", "weight_decay"),
         upstream=("dataset", "corpus"),
-        outputs=("teacher", "teacher_trace", "make_teacher_record")),
+        files={"teacher": "teacher.ck", "teacher_trace": "teacher_trace.tsv"}),
     "pretrain": Stage(
         fields=("seed", "d_img", "embed_dim", "vocab_size", "tau_init",
                 "max_tokens", "pretrain_epochs", "pretrain_batch",
                 "pretrain_lr", "lam", "weight_decay"),
         upstream=("dataset", "corpus", "teacher"),
-        outputs=("student", "pretrain_trace", "pretrain_record")),
+        files={"student": "student.ck",
+               "pretrain_trace": "pretrain_trace.tsv"}),
     "select_anchors": Stage(
         fields=("seed", "d_img", "embed_dim", "vocab_size", "max_tokens",
                 "anchor_m", "anchor_mode", "probe_cap"),
         upstream=("dataset", "corpus", "student"),
-        outputs=("anchors", "select_anchors_record")),
+        files={"anchors": "anchors.tsv"}),
     "finetune": Stage(
         fields=_EVERY_FIELD,
         upstream=("dataset", "corpus", "student", "anchors"),
-        outputs=("final", "finetune_trace", "cache", "finetune_record")),
+        files={"final": "final.ck", "finetune_trace": "finetune_trace.tsv",
+               "cache": "anchor_cache.vlae"}),
     "eval": Stage(
         fields=_EVERY_FIELD, upstream=("dataset", "corpus", "final", "cache"),
-        outputs=("report", "predictions", "eval_record")),
+        files={"report": "report.json", "predictions": "predictions.tsv"}),
 }
-
-# The stage that writes each artifact.
-_WRITERS = {art: name for name, st in STAGES.items() for art in st.outputs}
 
 
 def _command(name: str) -> str:
     return name.replace("_", "-")
 
 
+def _record(name: str) -> str:
+    return f"{name}_record"
+
+
+def outputs(name: str) -> dict:
+    """Artifact -> file name of each file stage `name` writes: its row's
+    files, then its record, `<command>.record.json`."""
+    return {**STAGES[name].files,
+            _record(name): f"{_command(name)}.record.json"}
+
+
+FILES = {art: file for name in STAGES for art, file in outputs(name).items()}
+# The stage that writes each artifact.
+_WRITERS = {art: name for name in STAGES for art in outputs(name)}
+
+
+def artifact(out_dir, name) -> Path:
+    return Path(out_dir) / FILES[name]
+
+
 def stage_key(name: str, cfg: RunConfig) -> str:
     """SHA-256 (hex) of stage `name`'s field lines under `cfg` and of the
     keys of the stages that write its inputs, each writer once, in
     `STAGES` order: known before any upstream byte exists."""
-    inputs = set(STAGES[name].inputs(cfg))
+    writers = {_WRITERS[art] for art in STAGES[name].inputs(cfg)}
     text = cfg.canonical(STAGES[name].fields) + "".join(
         f"{writer} = {stage_key(writer, cfg)}\n"
-        for writer, st in STAGES.items() if inputs & set(st.outputs))
+        for writer in STAGES if writer in writers)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _read_record(out_dir, writer: str) -> tuple:
     """(key, {file name: SHA-256 hex}) of stage `writer`'s record; one
     that does not parse is a ValidationError naming it."""
-    path = artifact(out_dir, STAGES[writer].record)
+    path = artifact(out_dir, _record(writer))
     text = ckpt.read_text(path)
     try:
         record = json.loads(text)
@@ -164,7 +153,7 @@ def require_inputs(command: str, out_dir, names, cfg: RunConfig):
     the one its record names, is a StaleArtifactError naming the file and
     the command to re-run."""
     writers = {name: _WRITERS[name] for name in names}
-    records = [STAGES[w].record for w in dict.fromkeys(writers.values())]
+    records = [_record(w) for w in dict.fromkeys(writers.values())]
     for name in [*names, *records]:
         path = artifact(out_dir, name)
         if not path.exists():
@@ -188,11 +177,10 @@ def require_inputs(command: str, out_dir, names, cfg: RunConfig):
 def _write_record(out_dir, name: str, key: str, digests: dict):
     """Stage `name`'s record: `key` and the SHA-256 of each other output,
     taken from `digests` where the body already hashed it."""
-    *files, record = STAGES[name].outputs
-    sha256 = {FILES[art]: (digests.get(art) or
-                           ckpt.file_sha256(artifact(out_dir, art))).hex()
-              for art in files}
-    with ckpt.atomic_write(artifact(out_dir, record)) as f:
+    sha256 = {file: (digests.get(art) or
+                     ckpt.file_sha256(artifact(out_dir, art))).hex()
+              for art, file in STAGES[name].files.items()}
+    with ckpt.atomic_write(artifact(out_dir, _record(name))) as f:
         f.write(json.dumps({"key": key, "sha256": sha256}, indent=1,
                            sort_keys=True) + "\n")
 
@@ -238,7 +226,7 @@ def _stage(name: str):
             _write_record(out_dir, name, key, digests)
             if memo is not None:
                 memo[key] = {art: artifact(out_dir, art).read_bytes()
-                             for art in STAGES[name].outputs}
+                             for art in outputs(name)}
             return result
         return stage
     return wrap
@@ -282,8 +270,9 @@ def _pretrain(name: str, cfg: RunConfig, out_dir, dataset, teacher):
                       max_tokens=cfg.max_tokens)
     trace = run_pretrain(dataset, _load_corpus(cfg, out_dir), model, teacher,
                          cfg)
-    checkpoint, trace_file, _ = STAGES[name].outputs
-    ckpt.write_checkpoint(artifact(out_dir, checkpoint), model.state())
+    checkpoint, trace_file = STAGES[name].files
+    ckpt.write_checkpoint(artifact(out_dir, checkpoint),
+                          ckpt.sections(model.params()))
     save_trace(artifact(out_dir, trace_file), trace)
 
 
@@ -330,9 +319,8 @@ def cmd_finetune(cfg: RunConfig, out_dir, digests: dict):
     model = load_model(cfg, out_dir, "student")
     anchors = load_anchors(artifact(out_dir, "anchors"))
     head, emb, trace = run_finetune(dataset, anchors, corpus, model, cfg)
-    sections = {**model.state(),
-                **{k: v.data.copy() for k, v in head.params().items()}}
-    ckpt.write_checkpoint(artifact(out_dir, "final"), sections)
+    ckpt.write_checkpoint(artifact(out_dir, "final"), ckpt.sections(
+        {**model.params(), **head.params()}))
     save_trace(artifact(out_dir, "finetune_trace"), trace)
     digests["final"] = ckpt.file_sha256(artifact(out_dir, "final"))
     cmd_precompute_cache(out_dir, emb, digests["final"])

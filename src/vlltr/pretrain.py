@@ -216,8 +216,7 @@ def run_pretrain(dataset: LongTailDataset, corpus: ClassCorpus,
         raise ValidationError("run_pretrain: lam < 1 requires a teacher")
     steps_per_epoch = max(1, int(np.ceil(dataset.y.size / cfg.pretrain_batch)))
     total_steps = max(1, cfg.pretrain_epochs * steps_per_epoch)
-    opt = AdamW(model.params(), cfg.pretrain_lr,
-                weight_decay=cfg.weight_decay)
+    opt = AdamW(model.params(), cfg.weight_decay)
     sampler = SqrtSampler(dataset.counts, seed=cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x9E7]))
     table = corpus.table
@@ -245,7 +244,7 @@ def run_pretrain(dataset: LongTailDataset, corpus: ClassCorpus,
             except NumericError as exc:
                 raise NumericError(
                     f"run_pretrain: non-finite loss at step {step}") from exc
-            opt.step(lr=cosine_lr(cfg.pretrain_lr, step, total_steps))
+            opt.step(cosine_lr(cfg.pretrain_lr, step, total_steps))
             clamp_tau(model.tau)
             trace.append((epoch, step, l_ccl,
                           0.0 if l_dis is None else l_dis,

@@ -370,12 +370,9 @@ def visual_encode(enc, x):
 class AdamW:
     """`optim.AdamW` stepping each parameter tensor on its own."""
 
-    def __init__(self, params, base_lr, weight_decay=0.05, beta1=0.9,
-                 beta2=0.999, eps=1e-8):
+    def __init__(self, params, weight_decay):
         self.params = dict(params)
-        self.base_lr = base_lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -384,25 +381,25 @@ class AdamW:
         for p in self.params.values():
             p.grad = None
 
-    def step(self, lr=None):
-        lr = self.base_lr if lr is None else lr
+    def step(self, lr):
+        b1, b2, eps = 0.9, 0.999, 1e-8
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - b1 ** t
+        bc2 = 1.0 - b2 ** t
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if g.shape != p.data.shape:
                 raise ShapeMismatch(f"gradient shape mismatch for '{name}'")
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
             if self.weight_decay:
                 p.data *= 1.0 - lr * self.weight_decay
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 def evaluate(predictions, labels, bands, config_fingerprint=""):

@@ -276,13 +276,11 @@ def test_criterion_8_encoder_free_inference(mini_cfg, mini_run, tmp_path):
     dataset = load_dataset(work / "dataset.bin")
     corpus = load_corpus(work / "corpus.tsv", mini_cfg.vocab_size,
                          mini_cfg.max_tokens)
-    sections = ckpt.read_checkpoint(work / "final.ck",
-                                    names=lambda n: not n.startswith("__"))
+    sections = ckpt.read_checkpoint(work / "final.ck")
     model = CvlpModel(mini_cfg.d_img, mini_cfg.embed_dim,
                       mini_cfg.vocab_size, seed=0,
                       max_tokens=mini_cfg.max_tokens)
-    model.load_state({k: v for k, v in sections.items()
-                      if not k.startswith(("lgr.", "fc."))}, work / "final.ck")
+    ckpt.load_params(model.params(), sections, work / "final.ck")
     from vlltr.head import LgrParams
     head = LgrParams(mini_cfg.embed_dim, mini_cfg.classes,
                      mini_cfg.tau_init, np.random.default_rng(0))

@@ -111,10 +111,9 @@ class TestPipelineCommands:
                          "--out", str(tmp_path),
                          "--set", "pretrain_epochs=0",
                          "--set", "lam=1.0"]) == 0
-        sections = ckpt.read_checkpoint(tmp_path / "student.ck",
-                                        names=lambda n: not n.startswith("__"))
+        sections = ckpt.read_checkpoint(tmp_path / "student.ck")
         init = CvlpModel(8, 8, 96, seed=0)
-        for k, v in init.state().items():
+        for k, v in ckpt.sections(init.params()).items():
             np.testing.assert_array_equal(sections[k], v)
 
     def test_eval_is_idempotent(self, cfg_file, cli_run, tmp_path, capsys):

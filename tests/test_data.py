@@ -371,6 +371,20 @@ class TestSerialization:
             f"{path}: need at least one class and one image per class, "
             f"got class counts {counts}")
 
+    def test_zero_width_images_are_refused_before_labels_are_sized(
+            self, tmp_path):
+        """With d_img 0 the images take no bytes, so the file's length
+        bounds no count: a 24-byte file that claims a million training
+        and a million test images is refused, naming the file."""
+        path = tmp_path / "d.bin"
+        path.write_bytes(DATASET_MAGIC
+                         + struct.pack("<IIIII", DATASET_VERSION, 1, 0,
+                                       1_000_000, 1_000_000))
+        assert path.stat().st_size == 24
+        with pytest.raises(ValidationError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == f"{path}: images of width d_img 0"
+
     def test_corpus_round_trip(self, tmp_path):
         corpus, _ = gen_corpus(3, 6, 4, 96, 0.2, seed=0)
         path = tmp_path / "c.tsv"

@@ -5,7 +5,8 @@ import pytest
 
 from tape import Tensor, cosine_sim_matrix
 from vlltr.anchors import AnchorSet, save_anchors
-from vlltr.checkpoint import atomic_write, read_checkpoint, write_checkpoint
+from vlltr.checkpoint import (atomic_write, load_params, read_checkpoint,
+                              sections, write_checkpoint)
 from vlltr.data import (ClassCorpus, LongTailDataset, save_corpus,
                         save_dataset, save_stats, token_table)
 from vlltr.encoders import (
@@ -20,6 +21,7 @@ from vlltr.encoders import (
 from vlltr.errors import ShapeMismatch, ValidationError
 from vlltr.gradcheck import check_gradients
 from vlltr.head import save_anchor_embeddings
+from vlltr.optim import AdamW
 from vlltr.pretrain import pretrain_step, save_trace
 
 
@@ -156,7 +158,7 @@ class TestTeacherPair:
     def test_snapshot_matches_student(self, tmp_path):
         model = tiny_model(seed=3)
         path = tmp_path / "t.ck"
-        write_checkpoint(path, model.state())
+        write_checkpoint(path, sections(model.params()))
         teacher = TeacherPair(CvlpModel.from_checkpoint(path, 4, 4, 12))
         rng = np.random.default_rng(5)
         x = rng.normal(size=(3, 4))
@@ -169,18 +171,18 @@ class TestTeacherPair:
     def test_teacher_is_frozen(self, tmp_path):
         model = tiny_model(seed=3)
         path = tmp_path / "t.ck"
-        write_checkpoint(path, model.state())
+        write_checkpoint(path, sections(model.params()))
         teacher = TeacherPair(CvlpModel.from_checkpoint(path, 4, 4, 12))
         x = np.random.default_rng(5).normal(size=(3, 4))
         teacher.unit_embeddings(x, [[0, 2, 1], [0, 5, 1]])
         for name, p in teacher._model.params().items():
-            np.testing.assert_array_equal(p.data, model.state()[name])
+            np.testing.assert_array_equal(p.data, model.params()[name].data)
             assert p.grad is None
 
     def test_no_gradient_flows_into_teacher(self, tmp_path):
         model = tiny_model(seed=3)
         path = tmp_path / "t.ck"
-        write_checkpoint(path, model.state())
+        write_checkpoint(path, sections(model.params()))
         teacher = TeacherPair(CvlpModel.from_checkpoint(path, 4, 4, 12))
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 4))
@@ -295,26 +297,52 @@ class TestCheckpointing:
     def test_state_round_trip(self, tmp_path):
         model = tiny_model(seed=9)
         path = tmp_path / "m.ck"
-        write_checkpoint(path, model.state())
+        write_checkpoint(path, sections(model.params()))
         other = tiny_model(seed=1)
-        other.load_state(read_checkpoint(path), path)
-        for k, v in model.state().items():
+        load_params(other.params(), read_checkpoint(path), path)
+        for k, v in sections(model.params()).items():
             np.testing.assert_array_equal(other.params()[k].data, v)
+
+    def test_sections_copy_each_array_in_params_order(self):
+        model = tiny_model(seed=9)
+        got = sections(model.params())
+        assert list(got) == list(model.params())
+        for name, p in model.params().items():
+            assert got[name] is not p.data
+            np.testing.assert_array_equal(got[name], p.data)
+
+    def test_load_after_the_optimizer_writes_into_its_views(self, tmp_path):
+        """A checkpoint loaded into parameters AdamW already owns lands in
+        the optimizer's views, and the next step updates the loaded
+        values."""
+        model, other = tiny_model(seed=9), tiny_model(seed=1)
+        path = tmp_path / "m.ck"
+        write_checkpoint(path, sections(model.params()))
+        opt = AdamW(other.params(), weight_decay=0.5)
+        views = {k: p.data for k, p in other.params().items()}
+        load_params(other.params(), read_checkpoint(path), path)
+        for k, p in other.params().items():
+            assert p.data is views[k]
+            np.testing.assert_array_equal(p.data, model.params()[k].data)
+        opt.zero_grad()
+        opt.step(0.1)
+        np.testing.assert_array_equal(other.vis.w1.data,
+                                      model.vis.w1.data * 0.95)
 
     def test_missing_section(self):
         model = tiny_model()
-        state = model.state()
+        state = sections(model.params())
         del state["vis.w1"]
         with pytest.raises(ValidationError) as exc:
-            model.load_state(state, "m.ck")
+            load_params(model.params(), state, "m.ck")
         assert "m.ck" in str(exc.value) and "vis.w1" in str(exc.value)
 
     def test_shape_mismatch(self):
         model = tiny_model()
-        state = model.state()
+        state = sections(model.params())
         state["vis.w1"] = np.zeros((1, 1))
         with pytest.raises((ValidationError, ShapeMismatch)):
-            model.load_state(state, "m.ck")
+            load_params(model.params(), state, "m.ck")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ck"
@@ -341,5 +369,5 @@ class TestCheckpointing:
     def test_section_filter_skips_names(self, tmp_path):
         path = tmp_path / "m.ck"
         write_checkpoint(path, {"keep": np.ones(2), "__meta": np.zeros(1)})
-        sections = read_checkpoint(path, names=lambda n: not n.startswith("__"))
-        assert set(sections) == {"keep"}
+        read = read_checkpoint(path, names=lambda n: not n.startswith("__"))
+        assert set(read) == {"keep"}

@@ -399,7 +399,7 @@ class TestAdamW:
 
     def trajectory(self, make_opt, clip, weight_decay):
         params = self.params(0)
-        opt = make_opt(params, 0.05, weight_decay=weight_decay)
+        opt = make_opt(params, weight_decay)
         rng = np.random.default_rng(1)
         states = []
         for step in range(self.STEPS):
@@ -408,7 +408,7 @@ class TestAdamW:
                                      for k, p in params.items()}, "mid.ck")
             opt.zero_grad()
             self.loss(params, rng.normal(size=(6, 3)), step).backward()
-            opt.step(lr=cosine_lr(0.05, step, self.STEPS))
+            opt.step(cosine_lr(0.05, step, self.STEPS))
             clip(params["tau"])
             states.append({k: p.data.tobytes() for k, p in params.items()})
         return states
@@ -419,8 +419,8 @@ class TestAdamW:
         def clip_in_place(tau):
             np.clip(tau.data, 0.01, 1.0, out=tau.data)
 
-        def clip_rebind(tau):
-            tau.data = np.clip(tau.data, 0.01, 1.0)
+        def clip_rebind(tau):   # a 0-d array, as `Tensor` holds
+            tau.data = np.asarray(np.clip(tau.data, 0.01, 1.0))
 
         got = self.trajectory(AdamW, clip_in_place, weight_decay)
         want = self.trajectory(oracle.AdamW, clip_rebind, weight_decay)
@@ -430,7 +430,7 @@ class TestAdamW:
     def test_parameters_are_views_of_one_buffer(self):
         params = self.params(2)
         before = {k: p.data.copy() for k, p in params.items()}
-        AdamW(params, 0.1)
+        AdamW(params, weight_decay=0.05)
         bases = {id(p.data.base) for p in params.values()}
         assert len(bases) == 1
         for k, p in params.items():

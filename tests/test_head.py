@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from vlltr.anchors import AnchorSet, select_anchors
+from vlltr.checkpoint import sections
 from vlltr.data import gen_corpus, gen_synthetic
 from vlltr.encoders import CvlpModel, VisualEncoder
 from vlltr.errors import ShapeMismatch, ValidationError
@@ -323,12 +324,12 @@ class TestAnchorEmbeddings:
 class TestFinetune:
     def test_zero_epochs_leaves_encoder(self, mini_cfg):
         ds, corpus, model, anchors = finetune_world()
-        before = {k: v.copy() for k, v in model.state().items()}
+        before = sections(model.params())
         _, emb, trace = run_finetune(
             ds, anchors, corpus, model,
             finetune_config(mini_cfg, finetune_epochs=0))
         assert trace == []
-        for k, v in model.state().items():
+        for k, v in sections(model.params()).items():
             np.testing.assert_array_equal(v, before[k])
         np.testing.assert_array_equal(
             emb, compute_anchor_embeddings(anchors, corpus, model))
@@ -340,7 +341,7 @@ class TestFinetune:
             head, emb, _ = run_finetune(
                 ds, anchors, corpus, model,
                 finetune_config(mini_cfg, finetune_lr=0.005, seed=2))
-            outs.append((model.state(),
+            outs.append((sections(model.params()),
                          {k: v.data.copy() for k, v in head.params().items()},
                          emb))
         for k in outs[0][0]:

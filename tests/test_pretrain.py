@@ -10,6 +10,7 @@ import composite_oracles as oracle
 from composite_oracles import class_sentences
 from vlltr import cli, pipeline
 from vlltr import pretrain as pretrain_module
+from vlltr.checkpoint import load_params, sections
 from vlltr.config import RunConfig
 from vlltr.data import (SqrtSampler, gen_corpus, gen_synthetic,
                         sqrt_class_weights)
@@ -343,8 +344,7 @@ def oracle_pretrain(dataset, corpus, model, teacher, cfg):
     steps_per_epoch = max(1, int(np.ceil(len(dataset.y)
                                          / cfg.pretrain_batch)))
     total_steps = cfg.pretrain_epochs * steps_per_epoch
-    opt = AdamW(model.params(), cfg.pretrain_lr,
-                weight_decay=cfg.weight_decay)
+    opt = AdamW(model.params(), cfg.weight_decay)
     sampler = SqrtSampler(dataset.counts, seed=cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x9E7]))
     distill = cfg.lam < 1.0
@@ -364,7 +364,7 @@ def oracle_pretrain(dataset, corpus, model, teacher, cfg):
             loss, l_ccl, l_dis = pretrain_step(
                 model, images, sequences, labels, S_teacher, tau_teacher,
                 cfg.lam)
-            opt.step(lr=cosine_lr(cfg.pretrain_lr, step, total_steps))
+            opt.step(cosine_lr(cfg.pretrain_lr, step, total_steps))
             clamp_tau(model.tau)
             trace.append((epoch, step, l_ccl,
                           l_dis if l_dis is not None else 0.0,
@@ -383,7 +383,7 @@ class TestRunPretrain:
             ds, corpus, model = tiny_setup(seed=6)
             teacher = TeacherPair(CvlpModel(6, 6, 64, seed=13))
             runs.append((loop(ds, corpus, model, teacher, cfg),
-                         model.state()))
+                         sections(model.params())))
         (trace, state), (want_trace, want_state) = runs
         assert len(trace) == 24
         np.testing.assert_array_equal(np.array(trace), np.array(want_trace))
@@ -402,7 +402,7 @@ class TestRunPretrain:
             ds, corpus, model = tiny_setup(seed=8)
             teacher = TeacherPair(CvlpModel(6, 6, 64, seed=15))
             runs.append((loop(ds, corpus, model, teacher, cfg),
-                         model.state()))
+                         sections(model.params())))
         (trace, state), (want_trace, want_state) = runs
         assert len(trace) == 24
         np.testing.assert_array_equal(np.array(trace), np.array(want_trace))
@@ -434,11 +434,11 @@ class TestRunPretrain:
 
     def test_zero_epochs_leaves_model(self):
         ds, corpus, model = tiny_setup()
-        before = {k: v.copy() for k, v in model.state().items()}
+        before = {k: v.copy() for k, v in sections(model.params()).items()}
         trace = run_pretrain(ds, corpus, model, None,
                              pretrain_cfg(0, 1.0))
         assert trace == []
-        for k, v in model.state().items():
+        for k, v in sections(model.params()).items():
             np.testing.assert_array_equal(v, before[k])
 
     def test_bitwise_deterministic(self):
@@ -447,7 +447,7 @@ class TestRunPretrain:
             ds, corpus, model = tiny_setup(seed=3)
             run_pretrain(ds, corpus, model, None,
                          pretrain_cfg(2, 1.0, seed=3))
-            results.append(model.state())
+            results.append(sections(model.params()))
         for k in results[0]:
             np.testing.assert_array_equal(results[0][k], results[1][k])
 
@@ -614,7 +614,7 @@ class TestPretrainStep:
         of the same loss."""
         images, S_teacher = self.batch()
         model = CvlpModel(6, 4, 12, seed=2, tau_init=0.3)
-        opt = AdamW(model.params(), 0.01)
+        opt = AdamW(model.params(), weight_decay=0.05)
         opt.zero_grad()
         losses = pretrain_step(model, images, self.SEQS, self.LABELS,
                                S_teacher, 0.4, lam)
@@ -624,7 +624,7 @@ class TestPretrainStep:
         assert (losses[2] is None) == (lam == 1.0)
 
         twin = CvlpModel(6, 4, 12, seed=0)
-        twin.load_state(model.state(), "model.ck")
+        load_params(twin.params(), sections(model.params()), "model.ck")
         oracle.pretrain_loss(
             oracle.cosine_sim_matrix(oracle.visual_encode(twin.vis, images),
                                      oracle.bag_encode(twin.lin, self.SEQS)),

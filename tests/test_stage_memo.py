@@ -201,14 +201,30 @@ def test_stage_table_names_real_fields_and_artifacts():
     only outputs of the stages before it."""
     names = {f.name for f in dataclasses.fields(RunConfig)}
     written = []
-    for stage in pipeline.STAGES.values():
+    for name, stage in pipeline.STAGES.items():
         assert set(stage.fields) <= names
         assert len(set(stage.fields)) == len(stage.fields)
         assert set(stage.upstream) <= set(written)
-        written += stage.outputs
+        written += pipeline.outputs(name)
     assert sorted(written) == sorted(pipeline.FILES)
     assert set(pipeline.STAGES["finetune"].fields) == names
     assert set(pipeline.STAGES["eval"].fields) == names
+
+
+def test_each_stage_row_names_its_files():
+    """A row's files and then its record, `<command>.record.json`, are
+    the stage's outputs; every file name is distinct, and `FILES` and
+    the writer of each artifact follow from the rows."""
+    for name, stage in pipeline.STAGES.items():
+        outputs = pipeline.outputs(name)
+        assert list(outputs)[:-1] == list(stage.files)
+        assert list(outputs.items())[-1] == (
+            f"{name}_record", f"{name.replace('_', '-')}.record.json")
+        for art, file in outputs.items():
+            assert pipeline.FILES[art] == file
+            assert pipeline._WRITERS[art] == name
+    assert len(set(pipeline.FILES.values())) == len(pipeline.FILES)
+    assert pipeline.FILES["teacher"] == "teacher.ck"
 
 
 def test_run_all_embeds_the_anchors_once_and_eval_reads_no_text(
@@ -267,7 +283,7 @@ def base_run(mini_cfg, tmp_path_factory):
 
 def body_outputs(stage):
     """The artifacts stage `stage`'s body writes: all but its record."""
-    return pipeline.STAGES[stage].outputs[:-1]
+    return tuple(pipeline.STAGES[stage].files)
 
 
 def rerun(stage, cfg, base_dir, run_dir):
