@@ -218,15 +218,13 @@ def _token_ids(fields, limit: int):
 
 def parse_tokens(text: str, vocab_size: int, where: str) -> np.ndarray:
     """Token ids separated by ASCII whitespace as an int64 array. Anything
-    but ASCII-digit integers in [0, vocab_size), or in [0, 2**63) when
-    `vocab_size` is 0, or no id at all, is a ValidationError naming
-    `where`."""
-    limit = vocab_size or 2 ** 63
+    but ASCII-digit integers in [0, vocab_size), or no id at all, is a
+    ValidationError naming `where`."""
     field = text.encode("utf-8", "backslashreplace").translate(_BREAKS)
-    ids, _, bad = _token_ids([field], limit)
+    ids, _, bad = _token_ids([field], vocab_size)
     if bad[0]:
-        raise ValidationError(
-            f"{where}: token ids must be integers in [0, {limit}), got {text!r}")
+        raise ValidationError(f"{where}: token ids must be integers in "
+                              f"[0, {vocab_size}), got {text!r}")
     if not ids.size:
         raise ValidationError(f"{where}: no token ids")
     return ids
@@ -236,13 +234,12 @@ class TokenTable(NamedTuple):
     """Sentences as one flat int64 token array: row r is
     ids[offsets[r]:offsets[r] + lengths[r]]. Rows are grouped by class,
     class c owning the class_sizes[c] rows from class_starts[c]. Every
-    row is non-empty and at most `max_tokens` long."""
+    row is non-empty and within the token limit it was checked at."""
     ids: np.ndarray
     offsets: np.ndarray
     lengths: np.ndarray
     class_starts: np.ndarray
     class_sizes: np.ndarray
-    max_tokens: int
 
     def take(self, rows) -> TokenTable:
         """Rows `rows` in that order, as a one-class table of their own."""
@@ -256,7 +253,7 @@ class TokenTable(NamedTuple):
             + np.arange(total)
         return TokenTable(self.ids[src], offsets, lengths,
                           np.zeros(1, dtype=np.int64),
-                          np.array([len(lengths)]), self.max_tokens)
+                          np.array([len(lengths)]))
 
     def class_rows(self, c: int) -> np.ndarray:
         """The rows of class c, in order."""
@@ -272,7 +269,7 @@ class TokenTable(NamedTuple):
             lengths, a = self.lengths[r:r + n], bounds[k]
             parts.append(TokenTable(
                 self.ids[a:bounds[k + 1]], self.offsets[r:r + n] - a,
-                lengths, starts, np.array([len(lengths)]), self.max_tokens))
+                lengths, starts, np.array([len(lengths)])))
         return parts
 
     def sequences(self) -> list:
@@ -299,16 +296,14 @@ def flat_table(ids: np.ndarray, lengths, max_tokens: int,
     sizes = np.array([len(lengths)] if class_sizes is None else class_sizes,
                      dtype=np.int64)
     return TokenTable(ids, np.cumsum(lengths) - lengths, lengths,
-                      np.cumsum(sizes) - sizes, sizes, max_tokens)
+                      np.cumsum(sizes) - sizes, sizes)
 
 
 def token_table(sequences, max_tokens: int, class_sizes=None) -> TokenTable:
     """`flat_table` of a list of token sequences, in order. A TokenTable
-    already checked at `max_tokens` or below is returned as it is."""
+    is returned as it is."""
     if isinstance(sequences, TokenTable):
-        if sequences.max_tokens <= max_tokens:
-            return sequences
-        sequences = sequences.sequences()
+        return sequences
     seqs = [np.asarray(seq, dtype=np.int64) for seq in sequences]
     ids = np.concatenate(seqs) if seqs else np.zeros(0, dtype=np.int64)
     return flat_table(ids, [len(seq) for seq in seqs], max_tokens,
@@ -320,7 +315,6 @@ class ClassCorpus:
     """Every class's sentences as one token table: class c's sentence
     `sid` (its per-class id) is row class_starts[c] + sid, and row r's
     source is SOURCES[sources[r]]."""
-    vocab_size: int
     table: TokenTable
     sources: np.ndarray   # uint8 per row
 
@@ -414,7 +408,7 @@ def gen_corpus(C: int, sentences_per_class: int, prompt_count: int,
     ids = np.array([t for tokens in rows for t in tokens], dtype=np.int64)
     table = flat_table(ids, [len(tokens) for tokens in rows], max_tokens,
                        sizes)
-    corpus = ClassCorpus(vocab_size=vocab_size, table=table,
+    corpus = ClassCorpus(table=table,
                          sources=np.array(sources, dtype=np.uint8))
     return corpus, distractor_ids
 
@@ -495,13 +489,13 @@ def _shown(field: bytes) -> str:
     return repr(field.decode("utf-8", "backslashreplace"))
 
 
-def load_corpus(path, vocab_size: int = 0, max_tokens: int = 77) -> ClassCorpus:
+def load_corpus(path, vocab_size: int, max_tokens: int) -> ClassCorpus:
     """`corpus.tsv` in one bulk pass (grammar in README.md). The first bad
     line is a ValidationError naming path:line and the first check it
     fails, in order: three tab-separated fields, an ASCII-digit class, a
-    known source, token ids in [0, vocab_size) (any int64 >= 0 when
-    `vocab_size` is 0), at least one token, at most `max_tokens`. Blank
-    lines are skipped, and CR LF and lone CR end lines as LF does."""
+    known source, token ids in [0, vocab_size), at least one token, at
+    most `max_tokens`; then a class below the line before's. Blank lines
+    are skipped, and CR LF and lone CR end lines as LF does."""
     data = read_lf(path)
     records = [line.split(b"\t") for line in data.split(b"\n") if line]
     if not records:
@@ -512,8 +506,7 @@ def load_corpus(path, vocab_size: int = 0, max_tokens: int = 77) -> ClassCorpus:
                    for r in records]
     cls, src, tok = zip(*records)
     del records
-    limit = vocab_size or 2 ** 63
-    ids, counts, bad_tokens = _token_ids(tok, limit)
+    ids, counts, bad_tokens = _token_ids(tok, vocab_size)
     codes = np.array([_SOURCE_CODES.get(s, _UNKNOWN) for s in src],
                      dtype=np.uint8)
     checks = (
@@ -521,31 +514,29 @@ def load_corpus(path, vocab_size: int = 0, max_tokens: int = 77) -> ClassCorpus:
         (~np.array(list(map(bytes.isdigit, cls)), dtype=bool),
          lambda i: f"class must be an integer >= 0, got {_shown(cls[i])}"),
         (codes == _UNKNOWN, lambda i: f"unknown source {_shown(src[i])}"),
-        (bad_tokens, lambda i: f"token ids must be integers in [0, {limit}), "
-                               f"got {_shown(tok[i])}"),
+        (bad_tokens, lambda i: "token ids must be integers in "
+                               f"[0, {vocab_size}), got {_shown(tok[i])}"),
         (counts == 0, lambda i: "empty sentence"),
         (counts > max_tokens, lambda i: f"sentence has {counts[i]} tokens, "
                                         f"limit is {max_tokens}"),
     )
     bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if not bad.any():   # every class is an integer: check their order
+        classes = list(map(int, cls))
+        bad = np.append(False, np.diff(classes) < 0)
+        checks = ((bad, lambda i: f"class {classes[i]} after class "
+                   f"{classes[i - 1]}; rows must come in class order"),)
     if bad.any():
         i = int(bad.argmax())
         message = next(say(i) for mask, say in checks if mask[i])
         lineno = [n for n, line in enumerate(data.split(b"\n"), 1) if line][i]
         raise ValidationError(f"{path}:{lineno}: {message}")
-    classes = list(map(int, cls))
     # n rows cannot fill more than n classes
     sizes = np.bincount(classes) if max(classes) < len(classes) else [0]
     if not np.all(sizes):
         raise ValidationError(f"{path}: some classes have no sentences")
-    table = flat_table(ids, counts, max_tokens, sizes)
-    if (np.diff(classes) < 0).any():   # group rows by class, in file order
-        order = np.argsort(classes, kind="stable")
-        table = table.take(order)._replace(class_starts=table.class_starts,
-                                           class_sizes=table.class_sizes)
-        codes = codes[order]
-    return ClassCorpus(vocab_size=vocab_size or int(ids.max()) + 1,
-                       table=table, sources=codes)
+    return ClassCorpus(table=flat_table(ids, counts, max_tokens, sizes),
+                       sources=codes)
 
 
 def save_stats(path, stats: dict):

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import checkpoint as ckpt
-from .data import token_table
+from .data import TokenTable, token_table
 from .errors import ShapeMismatch
 from .tensor import (Tensor, cosine_sim_forward, grad_node, parameter,
                      unit_rows)
@@ -55,22 +55,16 @@ class VisualEncoder:
     @staticmethod
     def backward(cache, g: np.ndarray, out):
         """Write the gradients of (w1, b1, w2, b2) for upstream g over the
-        arrays in `out`, skipping a None. With hidden activations h, b2
-        receives sum(g), w2 receives h^T g, and through
-        gh = (g w2^T)(1 - h^2), b1 receives sum(gh) and w1 receives
-        x^T gh."""
+        arrays in `out`. With hidden activations h, b2 receives sum(g), w2
+        receives h^T g, and through gh = (g w2^T)(1 - h^2), b1 receives
+        sum(gh) and w1 receives x^T gh."""
         x, h, w2 = cache
         gw1, gb1, gw2, gb2 = out
-        if gb2 is not None:
-            g.sum(axis=0, out=gb2)
-        if gw2 is not None:
-            np.matmul(h.T, g, out=gw2)
-        if gw1 is not None or gb1 is not None:
-            gh = (g @ w2.T) * (1.0 - h ** 2)
-            if gb1 is not None:
-                gh.sum(axis=0, out=gb1)
-            if gw1 is not None:
-                np.matmul(x.T, gh, out=gw1)
+        g.sum(axis=0, out=gb2)
+        np.matmul(h.T, g, out=gw2)
+        gh = (g @ w2.T) * (1.0 - h ** 2)
+        gh.sum(axis=0, out=gb1)
+        np.matmul(x.T, gh, out=gw1)
 
     def __call__(self, x) -> Tensor:
         """`forward` as one tape node over the weights."""
@@ -109,24 +103,21 @@ class LinguisticEncoder:
     @staticmethod
     def backward(cache, g: np.ndarray, out):
         """Write the gradients of (tok, proj_w, proj_b) for upstream g over
-        the contiguous arrays in `out`, skipping a None. With pooled rows
-        p, proj_b receives sum(g), proj_w receives p^T g, and each token's
-        row of tok receives its sentence's row of (g proj_w^T) / length."""
+        the contiguous arrays in `out`. With pooled rows p, proj_b
+        receives sum(g), proj_w receives p^T g, and each token's row of
+        tok receives its sentence's row of (g proj_w^T) / length."""
         bags, inv_len, pooled, proj_w = cache
         gtok, gproj_w, gproj_b = out
-        if gproj_b is not None:
-            g.sum(axis=0, out=gproj_b)
-        if gproj_w is not None:
-            np.matmul(pooled.T, g, out=gproj_w)
-        if gtok is not None:
-            # over element offsets in the flattened table: a 1-D
-            # np.add.at is several times faster than one over rows
-            width = gtok.shape[1]
-            flat_ids = (bags.ids[:, None] * width + np.arange(width)).ravel()
-            gtok.fill(0.0)
-            np.add.at(gtok.reshape(-1), flat_ids,
-                      np.repeat((g @ proj_w.T) * inv_len, bags.lengths,
-                                axis=0).ravel())
+        g.sum(axis=0, out=gproj_b)
+        np.matmul(pooled.T, g, out=gproj_w)
+        # over element offsets in the flattened table: a 1-D np.add.at is
+        # several times faster than one over rows
+        width = gtok.shape[1]
+        flat_ids = (bags.ids[:, None] * width + np.arange(width)).ravel()
+        gtok.fill(0.0)
+        np.add.at(gtok.reshape(-1), flat_ids,
+                  np.repeat((g @ proj_w.T) * inv_len, bags.lengths,
+                            axis=0).ravel())
 
     def __call__(self, sequences) -> np.ndarray:
         """`forward`'s embeddings without its cache; only the pre-training
@@ -177,12 +168,11 @@ class TeacherPair:
     def similarity(self, images, sequences) -> np.ndarray:
         return self._model.similarity(images, sequences)
 
-    def unit_embeddings(self, images, sequences):
+    def unit_embeddings(self, images, bags: TokenTable):
         """(image rows, sentence rows) of the frozen pair, each scaled to
         unit length exactly as `cosine_sim_forward` scales them, so that
         `img[i] @ txt[j].T` equals `similarity` on any two or more of the
-        images and sentences, bit for bit. `sequences` is a TokenTable or
-        a list of token sequences.
+        images and the rows of `bags`, bit for bit.
 
         Sentences are embedded TEXT_CHUNK at a time, which bounds the
         (tokens, D) gather of the pooling; the last chunk takes over a
@@ -191,7 +181,6 @@ class TeacherPair:
         lin = self._model.lin
         img, _ = unit_rows(self._model.vis.forward(images)[0],
                            "TeacherPair.unit_embeddings operand images")
-        bags = token_table(sequences, lin.max_tokens)
         n = len(bags.lengths)
         stops = list(range(TEXT_CHUNK, n - 1, TEXT_CHUNK))
         txt, _ = unit_rows(np.concatenate(

@@ -72,11 +72,6 @@ class LgrOutput:
     cache: tuple
 
 
-def _rows(E_I) -> np.ndarray:
-    x = np.asarray(E_I, dtype=np.float64)
-    return x.reshape(1, -1) if x.ndim == 1 else x
-
-
 def lgr_keys(anchors) -> np.ndarray:
     """The rows of the frozen (C, M, D) anchor block normalized as the key
     layer norm normalizes them, (C*M, D), before its gain and bias: a
@@ -91,25 +86,22 @@ def lgr_keys(anchors) -> np.ndarray:
 # every reduction over M or D runs across whole rows of N images.
 
 
-def lgr_forward(E_I, anchors, params: LgrParams, keys=None) -> LgrOutput:
+def lgr_forward(E_I, anchors, params: LgrParams, keys) -> LgrOutput:
     """Attention of the image query over each class's M anchor embeddings
     (softmax within the class), then the additive two-path probability,
     on arrays.
 
-    `E_I` is (N, D) or (D,); `anchors` is the frozen (C, M, D) block and
-    `keys` its `lgr_keys`, computed here when None. A zero image or
-    gather row is a ValidationError.
+    `E_I` is (N, D); `anchors` is the frozen (C, M, D) block and `keys`
+    its `lgr_keys`. A zero image or gather row is a ValidationError.
     """
-    x = _rows(E_I)
+    x = np.asarray(E_I, dtype=np.float64)
     anchors = np.asarray(anchors, dtype=np.float64)
     C, M, D = anchors.shape
-    if x.shape[1] != D or (params.D, params.C) != (D, C):
+    if x.shape[1:] != (D,) or (params.D, params.C) != (D, C):
         raise ShapeMismatch(
             f"lgr_forward: embeddings {x.shape}, anchors {anchors.shape}, "
             f"params (D={params.D}, C={params.C}) disagree"
         )
-    if keys is None:
-        keys = lgr_keys(anchors)
     N = len(x)
     q_ln, q_ln_cache = layer_norm_forward(x, params.q_ln_g.data,
                                           params.q_ln_b.data)
@@ -236,7 +228,7 @@ class FcParams:
 
 def fc_forward(E_I, fc: FcParams):
     """(softmax(E_I w + b), the cache `fc_backward` reads) on arrays."""
-    x = _rows(E_I)
+    x = np.asarray(E_I, dtype=np.float64)
     p = softmax_forward(x @ fc.w.data + fc.b.data, 1)
     return p, (x, fc, p)
 
@@ -258,19 +250,17 @@ def knn_keys(anchors) -> tuple:
                      .reshape(C * M, D), "knn_forward anchors")
 
 
-def knn_forward(E_I, anchors, tau, keys=None):
+def knn_forward(E_I, anchors, tau, keys):
     """Per class, the best cosine match among its M anchors, softmaxed
     over classes with the temperature, on arrays: (the probabilities,
     the cache `knn_backward` reads). Training-free on the text side.
-    `keys` is the anchors' `knn_keys`, computed here when None."""
-    x = _rows(E_I)
+    `E_I` is (N, D) and `keys` is the anchors' `knn_keys`."""
+    x = np.asarray(E_I, dtype=np.float64)
     C, M, D = np.shape(anchors)
-    if x.shape[1] != D:
+    if x.shape[1:] != (D,):
         raise ShapeMismatch(
             f"knn_forward: embeddings {x.shape} vs anchors {np.shape(anchors)}"
         )
-    if keys is None:
-        keys = knn_keys(anchors)
     unit_x, inv_x = unit_rows(x, "knn_forward embeddings")
     cos = (unit_x @ keys[0].T).reshape(-1, C, M)            # (N, C, M)
     best = cos.max(axis=2)                                  # (N, C)
@@ -366,8 +356,7 @@ def head_loss(head: Head, emb: Tensor, anchor_emb, keys, params, y) -> Tensor:
 
     def write_grads(g, out):
         for o, grad in zip(out, head.backward(cache, *path_grads(g))):
-            if o is not None:
-                np.copyto(o, grad)
+            np.copyto(o, grad)
 
     return grad_node(value, (emb, *params.params().values()), write_grads)
 

@@ -8,10 +8,10 @@ Stages are byte-deterministic, so equal keys name equal bytes.
 
 Provenance is one record per stage call, written by `_stage` after the
 body runs: the stage key and the SHA-256 of each other file the stage
-wrote. Before a body runs, `require_inputs` checks each input against
-its writer's record: the record's key must be the key this config gives
-the writer, and the file must be the one the record names. No other
-module knows this policy.
+wrote. Before a body runs, `require_inputs` checks the record of each
+stage that wrote an input: the record's key must be the key this config
+gives the writer, and every file it names, read or not, must have the
+digest it records. No other module knows this policy.
 
 Given a memo, a stage runs once per distinct key and writes the
 remembered bytes, its record included, on every later call.
@@ -130,48 +130,55 @@ def stage_key(name: str, cfg: RunConfig) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _record_bytes(key, sha256: dict) -> bytes:
+    return (json.dumps({"key": key, "sha256": sha256}, indent=1,
+                       sort_keys=True) + "\n").encode("utf-8")
+
+
 def _read_record(out_dir, writer: str) -> tuple:
-    """(key, {file name: SHA-256 hex}) of stage `writer`'s record; one
-    that does not parse is a ValidationError naming it."""
+    """(key, {file name: SHA-256 hex}) of stage `writer`'s record. One
+    that does not parse, or whose bytes are not the ones `_write_record`
+    writes for the stage's files, is a ValidationError naming it."""
     path = artifact(out_dir, _record(writer))
-    text = ckpt.read_text(path)
+    data = path.read_bytes()
     try:
-        record = json.loads(text)
-        return record["key"], dict(record["sha256"])
+        record = json.loads(data)
+        key = record["key"]
+        sha256 = {file: record["sha256"][file]
+                  for file in STAGES[writer].files.values()}
+        if data != _record_bytes(key, sha256):
+            raise ValueError("not the bytes its stage writes for it")
     except (ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: not a stage record "
                               f"({type(exc).__name__}: {exc})") from exc
+    return key, sha256
 
 
 def require_inputs(command: str, out_dir, names, cfg: RunConfig):
-    """Check the input files `names` of `command` against the records of
-    the stages that wrote them, hashing each file once.
-
-    A missing file or record is a ValidationError naming it and the
-    command that writes it, as is a record that does not parse. A record
-    whose key is not the one `cfg` gives its stage, or a file that is not
-    the one its record names, is a StaleArtifactError naming the file and
-    the command to re-run."""
-    writers = {name: _WRITERS[name] for name in names}
-    records = [_record(w) for w in dict.fromkeys(writers.values())]
-    for name in [*names, *records]:
+    """Check the record of each stage that wrote an input file `names` of
+    `command`, and every file the record names, hashing each once. A
+    missing file or record is a ValidationError naming it and the command
+    that writes it, as is a record `_read_record` refuses. A key other
+    than `cfg` gives the stage, or a file other than its record names, is
+    a StaleArtifactError naming the file and the command to re-run."""
+    writers = dict.fromkeys(_WRITERS[name] for name in names)
+    for name in dict.fromkeys([*names, *(art for writer in writers
+                                         for art in outputs(writer))]):
         path = artifact(out_dir, name)
         if not path.exists():
             raise ValidationError(f"{command}: {path} is missing; run "
                                   f"`vlltr {_command(_WRITERS[name])}` first")
-    records = {}
-    for name, writer in writers.items():
-        if writer not in records:
-            records[writer] = _read_record(out_dir, writer)
-        key, digests = records[writer]
-        path = artifact(out_dir, name)
+    for writer in writers:
+        key, digests = _read_record(out_dir, writer)
         rerun = f"`vlltr {_command(writer)}`"
-        if key != stage_key(writer, cfg):
-            raise StaleArtifactError(f"{path}: written under a different "
-                                     f"config; re-run {rerun} under this one")
-        if ckpt.file_sha256(path).hex() != digests.get(path.name):
-            raise StaleArtifactError(
-                f"{path}: not the file {rerun} wrote; re-run it")
+        for path in (artifact(out_dir, name) for name in STAGES[writer].files):
+            if key != stage_key(writer, cfg):
+                raise StaleArtifactError(
+                    f"{path}: written under a different config; re-run "
+                    f"{rerun} under this one")
+            if ckpt.file_sha256(path).hex() != digests[path.name]:
+                raise StaleArtifactError(
+                    f"{path}: not the file {rerun} wrote; re-run it")
 
 
 def _write_record(out_dir, name: str, key: str, digests: dict):
@@ -180,9 +187,9 @@ def _write_record(out_dir, name: str, key: str, digests: dict):
     sha256 = {file: (digests.get(art) or
                      ckpt.file_sha256(artifact(out_dir, art))).hex()
               for art, file in STAGES[name].files.items()}
-    with ckpt.atomic_write(artifact(out_dir, _record(name))) as f:
-        f.write(json.dumps({"key": key, "sha256": sha256}, indent=1,
-                           sort_keys=True) + "\n")
+    with ckpt.atomic_write(artifact(out_dir, _record(name)),
+                           binary=True) as f:
+        f.write(_record_bytes(key, sha256))
 
 
 def _stage(name: str):

@@ -11,6 +11,8 @@ import numpy as np
 
 from .errors import NumericError, ShapeMismatch, ValidationError
 
+EPS = 1e-5   # added to the variance that `normalize_rows` divides by
+
 
 class Tensor:
     """A numpy array plus an optional gradient and a backward closure: a
@@ -71,15 +73,14 @@ def parameter(data) -> Tensor:
 
 def grad_node(data, parents: tuple, write_grads) -> Tensor:
     """A tape node whose backward calls write_grads(g, out), `out` holding
-    a fresh array per parent that requires a gradient (None for the
-    others), and adds each array into its parent's gradient."""
+    a fresh array per parent, and adds each array into its parent's
+    gradient where the parent requires one."""
 
     def backward(g):
-        out = [np.empty(p.shape) if p.requires_grad else None
-               for p in parents]
+        out = [np.empty(p.shape) for p in parents]
         write_grads(g, out)
         for p, grad in zip(parents, out):
-            if grad is not None:
+            if p.requires_grad:
                 p._accumulate(grad)
 
     return Tensor(data, parents=parents, backward=backward)
@@ -100,22 +101,21 @@ def softmax_backward(p: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     return p * (g - (g * p).sum(axis=axis, keepdims=True))
 
 
-def normalize_rows(x: np.ndarray, eps: float = 1e-5):
+def normalize_rows(x: np.ndarray):
     """(x with its last axis shifted to zero mean and scaled to unit
     variance, the inverse deviations), normalized in place in one
     buffer."""
     d = x.shape[-1]
     xh = x - x.sum(axis=-1, keepdims=True) * (1.0 / d)
-    inv = ((xh * xh).sum(axis=-1, keepdims=True) * (1.0 / d) + eps) ** -0.5
+    inv = ((xh * xh).sum(axis=-1, keepdims=True) * (1.0 / d) + EPS) ** -0.5
     xh *= inv
     return xh, inv
 
 
-def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                       eps: float = 1e-5):
+def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """(`normalize_rows(x)` times gain plus bias, the cache
     `layer_norm_backward` reads) on arrays."""
-    xh, inv = normalize_rows(x, eps)
+    xh, inv = normalize_rows(x)
     out = xh * gain
     out += bias
     return out, (xh, inv, gain)
@@ -123,23 +123,20 @@ def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
 
 def layer_norm_backward(cache, g: np.ndarray, out):
     """Write the gradients of (x, gain, bias) for upstream g over the
-    arrays in `out`, skipping a None. With normalized rows xh, inverse
-    deviations r and upstream g, bias receives sum(g), gain receives
-    sum(g * xh), and through gx = g * gain the input receives
+    arrays in `out`. With normalized rows xh, inverse deviations r and
+    upstream g, bias receives sum(g), gain receives sum(g * xh), and
+    through gx = g * gain the input receives
     r * (gx - mean(gx) - xh * mean(gx * xh)) per row."""
     xh, inv, gain = cache
     gx, ggain, gbias = out
     d = xh.shape[-1]
-    if gbias is not None:
-        np.sum(g.reshape(-1, d), axis=0, out=gbias)
-    if ggain is not None:
-        np.sum((g * xh).reshape(-1, d), axis=0, out=ggain)
-    if gx is not None:
-        np.multiply(g, gain, out=gx)
-        along_xh = (gx * xh).sum(axis=-1, keepdims=True) * (1.0 / d)
-        gx -= gx.sum(axis=-1, keepdims=True) * (1.0 / d)
-        gx -= xh * along_xh
-        gx *= inv
+    np.sum(g.reshape(-1, d), axis=0, out=gbias)
+    np.sum((g * xh).reshape(-1, d), axis=0, out=ggain)
+    np.multiply(g, gain, out=gx)
+    along_xh = (gx * xh).sum(axis=-1, keepdims=True) * (1.0 / d)
+    gx -= gx.sum(axis=-1, keepdims=True) * (1.0 / d)
+    gx -= xh * along_xh
+    gx *= inv
 
 
 def unit_rows(x: np.ndarray, operand: str):
@@ -177,14 +174,11 @@ def cosine_sim_backward(cache, g: np.ndarray, out):
 
 
 def cross_entropy_forward(p: np.ndarray, y):
-    """(-log p[y] on probability rows, floored at 1e-12, the cache
-    `cross_entropy_backward` reads) on arrays.
-
-    `p` may be a single row or a batch; a batch is averaged.
-    """
-    rows = p.reshape(1, -1) if p.ndim == 1 else p
+    """(-log p[y] averaged over the (N, C) probability rows `p`, each
+    term floored at 1e-12, the cache `cross_entropy_backward` reads) on
+    arrays."""
     labels = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    n, c = rows.shape
+    n, c = p.shape
     if labels.shape != (n,):
         raise ShapeMismatch(
             f"cross_entropy: {labels.shape[0]} labels for {n} rows"
@@ -193,16 +187,16 @@ def cross_entropy_forward(p: np.ndarray, y):
         raise ValidationError(
             f"cross_entropy: label out of range [0, {c}): {labels.tolist()}"
         )
-    sums = rows.sum(axis=1)
+    sums = p.sum(axis=1)
     if np.abs(sums - 1.0).max() > 1e-6:
         raise ValidationError(
             "cross_entropy: input rows are not probability vectors"
         )
     index = (np.arange(n), labels)
-    picked = rows[index]
+    picked = p[index]
     floored = np.maximum(picked, 1e-12)
     return (-(np.log(floored).sum() * (1.0 / n)),
-            (p.shape, rows.shape, index, picked, floored))
+            (p.shape, index, picked, floored))
 
 
 def cross_entropy_backward(cache, g) -> np.ndarray:
@@ -210,7 +204,7 @@ def cross_entropy_backward(cache, g) -> np.ndarray:
     picked probabilities q = p[i, y_i], floored to q', p[i, y_i]
     receives (-g / n) / q' where q is above the floor and every other
     entry nothing."""
-    shape, rows_shape, index, picked, floored = cache
-    grad = np.zeros(rows_shape)
-    grad[index] = (-g * (1.0 / rows_shape[0])) / floored * (picked > 1e-12)
-    return grad.reshape(shape)
+    shape, index, picked, floored = cache
+    grad = np.zeros(shape)
+    grad[index] = (-g * (1.0 / shape[0])) / floored * (picked > 1e-12)
+    return grad

@@ -427,20 +427,21 @@ def evaluate(predictions, labels, bands, config_fingerprint=""):
 
 
 def _parse_tokens(text, vocab_size, where):
-    limit, fields = vocab_size or 2 ** 63, text.split()
+    fields = text.split()
     ids = [int(f) for f in fields] if all(map(str.isdecimal, fields)) else []
-    if len(ids) != len(fields) or ids and max(ids) >= limit:
-        raise ValidationError(
-            f"{where}: token ids must be integers in [0, {limit}), got {text!r}")
+    if len(ids) != len(fields) or ids and max(ids) >= vocab_size:
+        raise ValidationError(f"{where}: token ids must be integers in "
+                              f"[0, {vocab_size}), got {text!r}")
     return np.array(ids, dtype=np.int64)
 
 
-def load_corpus_per_line(path, vocab_size=0, max_tokens=77):
-    """(the corpus token table, per-row source codes, vocab size) of a
-    corpus file, read line by line in text mode with one int() per token
-    id. It checks a sentence's length against `max_tokens` as the last
-    check of its line, as the bulk reader does."""
-    per_class = {}
+def load_corpus_per_line(path, vocab_size, max_tokens):
+    """(the corpus token table, per-row source codes) of a corpus file,
+    read line by line in text mode with one int() per token id. As the
+    bulk reader does, it checks a sentence's length against `max_tokens`
+    as the last check of its line, and the class order only once every
+    line has passed its own checks."""
+    rows = []   # (line number, class, tokens, source code)
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
@@ -463,18 +464,20 @@ def load_corpus_per_line(path, vocab_size=0, max_tokens=77):
                 raise ValidationError(
                     f"{path}:{lineno}: sentence has {tokens.size} tokens, "
                     f"limit is {max_tokens}")
-            per_class.setdefault(c, []).append(
-                (tokens, SOURCES.index(source)))
-    if not per_class:
+            rows.append((lineno, c, tokens, SOURCES.index(source)))
+    if not rows:
         raise ValidationError(f"{path}: no sentences")
-    C = max(per_class) + 1
-    if any(c not in per_class for c in range(C)):
+    for (_, before, _, _), (lineno, c, _, _) in zip(rows, rows[1:]):
+        if c < before:
+            raise ValidationError(
+                f"{path}:{lineno}: class {c} after class {before}; rows "
+                "must come in class order")
+    sizes = [sum(1 for row in rows if row[1] == c)
+             for c in range(rows[-1][1] + 1)]
+    if not all(sizes):
         raise ValidationError(f"{path}: some classes have no sentences")
-    rows = [row for c in range(C) for row in per_class[c]]
-    table = token_table([tokens for tokens, _ in rows], max_tokens,
-                        [len(per_class[c]) for c in range(C)])
-    vocab = vocab_size or 1 + max(int(tokens.max()) for tokens, _ in rows)
-    return table, np.array([code for _, code in rows], dtype=np.uint8), vocab
+    table = token_table([row[2] for row in rows], max_tokens, sizes)
+    return table, np.array([row[3] for row in rows], dtype=np.uint8)
 
 
 def class_sentences(corpus, c):

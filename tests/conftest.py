@@ -70,5 +70,6 @@ def mini_data(mini_cfg, mini_run):
 
     _, run_dir, _ = mini_run
     dataset = load_dataset(run_dir / "dataset.bin")
-    corpus = load_corpus(run_dir / "corpus.tsv")
+    corpus = load_corpus(run_dir / "corpus.tsv", mini_cfg.vocab_size,
+                         mini_cfg.max_tokens)
     return dataset, corpus

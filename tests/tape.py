@@ -243,7 +243,7 @@ def softmax(x, axis: int) -> Tensor:
     return Tensor(p, parents=(x,), backward=backward)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine,
     as one tape node over `layer_norm_forward` and
     `layer_norm_backward`."""
@@ -254,7 +254,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             f"layer_norm: gain {gain.shape} / bias {bias.shape} "
             f"must match last axis ({d},)"
         )
-    out, cache = layer_norm_forward(x.data, gain.data, bias.data, eps)
+    out, cache = layer_norm_forward(x.data, gain.data, bias.data)
     return _node(out, (x, gain, bias),
                  lambda g, grads: layer_norm_backward(cache, g, grads))
 

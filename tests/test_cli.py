@@ -64,7 +64,8 @@ def reseal(work, name):
         data = json.loads(record.read_text())
         if name in data["sha256"]:
             data["sha256"][name] = sha(work / name)
-            record.write_text(json.dumps(data))
+            record.write_bytes(pipeline._record_bytes(data["key"],
+                                                      data["sha256"]))
 
 
 class TestPipelineCommands:
@@ -85,7 +86,7 @@ class TestPipelineCommands:
         from vlltr.data import corpus_stats, load_corpus
 
         stats = json.loads((cli_run / "stats.json").read_text())
-        corpus = load_corpus(cli_run / "corpus.tsv")
+        corpus = load_corpus(cli_run / "corpus.tsv", 96, 77)
         recount = corpus_stats(corpus)
         for key, value in recount.items():
             assert stats[key] == pytest.approx(value), key
@@ -359,6 +360,33 @@ class TestPipelineCommands:
         assert err[0].startswith(f"error: {record}: not a stage record")
         assert {p.name: p.read_bytes() for p in work.iterdir()} == before
 
+    @pytest.mark.parametrize("name,edit,command", [
+        ("pretrain_trace.tsv", "append", "select-anchors"),
+        ("stats.json", "empty", "finetune"),
+        ("teacher_trace.tsv", "delete", "pretrain"),
+        ("finetune_trace.tsv", "append", "eval")])
+    def test_recorded_file_no_command_reads_is_checked(
+            self, cfg_file, cli_run, tmp_path, capsys, name, edit, command):
+        """Every file a record names is checked, not only those the
+        command parses: a changed or deleted trace or stats file exits 2
+        in one line naming it, and nothing is written."""
+        work = tmp_path / "copy"
+        shutil.copytree(cli_run, work)
+        path = work / name
+        if edit == "append":
+            with open(path, "a") as f:
+                f.write("0\t0\t1.0\n")
+        elif edit == "empty":
+            path.write_text("{}")
+        else:
+            path.unlink()
+        before = {p.name: p.read_bytes() for p in work.iterdir()}
+        assert cli.main([command, "--config", str(cfg_file),
+                         "--out", str(work)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(path) in err[0], err
+        assert {p.name: p.read_bytes() for p in work.iterdir()} == before
+
     @pytest.mark.parametrize("name,writer", [("student.ck", "pretrain"),
                                              ("dataset.bin", "gen-data")])
     def test_artifact_edited_after_its_record_rejected(
@@ -463,7 +491,7 @@ class TestPipelineCommands:
         from composite_oracles import class_sentences
         from vlltr.data import load_corpus
 
-        corpus = load_corpus(cli_run / "corpus.tsv")
+        corpus = load_corpus(cli_run / "corpus.tsv", 96, 77)
         query = " ".join(str(t) for t in class_sentences(corpus, 0)[0])
         assert cli.main(["retrieve", "--config", str(cfg_file),
                          "--out", str(cli_run), "--query", query,
@@ -530,11 +558,29 @@ class TestPipelineCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and str(work / "dataset.bin") in err[0]
 
+    def test_corpus_rows_out_of_class_order_exit_two(self, cfg_file, cli_run,
+                                                      tmp_path, capsys):
+        """A corpus whose last row is moved to the top, recorded as if
+        gen-data wrote it, names the line that comes after a later
+        class."""
+        work = tmp_path / "copy"
+        shutil.copytree(cli_run, work)
+        path = work / "corpus.tsv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[-1:] + lines[:-1]))
+        reseal(work, "corpus.tsv")
+        assert cli.main(["make-teacher", "--config", str(cfg_file),
+                         "--out", str(work)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}:2: class 0 after class 5; rows must come in "
+            "class order"]
+
     def test_corpus_token_past_vocabulary_exits_two(self, cfg_file, cli_run,
                                                     tmp_path, capsys):
         work = tmp_path / "copy"
         work.mkdir()
-        for name in ("dataset.bin", "corpus.tsv", "gen-data.record.json"):
+        for name in ("dataset.bin", "corpus.tsv", "stats.json",
+                     "gen-data.record.json"):
             shutil.copy(cli_run / name, work / name)
         with open(work / "corpus.tsv", "a") as f:
             f.write("0\tencyclopedia\t0 500 1\n")

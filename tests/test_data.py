@@ -282,7 +282,6 @@ class TestCorpus:
 class TestCorpusStats:
     def test_small_fixture(self):
         corpus = ClassCorpus(
-            vocab_size=10,
             table=token_table([[0, 3, 4, 1], [0, 3, 1], [0, 3, 4, 5, 1]], 8),
             sources=np.array([0, 0, 1], dtype=np.uint8),
         )
@@ -294,7 +293,7 @@ class TestCorpusStats:
     def test_min_max_spread(self):
         table = token_table([[0, 2, 1]] + [[0, 3, 1]] * 721, 8, [1, 721])
         stats = corpus_stats(ClassCorpus(
-            vocab_size=10, table=table, sources=np.zeros(722, np.uint8)))
+            table=table, sources=np.zeros(722, np.uint8)))
         assert stats["m_min"] == 1
         assert stats["m_max"] == 721
         assert stats["m_mean"] == pytest.approx(361.0)
@@ -389,7 +388,7 @@ class TestSerialization:
         corpus, _ = gen_corpus(3, 6, 4, 96, 0.2, seed=0)
         path = tmp_path / "c.tsv"
         save_corpus(path, corpus)
-        back = load_corpus(path, vocab_size=96)
+        back = load_corpus(path, 96, 77)
         assert back.C == corpus.C
         for c in range(3):
             assert [s.tolist() for s in class_sentences(back, c)] == \
@@ -402,13 +401,25 @@ class TestSerialization:
         path = tmp_path / "c.tsv"
         path.write_text("0\tblog\t0 5 1\n")
         with pytest.raises(ValidationError):
-            load_corpus(path)
+            load_corpus(path, 96, 77)
+
+    def test_corpus_rejects_rows_out_of_class_order(self, tmp_path):
+        """`save_corpus` writes rows in class order; a row of a lower
+        class after a higher one is refused, naming its line, before the
+        classes are counted."""
+        path = tmp_path / "c.tsv"
+        path.write_text("0\tprompt\t0 5 1\n2\tprompt\t0 6 1\n"
+                        "1\tprompt\t0 7 1\n2\tprompt\t0 8 1\n")
+        with pytest.raises(ValidationError) as exc:
+            load_corpus(path, 96, 77)
+        assert str(exc.value) == (f"{path}:3: class 1 after class 2; rows "
+                                  "must come in class order")
 
     def test_corpus_rejects_gap_in_classes(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("0\tencyclopedia\t0 5 1\n2\tencyclopedia\t0 6 1\n")
         with pytest.raises(ValidationError):
-            load_corpus(path)
+            load_corpus(path, 96, 77)
 
     @pytest.mark.parametrize("line, message", [
         ("x\tencyclopedia\t0 5 1", "class must be an integer"),
@@ -418,7 +429,7 @@ class TestSerialization:
         path = tmp_path / "c.tsv"
         path.write_text(f"0\tencyclopedia\t0 5 1\n{line}\n")
         with pytest.raises(ValidationError) as exc:
-            load_corpus(path)
+            load_corpus(path, 96, 77)
         assert f"{path}:2" in str(exc.value)
         assert message in str(exc.value)
 
@@ -428,11 +439,12 @@ class TestSerialization:
         path.write_text("0\tencyclopedia\t0 5 1\n1\tencyclopedia\t0 6 1\n"
                         "-1\tencyclopedia\t0 7 1\n")
         with pytest.raises(ValidationError) as exc:
-            load_corpus(path)
+            load_corpus(path, 96, 77)
         assert f"{path}:3" in str(exc.value)
 
-    @pytest.mark.parametrize("token, vocab_size", [(-3, 96), (-3, 0),
-                                                   (500, 96), (96, 96)])
+    @pytest.mark.parametrize("token, vocab_size", [
+        (-3, 96), pytest.param(-3, 2 ** 63, id="-3-2**63"), (500, 96),
+        (96, 96)])
     def test_corpus_rejects_token_outside_vocabulary(self, tmp_path, token,
                                                      vocab_size):
         """A negative id would pool another row of the embedding table,
@@ -440,14 +452,14 @@ class TestSerialization:
         path = tmp_path / "c.tsv"
         path.write_text(f"0\tencyclopedia\t0 {token} 1\n")
         with pytest.raises(ValidationError) as exc:
-            load_corpus(path, vocab_size=vocab_size)
+            load_corpus(path, vocab_size, 77)
         assert f"{path}:1: token ids must be integers in [0, " \
             in str(exc.value)
 
     def test_corpus_accepts_last_vocabulary_id(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("0\tencyclopedia\t0 95 1\n")
-        assert load_corpus(path, vocab_size=96).vocab_size == 96
+        assert load_corpus(path, 96, 77).table.ids.tolist() == [0, 95, 1]
 
     def test_stats_round_trip(self, tmp_path):
         stats = {"m_min": 1, "m_max": 7, "m_mean": 3.5, "m_med": 3.0,
@@ -464,7 +476,7 @@ ORACLE_VOCAB, ORACLE_MAX_TOKENS = 40, 6
 
 MUTATIONS = ("none", "blank", "crlf", "extra_tab", "missing_tab",
              "separators", "bad_source", "empty_tokens", "over_long",
-             "class_gap", "vocab_id", "long_id", "zeros_id",
+             "class_gap", "class_order", "vocab_id", "long_id", "zeros_id",
              "non_ascii_digit", "non_ascii_class")
 
 
@@ -496,6 +508,9 @@ def _mutate(draw, line: str, kind: str) -> list:
         return [line + " 1" * (ORACLE_MAX_TOKENS + 1 - len(words))]
     if kind == "class_gap":
         return [f"{int(cls) + draw(st.integers(1, 3))}\t{source}\t{tokens}"]
+    if kind == "class_order":   # a row of a later class, then this one
+        return [f"{int(cls) + draw(st.integers(1, 3))}\t{source}\t{tokens}",
+                line]
     words[k] = {"vocab_id": str(ORACLE_VOCAB),
                 "long_id": "12345678901234567890",
                 "zeros_id": "0" * 20 + words[k],
@@ -506,10 +521,10 @@ def _mutate(draw, line: str, kind: str) -> list:
 
 @st.composite
 def corpus_lines(draw, kind):
-    """The lines of a corpus file, in shuffled class order, with one line
-    mutated by `kind` and then, where a line still has three fields,
-    one line by a drawn kind, so that checks also meet on one line and
-    faults on two."""
+    """The lines of a corpus file, in class order, with one line mutated
+    by `kind` and then, where a line still has three fields, one line by
+    a drawn kind, so that checks also meet on one line and faults on
+    two."""
     lines = []
     for c in range(draw(st.integers(1, 3))):
         for _ in range(draw(st.integers(1, 3))):
@@ -517,7 +532,6 @@ def corpus_lines(draw, kind):
                                 max_size=ORACLE_MAX_TOKENS))
             source = draw(st.sampled_from(SOURCES))
             lines.append(f"{c}\t{source}\t{' '.join(map(str, ids))}")
-    lines = draw(st.permutations(lines))
     for kind in (kind, draw(st.sampled_from(MUTATIONS))):
         whole = [i for i, line in enumerate(lines) if line.count("\t") == 2]
         if whole:
@@ -527,32 +541,31 @@ def corpus_lines(draw, kind):
 
 
 def _read(load, path, vocab_size):
-    """The loader's (table fields, sources, vocab size), or its message."""
+    """The loader's (table fields, sources), or its message."""
     try:
         got = load(path, vocab_size, ORACLE_MAX_TOKENS)
     except ValidationError as exc:
         return str(exc)
     if isinstance(got, ClassCorpus):
-        got = got.table, got.sources, got.vocab_size
-    table, sources, vocab = got
-    return [a.tolist() if isinstance(a, np.ndarray) else a
-            for a in (*table, sources, vocab)]
+        got = got.table, got.sources
+    table, sources = got
+    return [a.tolist() for a in (*table, sources)]
 
 
 @pytest.mark.parametrize("kind", MUTATIONS)
 @settings(max_examples=12, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data(), vocab_size=st.sampled_from([0, ORACLE_VOCAB]),
+@given(data=st.data(), vocab_size=st.sampled_from([2 ** 63, ORACLE_VOCAB]),
        end=st.sampled_from(["\n", ""]))
 def test_bulk_reader_matches_the_per_line_reader(tmp_path, kind, data,
                                                  vocab_size, end):
-    """The same table, sources and vocabulary, or the same message, on
-    generated files with lines mutated: a blank line, a CR LF end, an
-    extra or missing tab, runs of space, VT or FS between ids, an unknown
-    source, an empty token field, a sentence over max_tokens, a gap in
-    the class numbers, an id equal to vocab_size, a 20-digit id, leading
-    zeros. A non-ASCII digit, which int() takes, is rejected exactly as a
-    letter in its place is."""
+    """The same table and sources, or the same message, on generated
+    files with lines mutated: a blank line, a CR LF end, an extra or
+    missing tab, runs of space, VT or FS between ids, an unknown source,
+    an empty token field, a sentence over max_tokens, a gap in the class
+    numbers, a row of a later class before a row, an id equal to
+    vocab_size, a 20-digit id, leading zeros. A non-ASCII digit, which
+    int() takes, is rejected exactly as a letter in its place is."""
     lines = data.draw(corpus_lines(kind))
     path = tmp_path / "c.tsv"
     path.write_bytes(("\n".join(lines) + end).encode("utf-8"))
@@ -573,27 +586,29 @@ class TestCorpusGrammar:
         good = b"0\tprompt\t0 5 1\n"
         path.write_bytes(good + b"0\tprompt\t\n" + good + b"0\tpr\xffompt\t1\n")
         with pytest.raises(ValidationError, match=f"{path}:2: empty sentence"):
-            load_corpus(path)
+            load_corpus(path, 2 ** 63, 77)
         path.write_bytes(good * 3 + b"0\tprompt\t0 5\xff 1\n")
         with pytest.raises(ValidationError) as exc:
-            load_corpus(path)
+            load_corpus(path, 2 ** 63, 77)
         assert str(exc.value) == (
             f"{path}:4: token ids must be integers in [0, {2 ** 63}), "
             "got '0 5\\\\xff 1'")
 
     def test_longest_int64_id_without_a_vocabulary(self, tmp_path):
+        """At vocab_size 2**63 only int64 bounds an id."""
         path = tmp_path / "c.tsv"
         path.write_text(f"0\tprompt\t0 {2 ** 63 - 1}\n")
-        assert load_corpus(path).vocab_size == 2 ** 63
+        assert load_corpus(path, 2 ** 63, 77).table.ids.tolist() == \
+            [0, 2 ** 63 - 1]
         path.write_text(f"0\tprompt\t0 {2 ** 63}\n")
         with pytest.raises(ValidationError, match="token ids must be"):
-            load_corpus(path)
+            load_corpus(path, 2 ** 63, 77)
 
     def test_over_long_sentence_names_its_line(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("0\tprompt\t0 5 1\n0\tprompt\t0 5 6 1\n")
         with pytest.raises(ValidationError) as exc:
-            load_corpus(path, max_tokens=3)
+            load_corpus(path, 96, 3)
         assert str(exc.value) == \
             f"{path}:2: sentence has 4 tokens, limit is 3"
 
@@ -601,4 +616,4 @@ class TestCorpusGrammar:
         path = tmp_path / "c.tsv"
         path.write_text("\n\n")
         with pytest.raises(ValidationError, match="no sentences"):
-            load_corpus(path, vocab_size=96)
+            load_corpus(path, 96, 77)

@@ -151,7 +151,7 @@ class TestTeacherPair:
         sentences = [pool[i % len(pool)] for i in range(n)]
         teacher = TeacherPair(CvlpModel(6, 6, 64, seed=4))
         images = np.random.default_rng(0).normal(size=(5, 6))
-        _, got = teacher.unit_embeddings(images, sentences)
+        _, got = teacher.unit_embeddings(images, token_table(sentences, 77))
         want, _ = unit_rows(teacher._model.lin(sentences), "sentences")
         np.testing.assert_array_equal(got, want)
 
@@ -174,7 +174,7 @@ class TestTeacherPair:
         write_checkpoint(path, sections(model.params()))
         teacher = TeacherPair(CvlpModel.from_checkpoint(path, 4, 4, 12))
         x = np.random.default_rng(5).normal(size=(3, 4))
-        teacher.unit_embeddings(x, [[0, 2, 1], [0, 5, 1]])
+        teacher.unit_embeddings(x, token_table([[0, 2, 1], [0, 5, 1]], 77))
         for name, p in teacher._model.params().items():
             np.testing.assert_array_equal(p.data, model.params()[name].data)
             assert p.grad is None
@@ -238,8 +238,7 @@ class Poison:
 
 def _corpus_with_poison():
     """The second row's source code raises when the writer reads it."""
-    return ClassCorpus(vocab_size=8,
-                       table=token_table([[0, 5, 1], [0, 6, 1]], 77, [1, 1]),
+    return ClassCorpus(table=token_table([[0, 5, 1], [0, 6, 1]], 77, [1, 1]),
                        sources=[1, Poison()])
 
 

@@ -20,7 +20,9 @@ from vlltr.head import (
     compute_anchor_embeddings,
     fc_forward,
     knn_forward,
+    knn_keys,
     lgr_forward,
+    lgr_keys,
     load_anchor_embeddings,
     rec_loss,
     run_finetune,
@@ -76,7 +78,8 @@ class TestLgrForward:
         rng = np.random.default_rng(0)
         anchors = rng.normal(size=(3, 1, 4))
         params = make_params(4, 3)
-        out = lgr_forward(rng.normal(size=(2, 4)), anchors, params)
+        out = lgr_forward(rng.normal(size=(2, 4)), anchors, params,
+                          lgr_keys(anchors))
         np.testing.assert_allclose(out.attention, 1.0, atol=1e-12)
         np.testing.assert_allclose(out.G,
                                    np.broadcast_to(anchors[:, 0], (2, 3, 4)),
@@ -84,8 +87,8 @@ class TestLgrForward:
 
     def test_single_class_text_path_is_certain(self):
         rng = np.random.default_rng(1)
-        out = lgr_forward(rng.normal(size=(2, 4)),
-                          rng.normal(size=(1, 3, 4)), make_params(4, 1))
+        x, anchors = rng.normal(size=(2, 4)), rng.normal(size=(1, 3, 4))
+        out = lgr_forward(x, anchors, make_params(4, 1), lgr_keys(anchors))
         np.testing.assert_allclose(out.P_T, 1.0, atol=1e-12)
 
     def test_naive_loop_oracle(self):
@@ -99,7 +102,7 @@ class TestLgrForward:
                                  tau=float(rng.uniform(0.1, 1.0)))
             x = rng.normal(size=(N, D))
             anchors = rng.normal(size=(C, M, D))
-            out = lgr_forward(x, anchors, params)
+            out = lgr_forward(x, anchors, params, lgr_keys(anchors))
             p_i, p_t, att, g = naive_lgr(x, anchors, params)
             np.testing.assert_allclose(out.P_I, p_i, atol=1e-10)
             np.testing.assert_allclose(out.P_T, p_t, atol=1e-10)
@@ -109,8 +112,9 @@ class TestLgrForward:
     def test_probability_normalization(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            out = lgr_forward(rng.normal(size=(3, 5)),
-                              rng.normal(size=(4, 2, 5)), make_params(5, 4))
+            x, anchors = rng.normal(size=(3, 5)), rng.normal(size=(4, 2, 5))
+            out = lgr_forward(x, anchors, make_params(5, 4),
+                              lgr_keys(anchors))
             np.testing.assert_allclose(out.P_I.sum(axis=1), 1.0, atol=1e-6)
             np.testing.assert_allclose(out.P_T.sum(axis=1), 1.0, atol=1e-6)
             np.testing.assert_allclose(out.attention.sum(axis=2), 1.0,
@@ -121,9 +125,9 @@ class TestLgrForward:
         x = rng.normal(size=(3, 4))
         anchors = rng.normal(size=(2, 3, 4))
         params = make_params(4, 2)
-        full = lgr_forward(x, anchors, params)
+        full = lgr_forward(x, anchors, params, lgr_keys(anchors))
         for i in range(3):
-            solo = lgr_forward(x[i], anchors, params)
+            solo = lgr_forward(x[i:i + 1], anchors, params, lgr_keys(anchors))
             np.testing.assert_allclose(
                 full.P_I[i] + full.P_T[i],
                 solo.P_I[0] + solo.P_T[0], atol=1e-12)
@@ -133,9 +137,10 @@ class TestLgrForward:
         x = rng.normal(size=(2, 4))
         anchors = rng.normal(size=(3, 2, 4))
         params = make_params(4, 3)
-        before = lgr_forward(x, anchors, params).P_I
+        keys = lgr_keys(anchors)
+        before = lgr_forward(x, anchors, params, keys).P_I
         params.mlp_b2.data = params.mlp_b2.data + 11.0
-        after = lgr_forward(x, anchors, params).P_I
+        after = lgr_forward(x, anchors, params, keys).P_I
         np.testing.assert_allclose(before, after, atol=1e-12)
 
     def test_anchor_scale_invariant_attention(self):
@@ -143,20 +148,34 @@ class TestLgrForward:
         x = rng.normal(size=(2, 4))
         anchors = rng.normal(size=(3, 2, 4))
         params = make_params(4, 3)
-        base = lgr_forward(x, anchors, params)
+        base = lgr_forward(x, anchors, params, lgr_keys(anchors))
         scaled = anchors.copy()
         scaled[1] *= 4.0  # keys are layer-normed, so per-class scale drops out
-        out = lgr_forward(x, scaled, params)
+        out = lgr_forward(x, scaled, params, lgr_keys(scaled))
         # equality holds only up to the layer-norm epsilon
         np.testing.assert_allclose(out.attention, base.attention,
                                    atol=1e-5)
 
     def test_shape_and_zero_norm_errors(self):
         params = make_params(4, 2)
+        anchors = np.ones((2, 2, 4))
+        keys = lgr_keys(anchors)
         with pytest.raises(ShapeMismatch):
-            lgr_forward(np.ones((2, 3)), np.ones((2, 2, 4)), params)
+            lgr_forward(np.ones((2, 3)), anchors, params, keys)
         with pytest.raises(ValidationError):
-            lgr_forward(np.zeros((1, 4)), np.ones((2, 2, 4)), params)
+            lgr_forward(np.zeros((1, 4)), anchors, params, keys)
+
+
+@pytest.mark.parametrize("forward", ["lgr", "knn"])
+def test_a_single_row_is_a_shape_mismatch(forward):
+    """Embeddings are (N, D): a (D,) row is refused, not reshaped."""
+    anchors = np.random.default_rng(7).normal(size=(2, 2, 4))
+    with pytest.raises(ShapeMismatch, match=r"embeddings \(4,\)"):
+        if forward == "lgr":
+            lgr_forward(np.ones(4), anchors, make_params(4, 2),
+                        lgr_keys(anchors))
+        else:
+            knn_forward(np.ones(4), anchors, 0.1, knn_keys(anchors))
 
 
 class TestRecLossAndPredict:
@@ -220,7 +239,7 @@ class TestBaselineHeads:
         anchors[1, :, 1] = 1.0
         anchors[2, :, 2] = 1.0
         probs = knn_forward(np.array([[0.0, 1.0, 0.0, 0.0]]), anchors,
-                            tau=0.05)[0]
+                            0.05, knn_keys(anchors))[0]
         assert probs.argmax() == 1
         assert probs[0, 1] > 0.99
 
@@ -229,7 +248,7 @@ class TestBaselineHeads:
         x = rng.normal(size=(4, 5))
         anchors = rng.normal(size=(3, 4, 5))
         tau = 0.3
-        got = knn_forward(x, anchors, tau)[0]
+        got = knn_forward(x, anchors, tau, knn_keys(anchors))[0]
         best = np.empty((4, 3))
         for i in range(4):
             for c in range(3):
@@ -433,10 +452,10 @@ def test_inference_head_reproduces_predictions(head, mini_cfg, mini_run,
     cfg = dataclasses.replace(mini_cfg, head=head)
     work = tmp_path / "run"
     work.mkdir()
-    for name in ("dataset", "corpus", "gen_data_record", "student",
-                 "pretrain_record", "anchors", "select_anchors_record"):
-        shutil.copy(pipeline.artifact(run_dir, name),
-                    pipeline.artifact(work, name))
+    for stage in ("gen_data", "pretrain", "select_anchors"):
+        for name in pipeline.outputs(stage):
+            shutil.copy(pipeline.artifact(run_dir, name),
+                        pipeline.artifact(work, name))
     pipeline.cmd_finetune(cfg, work)
     pipeline.cmd_eval(cfg, work)
 

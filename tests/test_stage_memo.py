@@ -137,33 +137,33 @@ def check_hashed_once(log, total):
 
 def test_no_stage_call_of_a_run_hashes_a_file_twice(mini_cfg, tmp_path,
                                                     monkeypatch):
-    """Each stage hashes its inputs, to check them, and its outputs, for
-    its record. gen-data hashes its three files (3); make-teacher the
-    two data files and its two (4); pretrain and select-anchors the data
-    files, the checkpoint they read and their two and one outputs (5 +
-    4); finetune the data files, student.ck, anchors.tsv and its three
-    outputs, final.ck once for both the anchor cache and the record
-    (7); eval the data files, final.ck, the cache and its two (6). 29 in
-    all."""
+    """Each stage hashes every file its input writers recorded, to check
+    them, and its outputs, for its record. gen-data hashes its three
+    files (3); make-teacher gen-data's three and its two (5); pretrain
+    gen-data's three, make-teacher's two and its two (7); select-anchors
+    gen-data's three, pretrain's two and its one (6); finetune gen-data's
+    three, pretrain's two, anchors.tsv and its three outputs, final.ck
+    once for both the anchor cache and the record (9); eval gen-data's
+    three, finetune's three and its two (8). 38 in all."""
     log = hashing(monkeypatch)
     pipeline.run_all(mini_cfg, tmp_path)
     assert [stage for stage, _ in log] == [
         "cmd_gen_data", "cmd_make_teacher", "cmd_pretrain",
         "cmd_select_anchors", "cmd_finetune", "cmd_eval"]
-    assert [len(paths) for _, paths in log] == [3, 4, 5, 4, 7, 6]
-    check_hashed_once(log, 29)
+    assert [len(paths) for _, paths in log] == [3, 5, 7, 6, 9, 8]
+    check_hashed_once(log, 38)
 
 
 def test_no_stage_call_of_ablate_hashes_a_file_twice(ablated):
-    """A memo hit hashes the stage's inputs and nothing else; a run also
-    hashes its outputs. gen-data runs once (3); 4 teacher calls of 2
-    and one run's 2 (10); 4 distilled and 1 lam=1 pretrain call of 3
-    and 2, and two runs' 2 (18); 5 select-anchors calls of 3 and three
-    runs' 1 (18); 5 finetunes of 7 (35) and 5 evals of 6 (30). 114 in
-    all."""
+    """A memo hit hashes the files its input writers recorded and nothing
+    else; a run also hashes its outputs. gen-data runs once (3); 4
+    teacher calls of 3 and one run's 2 (14); 4 distilled and 1 lam=1
+    pretrain call of 5 and 3, and two runs' 2 (27); 5 select-anchors
+    calls of 5 and three runs' 1 (28); 5 finetunes of 9 (45) and 5 evals
+    of 8 (40). 157 in all."""
     _, _, log = ablated
     assert len(log) == 29
-    check_hashed_once(log, 114)
+    check_hashed_once(log, 157)
 
 
 def test_missing_teacher_is_an_error_with_a_memo(mini_cfg, tmp_path):

@@ -190,6 +190,7 @@ class TestCosineSimMatrix:
     def test_zero_norm_row_identified(self):
         """The error names the row, the function that normalized it and
         its operand, also when that is not `cosine_sim_matrix`."""
+        from vlltr.data import token_table
         from vlltr.encoders import CvlpModel, TeacherPair
 
         a = np.ones((3, 2))
@@ -203,7 +204,8 @@ class TestCosineSimMatrix:
         for p in model.vis.params().values():
             p.data[...] = 0.0
         with pytest.raises(ValidationError) as exc:
-            TeacherPair(model).unit_embeddings(np.ones((2, 4)), [[2, 3]])
+            TeacherPair(model).unit_embeddings(np.ones((2, 4)),
+                                               token_table([[2, 3]], 77))
         assert str(exc.value) == \
             "TeacherPair.unit_embeddings operand images: zero-norm row 0"
 
