@@ -18,6 +18,7 @@ from .checkpoint import atomic_write, read_text
 from .data import ClassCorpus, LongTailDataset
 from .encoders import CvlpModel
 from .errors import ValidationError
+from .tensor import log_softmax
 
 ANSS, CUTOFF = "AnSS", "CutOff"
 
@@ -65,9 +66,7 @@ def _score_columns(pool: ProbePool, cls: int, text_emb: np.ndarray
     treating the class's probe images as positives and all pooled probe
     images as the contrast set."""
     text_emb = text_emb / np.linalg.norm(text_emb, axis=1, keepdims=True)
-    logits = (pool.embeddings @ text_emb.T) / pool.tau    # (P, n_sent)
-    logits -= logits.max(axis=0, keepdims=True)
-    log_p = logits - np.log(np.exp(logits).sum(axis=0, keepdims=True))
+    log_p = log_softmax((pool.embeddings @ text_emb.T) / pool.tau, axis=0)
     sl = pool.class_slices[cls]
     return -log_p[sl].mean(axis=0)
 

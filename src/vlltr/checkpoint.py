@@ -5,10 +5,11 @@
 path actually touched.
 
 `read_exact` and `unpack` bound every read of a binary artifact (this
-container, the dataset, the anchor cache) by the bytes left in the file,
-`read_lf` and `read_text` read text artifacts as text mode does, the
-latter naming the line of an undecodable byte, and every artifact is
-written through `atomic_write`.
+container, the dataset, the anchor cache) by the bytes left in the file
+and `read_header` checks its magic and version; `read_lf` and
+`read_text` read text artifacts as text mode does, the latter naming the
+line of an undecodable byte, and every artifact is written through
+`atomic_write`.
 """
 
 from __future__ import annotations
@@ -58,6 +59,18 @@ def unpack(f, fmt: str, path, what: str) -> tuple:
     """`struct.unpack(fmt, ...)` over the next bytes of `f`, read with
     `read_exact`."""
     return struct.unpack(fmt, read_exact(f, struct.calcsize(fmt), path, what))
+
+
+def read_header(f, path, magic, version: int, kind: str, fmt: str) -> tuple:
+    """The fields of header `fmt` after its leading version, read after
+    `magic`; another magic or version is a ValidationError naming `path`
+    and, for a magic, `kind` ("a dataset file")."""
+    if f.read(len(magic)) != magic:
+        raise ValidationError(f"{path}: not {kind} (bad magic)")
+    header = unpack(f, fmt, path, "header")
+    if header[0] != version:
+        raise ValidationError(f"{path}: unsupported version {header[0]}")
+    return header[1:]
 
 
 def read_lf(path) -> bytes:
@@ -123,11 +136,8 @@ def read_checkpoint(path, names=None) -> dict[str, np.ndarray]:
     """
     out = {}
     with open(path, "rb") as f:
-        if f.read(4) != CHECKPOINT_MAGIC:
-            raise ValidationError(f"{path}: not a checkpoint file (bad magic)")
-        version, count = unpack(f, "<II", path, "header")
-        if version != CHECKPOINT_VERSION:
-            raise ValidationError(f"{path}: unsupported version {version}")
+        (count,) = read_header(f, path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                               "a checkpoint file", "<II")
         for _ in range(count):
             (name_len,) = unpack(f, "<I", path, "section name length")
             try:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checkpoint import atomic_write, read_exact, read_lf, unpack
+from .checkpoint import atomic_write, read_exact, read_header, read_lf, unpack
 from .errors import ValidationError
 
 DATASET_MAGIC = b"VLLT"
@@ -70,6 +70,11 @@ class LongTailDataset:
         return slice(start, start + self.counts[c])
 
 
+def class_labels(sizes) -> np.ndarray:
+    """The int64 labels of class-major rows: c repeated sizes[c] times."""
+    return np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+
+
 def gen_synthetic(C: int, counts, d_img: int, noise_sigma: float, seed: int,
                   test_per_class: int = 20) -> LongTailDataset:
     """Unit-norm class prototypes plus Gaussian noise, with a balanced
@@ -90,25 +95,15 @@ def gen_synthetic(C: int, counts, d_img: int, noise_sigma: float, seed: int,
     protos += PROTO_IDIOSYNCRASY * proto_rng.normal(size=(C, d_img)) / np.sqrt(d_img)
     protos /= np.linalg.norm(protos, axis=1, keepdims=True)
 
-    rows, labels = [], []
-    for c in range(C):
-        noise = train_rng.normal(size=(counts[c], d_img)) * noise_sigma
-        rows.append(protos[c] + noise)
-        labels.append(np.full(counts[c], c, dtype=np.int64))
-    test_rows, test_labels = [], []
-    for c in range(C):
-        noise = test_rng.normal(size=(test_per_class, d_img)) * noise_sigma
-        test_rows.append(protos[c] + noise)
-        test_labels.append(np.full(test_per_class, c, dtype=np.int64))
-
+    test_counts = [test_per_class] * C
+    # class by class, prototype plus noise from the split's own generator
+    X, test_X = (np.concatenate(
+        [protos[c] + rng.normal(size=(n, d_img)) * noise_sigma
+         for c, n in enumerate(sizes)]).astype(np.float32)
+        for rng, sizes in ((train_rng, counts), (test_rng, test_counts)))
     return LongTailDataset(
-        C=C, d_img=d_img, counts=list(counts),
-        X=np.concatenate(rows).astype(np.float32),
-        y=np.concatenate(labels),
-        test_X=np.concatenate(test_rows).astype(np.float32),
-        test_y=np.concatenate(test_labels),
-        prototypes=protos,
-    )
+        C=C, d_img=d_img, counts=list(counts), X=X, y=class_labels(counts),
+        test_X=test_X, test_y=class_labels(test_counts), prototypes=protos)
 
 
 # ---- shot bands ----------------------------------------------------------
@@ -447,11 +442,8 @@ def load_dataset(path) -> LongTailDataset:
     an empty class or images of width 0 (no image bytes, so no length
     bounds the counts that size `y`), is a ValidationError naming `path`."""
     with open(path, "rb") as f:
-        if f.read(4) != DATASET_MAGIC:
-            raise ValidationError(f"{path}: not a dataset file (bad magic)")
-        version, C, d_img = unpack(f, "<III", path, "header")
-        if version != DATASET_VERSION:
-            raise ValidationError(f"{path}: unsupported version {version}")
+        C, d_img = read_header(f, path, DATASET_MAGIC, DATASET_VERSION,
+                               "a dataset file", "<III")
         if d_img == 0:
             raise ValidationError(f"{path}: images of width d_img 0")
         counts = list(unpack(f, f"<{C}I", path, "class counts"))
@@ -462,23 +454,20 @@ def load_dataset(path) -> LongTailDataset:
         total = sum(counts)
         X = np.frombuffer(read_exact(f, total * d_img * 4, path, "images"),
                           dtype="<f4").reshape(total, d_img)
-        y = np.concatenate([np.full(n, c, dtype=np.int64)
-                            for c, n in enumerate(counts)])
         (test_per_class,) = unpack(f, "<I", path, "test header")
         n_test = C * test_per_class
         test_X = np.frombuffer(
             read_exact(f, n_test * d_img * 4, path, "test images"),
             dtype="<f4").reshape(n_test, d_img)
-        test_y = np.concatenate([np.full(test_per_class, c, dtype=np.int64)
-                                 for c in range(C)])
-    return LongTailDataset(C=C, d_img=d_img, counts=counts, X=X, y=y,
-                           test_X=test_X, test_y=test_y)
+    return LongTailDataset(C=C, d_img=d_img, counts=counts, X=X,
+                           y=class_labels(counts), test_X=test_X,
+                           test_y=class_labels([test_per_class] * C))
 
 
 def save_corpus(path, corpus: ClassCorpus):
     """One `class<TAB>source<TAB>ids` line per row, in row order."""
     table = corpus.table
-    classes = np.repeat(np.arange(corpus.C), table.class_sizes).tolist()
+    classes = class_labels(table.class_sizes).tolist()
     with atomic_write(path) as f:
         for c, code, tokens in zip(classes, corpus.sources, table.sequences()):
             f.write(f"{c}\t{SOURCES[code]}\t"

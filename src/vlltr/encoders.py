@@ -25,12 +25,11 @@ def clamp_tau(tau: Tensor):
 
 
 class VisualEncoder:
-    """Two-layer perceptron d_img -> hidden -> D with tanh in the middle."""
+    """Two-layer perceptron d_img -> 2 D -> D with tanh in the middle."""
 
-    def __init__(self, d_img: int, D: int, rng: np.random.Generator,
-                 hidden: int | None = None):
+    def __init__(self, d_img: int, D: int, rng: np.random.Generator):
         self.d_img, self.D = d_img, D
-        hidden = hidden or 2 * D
+        hidden = 2 * D
         self.w1 = parameter(rng.normal(size=(d_img, hidden)) / np.sqrt(d_img))
         self.b1 = parameter(np.zeros(hidden))
         self.w2 = parameter(rng.normal(size=(hidden, D)) / np.sqrt(hidden))

@@ -77,7 +77,7 @@ def pair_check(forward, backward, arrays, w):
                            arrays, grads)
 
 
-def default_suite(seed: int = 0, instances: int = 3):
+def default_suite(seed: int, instances: int):
     """(name, thunk) pairs; each thunk returns a GradCheckReport."""
     rng = np.random.default_rng(seed)
     suite = []
@@ -126,8 +126,8 @@ def default_suite(seed: int = 0, instances: int = 3):
 
     def random_visual():
         # nonzero biases, so the tanh is not centred on the origin
-        enc = VisualEncoder(4, 2, rng, hidden=3)
-        enc.b1.data, enc.b2.data = rng.normal(size=3), rng.normal(size=2)
+        enc = VisualEncoder(4, 2, rng)
+        enc.b1.data, enc.b2.data = rng.normal(size=4), rng.normal(size=2)
         return enc, rng.normal(size=(3, 4)), rng.normal(size=(3, 2))
 
     def visual_pair():

@@ -20,7 +20,7 @@ from .anchors import AnchorSet
 from .data import ClassCorpus, LongTailDataset, SqrtSampler
 from .encoders import CvlpModel, clamp_tau
 from .errors import NumericError, ShapeMismatch, ValidationError
-from .optim import AdamW, cosine_lr
+from .optim import AdamW, cosine_lr, schedule
 from .tensor import (Tensor, cosine_sim_backward, cross_entropy_backward,
                      cross_entropy_forward, grad_node, layer_norm_backward,
                      layer_norm_forward, normalize_rows, parameter,
@@ -227,8 +227,12 @@ class FcParams:
 
 
 def fc_forward(E_I, fc: FcParams):
-    """(softmax(E_I w + b), the cache `fc_backward` reads) on arrays."""
+    """(softmax(E_I w + b), the cache `fc_backward` reads) on arrays.
+    `E_I` is (N, D) for the (D, C) weights `w`."""
     x = np.asarray(E_I, dtype=np.float64)
+    if x.shape[1:] != fc.w.shape[:1]:
+        raise ShapeMismatch(
+            f"fc_forward: embeddings {x.shape} vs weights {fc.w.shape}")
     p = softmax_forward(x @ fc.w.data + fc.b.data, 1)
     return p, (x, fc, p)
 
@@ -396,11 +400,8 @@ def load_anchor_embeddings(path):
     """(the (C, M, D) block, the checkpoint hash it records); a short or
     truncated file is a ValidationError naming `path`."""
     with open(path, "rb") as f:
-        if f.read(4) != CACHE_MAGIC:
-            raise ValidationError(f"{path}: not an anchor cache (bad magic)")
-        version, C, M, D = ckpt.unpack(f, "<IIII", path, "header")
-        if version != CACHE_VERSION:
-            raise ValidationError(f"{path}: unsupported version {version}")
+        C, M, D = ckpt.read_header(f, path, CACHE_MAGIC, CACHE_VERSION,
+                                   "an anchor cache", "<IIII")
         ckpt_hash = ckpt.read_exact(f, 32, path, "checkpoint hash")
         emb = np.frombuffer(
             ckpt.read_exact(f, C * M * D * 8, path, "embeddings"), dtype="<f8")
@@ -426,8 +427,8 @@ def run_finetune(dataset: LongTailDataset, anchors: AnchorSet,
     trainable = {**model.vis.params(), **head_params.params()}
     taus = [p for name, p in trainable.items() if name.endswith("tau")]
 
-    steps_per_epoch = max(1, int(np.ceil(dataset.y.size / cfg.finetune_batch)))
-    total_steps = max(1, cfg.finetune_epochs * steps_per_epoch)
+    steps_per_epoch, total_steps = schedule(
+        dataset.y.size, cfg.finetune_batch, cfg.finetune_epochs)
     opt = AdamW(trainable, cfg.weight_decay)
     sampler = SqrtSampler(dataset.counts, seed=cfg.seed)
     trace = []

@@ -20,6 +20,13 @@ def cosine_lr(peak_lr: float, step: int, total_steps: int) -> float:
     return 0.5 * peak_lr * (1.0 + math.cos(math.pi * step / total_steps))
 
 
+def schedule(n_samples: int, batch: int, epochs: int) -> tuple[int, int]:
+    """(steps per epoch, total steps) of `epochs` passes over `n_samples`
+    in batches of `batch`, each at least 1."""
+    steps_per_epoch = max(1, math.ceil(n_samples / batch))
+    return steps_per_epoch, max(1, epochs * steps_per_epoch)
+
+
 class AdamW:
     """Decoupled-weight-decay Adam over a name -> Tensor parameter dict.
 
@@ -86,8 +93,7 @@ class AdamW:
         np.multiply(g, 1.0 - BETA2, out=tmp)
         tmp *= g
         v += tmp
-        if self.weight_decay:
-            p *= 1.0 - lr * self.weight_decay
+        p *= 1.0 - lr * self.weight_decay
         # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)

@@ -15,19 +15,15 @@ from .checkpoint import atomic_write
 from .data import ClassCorpus, LongTailDataset, SqrtSampler, TokenTable
 from .encoders import CvlpModel, TeacherPair, clamp_tau
 from .errors import NumericError, ShapeMismatch, ValidationError
-from .optim import AdamW, cosine_lr
-from .tensor import cosine_sim_backward, cosine_sim_forward
+from .optim import AdamW, cosine_lr, schedule
+from .tensor import (cosine_sim_backward, cosine_sim_forward, log_softmax,
+                     softmax_forward)
 
 
 # An epoch's batches are drawn at most this many steps at a time, which
 # bounds the sampled images and token rows held at once (a balanced
 # reference epoch is 313 steps); the draws do not depend on it.
 DRAW_STEPS = 64
-
-
-def _log_softmax(z: np.ndarray, axis: int) -> np.ndarray:
-    z = z - z.max(axis=axis, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
 
 
 class _Logits:
@@ -38,8 +34,8 @@ class _Logits:
     def __init__(self, S: np.ndarray, tau):
         self.S, self.tau = S, tau
         z = S / tau
-        self.log_p_row = _log_softmax(z, axis=1)
-        self.log_p_col = _log_softmax(z, axis=0)
+        self.log_p_row = log_softmax(z, axis=1)
+        self.log_p_col = log_softmax(z, axis=0)
         self.p_row, self.p_col = np.exp(self.log_p_row), np.exp(self.log_p_col)
 
     def backward(self, G: np.ndarray, out):
@@ -73,12 +69,7 @@ def _distill_term(logits: _Logits, St: np.ndarray, tau_teacher: float):
     column softmaxes."""
     n = St.shape[0]
     z = St / tau_teacher
-
-    def diag_softmax(axis):
-        e = np.exp(z - z.max(axis=axis, keepdims=True))
-        return e.diagonal() / e.sum(axis=axis)
-
-    w_text, w_img = diag_softmax(1), diag_softmax(0)
+    w_text, w_img = (softmax_forward(z, axis).diagonal() for axis in (1, 0))
     value = (-(w_text * logits.log_p_row.diagonal()).mean()
              - (w_img * logits.log_p_col.diagonal()).mean())
     G = w_text[:, None] * logits.p_row + w_img[None, :] * logits.p_col
@@ -129,8 +120,6 @@ def pretrain_loss(S: np.ndarray, S_teacher, labels, tau, tau_teacher: float,
                             f"does not match S {S.shape}")
     v_dis, g_dis = _distill_term(logits, St, tau_teacher)
     l_dis = float(v_dis)
-    if lam == 0.0:
-        return PretrainLoss(l_dis, l_ccl, l_dis, logits, g_dis)
     return PretrainLoss(lam * l_ccl + (1.0 - lam) * l_dis, l_ccl, l_dis,
                         logits, lam * g_ccl + (1.0 - lam) * g_dis)
 
@@ -214,8 +203,8 @@ def run_pretrain(dataset: LongTailDataset, corpus: ClassCorpus,
     """
     if cfg.lam < 1.0 and teacher is None:
         raise ValidationError("run_pretrain: lam < 1 requires a teacher")
-    steps_per_epoch = max(1, int(np.ceil(dataset.y.size / cfg.pretrain_batch)))
-    total_steps = max(1, cfg.pretrain_epochs * steps_per_epoch)
+    steps_per_epoch, total_steps = schedule(
+        dataset.y.size, cfg.pretrain_batch, cfg.pretrain_epochs)
     opt = AdamW(model.params(), cfg.weight_decay)
     sampler = SqrtSampler(dataset.counts, seed=cfg.seed)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x9E7]))

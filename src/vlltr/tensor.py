@@ -95,6 +95,12 @@ def softmax_forward(x: np.ndarray, axis: int) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def log_softmax(z: np.ndarray, axis: int) -> np.ndarray:
+    """Numerically stable log-softmax along `axis` on arrays."""
+    z = z - z.max(axis=axis, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+
+
 def softmax_backward(p: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     """The input gradient of a softmax with output p for upstream g:
     p * (g - sum(g * p)) along `axis`."""
@@ -174,15 +180,14 @@ def cosine_sim_backward(cache, g: np.ndarray, out):
 
 
 def cross_entropy_forward(p: np.ndarray, y):
-    """(-log p[y] averaged over the (N, C) probability rows `p`, each
-    term floored at 1e-12, the cache `cross_entropy_backward` reads) on
-    arrays."""
-    labels = np.atleast_1d(np.asarray(y, dtype=np.int64))
+    """(-log p[y] averaged over the (N, C) probability rows `p` and their
+    (N,) labels `y`, each term floored at 1e-12, the cache
+    `cross_entropy_backward` reads) on arrays."""
+    labels = np.asarray(y, dtype=np.int64)
     n, c = p.shape
     if labels.shape != (n,):
         raise ShapeMismatch(
-            f"cross_entropy: {labels.shape[0]} labels for {n} rows"
-        )
+            f"cross_entropy: labels {labels.shape} for {n} rows")
     if labels.min() < 0 or labels.max() >= c:
         raise ValidationError(
             f"cross_entropy: label out of range [0, {c}): {labels.tolist()}"

@@ -1,7 +1,5 @@
 """Shared fixtures: a small but complete pipeline run reused across test modules."""
 
-import dataclasses
-
 import pytest
 
 from vlltr import pipeline

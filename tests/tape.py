@@ -16,7 +16,7 @@ import numpy as np
 
 from vlltr import tensor
 from vlltr.errors import NumericError, ShapeMismatch, ValidationError
-from vlltr.gradcheck import GradCheckReport, check_gradients
+from vlltr.gradcheck import TOL, GradCheckReport, check_gradients
 from vlltr.tensor import (cosine_sim_backward, cosine_sim_forward,
                           cross_entropy_backward, cross_entropy_forward,
                           grad_node, layer_norm_backward, layer_norm_forward,
@@ -285,11 +285,11 @@ def cross_entropy(p, y) -> Tensor:
     return Tensor(value, parents=(p,), backward=backward)
 
 
-def gradcheck(f, inputs, h: float = 1e-5, tol: float = 1e-4
-              ) -> GradCheckReport:
+def gradcheck(f, inputs, tol: float = TOL) -> GradCheckReport:
     """Compare the tape's gradients of scalar `f(*inputs)` with central
-    differences through `check_gradients`. `inputs` is a sequence of
-    array-likes, each passed to `f` as a Tensor."""
+    differences through `check_gradients`, passing at a relative error
+    of at most `tol`. `inputs` is a sequence of array-likes, each passed
+    to `f` as a Tensor."""
     # C-order copies, so that check_gradients perturbs them in place
     leaves = [parameter(np.array(x, dtype=np.float64, order="C"))
               for x in inputs]
@@ -299,5 +299,6 @@ def gradcheck(f, inputs, h: float = 1e-5, tol: float = 1e-4
     out.backward()
     analytic = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
                 for t in leaves]
-    return check_gradients(lambda: float(f(*leaves).data),
-                           [t.data for t in leaves], analytic, h, tol)
+    err = check_gradients(lambda: float(f(*leaves).data),
+                          [t.data for t in leaves], analytic).max_rel_err
+    return GradCheckReport(max_rel_err=err, passed=err <= tol, tol=tol)

@@ -25,7 +25,7 @@ from vlltr import pipeline
 from vlltr.anchors import build_probe_pool, select_anchors
 from vlltr.config import RunConfig
 from vlltr.data import SqrtSampler, gen_corpus, gen_synthetic
-from vlltr.encoders import CvlpModel, VisualEncoder
+from vlltr.encoders import CvlpModel
 from vlltr.evaluation import evaluate
 from vlltr.gradsuite import default_suite, run_suite
 from vlltr.head import (classify_dataset, compute_anchor_embeddings,

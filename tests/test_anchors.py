@@ -8,7 +8,6 @@ import pytest
 
 from composite_oracles import class_sentences, class_sources
 from vlltr.anchors import (
-    AnchorSet,
     ProbePool,
     _score_columns,
     build_probe,

@@ -1,13 +1,17 @@
-"""Tests for the visual/linguistic encoders, the paired model, and checkpoints."""
+"""Tests for the visual/linguistic encoders, the paired model, checkpoints,
+and the header check of every binary artifact."""
+
+import struct
 
 import numpy as np
 import pytest
 
 from tape import Tensor, cosine_sim_matrix
 from vlltr.anchors import AnchorSet, save_anchors
-from vlltr.checkpoint import (atomic_write, load_params, read_checkpoint,
-                              sections, write_checkpoint)
-from vlltr.data import (ClassCorpus, LongTailDataset, save_corpus,
+from vlltr.checkpoint import (CHECKPOINT_VERSION, atomic_write, load_params,
+                              read_checkpoint, sections, write_checkpoint)
+from vlltr.data import (DATASET_VERSION, ClassCorpus, LongTailDataset,
+                        gen_synthetic, load_dataset, save_corpus,
                         save_dataset, save_stats, token_table)
 from vlltr.encoders import (
     TAU_MAX,
@@ -20,7 +24,8 @@ from vlltr.encoders import (
 )
 from vlltr.errors import ShapeMismatch, ValidationError
 from vlltr.gradcheck import check_gradients
-from vlltr.head import save_anchor_embeddings
+from vlltr.head import (CACHE_VERSION, load_anchor_embeddings,
+                        save_anchor_embeddings)
 from vlltr.optim import AdamW
 from vlltr.pretrain import pretrain_step, save_trace
 
@@ -101,7 +106,7 @@ class TestPairGradients:
         loss()
         params = list(model.params().values())
         report = check_gradients(loss, [p.data for p in params],
-                                 [p.grad.copy() for p in params], tol=1e-4)
+                                 [p.grad.copy() for p in params])
         assert report.passed, str(report)
 
 
@@ -370,3 +375,36 @@ class TestCheckpointing:
         write_checkpoint(path, {"keep": np.ones(2), "__meta": np.zeros(1)})
         read = read_checkpoint(path, names=lambda n: not n.startswith("__"))
         assert set(read) == {"keep"}
+
+
+# reader -> (a writer of a small valid file, the reader, what the reader
+# calls a file of another magic, the version it reads)
+BINARY_READERS = {
+    "dataset": (lambda path: save_dataset(path, gen_synthetic(
+        2, [2, 1], 3, noise_sigma=0.1, seed=0, test_per_class=1)),
+        load_dataset, "not a dataset file", DATASET_VERSION),
+    "checkpoint": (lambda path: write_checkpoint(path, {"w": np.ones(2)}),
+                   read_checkpoint, "not a checkpoint file",
+                   CHECKPOINT_VERSION),
+    "anchor_cache": (lambda path: save_anchor_embeddings(
+        path, np.ones((1, 1, 2)), bytes(32)),
+        load_anchor_embeddings, "not an anchor cache", CACHE_VERSION),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(BINARY_READERS))
+def test_each_binary_reader_checks_its_magic_and_version(tmp_path, reader):
+    """Another magic is refused naming the file and its kind, and the
+    version after the one written is refused by number."""
+    write, read, not_kind, version = BINARY_READERS[reader]
+    path = tmp_path / "artifact.bin"
+    write(path)
+    good = path.read_bytes()
+    for damaged, message in (
+            (b"XXXX" + good[4:], f"{path}: {not_kind} (bad magic)"),
+            (good[:4] + struct.pack("<I", version + 1) + good[8:],
+             f"{path}: unsupported version {version + 1}")):
+        path.write_bytes(damaged)
+        with pytest.raises(ValidationError) as exc:
+            read(path)
+        assert str(exc.value) == message

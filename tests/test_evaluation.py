@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import composite_oracles as oracle
-from vlltr.encoders import CvlpModel
 from vlltr.errors import ValidationError
 from vlltr.evaluation import ablation_report, concept_retrieval, evaluate
 

@@ -4,11 +4,13 @@ KNN heads, against their composite-op oracles (composite_oracles.py):
 the value and every gradient must agree to 1e-10. The text encoder's
 array forward and backward, the one-node visual encoder, each head's
 one-node fine-tuning loss and the flat-buffer AdamW must agree with
-theirs bit for bit. Also checks that a forward and backward pass leaves
+theirs bit for bit. The log-softmax must agree with a per-vector loop
+to 1e-12. Also checks that a forward and backward pass leaves
 no reference cycles behind, and that freeing its graph does not hand
 memory back to the OS only to fault it in again."""
 
 import gc
+import math
 import platform
 import resource
 
@@ -28,6 +30,7 @@ from vlltr.head import (HEADS, LGR_PARAM_NAMES, LgrParams, head_loss,
                         knn_backward, knn_forward, knn_keys, lgr_backward,
                         lgr_forward, lgr_keys)
 from vlltr.optim import AdamW, cosine_lr
+from vlltr.tensor import log_softmax
 
 TOL = 1e-10
 
@@ -279,6 +282,28 @@ class TestSoftmax:
         assert softmax(x, 1)._parents == (x,)
 
 
+def naive_log_softmax(z, axis):
+    """`log_softmax` one vector at a time, in Python floats."""
+    z = np.moveaxis(np.asarray(z, dtype=np.float64), axis, -1)
+    out = np.empty(z.shape)
+    for i, row in enumerate(z.reshape(-1, z.shape[-1]).tolist()):
+        top = max(row)
+        log_total = math.log(sum(math.exp(v - top) for v in row))
+        out.reshape(-1, z.shape[-1])[i] = [v - top - log_total for v in row]
+    return np.moveaxis(out, -1, axis)
+
+
+class TestLogSoftmax:
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("scale", [3.0, 1000.0])
+    def test_matches_a_naive_loop(self, axis, scale):
+        """Each axis, at logits small and far beyond exp's range."""
+        z = scale * np.random.default_rng(11).normal(size=(4, 6))
+        np.testing.assert_allclose(log_softmax(z, axis),
+                                   naive_log_softmax(z, axis),
+                                   rtol=1e-13, atol=1e-12)
+
+
 class TestLayerNorm:
     @pytest.mark.parametrize("shape,spread", [((1, 1), 3.0), ((3, 5), 3.0),
                                               ((2, 3, 4), 3.0),
@@ -306,7 +331,7 @@ class TestCrossEntropy:
         "batch": (np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3],
                             [0.25, 0.25, 0.5], [0.1, 0.8, 0.1]]),
                   np.array([1, 0, 2, 2])),
-        "one_row": (np.array([[0.2, 0.7, 0.1]]), 1),
+        "one_row": (np.array([[0.2, 0.7, 0.1]]), np.array([1])),
         "batch_of_one": (np.array([[0.3, 0.3, 0.4]]), np.array([2])),
         "below_floor": (np.array([[1e-15, 1.0 - 1e-15], [0.5, 0.5]]),
                         np.array([0, 1])),

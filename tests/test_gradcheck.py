@@ -40,7 +40,7 @@ class TestGradcheck:
         x = np.array([1.0, 2.0])
         # wrong on purpose: drops the exp factor from the chain rule
         report = check_gradients(lambda: float(np.exp(x).sum()), [x],
-                                 [np.ones(2)], tol=1e-4)
+                                 [np.ones(2)])
         assert not report.passed
         assert report.max_rel_err > 1e-2
 
@@ -62,8 +62,7 @@ class TestGradcheck:
 
     def test_report_string_format(self):
         x = np.array([2.0])
-        report = check_gradients(lambda: float((x * x).sum()), [x], [2.0 * x],
-                                 tol=1e-4)
+        report = check_gradients(lambda: float((x * x).sum()), [x], [2.0 * x])
         text = str(report)
         assert "PASS" in text
         assert "max_rel_err" in text
@@ -87,7 +86,7 @@ class TestSuite:
             # zero, as for an op that declares no backward rule
             x = np.array([1.0])
             return check_gradients(lambda: float(x.sum()), [x],
-                                   [np.zeros(1)], tol=1e-4)
+                                   [np.zeros(1)])
 
         # A check whose analytic gradient is missing entirely must be reported
         # as a failure under its own name.

@@ -166,7 +166,7 @@ class TestLgrForward:
             lgr_forward(np.zeros((1, 4)), anchors, params, keys)
 
 
-@pytest.mark.parametrize("forward", ["lgr", "knn"])
+@pytest.mark.parametrize("forward", ["lgr", "fc", "knn"])
 def test_a_single_row_is_a_shape_mismatch(forward):
     """Embeddings are (N, D): a (D,) row is refused, not reshaped."""
     anchors = np.random.default_rng(7).normal(size=(2, 2, 4))
@@ -174,8 +174,18 @@ def test_a_single_row_is_a_shape_mismatch(forward):
         if forward == "lgr":
             lgr_forward(np.ones(4), anchors, make_params(4, 2),
                         lgr_keys(anchors))
+        elif forward == "fc":
+            fc_forward(np.ones(4), FcParams(4, 2, np.random.default_rng(0)))
         else:
             knn_forward(np.ones(4), anchors, 0.1, knn_keys(anchors))
+
+
+def test_fc_embeddings_of_another_width_are_a_shape_mismatch():
+    fc = FcParams(4, 3, np.random.default_rng(0))
+    with pytest.raises(ShapeMismatch,
+                       match=r"fc_forward: embeddings \(2, 5\) vs weights "
+                             r"\(4, 3\)"):
+        fc_forward(np.ones((2, 5)), fc)
 
 
 class TestRecLossAndPredict:

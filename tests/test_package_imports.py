@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is read in that module."""
+"""Every name a module of the package or of its tests imports is read in
+that module."""
 
 import ast
 from pathlib import Path
@@ -24,7 +25,8 @@ def unread_imports(path):
 
 
 def test_no_module_imports_a_name_it_never_reads():
-    found = [f"{path.name}:{line} {name}"
-             for path in sorted(Path(vlltr.__file__).parent.glob("*.py"))
+    found = [f"{folder.name}/{path.name}:{line} {name}"
+             for folder in (Path(vlltr.__file__).parent, Path(__file__).parent)
+             for path in sorted(folder.glob("*.py"))
              for line, name in unread_imports(path)]
     assert found == []

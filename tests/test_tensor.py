@@ -237,6 +237,13 @@ class TestCrossEntropy:
         with pytest.raises(ValidationError):
             cross_entropy(as_tensor([[0.5, 0.5]]), np.array([2]))
 
+    @pytest.mark.parametrize("y,shape", [(0, "()"), ([0, 1], "(2,)")])
+    def test_labels_are_one_per_row(self, y, shape):
+        """A 0-d label is refused like a wrong count, not broadcast."""
+        with pytest.raises(ShapeMismatch) as exc:
+            cross_entropy(as_tensor([[0.5, 0.5]]), np.array(y))
+        assert str(exc.value) == f"cross_entropy: labels {shape} for 1 rows"
+
     def test_rows_must_sum_to_one(self):
         with pytest.raises(ValidationError):
             cross_entropy(as_tensor([[0.4, 0.4]]), np.array([0]))
